@@ -22,17 +22,11 @@ run_preset() {
 leg_release()    { run_preset release; }
 leg_asan_ubsan() { run_preset asan-ubsan; }
 leg_hardened()   { run_preset hardened; }
-# When the astlint engine is available, the AST-precise rules own
-# bare-assert (src/), hot-io, and recorder-hot; lint.py stands those down
-# (--ast-owned) so a site is never double-reported. Without libclang, lint.py
-# runs all of its regex rules as the fallback.
+# Repo conventions: lint.py is the only owner of its rules (astlint carries
+# only the det-* rules), so there is one call and nothing to arbitrate.
 leg_lint() {
   echo "=== [lint] tools/lint.py ==="
-  if python3 tools/astlint.py --probe >/dev/null 2>&1; then
-    python3 tools/lint.py --ast-owned
-  else
-    python3 tools/lint.py
-  fi
+  python3 tools/lint.py
 }
 
 # AST determinism analyzer (tools/astlint.py): suppression-policy selftest
@@ -48,7 +42,7 @@ leg_astlint() {
       echo "astlint: engine required (TFC_ASTLINT_REQUIRE=1) but unavailable" >&2
       exit 1
     fi
-    echo "astlint: libclang unavailable — skipping AST battery (lint.py regex rules remain in force)" >&2
+    echo "astlint: libclang unavailable — skipping AST battery" >&2
     return 0
   fi
   for fixture in tests/astlint/fixtures/*.cc; do
@@ -61,21 +55,13 @@ leg_astlint() {
   python3 tools/astlint.py --build-dir build
 }
 
-# ThreadSanitizer leg: the tsan preset's ctest filter covers the concurrent
-# surface — the parallel sweep runner, the multi-instance (two Networks from
-# two threads) regression tests, chaos replay, and determinism. Any data race
-# in the sweep pool or a hidden process-wide cache fails this leg. The
-# parallel-vs-serial bit-identity check rides along in sweep_test.
+# ThreadSanitizer leg: src/ starts no threads, but embedders may drive
+# several Networks from several threads. The tsan preset's ctest filter
+# covers that surface — the multi-instance (two Networks from two threads)
+# regression tests, chaos replay, and determinism. A hidden process-wide
+# cache shared between instances fails this leg.
 leg_tsan() {
   run_preset tsan
-  echo "--- [tsan] tfcsim --sweep smoke (parallel CLI path under TSan) ---"
-  cmake --build build-tsan -j "$(nproc)" --target tfcsim
-  # --in-process pins the legacy thread-pool executor: this smoke exists to
-  # race-check the worker pool, which the default fork-based supervisor
-  # (single-threaded parent) would bypass.
-  ./build-tsan/examples/tfcsim --workload=incast --protocol=all \
-      --topology=testbed --senders=6 --block_kb=64 --rounds=2 \
-      --sweep=4 --jobs=4 --in-process --telemetry-dir=build-tsan/sweep-smoke
 }
 leg_tidy()       { echo "=== [tidy] tools/tidy.sh ==="; bash tools/tidy.sh build; }
 
@@ -83,9 +69,9 @@ leg_tidy()       { echo "=== [tidy] tools/tidy.sh ==="; bash tools/tidy.sh build
 # (1) Negative-compile battery — each banned cross-dimension conversion must
 #     be rejected, and the control case must compile (same cases ctest runs
 #     as WILL_FAIL entries, checked here without needing a configured build).
-# (2) The lint.py units rule (raw unit-suffixed declarations).
-# (3) clang-tidy narrowing profile over src/{net,tfc,transport} — skips with
+# (2) clang-tidy narrowing profile over src/{net,tfc,transport} — skips with
 #     a notice when clang-tidy is absent, like leg_tidy.
+# The lint.py units rule (raw unit-suffixed declarations) runs in leg_lint.
 leg_units() {
   echo "=== [units] negative-compile battery ==="
   local src=tests/units_compile_fail/compile_fail.cc
@@ -100,8 +86,6 @@ leg_units() {
     fi
     echo "units: CASE_${case} rejected (expected)"
   done
-  echo "=== [units] lint units rule ==="
-  python3 tools/lint.py
   echo "=== [units] clang-tidy narrowing profile ==="
   bash tools/tidy_units.sh build
 }
@@ -208,9 +192,9 @@ leg_chaos() {
 #     write a partial sweep.json naming the failure (with the salvaged
 #     post-mortem flight.tfct), and exit nonzero;
 # (2) --resume must re-execute only the crashed run and go green;
-# (3) the recovered sweep must be byte-identical, run for run, to a clean
-#     serial in-process sweep — supervision and resumption never change
-#     what a run computes.
+# (3) the recovered sweep must be byte-identical, run for run, to three
+#     plain single runs with the same seeds — supervision and resumption
+#     never change what a run computes.
 # CI uploads build/sweep-smoke as the workflow's post-mortem artifact.
 leg_sweep() {
   echo "=== [sweep] supervised sweep: crash isolation + resume + identity ==="
@@ -218,9 +202,9 @@ leg_sweep() {
   cmake --build build -j "$(nproc)" --target tfcsim
   local dir=build/sweep-smoke
   rm -rf "${dir}"
-  local common=(--workload=incast --protocol=tfc --topology=testbed
-                --senders=6 --block_kb=64 --rounds=3 --seed=9
-                --sweep=3 --trace-ring=16384)
+  local single=(--workload=incast --protocol=tfc --topology=testbed
+                --senders=6 --block_kb=64 --rounds=3 --trace-ring=16384)
+  local common=("${single[@]}" --seed=9 --sweep=3)
 
   echo "--- [sweep] one tripped run fails alone, siblings complete ---"
   local rc=0
@@ -247,16 +231,19 @@ leg_sweep() {
   python3 tools/telemetry_schema.py --sweep "${dir}/supervised"
   echo "sweep: resume completed only the missing run"
 
-  echo "--- [sweep] recovered sweep == clean serial in-process sweep ---"
-  ./build/examples/tfcsim "${common[@]}" --jobs=1 --in-process \
-      --telemetry-dir="${dir}/clean" >/dev/null
-  local run
-  for run in run-0000 run-0001 run-0002; do
+  echo "--- [sweep] recovered sweep == plain single runs ---"
+  local k run
+  for k in 0 1 2; do
+    run="run-000${k}"
+    # Sweep repetition K runs seed 9+K; a single run at that seed must
+    # reproduce it byte for byte.
+    ./build/examples/tfcsim "${single[@]}" --seed="$((9 + k))" \
+        --telemetry-dir="${dir}/clean/${run}" >/dev/null
     cmp "${dir}/supervised/${run}/metrics.tfcb" "${dir}/clean/${run}/metrics.tfcb"
     cmp "${dir}/supervised/${run}/summary.json" "${dir}/clean/${run}/summary.json"
     cmp "${dir}/supervised/${run}/flight.tfct" "${dir}/clean/${run}/flight.tfct"
   done
-  echo "sweep: supervised+resumed outputs byte-identical to clean serial"
+  echo "sweep: supervised+resumed outputs byte-identical to single runs"
 }
 
 case "${1:-all}" in

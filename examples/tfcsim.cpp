@@ -28,8 +28,8 @@
 //   --jobs=J                  concurrent sweep runs (default: all hardware threads)
 //   --retry=N --run-timeout=S --resume --backoff-ms=MS   supervised-sweep knobs
 //   --watchdog=S              per-run no-progress detector (sim seconds)
-//   --in-process              legacy thread-pool sweep (no crash isolation)
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -44,7 +44,6 @@
 #include "src/net/fault.h"
 #include "src/net/trace.h"
 #include "src/sim/supervisor.h"
-#include "src/sim/sweep.h"
 #include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
 #include "src/workload/benchmark_traffic.h"
@@ -73,7 +72,7 @@ struct Options {
   std::string fault_spec;
   uint64_t telemetry_interval_us = 1000;
   int sweep = 1;
-  int jobs = 0;  // 0 = SweepRunner::DefaultWorkers()
+  int jobs = 0;  // 0 = RunSupervisor::DefaultWorkers()
   uint64_t trace_ring = 0;  // flight-recorder capacity (0 = disarmed)
   std::string export_trace_dir;
   uint64_t force_audit_trip_us = 0;  // schedule a failing audit (testing)
@@ -83,13 +82,12 @@ struct Options {
   int backoff_ms = 250;     // supervised sweeps: first retry delay
   bool resume = false;      // supervised sweeps: skip done-marker-verified runs
   double watchdog_s = -1;   // no-progress stall threshold (sim s); -1 = default
-  bool in_process = false;  // legacy thread-pool sweep (no crash isolation)
 };
 
 // Buffered per-run output: sweep jobs must never write to stdout directly
 // (parallel runs would interleave), so every run appends to the caller's
 // string and main() prints reports in submission order. Identical bytes
-// whether the run executed serially, on a pool, or in a forked child.
+// whether the run executed in this process or in a forked child.
 // Writing *through* to the result slot (instead of copying at job end)
 // preserves everything written before a mid-run throw or crash.
 struct Report {
@@ -156,9 +154,15 @@ void PrintHelp() {
       "                   --telemetry-dir\n"
       "  --trip-run=K     apply --force-audit-trip to sweep repetition K only\n"
       "  --watchdog=S     abort a run that makes no progress for S sim-seconds\n"
-      "                   (default: 5 in sweep mode, off single-run; 0 disables)\n"
-      "  --in-process     legacy thread-pool sweep: faster startup, but a\n"
-      "                   crashing run aborts the whole sweep");
+      "                   (default: 5 in sweep mode, off single-run; 0 disables)");
+}
+
+// A seconds flag must convert to TimeNs without undefined behavior:
+// Seconds() casts s * 1e9 to int64_t, which is UB for NaN, +-inf, and any
+// value past ~292 years.
+bool FitsTimeNs(double s) {
+  const double ns = s * 1e9;
+  return std::isfinite(ns) && ns < 0x1p63 && ns >= -0x1p63;
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -572,8 +576,6 @@ int main(int argc, char** argv) {
       opt.watchdog_s = std::atof(value.c_str());
     } else if (std::strcmp(arg, "--resume") == 0) {
       opt.resume = true;
-    } else if (std::strcmp(arg, "--in-process") == 0) {
-      opt.in_process = true;
     } else {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg);
       return 1;
@@ -605,6 +607,12 @@ int main(int argc, char** argv) {
                 opt.export_trace_dir.c_str());
     return 0;
   }
+  if (!FitsTimeNs(opt.duration_s) || !FitsTimeNs(opt.watchdog_s) ||
+      !FitsTimeNs(opt.run_timeout_s)) {
+    std::fprintf(stderr, "--duration/--watchdog/--run-timeout must be finite "
+                         "and fit int64 nanoseconds\n");
+    return 1;
+  }
   if (opt.senders < 1 || opt.flows < 1 || opt.rounds < 1 || opt.gbps < 1 ||
       opt.duration_s <= 0 || opt.telemetry_interval_us < 1 || opt.sweep < 1 ||
       opt.jobs < 0 || opt.retry < 0 || opt.run_timeout_s < 0 ||
@@ -623,21 +631,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (opt.sweep == 1 && (opt.resume || opt.retry > 0 || opt.run_timeout_s > 0 ||
-                         opt.trip_run >= 0 || opt.in_process)) {
-    std::fprintf(stderr, "--resume/--retry/--run-timeout/--trip-run/--in-process "
-                         "require --sweep\n");
-    return 1;
-  }
-  if (opt.in_process && (opt.resume || opt.retry > 0 || opt.run_timeout_s > 0 ||
                          opt.trip_run >= 0)) {
-    std::fprintf(stderr, "--in-process is the legacy thread-pool sweep: it cannot "
-                         "combine with --resume/--retry/--run-timeout/--trip-run\n");
-    return 1;
-  }
-  if (opt.sweep > 1 && opt.force_audit_trip_us > 0 && opt.in_process) {
-    std::fprintf(stderr, "--force-audit-trip with --in-process --sweep would "
-                         "abort the whole process; drop --in-process so the trip "
-                         "is contained to its own child\n");
+    std::fprintf(stderr, "--resume/--retry/--run-timeout/--trip-run "
+                         "require --sweep\n");
     return 1;
   }
   if (opt.resume && opt.telemetry_dir.empty()) {
@@ -685,44 +681,10 @@ int main(int argc, char** argv) {
   }
 
   // Sweep mode: one job per (repetition, protocol), each with its own seed
-  // and telemetry subdirectory. The default executor forks every run into
-  // its own child process (crash isolation, per-run timeout, retry with
-  // backoff, done-marker resume); --in-process keeps the legacy thread-pool
-  // runner. Either way, reports print in submission order.
-  const int workers = opt.jobs > 0 ? opt.jobs : tfc::SweepRunner::DefaultWorkers();
-
-  struct SweepJob {
-    std::string name;
-    std::string run_dir;
-    uint64_t seed = 0;
-    tfc::Protocol protocol = tfc::Protocol::kTfc;
-    Options options;
-  };
-  std::vector<SweepJob> jobs;
-  for (int i = 0; i < opt.sweep; ++i) {
-    char run_name[32];
-    std::snprintf(run_name, sizeof run_name, "run-%04d", i);
-    for (tfc::Protocol p : protocols) {
-      SweepJob job;
-      job.name = run_name;
-      if (protocols.size() > 1) {
-        job.name += std::string("/") + tfc::ProtocolName(p);
-      }
-      job.protocol = p;
-      job.seed = opt.seed + static_cast<uint64_t>(i);
-      if (!opt.telemetry_dir.empty()) {
-        job.run_dir = opt.telemetry_dir + "/" + job.name;
-      }
-      job.options = opt;
-      job.options.seed = job.seed;
-      // The forced audit trip targets one repetition (--trip-run=K): the
-      // others run clean, which is what makes crash isolation observable.
-      if (opt.trip_run >= 0 && i != opt.trip_run) {
-        job.options.force_audit_trip_us = 0;
-      }
-      jobs.push_back(std::move(job));
-    }
-  }
+  // and telemetry subdirectory. The supervisor forks every run into its own
+  // child process (crash isolation, per-run timeout, retry with backoff,
+  // done-marker resume); reports print in submission order.
+  const int workers = opt.jobs > 0 ? opt.jobs : tfc::RunSupervisor::DefaultWorkers();
 
   // Cache-key fingerprint: every flag that influences a run's *output*.
   // Execution-only knobs (--jobs, --retry, --run-timeout, --backoff-ms,
@@ -746,93 +708,65 @@ int main(int argc, char** argv) {
     return fp;
   };
 
-  int exit_code = 0;
-  std::vector<tfc::SweepRunRow> rows;
-  std::vector<std::string> failed_names;
-  if (opt.in_process) {
-    tfc::SweepRunner runner(workers);
-    for (const SweepJob& job : jobs) {
-      const Options job_opt = job.options;
-      const tfc::Protocol p = job.protocol;
-      const std::string run_dir = job.run_dir;
-      runner.Add(job.name, [job_opt, p, run_dir](std::string* report) {
-        // Report writes *through* to the result slot, so output buffered
-        // before a mid-run throw survives into SweepResult::report.
-        Report rep(report);
-        return RunOne(job_opt, p, run_dir, rep);
-      });
-    }
-    for (const tfc::SweepResult& r : runner.Run()) {
-      std::printf("=== %s (seed %llu, %.3fs) ===\n", r.name.c_str(),
-                  static_cast<unsigned long long>(
-                      jobs[static_cast<size_t>(r.index)].seed),
-                  r.wall_seconds);
-      std::fputs(r.report.c_str(), stdout);
-      if (r.exit_code != 0) {
-        std::printf("(exit code %d)\n", r.exit_code);
-        exit_code = exit_code == 0 ? r.exit_code : exit_code;
-        failed_names.push_back(r.name);
+  tfc::SupervisorOptions sup;
+  sup.workers = workers;
+  sup.max_retries = opt.retry;
+  sup.timeout_s = opt.run_timeout_s;
+  sup.backoff_base_ms = opt.backoff_ms;
+  sup.resume = opt.resume;
+  tfc::RunSupervisor supervisor(sup);
+  std::vector<uint64_t> seeds;  // per job, in submission order
+  for (int i = 0; i < opt.sweep; ++i) {
+    char run_name[32];
+    std::snprintf(run_name, sizeof run_name, "run-%04d", i);
+    for (tfc::Protocol p : protocols) {
+      std::string name = run_name;
+      if (protocols.size() > 1) {
+        name += std::string("/") + tfc::ProtocolName(p);
       }
-      tfc::SweepRunRow row;
-      row.index = r.index;
-      row.name = r.name;
-      row.status = r.exit_code == 0 ? "ok" : "failed";
-      row.exit_code = r.exit_code;
-      row.wall_seconds = r.wall_seconds;
-      rows.push_back(std::move(row));
-    }
-  } else {
-    tfc::SupervisorOptions sup;
-    sup.workers = workers;
-    sup.max_retries = opt.retry;
-    sup.timeout_s = opt.run_timeout_s;
-    sup.backoff_base_ms = opt.backoff_ms;
-    sup.resume = opt.resume;
-    tfc::RunSupervisor supervisor(sup);
-    for (const SweepJob& job : jobs) {
-      const Options job_opt = job.options;
-      const tfc::Protocol p = job.protocol;
-      const std::string run_dir = job.run_dir;
+      Options job_opt = opt;
+      job_opt.seed = opt.seed + static_cast<uint64_t>(i);
+      // The forced audit trip targets one repetition (--trip-run=K): the
+      // others run clean, which is what makes crash isolation observable.
+      if (opt.trip_run >= 0 && i != opt.trip_run) {
+        job_opt.force_audit_trip_us = 0;
+      }
+      std::string run_dir;
       std::string cache_key;
-      if (!run_dir.empty()) {
-        cache_key = tfc::SweepCacheKey(fingerprint(p), job.seed);
+      if (!opt.telemetry_dir.empty()) {
+        run_dir = opt.telemetry_dir + "/" + name;
+        cache_key = tfc::SweepCacheKey(fingerprint(p), job_opt.seed);
       }
-      supervisor.Add(job.name, run_dir, cache_key,
+      seeds.push_back(job_opt.seed);
+      supervisor.Add(std::move(name), run_dir, std::move(cache_key),
                      [job_opt, p, run_dir](std::string* report) {
                        Report rep(report);
                        return RunOne(job_opt, p, run_dir, rep);
                      });
     }
-    for (const tfc::SupervisedResult& r : supervisor.Run()) {
-      std::string annot;
-      if (r.status != tfc::RunStatus::kOk || r.attempts > 1) {
-        annot = std::string(" [") + tfc::RunStatusName(r.status);
-        if (r.attempts != 1) {
-          annot += ", attempts=" + std::to_string(r.attempts);
-        }
-        annot += "]";
+  }
+  const std::vector<tfc::SupervisedResult> results = supervisor.Run();
+
+  int exit_code = 0;
+  std::vector<std::string> failed_names;
+  for (const tfc::SupervisedResult& r : results) {
+    std::string annot;
+    if (r.status != tfc::RunStatus::kOk || r.attempts > 1) {
+      annot = std::string(" [") + tfc::RunStatusName(r.status);
+      if (r.attempts != 1) {
+        annot += ", attempts=" + std::to_string(r.attempts);
       }
-      std::printf("=== %s (seed %llu, %.3fs)%s ===\n", r.name.c_str(),
-                  static_cast<unsigned long long>(
-                      jobs[static_cast<size_t>(r.index)].seed),
-                  r.wall_seconds, annot.c_str());
-      std::fputs(r.report.c_str(), stdout);
-      if (!r.ok()) {
-        std::printf("(exit code %d)\n", r.exit_code);
-        const int rc = r.exit_code != 0 ? r.exit_code : 1;
-        exit_code = exit_code == 0 ? rc : exit_code;
-        failed_names.push_back(r.name);
-      }
-      tfc::SweepRunRow row;
-      row.index = r.index;
-      row.name = r.name;
-      row.status = tfc::RunStatusName(r.status);
-      row.exit_code = r.exit_code;
-      row.signal = r.term_signal;
-      row.attempts = r.attempts;
-      row.wall_seconds = r.wall_seconds;
-      row.salvaged = r.salvaged;
-      rows.push_back(std::move(row));
+      annot += "]";
+    }
+    std::printf("=== %s (seed %llu, %.3fs)%s ===\n", r.name.c_str(),
+                static_cast<unsigned long long>(seeds[static_cast<size_t>(r.index)]),
+                r.wall_seconds, annot.c_str());
+    std::fputs(r.report.c_str(), stdout);
+    if (!r.ok()) {
+      std::printf("(exit code %d)\n", r.exit_code);
+      const int rc = r.exit_code != 0 ? r.exit_code : 1;
+      exit_code = exit_code == 0 ? rc : exit_code;
+      failed_names.push_back(r.name);
     }
   }
 
@@ -847,18 +781,15 @@ int main(int argc, char** argv) {
     sweep_manifest.SetInt("base_seed", static_cast<int64_t>(opt.seed));
     sweep_manifest.SetInt("sweep", opt.sweep);
     sweep_manifest.SetInt("jobs", workers);
-    sweep_manifest.Set("executor", opt.in_process ? "in-process" : "supervised");
-    if (!opt.in_process) {
-      sweep_manifest.SetInt("retry", opt.retry);
-      sweep_manifest.SetDouble("run_timeout_s", opt.run_timeout_s);
-      sweep_manifest.SetBool("resume", opt.resume);
-    }
+    sweep_manifest.SetInt("retry", opt.retry);
+    sweep_manifest.SetDouble("run_timeout_s", opt.run_timeout_s);
+    sweep_manifest.SetBool("resume", opt.resume);
     if (!opt.fault_spec.empty()) {
       sweep_manifest.Set("fault_spec", opt.fault_spec);
     }
     std::string error;
-    if (!tfc::WriteSweepManifestRows(opt.telemetry_dir + "/sweep.json",
-                                     sweep_manifest, rows, &error)) {
+    if (!tfc::WriteSweepManifest(opt.telemetry_dir + "/sweep.json",
+                                 sweep_manifest, results, &error)) {
       std::fprintf(stderr, "sweep manifest failed: %s\n", error.c_str());
       return exit_code != 0 ? exit_code : 1;
     }

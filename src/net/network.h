@@ -4,9 +4,9 @@
 // a Network and everything it owns — Scheduler, PacketPool,
 // MetricRegistry, Profiler, AuditRegistry, tracer, RNG — is *confined*:
 // one thread drives one instance, with no cross-instance shared state, so
-// distinct instances run concurrently without synchronization. The
-// parallel sweep runner (src/sim/sweep.h) and the MultiInstance tests in
-// tests/sweep_test.cc rely on exactly this.
+// distinct instances run concurrently without synchronization. Embedders
+// that drive several Networks from several threads, and the MultiInstance
+// tests in tests/sweep_test.cc, rely on exactly this.
 //
 // Typical construction:
 //   Network net(/*seed=*/42);

@@ -16,8 +16,7 @@
 //
 // Confined, not shared: a Profiler belongs to one Network, sites register
 // against that instance (never a process-wide table), so concurrent
-// simulations — e.g. sweep workers (src/sim/sweep.h) — profile
-// independently without locks.
+// simulations profile independently without locks.
 
 #ifndef SRC_SIM_PROFILE_H_
 #define SRC_SIM_PROFILE_H_

@@ -68,6 +68,15 @@ RunSupervisor::RunSupervisor(const SupervisorOptions& options)
     : options_(options) {
   TFC_CHECK_GE(options_.workers, 1);
   TFC_CHECK_GE(options_.max_retries, 0);
+  // SpawnNext casts timeout_s * 1000 to int64 ms and adds it to a steady
+  // clock reading; NaN, inf, or a huge value would be undefined there.
+  TFC_CHECK_MSG(options_.timeout_s >= 0.0 && options_.timeout_s < 1e12,
+                "timeout_s must be finite, non-negative, and below 1e12 s");
+}
+
+int RunSupervisor::DefaultWorkers() {
+  const long n = sysconf(_SC_NPROCESSORS_ONLN);
+  return n < 1 ? 1 : static_cast<int>(n);
 }
 
 void RunSupervisor::Add(std::string name, std::string run_dir,
@@ -266,7 +275,7 @@ bool RunSupervisor::SpawnNext(int64_t now_ms) {
     try {
       code = job.fn(&report);
     } catch (const std::exception& e) {
-      code = 70;  // EX_SOFTWARE, matching SweepRunner
+      code = 70;  // EX_SOFTWARE
       report += std::string("sweep job threw: ") + e.what() + "\n";
     } catch (...) {
       code = 70;
@@ -474,21 +483,54 @@ std::string SweepCacheKey(const std::string& config_fingerprint,
 bool WriteSweepManifest(const std::string& path, const RunManifest& extra,
                         const std::vector<SupervisedResult>& results,
                         std::string* error) {
-  std::vector<SweepRunRow> rows;
-  rows.reserve(results.size());
-  for (const SupervisedResult& r : results) {
-    SweepRunRow row;
-    row.index = r.index;
-    row.name = r.name;
-    row.status = RunStatusName(r.status);
-    row.exit_code = r.exit_code;
-    row.signal = r.term_signal;
-    row.attempts = r.attempts;
-    row.wall_seconds = r.wall_seconds;
-    row.salvaged = r.salvaged;
-    rows.push_back(std::move(row));
+  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(parent, ec);
+    if (ec) {
+      *error = "create_directories(" + parent.string() + "): " + ec.message();
+      return false;
+    }
   }
-  return WriteSweepManifestRows(path, extra, rows, error);
+  std::ofstream f(path, std::ios::trunc);
+  if (!f) {
+    *error = "cannot open " + path;
+    return false;
+  }
+  f << "{\n  \"schema_version\": " << kSweepSchemaVersion << ",\n";
+  f << "  \"git_describe\": \"" << JsonEscape(GitDescribe()) << "\",\n";
+  f << "  \"sweep\": {";
+  bool first = true;
+  for (const auto& [key, json] : extra.entries()) {
+    f << (first ? "\n" : ",\n") << "    \"" << JsonEscape(key) << "\": " << json;
+    first = false;
+  }
+  f << (first ? "}," : "\n  },") << "\n";
+  f << "  \"runs\": [";
+  first = true;
+  for (const SupervisedResult& r : results) {
+    f << (first ? "\n" : ",\n") << "    {\"index\": " << r.index << ", \"name\": \""
+      << JsonEscape(r.name) << "\", \"status\": \"" << RunStatusName(r.status)
+      << "\", \"exit_code\": " << r.exit_code << ", \"signal\": " << r.term_signal
+      << ", \"attempts\": " << r.attempts
+      << ", \"wall_seconds\": " << JsonNumber(r.wall_seconds);
+    if (!r.salvaged.empty()) {
+      f << ", \"salvaged\": [";
+      for (size_t i = 0; i < r.salvaged.size(); ++i) {
+        f << (i == 0 ? "" : ", ") << "\"" << JsonEscape(r.salvaged[i]) << "\"";
+      }
+      f << "]";
+    }
+    f << "}";
+    first = false;
+  }
+  f << (first ? "]" : "\n  ]") << "\n}\n";
+  f.flush();
+  if (!f) {
+    *error = "write failed: " + path;
+    return false;
+  }
+  return true;
 }
 
 }  // namespace tfc

@@ -1,10 +1,11 @@
-// Crash-isolated run supervisor: forked children, timeouts, retry, resume.
+// Sweep executor: forked children, timeouts, retry, resume.
 //
-// The in-process SweepRunner (src/sim/sweep.h) is fast and race-checked,
-// but it shares one fate with its jobs: a TFC_CHECK trip, audit violation,
-// watchdog stall, or plain segfault in *any* run kills the whole sweep and
-// discards every completed result. The supervisor is the job-isolation
-// layer the Fig. 15/16-scale grids (and the planned tfcsimd service) need:
+// The paper's evaluation (Figs. 6-16) is a grid of *independent*
+// simulations — flow counts, RTTs, loads, seeds — that share nothing but
+// the binary they run in. The supervisor executes such a grid with one
+// forked child per run, so a TFC_CHECK trip, audit violation, watchdog
+// stall, or plain segfault in one run cannot take the rest of the sweep
+// with it:
 //
 //   * every job executes in a forked child process — an aborting run takes
 //     only its own process down, siblings keep running, and the parent
@@ -29,20 +30,19 @@
 // tests/supervisor_test.cc and gated end-to-end by `ci.sh sweep`).
 //
 // The parent is single-threaded: concurrency comes from having several
-// children alive at once, not from threads, so fork() here never races the
-// in-process pool (the two runners are never active simultaneously).
+// children alive at once, not from threads.
 
 #ifndef SRC_SIM_SUPERVISOR_H_
 #define SRC_SIM_SUPERVISOR_H_
 
 // Cold orchestration layer, one callback per *process*: type-erased
-// heap-allocating callables are fine here, as in sweep.h.
+// heap-allocating callables are fine here, unlike in the event hot path.
 #include <functional>  // lint:allow std-function
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "src/sim/sweep.h"
+#include "src/sim/telemetry.h"
 
 namespace tfc {
 
@@ -60,6 +60,7 @@ struct SupervisorOptions {
   int workers = 1;           // max concurrent children (>= 1)
   int max_retries = 0;       // extra attempts after the first failure
   double timeout_s = 0.0;    // per-run wall-clock limit; 0 = unlimited
+                             // (finite, >= 0)
   int backoff_base_ms = 250; // first retry delay
   int backoff_cap_ms = 8000; // backoff ceiling
   bool resume = false;       // skip runs with a verified done marker
@@ -84,16 +85,21 @@ struct SupervisedResult {
   }
 };
 
+// sweep.json schema: v2 added per-run status ("ok" / "failed" / "timeout" /
+// "skipped-cached"), terminating signal, attempt count, and salvaged-file
+// inventory so a degraded sweep is still queryable run by run.
+inline constexpr int kSweepSchemaVersion = 2;
+
 // Runs a list of independent jobs, each in its own forked child process.
-// Single-use like SweepRunner: Add everything, then Run once. POSIX-only
-// (fork/pipe/waitpid) — the one sanctioned process-spawning site in src/.
+// Single-use: Add everything, then Run once. POSIX-only (fork/pipe/waitpid)
+// — the one sanctioned process-spawning site in src/.
 class RunSupervisor {
  public:
-  // Same shape as SweepRunner::JobFn: the callable runs *in the child*,
-  // builds and tears down its own simulation, writes its buffered output
-  // into *report, and returns an exit code. The report crosses back to the
-  // parent over a pipe; a crashed child's report is whatever the
-  // supervisor can reconstruct (termination cause) plus salvaged files.
+  // The callable runs *in the child*: it builds, runs, and tears down its
+  // own simulation, writes its buffered output into *report, and returns
+  // an exit code. The report crosses back to the parent over a pipe; a
+  // crashed child's report is whatever the supervisor can reconstruct
+  // (termination cause) plus salvaged files.
   using JobFn = std::function<int(std::string* report)>;  // lint:allow std-function
 
   explicit RunSupervisor(const SupervisorOptions& options);
@@ -112,6 +118,9 @@ class RunSupervisor {
 
   const SupervisorOptions& options() const { return options_; }
   size_t job_count() const { return jobs_.size(); }
+
+  // Online CPUs, clamped to >= 1: the default number of concurrent children.
+  static int DefaultWorkers();
 
   // Deterministic capped exponential backoff before retry number
   // `failures` (1-based): min(cap_ms, base_ms << (failures - 1)).
@@ -176,10 +185,11 @@ class RunSupervisor {
 std::string SweepCacheKey(const std::string& config_fingerprint,
                           uint64_t seed);
 
-// Writes the merged sweep manifest (sweep.json, schema v2) from supervised
-// results: per-run status/exit_code/signal/attempts/salvaged, written even
-// when runs failed so a degraded sweep still ships a queryable manifest.
-// Returns false and sets *error on I/O failure.
+// Writes the merged sweep manifest `<path>` (conventionally
+// <sweep-dir>/sweep.json, schema v2): schema header, sweep-level config
+// from `extra`, and per-run status/exit_code/signal/attempts/salvaged —
+// written even when runs failed so a degraded sweep still ships a
+// queryable manifest. Returns false and sets *error on I/O failure.
 bool WriteSweepManifest(const std::string& path, const RunManifest& extra,
                         const std::vector<SupervisedResult>& results,
                         std::string* error);

@@ -2,19 +2,20 @@
 //
 // The simulator's threading model is *confinement*: one simulation instance
 // (Network, Scheduler, PacketPool, registries, apps) is owned end-to-end by
-// exactly one thread, and the sweep runner (src/sim/sweep.h) runs many such
-// instances on a small worker pool. Under that model almost nothing needs a
-// lock — the only legitimate cross-thread state is the handful of
-// process-wide caches (e.g. the git-describe cache in src/sim/telemetry.cc)
-// and the sweep runner's own work queue.
+// exactly one thread. src/ starts no threads of its own (sweeps fork one
+// process per run, src/sim/supervisor.h), but an embedder may drive several
+// instances from several threads. Under that model almost nothing needs a
+// lock — the only cross-thread state is the two process-wide tables: the
+// git-describe cache in src/sim/telemetry.cc and the flight post-mortem
+// registry in src/sim/flight.cc.
 //
 // This header makes both halves of the model checkable at compile time with
 // Clang's -Wthread-safety (the capability/annotation system described in
 // "C/C++ Thread Safety Analysis", CAV 2014, and used throughout abseil):
 //
 //   * every mutex in src/ must be a tfc::Mutex (tools/lint.py bans raw
-//     std::mutex outside this header and src/sim/sweep.cc), so every lock
-//     is visible to the analysis;
+//     std::mutex outside this header), so every lock is visible to the
+//     analysis;
 //   * shared data carries TFC_GUARDED_BY(mu), and functions that expect a
 //     lock held carry TFC_REQUIRES(mu); forgetting the lock is then a
 //     compile error under clang, not a TSan report you hope to trigger.

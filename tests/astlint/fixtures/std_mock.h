@@ -9,8 +9,6 @@
 #ifndef TESTS_ASTLINT_FIXTURES_STD_MOCK_H_
 #define TESTS_ASTLINT_FIXTURES_STD_MOCK_H_
 
-#define assert(expr) ((void)0)
-
 // Global-namespace C entry points (the analyzer accepts both ::rand and
 // std::rand spellings).
 long time(long*);
@@ -116,19 +114,6 @@ class priority_queue {
   void pop();
 };
 
-template <class T, class A = allocator<T>>
-class vector {
- public:
-  using iterator = mock_iterator<T>;
-  iterator begin() { return {}; }
-  iterator end() { return {}; }
-  void push_back(const T&);
-  void reserve(size_t);
-  void resize(size_t);
-  T& operator[](size_t);
-  size_t size() const { return 0; }
-};
-
 namespace chrono {
 
 struct mock_duration {
@@ -168,24 +153,6 @@ class mt19937 {
 time_t time(time_t*);
 int rand();
 void srand(unsigned);
-
-struct ostream {
-  ostream& put(char c);
-  ostream& write(const char* s, size_t n);
-};
-extern ostream cout;
-extern ostream cerr;
-
-template <class C>
-class basic_ofstream {
- public:
-  void open(const char* path);
-  void close();
-};
-using ofstream = basic_ofstream<char>;
-
-int printf(const char*, ...);
-int fprintf(void*, const char*, ...);
 
 }  // namespace std
 

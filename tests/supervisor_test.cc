@@ -265,7 +265,7 @@ TEST(SupervisorTest, HungChildIsKilledAtDeadline) {
 TEST(SupervisorTest, ThrowPreservesPartialReportAndMapsToExit70) {
   // Partial output buffered before the throw must survive into the result —
   // the child catches, appends the message, and ships the report over the
-  // pipe before exiting 70 (mirroring SweepRunner).
+  // pipe before exiting 70 (EX_SOFTWARE).
   RunSupervisor sup(FastOptions(1));
   sup.Add("throws", "", "", [](std::string* report) -> int {
     *report += "progress before the explosion\n";

@@ -1,17 +1,17 @@
-// Parallel experiment-sweep runner (src/sim/sweep.h) + multi-instance
+// Parallel sweeps (src/sim/supervisor.h) + multi-instance
 // thread-compatibility of the simulator core.
 //
 // The contract under test is the one the Fig. 15/16 large-scale sweeps
-// depend on: running N independent simulations on a worker pool must
-// produce *bit-identical* per-run output to running them serially — the
-// pool changes wall-clock, never results. The MultiInstance tests are the
-// regression tests for the shared-state sweep (process-wide caches such as
-// GitDescribe) and are the designated prey of the tsan preset: any hidden
-// cross-simulation mutable state shows up here as a TSan report.
+// depend on: running N independent simulations as N concurrent children
+// must produce *bit-identical* per-run output to running them one at a
+// time — the worker count changes wall-clock, never results. The
+// MultiInstance tests are the regression tests for the shared-state sweep
+// (process-wide caches such as GitDescribe) and are the designated prey of
+// the tsan preset: any hidden cross-simulation mutable state shows up here
+// as a TSan report.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +23,7 @@
 
 #include "src/net/fault.h"
 #include "src/net/network.h"
-#include "src/sim/sweep.h"
+#include "src/sim/supervisor.h"
 #include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
 #include "src/workload/incast.h"
@@ -89,89 +89,6 @@ std::string RunTestbedIncast(uint64_t seed, Protocol protocol, const std::string
 }
 
 // ---------------------------------------------------------------------------
-// SweepRunner mechanics
-// ---------------------------------------------------------------------------
-
-TEST(SweepRunnerTest, ResultsLandInSubmissionOrderWithBufferedReports) {
-  SweepRunner runner(/*workers=*/4);
-  constexpr int kJobs = 16;
-  for (int i = 0; i < kJobs; ++i) {
-    runner.Add("job" + std::to_string(i), [i](std::string* report) {
-      *report = "hello from " + std::to_string(i) + "\n";
-      return i == 11 ? 3 : 0;  // one deliberate failure
-    });
-  }
-  std::vector<SweepResult> results = runner.Run();
-  ASSERT_EQ(results.size(), static_cast<size_t>(kJobs));
-  for (int i = 0; i < kJobs; ++i) {
-    const SweepResult& r = results[static_cast<size_t>(i)];
-    EXPECT_EQ(r.index, i);
-    EXPECT_EQ(r.name, "job" + std::to_string(i));
-    EXPECT_EQ(r.report, "hello from " + std::to_string(i) + "\n");
-    EXPECT_EQ(r.exit_code, i == 11 ? 3 : 0);
-    EXPECT_GE(r.wall_seconds, 0.0);
-  }
-}
-
-TEST(SweepRunnerTest, SerialRunnerExecutesInline) {
-  // workers=1 must run jobs in the calling thread, in order.
-  SweepRunner runner(1);
-  const std::thread::id caller = std::this_thread::get_id();
-  std::atomic<int> order{0};
-  for (int i = 0; i < 4; ++i) {
-    runner.Add("s" + std::to_string(i), [i, caller, &order](std::string*) {
-      EXPECT_EQ(std::this_thread::get_id(), caller);
-      EXPECT_EQ(order.fetch_add(1), i);
-      return 0;
-    });
-  }
-  std::vector<SweepResult> results = runner.Run();
-  EXPECT_EQ(results.size(), 4u);
-  EXPECT_EQ(order.load(), 4);
-}
-
-TEST(SweepRunnerTest, ThrowingJobBecomesExitCode70) {
-  SweepRunner runner(2);
-  runner.Add("ok", [](std::string*) { return 0; });
-  runner.Add("throws", [](std::string*) -> int {
-    throw std::runtime_error("boom");
-  });
-  std::vector<SweepResult> results = runner.Run();
-  EXPECT_EQ(results[0].exit_code, 0);
-  EXPECT_EQ(results[1].exit_code, 70);
-  EXPECT_NE(results[1].report.find("boom"), std::string::npos);
-}
-
-TEST(SweepRunnerTest, ManifestListsEveryRun) {
-  SweepRunner runner(2);
-  for (int i = 0; i < 3; ++i) {
-    runner.Add("m" + std::to_string(i), [](std::string*) { return 0; });
-  }
-  std::vector<SweepResult> results = runner.Run();
-  const std::string path =
-      ::testing::TempDir() + "/tfc_sweep_manifest_test/sweep.json";
-  std::filesystem::remove_all(std::filesystem::path(path).parent_path());
-  RunManifest extra;
-  extra.Set("tool", "sweep_test");
-  extra.SetInt("sweep", 3);
-  std::string error;
-  ASSERT_TRUE(WriteSweepManifest(path, extra, results, &error)) << error;
-  std::ifstream f(path);
-  std::stringstream text;
-  text << f.rdbuf();
-  const std::string json = text.str();
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"tool\": \"sweep_test\""), std::string::npos);
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_NE(json.find("\"name\": \"m" + std::to_string(i) + "\""),
-              std::string::npos);
-  }
-  // In-process results become single-attempt v2 rows.
-  EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
-  EXPECT_NE(json.find("\"attempts\": 1"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // Parallel == serial, bit for bit
 // ---------------------------------------------------------------------------
 
@@ -208,22 +125,27 @@ TEST(SweepTest, EightRunParallelSweepIsBitIdenticalToSerial) {
   constexpr int kRuns = 8;
 
   // Mixed TFC/DCTCP/TCP over the Fig. 4 testbed, distinct seeds — the same
-  // grid twice: once serial, once on 8 workers.
+  // grid twice: once one child at a time, once 8 children at once. The
+  // result lines cross back to the parent over the report pipe.
   std::vector<std::string> serial_lines;
   std::vector<std::string> parallel_lines;
   for (const char* mode : {"serial", "parallel"}) {
-    SweepRunner runner(mode == std::string("serial") ? 1 : 8);
+    SupervisorOptions options;
+    options.workers = mode == std::string("serial") ? 1 : 8;
+    RunSupervisor supervisor(options);
     for (int i = 0; i < kRuns; ++i) {
       const std::string dir = (base / mode / ("run-" + std::to_string(i))).string();
       const uint64_t seed = 100 + static_cast<uint64_t>(i);
       const Protocol protocol = ProtocolForIndex(i);
-      runner.Add("run-" + std::to_string(i), [seed, protocol, dir](std::string* report) {
-        *report = RunTestbedIncast(seed, protocol, dir);
-        return 0;
-      });
+      supervisor.Add("run-" + std::to_string(i), "", "",
+                     [seed, protocol, dir](std::string* report) {
+                       *report = RunTestbedIncast(seed, protocol, dir);
+                       return 0;
+                     });
     }
-    for (const SweepResult& r : runner.Run()) {
-      ASSERT_EQ(r.exit_code, 0) << r.name << ": " << r.report;
+    for (const SupervisedResult& r : supervisor.Run()) {
+      ASSERT_EQ(r.status, RunStatus::kOk) << r.name << ": " << r.report;
+      ASSERT_NE(r.report.find(" executed="), std::string::npos) << r.report;
       (mode == std::string("serial") ? serial_lines : parallel_lines)
           .push_back(r.report);
     }
@@ -250,7 +172,7 @@ TEST(SweepTest, EightRunParallelSweepIsBitIdenticalToSerial) {
 }
 
 // ---------------------------------------------------------------------------
-// Fault-spec sweep: the PR 4 replay-equality contract survives the pool
+// Fault-spec sweep: the replay-equality contract survives concurrent children
 // ---------------------------------------------------------------------------
 
 // A seeded fault schedule over the testbed (parsed from the same spec string
@@ -302,16 +224,19 @@ TEST(SweepTest, FaultSpecSweepReplaysIdenticallyAcrossPoolSizes) {
   std::vector<std::string> by_pool[2];
   int which = 0;
   for (int workers : {1, 6}) {
-    SweepRunner runner(workers);
+    SupervisorOptions options;
+    options.workers = workers;
+    RunSupervisor supervisor(options);
     for (int i = 0; i < kRuns; ++i) {
       const uint64_t seed = 7 + static_cast<uint64_t>(i);
-      runner.Add("fault-" + std::to_string(i), [seed](std::string* report) {
-        *report = RunFaultCase(seed);
-        return 0;
-      });
+      supervisor.Add("fault-" + std::to_string(i), "", "",
+                     [seed](std::string* report) {
+                       *report = RunFaultCase(seed);
+                       return 0;
+                     });
     }
-    for (const SweepResult& r : runner.Run()) {
-      ASSERT_EQ(r.exit_code, 0);
+    for (const SupervisedResult& r : supervisor.Run()) {
+      ASSERT_EQ(r.status, RunStatus::kOk) << r.name << ": " << r.report;
       by_pool[which].push_back(r.report);
     }
     ++which;

@@ -316,29 +316,6 @@ TEST(TimeSeriesRecorderTest, PrefixWatchPicksUpLateMetrics) {
             (std::vector<std::string>{"app.early", "app.late"}));
 }
 
-TEST(TimeSeriesRecorderTest, RingCapKeepsNewestAndCountsDrops) {
-  Scheduler sched;
-  MetricRegistry registry;
-  uint64_t n = 0;
-  registry.AddCallbackGauge("n", [&n] { return static_cast<double>(n++); });
-
-  TimeSeriesRecorder recorder(&sched, &registry);
-  recorder.Watch("n");
-  recorder.set_max_samples_per_series(3);
-  recorder.Start(Microseconds(1));
-  sched.ScheduleAt(Microseconds(9), [] {});
-  sched.Run();
-  // Ticks fire at 0..8us (at t=9 the user event pops first on FIFO order,
-  // after which only the re-armed daemon remains and drain mode stops):
-  // 9 samples through a 3-deep ring keeps the newest 3.
-  std::vector<TimeSeriesRecorder::Sample> s = recorder.Series("n");
-  ASSERT_EQ(s.size(), 3u);
-  EXPECT_EQ(s[0].t, Microseconds(6));
-  EXPECT_EQ(s[2].t, Microseconds(8));
-  EXPECT_DOUBLE_EQ(s[2].v, 8.0);
-  EXPECT_EQ(recorder.dropped_samples(), 6u);
-}
-
 TEST(TimeSeriesRecorderTest, DuplicateWatchRecordsOneSamplePerTick) {
   Scheduler sched;
   MetricRegistry registry;

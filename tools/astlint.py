@@ -34,22 +34,9 @@ Rules (AST-precise; catalogue also via --list-rules):
                       layout, which varies across ASLR runs and breaks
                       replay. Key by a stable identity (node id, port
                       index, flow id) instead.
-  bare-assert         AST-precise version of the lint.py rule: an `assert`
-                      macro instantiation (detected from the preprocessing
-                      record, not brace/regex matching) must be TFC_CHECK /
-                      TFC_DCHECK (src/sim/check.h) instead — assert()
-                      vanishes under NDEBUG.
-  hot-io              AST-precise version of the lint.py rule: no stream /
-                      printf I/O referenced from the hot layers (src/sim,
-                      src/net, src/tfc). The sanctioned funnel files carry
-                      file-scoped suppressions with justifications.
-  recorder-hot        AST-precise version of the lint.py rule: the
-                      recording hot paths — resolved from their actual
-                      FunctionDecls (TimeSeriesRecorder::Tick/AppendTo,
-                      SpillWriter::AppendRecord, FlightRecorder::Record/
-                      Append, Network::EmitTrace/EmitTraceArmed), not brace
-                      matching — must stay free of lookups, allocation,
-                      container growth, and I/O.
+
+Every other repo rule lives only in tools/lint.py, which needs no
+dependencies.
 
 Findings are keyed by (rule, file, decl, line) and matched against the
 checked-in suppression file tools/astlint_suppressions.txt, whose entries
@@ -59,9 +46,7 @@ unused suppressions are reported so the file cannot rot.
 
 Engine: python clang bindings + libclang. When either is missing the
 analyzer skips with a warning and exit code 77 (ctest SKIP_RETURN_CODE;
-ci.sh treats it as skip unless TFC_ASTLINT_REQUIRE=1). tools/lint.py
-remains the no-dependency regex fallback; which tool owns which rule is
-documented in both headers and docs/correctness.md.
+ci.sh treats it as skip unless TFC_ASTLINT_REQUIRE=1).
 
 Usage:
   astlint.py [--build-dir DIR]            analyze src/ TUs via the DIR's
@@ -98,9 +83,6 @@ RULES = (
     "det-wallclock",
     "det-unordered-iter",
     "det-pointer-key",
-    "bare-assert",
-    "hot-io",
-    "recorder-hot",
 )
 
 # Layers whose outputs must be a pure function of (config, seed).
@@ -112,8 +94,6 @@ DET_LAYERS = (
     "src/topo/",
     "src/workload/",
 )
-# Hot layers for the I/O ban (mirrors tools/lint.py HOT_IO_LAYERS).
-HOT_IO_LAYERS = ("src/sim/", "src/net/", "src/tfc/")
 
 # det-wallclock: banned free functions (global or std namespace).
 WALLCLOCK_FUNCS = {
@@ -136,34 +116,6 @@ KEYED_CONTAINERS = UNORDERED_CONTAINERS | {
     "map", "multimap", "set", "multiset", "priority_queue",
 }
 ITER_METHODS = {"begin", "end", "cbegin", "cend", "rbegin", "rend"}
-
-# hot-io: banned stream objects / functions / stream types (std or global).
-HOT_IO_OBJECTS = {"cout", "cerr", "clog", "wcout", "wcerr", "wclog"}
-HOT_IO_FUNCS = {"printf", "fprintf", "fputs", "fwrite", "puts", "putchar",
-                "vprintf", "vfprintf"}
-HOT_IO_STREAM_TYPES = {"basic_ofstream", "basic_fstream", "basic_stringstream",
-                       "basic_ostringstream"}
-
-# recorder-hot: hot scopes resolved by qualified decl name. "lookup" scopes
-# ban map types and keyed-lookup member calls; "append" scopes additionally
-# ban allocation and container growth (mirrors tools/lint.py, but resolved
-# from FunctionDecl bodies instead of brace matching).
-RECORDER_HOT_SCOPES = {
-    "TimeSeriesRecorder::Tick": "lookup",
-    "TimeSeriesRecorder::AppendTo": "lookup",
-    "SpillWriter::AppendRecord": "lookup",
-    "FlightRecorder::Record": "append",
-    "FlightRecorder::Append": "append",
-    "Network::EmitTrace": "append",
-    "Network::EmitTraceArmed": "append",
-}
-RECORDER_LOOKUP_CALLS = {"find", "at"}
-RECORDER_GROWTH_CALLS = {"resize", "reserve", "push_back", "emplace_back",
-                         "assign", "insert", "emplace"}
-RECORDER_LOOKUP_TYPES = {"map", "unordered_map", "multimap",
-                         "unordered_multimap"}
-RECORDER_APPEND_TYPES = RECORDER_LOOKUP_TYPES | {"basic_string", "vector",
-                                                 "deque", "list"}
 
 MIN_JUSTIFICATION = 15  # chars; "mandatory" means it must actually say why
 
@@ -189,7 +141,7 @@ class Finding:
 # ---------------------------------------------------------------------------
 # Suppression file: `rule file decl -- justification` per line. decl `*`
 # suppresses the whole file for that rule. Matching is on (rule, file) plus
-# decl equality or suffix (so `Tick` matches `TimeSeriesRecorder::Tick`).
+# decl equality or suffix (so `Sum` matches `FlowTable::Sum`).
 # ---------------------------------------------------------------------------
 
 class SuppressionError(ValueError):
@@ -320,9 +272,6 @@ class Analyzer:
         self.index = index
         self.fixture_mode = fixture_mode
         self.findings = {}
-        # (file -> [(start_line, end_line, label)]) for attributing flat
-        # preprocessing-record cursors (assert instantiations) to decls.
-        self.decl_spans = {}
 
     # -- path/layer helpers --------------------------------------------------
 
@@ -531,131 +480,19 @@ class Analyzer:
                 "replay; key by a stable identity (node id, port index, "
                 "flow id)")
 
-    def check_hot_io(self, cursor, rel, decl_label):
-        CursorKind = self.ci.CursorKind
-        if not self.in_layers(rel, HOT_IO_LAYERS):
-            return
-        if cursor.kind == CursorKind.DECL_REF_EXPR:
-            ref = cursor.referenced
-            if ref is None:
-                return
-            if (ref.spelling in HOT_IO_OBJECTS
-                    and ref.kind == CursorKind.VAR_DECL and self.in_std(ref)):
-                self.add("hot-io", rel, cursor.location.line, decl_label,
-                         f"std::{ref.spelling} referenced in a hot layer — "
-                         "route observability through the metric registry / "
-                         "tracer / exporter (src/sim/telemetry.h)")
-            elif (ref.spelling in HOT_IO_FUNCS
-                  and ref.kind == CursorKind.FUNCTION_DECL
-                  and self.std_or_global(ref)):
-                self.add("hot-io", rel, cursor.location.line, decl_label,
-                         f"'{ref.spelling}()' called in a hot layer — no "
-                         "printf-family I/O; use the telemetry exporter")
-        elif cursor.kind in (CursorKind.VAR_DECL, CursorKind.FIELD_DECL):
-            t = cursor.type
-            if t is None or t.kind == self.ci.TypeKind.INVALID:
-                return
-            decl = self.strip_refs(t).get_declaration()
-            if (decl is not None and decl.spelling in HOT_IO_STREAM_TYPES
-                    and self.in_std(decl)):
-                self.add("hot-io", rel, cursor.location.line,
-                         self.qualified_label(cursor),
-                         f"std::{decl.spelling} declared in a hot layer — "
-                         "file/stream I/O belongs in the exporter, not the "
-                         "simulation path")
-
-    def recorder_scope_of(self, label):
-        for suffix, kind in RECORDER_HOT_SCOPES.items():
-            if label == suffix or label.endswith("::" + suffix):
-                return kind
-        return None
-
-    def check_recorder_hot(self, cursor, rel, decl_label, scope_kind):
-        CursorKind = self.ci.CursorKind
-        line = cursor.location.line
-        if cursor.kind == CursorKind.CALL_EXPR:
-            callee = cursor.spelling
-            banned = (callee in RECORDER_LOOKUP_CALLS
-                      or (scope_kind == "append"
-                          and callee in RECORDER_GROWTH_CALLS)
-                      or (callee == "count"
-                          and len(list(cursor.get_children())) > 1))
-            if banned:
-                self.add("recorder-hot", rel, line, decl_label,
-                         f"'{callee}()' call inside a recording hot path — "
-                         "resolve lookups and grow buffers at plan-build / "
-                         "Arm() time, not per event")
-            if callee == "malloc":
-                self.add("recorder-hot", rel, line, decl_label,
-                         "malloc inside a recording hot path")
-        elif cursor.kind == CursorKind.CXX_NEW_EXPR:
-            self.add("recorder-hot", rel, line, decl_label,
-                     "allocation (new) inside a recording hot path — the "
-                     "append is a masked store; do setup in Arm()")
-        elif cursor.kind == CursorKind.VAR_DECL:
-            t = cursor.type
-            if t is not None and t.kind != self.ci.TypeKind.INVALID:
-                decl = self.strip_refs(t).get_declaration()
-                types = (RECORDER_APPEND_TYPES if scope_kind == "append"
-                         else RECORDER_LOOKUP_TYPES)
-                if (decl is not None and decl.spelling in types
-                        and self.in_std(decl)):
-                    self.add(
-                        "recorder-hot", rel, line, decl_label,
-                        f"std::{decl.spelling} local in a recording hot "
-                        "path — keyed/allocating containers belong in the "
-                        "cold setup path")
-        elif cursor.kind == CursorKind.DECL_REF_EXPR:
-            ref = cursor.referenced
-            if (ref is not None and ref.kind == CursorKind.VAR_DECL
-                    and ref.spelling in HOT_IO_OBJECTS and self.in_std(ref)):
-                self.add("recorder-hot", rel, line, decl_label,
-                         f"std::{ref.spelling} inside a recording hot path")
-            elif (ref is not None and ref.kind == CursorKind.FUNCTION_DECL
-                  and ref.spelling in HOT_IO_FUNCS
-                  and self.std_or_global(ref)):
-                self.add("recorder-hot", rel, line, decl_label,
-                         f"'{ref.spelling}()' inside a recording hot path")
-
     # -- walk ----------------------------------------------------------------
 
     def analyze_tu(self, tu, fixture_root=None):
         self.fixture_root = fixture_root or REPO
-        CursorKind = self.ci.CursorKind
         fatal = [d for d in tu.diagnostics if d.severity >= 4]
         if fatal:
             raise RuntimeError(
                 "fatal parse diagnostics:\n  "
                 + "\n  ".join(str(d) for d in fatal[:5]))
-        macro_sites = []
         for child in tu.cursor.get_children():
-            if child.kind == CursorKind.MACRO_INSTANTIATION:
-                if child.spelling == "assert":
-                    rel = self.rel_path(child)
-                    if rel is not None:
-                        macro_sites.append((rel, child.location.line))
-                continue
-            if child.kind in (CursorKind.MACRO_DEFINITION,
-                              CursorKind.INCLUSION_DIRECTIVE):
-                continue
-            self._visit(child, "<file-scope>", None)
-        for rel, line in macro_sites:
-            self.add("bare-assert", rel, line,
-                     self._decl_at(rel, line),
-                     "assert() vanishes under NDEBUG — use TFC_CHECK / "
-                     "TFC_DCHECK (src/sim/check.h)")
+            self._visit(child, "<file-scope>")
 
-    def _decl_at(self, rel, line):
-        best = None
-        best_span = None
-        for start, end, label in self.decl_spans.get(rel, ()):
-            if start <= line <= end:
-                span = end - start
-                if best_span is None or span < best_span:
-                    best, best_span = label, span
-        return best or "<file-scope>"
-
-    def _visit(self, cursor, decl_label, recorder_kind):
+    def _visit(self, cursor, decl_label):
         CursorKind = self.ci.CursorKind
         rel = self.rel_path(cursor)
         if cursor.kind.is_declaration() and rel is None \
@@ -665,26 +502,13 @@ class Analyzer:
                            CursorKind.CONSTRUCTOR, CursorKind.DESTRUCTOR,
                            CursorKind.CONVERSION_FUNCTION,
                            CursorKind.FUNCTION_TEMPLATE):
-            label = self.qualified_label(cursor)
-            if cursor.is_definition() and rel is not None:
-                ext = cursor.extent
-                self.decl_spans.setdefault(rel, []).append(
-                    (ext.start.line, ext.end.line, label))
-            decl_label = label
-            kind = self.recorder_scope_of(label)
-            if kind is not None and cursor.is_definition():
-                recorder_kind = kind
+            decl_label = self.qualified_label(cursor)
         if rel is not None:
             self.check_wallclock(cursor, rel, decl_label)
             self.check_unordered_iter(cursor, rel, decl_label)
             self.check_pointer_key(cursor, rel, decl_label)
-            self.check_hot_io(cursor, rel, decl_label)
-            if recorder_kind is not None and (
-                    self.fixture_mode or rel.startswith("src/")):
-                self.check_recorder_hot(cursor, rel, decl_label,
-                                        recorder_kind)
         for child in cursor.get_children():
-            self._visit(child, decl_label, recorder_kind)
+            self._visit(child, decl_label)
 
 
 # ---------------------------------------------------------------------------
@@ -742,7 +566,6 @@ def analyze_src(cindex, index, build_dir, all_tus=False):
     db = cindex.CompilationDatabase.fromDirectory(build_dir)
     commands = db.getAllCompileCommands()
     analyzer = Analyzer(cindex, index)
-    options = cindex.TranslationUnit.PARSE_DETAILED_PREPROCESSING_RECORD
     parsed = 0
     cwd = os.getcwd()
     try:
@@ -755,7 +578,7 @@ def analyze_src(cindex, index, build_dir, all_tus=False):
             if not all_tus and not rel.startswith("src/"):
                 continue
             os.chdir(cmd.directory)
-            tu = index.parse(src, args=tu_parse_args(cmd), options=options)
+            tu = index.parse(src, args=tu_parse_args(cmd))
             analyzer.analyze_tu(tu)
             parsed += 1
     finally:
@@ -768,10 +591,9 @@ def analyze_src(cindex, index, build_dir, all_tus=False):
 
 def analyze_fixture(cindex, index, path):
     analyzer = Analyzer(cindex, index, fixture_mode=True)
-    options = cindex.TranslationUnit.PARSE_DETAILED_PREPROCESSING_RECORD
     args = ["-x", "c++", "-std=c++20", "-I", os.path.dirname(path),
             "-nostdinc", "-nostdinc++"] + PARSE_EXTRA
-    tu = index.parse(path, args=args, options=options)
+    tu = index.parse(path, args=args)
     analyzer.analyze_tu(tu, fixture_root=os.path.dirname(path))
     return analyzer
 
@@ -854,12 +676,12 @@ def selftest():
             "\n"
             "det-wallclock src/sim/profile.h * -- profiler measures host "
             "wall-clock by design; gated behind TFC_PROFILE\n"
-            "hot-io src/sim/telemetry.cc Exporter::Flush -- exporter is the "
-            "sanctioned cold I/O funnel\n")
+            "det-wallclock src/sim/telemetry.cc RunManifest::Stamp -- "
+            "manifest timestamp is provenance metadata\n")
         entries = parse_suppressions(text, "t")
         assert len(entries) == 2, f"expected 2 entries, got {len(entries)}"
         assert entries[0].decl == "*"
-        assert entries[1].decl == "Exporter::Flush"
+        assert entries[1].decl == "RunManifest::Stamp"
     check("parse-good", good_entries)
 
     def reject_missing_justification():
@@ -873,7 +695,7 @@ def selftest():
 
     def reject_short_justification():
         try:
-            parse_suppressions("hot-io src/sim/a.h Foo -- ok\n", "t")
+            parse_suppressions("det-wallclock src/sim/a.h Foo -- ok\n", "t")
         except SuppressionError as e:
             assert "too short" in str(e), str(e)
             return
@@ -904,24 +726,24 @@ def selftest():
 
     def matching():
         s = parse_suppressions(
-            "recorder-hot src/sim/telemetry.cc Tick -- suffix matching must "
+            "det-unordered-iter src/net/host.cc Sum -- suffix matching must "
             "hit the qualified decl\n", "t")[0]
-        hit = Finding("recorder-hot", "src/sim/telemetry.cc", 10,
-                      "TimeSeriesRecorder::Tick", "m")
-        miss_rule = Finding("hot-io", "src/sim/telemetry.cc", 10,
-                            "TimeSeriesRecorder::Tick", "m")
-        miss_file = Finding("recorder-hot", "src/sim/flight.h", 10,
-                            "TimeSeriesRecorder::Tick", "m")
-        miss_decl = Finding("recorder-hot", "src/sim/telemetry.cc", 10,
-                            "TimeSeriesRecorder::Tock", "m")
+        hit = Finding("det-unordered-iter", "src/net/host.cc", 10,
+                      "FlowTable::Sum", "m")
+        miss_rule = Finding("det-pointer-key", "src/net/host.cc", 10,
+                            "FlowTable::Sum", "m")
+        miss_file = Finding("det-unordered-iter", "src/net/port.cc", 10,
+                            "FlowTable::Sum", "m")
+        miss_decl = Finding("det-unordered-iter", "src/net/host.cc", 10,
+                            "FlowTable::Sub", "m")
         assert s.matches(hit), "suffix decl match failed"
         assert not s.matches(miss_rule), "matched across rules"
         assert not s.matches(miss_file), "matched across files"
         assert not s.matches(miss_decl), "matched a different decl"
         wild = parse_suppressions(
-            "hot-io src/net/trace.cc * -- whole-file funnel allowance for "
-            "the tracer\n", "t")[0]
-        assert wild.matches(Finding("hot-io", "src/net/trace.cc", 3,
+            "det-wallclock src/sim/profile.h * -- whole-file allowance for "
+            "the host-clock profiler\n", "t")[0]
+        assert wild.matches(Finding("det-wallclock", "src/sim/profile.h", 3,
                                     "Anything::AtAll", "m"))
     check("matching", matching)
 
@@ -933,8 +755,8 @@ def selftest():
     check("checked-in-suppressions-valid", checked_in_file_is_valid)
 
     def finding_key():
-        f = Finding("bare-assert", "src/sim/a.cc", 7, None, "m")
-        assert f.key() == ("bare-assert", "src/sim/a.cc", "<file-scope>", 7)
+        f = Finding("det-wallclock", "src/sim/a.cc", 7, None, "m")
+        assert f.key() == ("det-wallclock", "src/sim/a.cc", "<file-scope>", 7)
     check("finding-key", finding_key)
 
     if failures:
@@ -985,10 +807,8 @@ def main():
         print("astlint: engine available")
         return 0
     if cindex is None:
-        print(f"astlint: skipping — {index_or_reason}. tools/lint.py remains "
-              "the no-dependency fallback for bare-assert/hot-io/"
-              "recorder-hot; the det-* rules run where libclang is installed "
-              "(CI).", file=sys.stderr)
+        print(f"astlint: skipping — {index_or_reason}. The det-* rules run "
+              "where libclang is installed (CI).", file=sys.stderr)
         return 77
     index = index_or_reason
 

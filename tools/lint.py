@@ -34,8 +34,8 @@ Rules enforced (see docs/correctness.md):
                   CondVar) so clang's -Wthread-safety sees every lock. Raw
                   std::mutex / std::lock_guard / std::thread & co. are
                   allowed only inside src/sim/thread_annotations.h (the
-                  wrappers themselves) and src/sim/sweep.cc (the worker
-                  pool). Suppress with `// lint:allow raw-thread`.
+                  wrappers themselves). Suppress with
+                  `// lint:allow raw-thread`.
   guarded-by      a tfc::Mutex that guards nothing is either dead or — worse
                   — a lock someone forgot to annotate: every Mutex declared
                   in src/ must have at least one TFC_GUARDED_BY /
@@ -51,8 +51,8 @@ Rules enforced (see docs/correctness.md):
                   raw-view escapes carry `// lint:allow units`.
   recorder-hot    the per-event recording hot paths must stay allocation-,
                   lookup-, and I/O-free. Three brace-matched scopes are
-                  scanned: the telemetry sampler (TimeSeriesRecorder::Tick /
-                  ::AppendTo and SpillWriter::AppendRecord in
+                  scanned: the telemetry sampler (TimeSeriesRecorder::Tick
+                  and SpillWriter::AppendRecord in
                   src/sim/telemetry.cc — no std::map / unordered_map, no
                   string-keyed lookups, no stream I/O; cold helpers like
                   RebuildPlan and Flush do that work), the flight-recorder
@@ -63,16 +63,8 @@ Rules enforced (see docs/correctness.md):
                   an inline record fill). Suppress with
                   `// lint:allow recorder-hot`.
 
-Rule ownership vs tools/astlint.py (see docs/correctness.md): astlint
-carries AST-precise versions of bare-assert, hot-io, and recorder-hot
-(macro instantiations from the preprocessing record, canonical types,
-scopes resolved from real FunctionDecls) plus the det-* determinism rules,
-but it needs libclang. This file stays the no-dependency fallback that runs
-everywhere. Under `--ast-owned` (passed by ci.sh when the astlint engine is
-available) the superseded regex rules stand down where astlint covers them:
-hot-io and recorder-hot entirely (their scopes are all under src/), and
-bare-assert for src/ files only — astlint's default scan parses src/ TUs,
-so tests/bench/examples keep the regex check either way.
+Every rule here has this file as its only owner; tools/astlint.py carries
+only the det-* determinism rules, which need a real AST.
 
 Exit status: 0 when clean, 1 when any violation is found.
 """
@@ -80,10 +72,6 @@ Exit status: 0 when clean, 1 when any violation is found.
 import re
 import sys
 from pathlib import Path
-
-# Set by --ast-owned: stand down rules that tools/astlint.py enforces
-# AST-precisely in this environment (see docstring).
-AST_OWNED = False
 
 REPO = Path(__file__).resolve().parent.parent
 SCAN_DIRS = ("src", "tests", "bench", "examples")
@@ -118,11 +106,9 @@ HOT_IO_ALLOWED_FILES = {
     # and offline loader); the per-event Record stays in flight.h and is
     # covered by the recorder-hot rule.
     "src/sim/flight.cc",
-    # The sweep runner writes the merged sweep manifest once per sweep —
-    # orchestration-layer I/O, never per event.
-    "src/sim/sweep.cc",
-    # The run supervisor forks/reaps children and reads their report pipes —
-    # cold orchestration I/O, once per run attempt, never per event.
+    # The run supervisor forks/reaps children, reads their report pipes, and
+    # writes the merged sweep manifest — cold orchestration I/O, once per
+    # run attempt or sweep, never per event.
     "src/sim/supervisor.cc",
 }
 # packet-drop: the sanctioned drop-trace funnels. Everything else in src/
@@ -145,7 +131,6 @@ RAW_THREAD_RE = re.compile(
 )
 RAW_THREAD_ALLOWED_FILES = {
     "src/sim/thread_annotations.h",  # the wrappers themselves
-    "src/sim/sweep.cc",              # the worker pool (std::thread)
 }
 
 # guarded-by: a declared tfc::Mutex must be named by at least one
@@ -204,7 +189,7 @@ RECORDER_HOT_SCOPES = [
     (
         "src/sim/telemetry.cc",
         re.compile(
-            r"\b(?:TimeSeriesRecorder::(?:Tick|AppendTo)|SpillWriter::AppendRecord)\s*\("
+            r"\b(?:TimeSeriesRecorder::Tick|SpillWriter::AppendRecord)\s*\("
         ),
         RECORDER_HOT_LOOKUP_BAN_RE,
         "resolve in RebuildPlan / at Open time instead",
@@ -283,10 +268,9 @@ def lint_file(path: Path, rel: str) -> list[str]:
     mutex_decls: list[tuple[int, str]] = []  # (lineno, mutex name)
     guarded_names: set[str] = set()
     text = path.read_text()
-    if not AST_OWNED:  # astlint resolves these scopes from real FunctionDecls
-        for scope_file, func_re, ban_re, hint in RECORDER_HOT_SCOPES:
-            if rel == scope_file:
-                errors.extend(lint_recorder_hot(text, rel, func_re, ban_re, hint))
+    for scope_file, func_re, ban_re, hint in RECORDER_HOT_SCOPES:
+        if rel == scope_file:
+            errors.extend(lint_recorder_hot(text, rel, func_re, ban_re, hint))
     for lineno, raw in enumerate(text.splitlines(), start=1):
         m = INCLUDE_RE.match(raw)
         if m and not m.group(1).startswith(ROOT_PREFIXES):
@@ -312,18 +296,13 @@ def lint_file(path: Path, rel: str) -> list[str]:
                 f"{rel}:{lineno}: [std-function] hot-path layers use "
                 "InplaceFunction (src/sim/inplace_function.h), not std::function"
             )
-        if (
-            BARE_ASSERT_RE.search(code)
-            and not (AST_OWNED and rel.startswith("src/"))
-            and not allow(raw, "bare-assert")
-        ):
+        if BARE_ASSERT_RE.search(code) and not allow(raw, "bare-assert"):
             errors.append(
                 f"{rel}:{lineno}: [bare-assert] use TFC_CHECK / TFC_DCHECK "
                 "(src/sim/check.h) instead of assert()"
             )
         if (
-            not AST_OWNED
-            and HOT_IO_RE.search(code)
+            HOT_IO_RE.search(code)
             and rel.startswith(HOT_IO_LAYERS)
             and rel not in HOT_IO_ALLOWED_FILES
             and not allow(raw, "hot-io")
@@ -387,11 +366,7 @@ def lint_file(path: Path, rel: str) -> list[str]:
 
 
 def main() -> int:
-    global AST_OWNED
     args = sys.argv[1:]
-    if "--ast-owned" in args:
-        AST_OWNED = True
-        args.remove("--ast-owned")
     if args:
         print(f"lint.py: unknown argument(s): {' '.join(args)}", file=sys.stderr)
         return 2

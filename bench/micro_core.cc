@@ -258,14 +258,8 @@ void BM_IncastTestbedTelemetryOn(benchmark::State& state) {
     events += net.scheduler().executed();
     state.counters["plan_rebuilds"] =
         static_cast<double>(recorder.plan_rebuilds());
-    series = static_cast<double>(recorder.SeriesNames().size());
-    uint64_t run_samples = 0;
-    recorder.ForEachSeries(
-        [&run_samples](const std::string&,
-                       const std::vector<TimeSeriesRecorder::Sample>& s) {
-          run_samples += s.size();
-        });
-    samples += run_samples;
+    series = static_cast<double>(recorder.series_count());
+    samples += recorder.total_samples();
   }
   state.SetItemsProcessed(static_cast<int64_t>(events));
   const double iters = static_cast<double>(state.iterations());

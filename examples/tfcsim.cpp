@@ -515,7 +515,7 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
       return 1;
     }
     rep.Printf("telemetry: %zu series, %llu ticks -> %s/\n",
-                recorder->SeriesNames().size(),
+                recorder->series_count(),
                 static_cast<unsigned long long>(recorder->ticks()), run_dir.c_str());
   }
   return 0;

@@ -20,8 +20,8 @@ namespace {
 //            i64 time, u64 seq, i32 a, i32 b, i32 c, i32 flow,
 //            i16 node, i16 port, u8 type, u8 ptype, u8 flags, u8 weight
 //
-// Fields are packed byte-by-byte (same idiom as telemetry.cc's SpillWriter)
-// so the file is identical regardless of host struct layout. Everything in
+// Fields are packed byte-by-byte so the file is identical regardless of host
+// struct layout. Everything in
 // it derives from sim time and interned ids: a deterministic run dumps
 // deterministic bytes.
 // ---------------------------------------------------------------------------
@@ -278,9 +278,10 @@ bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error
   out->recorded_total = GetU64(buf.data() + 16);
   const uint64_t event_count = GetU64(buf.data() + 24);
 
+  // Counts are checked against the bytes left before anything is sized by
+  // them: a corrupt count must fail, not allocate.
   size_t off = kTfctHeaderBytes;
   out->nodes.clear();
-  out->nodes.reserve(node_count);
   for (uint32_t i = 0; i < node_count; ++i) {
     if (off + 4 > buf.size()) {
       return Fail(error, "flight: '" + path + "' truncated name table");
@@ -294,13 +295,19 @@ bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error
     off += len;
   }
 
-  if (off + event_count * kTfctRecordBytes != buf.size()) {
+  if (event_count > (buf.size() - off) / kTfctRecordBytes ||
+      off + event_count * kTfctRecordBytes != buf.size()) {
     return Fail(error, "flight: '" + path + "' record section size mismatch");
   }
   out->events.clear();
   out->events.reserve(static_cast<size_t>(event_count));
   for (uint64_t i = 0; i < event_count; ++i) {
-    out->events.push_back(GetEvent(buf.data() + off));
+    const FlightEvent e = GetEvent(buf.data() + off);
+    if (static_cast<int>(e.type) >= kFlightEventTypeCount) {
+      return Fail(error, "flight: '" + path + "' event " + std::to_string(i) +
+                             " has unknown type " + std::to_string(static_cast<int>(e.type)));
+    }
+    out->events.push_back(e);
     off += kTfctRecordBytes;
   }
   return true;

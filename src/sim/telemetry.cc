@@ -13,6 +13,7 @@
 #include <fstream>
 #include <iterator>
 #include <system_error>
+#include <type_traits>
 
 #include "src/sim/audit.h"
 #include "src/sim/profile.h"
@@ -274,12 +275,6 @@ void TimeSeriesRecorder::Start(TimeNs period, TimeNs first_delay) {
   Stop();
   period_ = period;
   running_ = true;
-  if (log_v_cap_ == 0) {
-    // One large reservation up front: growing the value log by doubling
-    // measurably dominates recording cost (allocator churn + copy), and
-    // reserved-but-untouched pages are free.
-    GrowLogV(1u << 19);
-  }
   tick_event_ = scheduler_->ScheduleDaemonAfter(first_delay, [this] { Tick(); });
 }
 
@@ -333,23 +328,19 @@ void TimeSeriesRecorder::RebuildPlan() {
         });
   }
   plan_generation_ = registry_->generation();
-  epoch_dirty_ = true;
+  log_.BeginEpoch(plan_sids_);
 }
 
 void TimeSeriesRecorder::AddPlanEntry(const std::string& name, MetricId id) {
-  std::vector<Sample>& samples = series_[name];
   MetricRegistry::CompiledRead read;
   if (!registry_->CompileReadId(id, &read)) {
-    // Defensive (the callers exclude histograms and dead ids): the series
-    // exists but never extends, exactly as an unreadable metric behaved.
+    // Defensive (the callers exclude histograms and dead ids): an
+    // unreadable metric records nothing.
     return;
   }
-  // Series ids persist for the recorder's lifetime (sid_by_name_ never
-  // shrinks), so flat-log records written under older plans stay valid.
-  auto [it, inserted] =
-      sid_by_name_.try_emplace(name, static_cast<uint32_t>(series_by_sid_.size()));
-  if (inserted) {
-    series_by_sid_.push_back(&samples);
+  auto it = sid_by_name_.find(name);
+  if (it == sid_by_name_.end()) {
+    it = sid_by_name_.emplace(name, log_.AddSeries(name)).first;
   }
   plan_reads_.push_back(read);
   plan_sids_.push_back(it->second);
@@ -359,138 +350,159 @@ void TimeSeriesRecorder::Tick() {
   if (!running_) {
     return;
   }
-  ++ticks_;
   if (replan_every_tick_ || plan_generation_ != registry_->generation()) {
     RebuildPlan();
   }
-  // Append values to one contiguous stream instead of hundreds of
-  // scattered series tails; readers demux lazily (MaterializeLog). The sid
-  // each value belongs to is implied by its plan position — the sid order
-  // is snapshotted once per plan epoch — so the per-sample record on the
-  // hot path is just the 8-byte value.
-  if (epoch_dirty_) {
-    log_epochs_.push_back(LogEpoch{plan_sids_, 0});
-    epoch_dirty_ = false;
-  }
-  // Write through a raw cursor: reads can run arbitrary callback-gauge
-  // code, so everything the loop needs lives in locals the compiler can
-  // keep in registers instead of vector internals it must reload.
-  const size_t n = plan_reads_.size();
-  if (log_v_cap_ - log_v_size_ < n) {
-    GrowLogV(n);
-  }
-  double* out = log_v_.get() + log_v_size_;
-  const MetricRegistry::CompiledRead* reads = plan_reads_.data();
-  for (size_t pos = 0; pos < n; ++pos) {
-    out[pos] = reads[pos].fn(reads[pos].obj);
-  }
-  log_v_size_ += n;
-  log_t_.push_back(scheduler_->now());
-  ++log_epochs_.back().ticks;
+  log_.AppendTick(scheduler_->now(), plan_reads_.data(), plan_sids_.data(),
+                  plan_reads_.size());
   tick_event_ = scheduler_->ScheduleDaemonAfter(period_, [this] { Tick(); });
-}
-
-void TimeSeriesRecorder::MaterializeLog() const {
-  if (log_t_.empty()) {
-    return;
-  }
-  // Per-series sample counts fall out of the epoch snapshots (ticks x
-  // planned sids) without scanning the value stream; each series then grows
-  // exactly once, and a raw write cursor per sid replaces push_back so the
-  // single demux pass never touches the scattered vector headers.
-  std::vector<size_t> counts(series_by_sid_.size(), 0);
-  for (const LogEpoch& e : log_epochs_) {
-    for (uint32_t sid : e.sids) {
-      counts[sid] += e.ticks;
-    }
-  }
-  std::vector<Sample*> cur(series_by_sid_.size(), nullptr);
-  for (size_t sid = 0; sid < counts.size(); ++sid) {
-    if (counts[sid] > 0) {
-      std::vector<Sample>& samples = *series_by_sid_[sid];
-      const size_t old = samples.size();
-      samples.resize(old + counts[sid]);
-      cur[sid] = samples.data() + old;
-    }
-  }
-  // The log is tick-major but each series is stored contiguously, so the
-  // demux is a transpose. Do it in tiles of kTileTicks ticks with a series-major
-  // inner loop: each series receives its tile chunk as one sequential
-  // burst (long store runs amortize cache-line and page costs), while the
-  // tile's value rows are small enough to stay cache-resident across the
-  // per-series strided reads. Ticks are chronological, so tile after tile
-  // keeps every series oldest-first.
-  constexpr size_t kTileTicks = 64;
-  Sample** const curp = cur.data();
-  const double* v = log_v_.get();
-  const TimeNs* tt = log_t_.data();
-  for (const LogEpoch& e : log_epochs_) {
-    const uint32_t* const sids = e.sids.data();
-    const size_t width = e.sids.size();
-    for (uint64_t done = 0; done < e.ticks; done += kTileTicks) {
-      const size_t tile =
-          static_cast<size_t>(std::min<uint64_t>(kTileTicks, e.ticks - done));
-      for (size_t pos = 0; pos < width; ++pos) {
-        Sample* s = curp[sids[pos]];
-        const double* vp = v + pos;
-        for (size_t k = 0; k < tile; ++k, vp += width) {
-          s[k] = Sample{tt[k], *vp};
-        }
-        curp[sids[pos]] = s + tile;
-      }
-      v += tile * width;
-      tt += tile;
-    }
-  }
-  log_v_size_ = 0;  // capacity is kept; the next run reuses the buffer
-  log_t_.clear();
-  log_epochs_.clear();
-  epoch_dirty_ = true;  // the next tick must re-snapshot its sid order
-}
-
-void TimeSeriesRecorder::GrowLogV(size_t need) const {
-  const size_t want = log_v_size_ + need;
-  size_t cap = log_v_cap_ < 4096 ? 4096 : log_v_cap_;
-  while (cap < want) {
-    cap *= 2;
-  }
-  // new double[cap] (not make_unique) keeps the slack default-initialized
-  // instead of zero-filling memory the ticks will overwrite anyway.
-  std::unique_ptr<double[]> buf(new double[cap]);
-  if (log_v_size_ > 0) {
-    std::memcpy(buf.get(), log_v_.get(), log_v_size_ * sizeof(double));
-  }
-  log_v_ = std::move(buf);
-  log_v_cap_ = cap;
 }
 
 std::vector<TimeSeriesRecorder::Sample> TimeSeriesRecorder::Series(
     const std::string& name) const {
-  MaterializeLog();
-  auto it = series_.find(name);
-  if (it == series_.end()) {
+  auto it = sid_by_name_.find(name);
+  if (it == sid_by_name_.end()) {
     return {};
   }
-  return it->second;
+  return log_.Samples(it->second);
 }
 
 std::vector<std::string> TimeSeriesRecorder::SeriesNames() const {
-  MaterializeLog();
   std::vector<std::string> names;
-  names.reserve(series_.size());
-  for (const auto& [name, samples] : series_) {
+  names.reserve(sid_by_name_.size());
+  for (const auto& [name, sid] : sid_by_name_) {
     names.push_back(name);
   }
   return names;
 }
 
-size_t TimeSeriesRecorder::total_samples() const {
-  MaterializeLog();
-  size_t n = 0;
-  for (const auto& [name, samples] : series_) {
-    n += samples.size();
+// ---------------------------------------------------------------------------
+// SeriesLog
+// ---------------------------------------------------------------------------
+
+uint32_t SeriesLog::AddSeries(std::string name) {
+  names_.push_back(std::move(name));
+  last_bits_.push_back(0);
+  return static_cast<uint32_t>(names_.size() - 1);
+}
+
+void SeriesLog::BeginEpoch(const std::vector<uint32_t>& sids) {
+  if (!epochs_.empty() && epochs_.back().sids == sids) {
+    return;  // same series in the same order: the epoch goes on
+  }
+  epochs_.push_back(Epoch{ticks_.size(), sids});
+}
+
+void SeriesLog::AppendTick(TimeNs t, const MetricRegistry::CompiledRead* reads,
+                           const uint32_t* sids, size_t n) {
+  if (change_capacity_ - changes_ < n) {
+    GrowChanges(n);
+  }
+  // Branch-free compaction: every value is written at the cursor, and the
+  // cursor only advances past the ones that changed. Reads can run
+  // arbitrary callback-gauge code, so everything the loop needs lives in
+  // locals the compiler can keep in registers instead of members it must
+  // reload after every call.
+  uint32_t* const out_sid = change_sids_.get() + changes_;
+  double* const out_v = change_values_.get() + changes_;
+  uint64_t* const last = last_bits_.data();
+  const size_t fresh = seen_series_;
+  size_t k = 0;
+  for (size_t pos = 0; pos < n; ++pos) {
+    const double v = reads[pos].fn(reads[pos].obj);
+    const uint32_t sid = sids[pos];
+    const uint64_t bits = std::bit_cast<uint64_t>(v);
+    out_sid[k] = sid;
+    out_v[k] = v;
+    k += static_cast<size_t>((bits != last[sid]) | (sid >= fresh));
+    last[sid] = bits;
+  }
+  changes_ += k;
+  ticks_.push_back(Tick{t, changes_});
+  seen_series_ = names_.size();
+}
+
+void SeriesLog::GrowChanges(size_t need) {
+  size_t cap = change_capacity_ < 4096 ? 4096 : change_capacity_;
+  while (cap - changes_ < need) {
+    cap *= 2;
+  }
+  // new T[cap] (not make_unique) leaves the slack uninitialized instead of
+  // zero-filling memory AppendTick overwrites anyway.
+  std::unique_ptr<uint32_t[]> sids(new uint32_t[cap]);
+  std::unique_ptr<double[]> values(new double[cap]);
+  if (changes_ > 0) {
+    std::memcpy(sids.get(), change_sids_.get(), changes_ * sizeof(uint32_t));
+    std::memcpy(values.get(), change_values_.get(), changes_ * sizeof(double));
+  }
+  change_sids_ = std::move(sids);
+  change_values_ = std::move(values);
+  change_capacity_ = cap;
+}
+
+uint64_t SeriesLog::sample_count() const {
+  uint64_t n = 0;
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    n += (EpochEnd(e) - epochs_[e].first_tick) * epochs_[e].sids.size();
   }
   return n;
+}
+
+std::vector<SeriesLog::Sample> SeriesLog::Samples(uint32_t sid) const {
+  std::vector<Sample> out;
+  double v = 0.0;
+  uint64_t c = 0;
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    const std::vector<uint32_t>& sids = epochs_[e].sids;
+    const bool sampled = std::find(sids.begin(), sids.end(), sid) != sids.end();
+    for (uint64_t i = epochs_[e].first_tick; i < EpochEnd(e); ++i) {
+      for (; c < ticks_[i].change_end; ++c) {
+        if (change_sids_[c] == sid) {
+          v = change_values_[c];
+        }
+      }
+      if (sampled) {
+        out.push_back(Sample{ticks_[i].t, v});
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<std::vector<SeriesLog::Sample>> SeriesLog::DecodeAll() const {
+  std::vector<uint64_t> counts(names_.size(), 0);
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    for (uint32_t sid : epochs_[e].sids) {
+      counts[sid] += EpochEnd(e) - epochs_[e].first_tick;
+    }
+  }
+  std::vector<std::vector<Sample>> out(names_.size());
+  for (size_t sid = 0; sid < out.size(); ++sid) {
+    out[sid].reserve(counts[sid]);
+  }
+  std::vector<double> value(names_.size(), 0.0);  // latest stored, by sid
+  uint64_t c = 0;
+  for (size_t e = 0; e < epochs_.size(); ++e) {
+    for (uint64_t i = epochs_[e].first_tick; i < EpochEnd(e); ++i) {
+      for (; c < ticks_[i].change_end; ++c) {
+        value[change_sids_[c]] = change_values_[c];
+      }
+      for (uint32_t sid : epochs_[e].sids) {
+        out[sid].push_back(Sample{ticks_[i].t, value[sid]});
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<uint32_t> SeriesLog::SidsByName() const {
+  std::vector<uint32_t> order(names_.size());
+  for (uint32_t sid = 0; sid < order.size(); ++sid) {
+    order[sid] = sid;
+  }
+  std::sort(order.begin(), order.end(),
+            [this](uint32_t a, uint32_t b) { return names_[a] < names_[b]; });
+  return order;
 }
 
 // ---------------------------------------------------------------------------
@@ -599,64 +611,248 @@ bool GetU64(const std::string& d, size_t& off, uint64_t* out) {
   return true;
 }
 
+// The log's arrays go to disk exactly as they are in memory, so their
+// layout is the file format.
+static_assert(std::endian::native == std::endian::little,
+              "metrics.tfcb spills the log's arrays verbatim; a big-endian host "
+              "needs a byte-swapping Write and Load");
+static_assert(sizeof(SeriesLog::Tick) == 16 &&
+              std::is_trivially_copyable_v<SeriesLog::Tick>);
+
+bool WriteBytes(std::FILE* f, const void* data, size_t n) {
+  return n == 0 || std::fwrite(data, 1, n, f) == n;
+}
+
 }  // namespace
 
-bool SpillWriter::Open(const std::string& path, uint32_t series_count,
-                       uint64_t record_count) {
-  Close();
-  ok_ = true;
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    ok_ = false;
+bool SeriesLog::Write(const std::string& path, std::string* error) const {
+  std::string local_error;
+  if (error == nullptr) {
+    error = &local_error;
+  }
+  std::vector<unsigned char> head;  // header, name table and epoch table
+  head.insert(head.end(), kTfcbMagic, kTfcbMagic + sizeof kTfcbMagic);
+  PutU32(head, kTfcbVersion);
+  PutU32(head, static_cast<uint32_t>(names_.size()));
+  PutU32(head, static_cast<uint32_t>(epochs_.size()));
+  PutU64(head, ticks_.size());
+  PutU64(head, changes_);
+  for (const std::string& name : names_) {
+    PutU32(head, static_cast<uint32_t>(name.size()));
+    head.insert(head.end(), name.begin(), name.end());
+  }
+  for (const Epoch& epoch : epochs_) {
+    PutU64(head, epoch.first_tick);
+    PutU32(head, static_cast<uint32_t>(epoch.sids.size()));
+    for (uint32_t sid : epoch.sids) {
+      PutU32(head, sid);
+    }
+  }
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) {
+    *error = "cannot open " + path;
     return false;
   }
-  buf_.clear();
-  for (const char c : kTfcbMagic) {
-    buf_.push_back(static_cast<unsigned char>(c));
+  bool ok = WriteBytes(f, head.data(), head.size()) &&
+            WriteBytes(f, ticks_.data(), ticks_.size() * sizeof(Tick)) &&
+            WriteBytes(f, change_sids_.get(), changes_ * sizeof(uint32_t)) &&
+            WriteBytes(f, change_values_.get(), changes_ * sizeof(double));
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    *error = "write failed: " + path;
   }
-  PutU32(buf_, kTfcbVersion);
-  PutU32(buf_, series_count);
-  PutU64(buf_, record_count);
+  return ok;
+}
+
+bool SeriesLog::Load(const std::string& path, std::string* error) {
+  std::string local_error;
+  if (error == nullptr) {
+    error = &local_error;
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    *error = "cannot open " + path;
+    return false;
+  }
+  const std::string data((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const auto fail = [&path, error](const std::string& why) {
+    *error = path + ": " + why;
+    return false;
+  };
+  if (data.compare(0, sizeof kTfcbMagic, kTfcbMagic, sizeof kTfcbMagic) != 0) {
+    return fail("not a TFCB file (bad magic)");
+  }
+  if (data.size() < kTfcbHeaderBytes) {
+    return fail("truncated header");
+  }
+  size_t off = sizeof kTfcbMagic;
+  uint32_t version = 0;
+  uint32_t series_count = 0;
+  uint32_t epoch_count = 0;
+  uint64_t tick_count = 0;
+  uint64_t change_count = 0;
+  GetU32(data, off, &version);
+  GetU32(data, off, &series_count);
+  GetU32(data, off, &epoch_count);
+  GetU64(data, off, &tick_count);
+  GetU64(data, off, &change_count);
+  if (version != kTfcbVersion) {
+    return fail("unsupported TFCB version " + std::to_string(version));
+  }
+
+  // Every count is checked against the bytes left before anything is sized
+  // by it, so a corrupt count fails instead of allocating.
+  SeriesLog log;
+  for (uint32_t i = 0; i < series_count; ++i) {
+    uint32_t len = 0;
+    if (!GetU32(data, off, &len) || len > data.size() - off) {
+      return fail("truncated name table");
+    }
+    if (len == 0) {
+      return fail("series " + std::to_string(i) + " has an empty name");
+    }
+    log.names_.push_back(data.substr(off, len));
+    off += len;
+  }
+  const std::vector<uint32_t> by_name = log.SidsByName();
+  for (size_t i = 1; i < by_name.size(); ++i) {
+    if (log.names_[by_name[i - 1]] == log.names_[by_name[i]]) {
+      return fail("duplicate series name " + log.names_[by_name[i]]);
+    }
+  }
+
+  // in_epoch[sid] == e + 1 while reading epoch e.
+  std::vector<uint64_t> in_epoch(series_count, 0);
+  for (uint32_t e = 0; e < epoch_count; ++e) {
+    uint64_t first = 0;
+    uint32_t width = 0;
+    if (!GetU64(data, off, &first) || !GetU32(data, off, &width) ||
+        width > (data.size() - off) / sizeof(uint32_t)) {
+      return fail("truncated epoch table");
+    }
+    if (first >= tick_count ||
+        (e == 0 ? first != 0 : first <= log.epochs_.back().first_tick)) {
+      return fail("epoch " + std::to_string(e) + " starts at tick " + std::to_string(first) +
+                  " of " + std::to_string(tick_count));
+    }
+    Epoch epoch{first, std::vector<uint32_t>(width)};
+    for (uint32_t& sid : epoch.sids) {
+      GetU32(data, off, &sid);
+      if (sid >= series_count || in_epoch[sid] == e + 1) {
+        return fail("epoch " + std::to_string(e) + " samples series " + std::to_string(sid) +
+                    (sid >= series_count ? " of " + std::to_string(series_count) : " twice"));
+      }
+      in_epoch[sid] = e + 1;
+    }
+    log.epochs_.push_back(std::move(epoch));
+  }
+  if (tick_count > 0 && epoch_count == 0) {
+    return fail("ticks without an epoch");
+  }
+
+  const size_t rest = data.size() - off;
+  constexpr size_t kChangeBytes = sizeof(uint32_t) + sizeof(double);
+  if (tick_count > rest / sizeof(Tick) ||
+      change_count != (rest - tick_count * sizeof(Tick)) / kChangeBytes ||
+      rest != tick_count * sizeof(Tick) + change_count * kChangeBytes) {
+    return fail("log sections are " + std::to_string(rest) + " bytes, header promises " +
+                std::to_string(tick_count) + " ticks and " + std::to_string(change_count) +
+                " changes");
+  }
+  log.ticks_.resize(tick_count);
+  log.change_sids_.reset(new uint32_t[change_count]);
+  log.change_values_.reset(new double[change_count]);
+  log.changes_ = log.change_capacity_ = change_count;
+  const auto take = [&data, &off](void* dst, size_t n) {
+    if (n > 0) {  // an empty vector's data() may be null
+      std::memcpy(dst, data.data() + off, n);
+      off += n;
+    }
+  };
+  take(log.ticks_.data(), tick_count * sizeof(Tick));
+  take(log.change_sids_.get(), change_count * sizeof(uint32_t));
+  take(log.change_values_.get(), change_count * sizeof(double));
+
+  // Ticks run forward in time, and their change ranges tile the changes.
+  uint64_t begin = 0;
+  for (uint64_t i = 0; i < tick_count; ++i) {
+    const Tick& tick = log.ticks_[i];
+    if (i > 0 && tick.t < log.ticks_[i - 1].t) {
+      return fail("tick " + std::to_string(i) + " goes back in time");
+    }
+    if (tick.change_end < begin || tick.change_end > change_count) {
+      return fail("tick " + std::to_string(i) + " ends its changes at " +
+                  std::to_string(tick.change_end));
+    }
+    begin = tick.change_end;
+  }
+  if (begin != change_count) {
+    return fail(std::to_string(change_count) + " changes, but the last tick ends at " +
+                std::to_string(begin));
+  }
+
+  // Every stored value belongs to a series its tick samples, and every
+  // series has a value by the first tick that samples it.
+  std::fill(in_epoch.begin(), in_epoch.end(), 0);
+  std::vector<bool> has_value(series_count, false);
+  uint64_t c = 0;
+  for (size_t e = 0; e < log.epochs_.size(); ++e) {
+    const Epoch& epoch = log.epochs_[e];
+    for (uint32_t sid : epoch.sids) {
+      in_epoch[sid] = e + 1;
+    }
+    for (uint64_t i = epoch.first_tick; i < log.EpochEnd(e); ++i) {
+      for (; c < log.ticks_[i].change_end; ++c) {
+        const uint32_t sid = log.change_sids_[c];
+        if (sid >= series_count || in_epoch[sid] != e + 1) {
+          return fail("change " + std::to_string(c) + " stores series " + std::to_string(sid) +
+                      ", which tick " + std::to_string(i) + " does not sample");
+        }
+        has_value[sid] = true;
+      }
+      if (i > epoch.first_tick) {
+        continue;
+      }
+      for (uint32_t sid : epoch.sids) {
+        if (!has_value[sid]) {
+          return fail("series " + log.names_[sid] + " is sampled at tick " + std::to_string(i) +
+                      " before it has a value");
+        }
+      }
+    }
+  }
+  *this = std::move(log);
   return true;
 }
 
-void SpillWriter::AppendName(const std::string& name) {
-  if (buf_.size() + 4 + name.size() > kBufferBytes) {
-    Flush();
-  }
-  PutU32(buf_, static_cast<uint32_t>(name.size()));
-  buf_.insert(buf_.end(), name.begin(), name.end());
-}
+namespace {
 
-void SpillWriter::AppendRecord(uint32_t series_id, TimeNs t_ns, double v) {
-  if (buf_.size() + kRecordBytes > kBufferBytes) {
-    Flush();
+bool WriteJsonl(const SeriesLog& log, const std::string& jsonl_path, std::string* error) {
+  std::ofstream out(jsonl_path, std::ios::trunc);
+  if (!out) {
+    *error = "cannot open " + jsonl_path;
+    return false;
   }
-  PutU32(buf_, series_id);
-  PutU64(buf_, static_cast<uint64_t>(t_ns.count()));
-  PutU64(buf_, std::bit_cast<uint64_t>(v));
-}
-
-void SpillWriter::Flush() {
-  if (file_ != nullptr && !buf_.empty()) {
-    if (std::fwrite(buf_.data(), 1, buf_.size(), file_) != buf_.size()) {
-      ok_ = false;
+  log.ForEachSeries([&out](const std::string& name,
+                           const std::vector<SeriesLog::Sample>& samples) {
+    // Byte-compatible with the legacy exporter line:
+    //   {"t_ns": T, "name": "...", "v": V}
+    const std::string quoted = Quoted(name);
+    for (const SeriesLog::Sample& s : samples) {
+      out << "{\"t_ns\": " << s.t.count() << ", \"name\": " << quoted
+          << ", \"v\": " << JsonNumber(s.v) << "}\n";
     }
+  });
+  out.flush();
+  if (!out) {
+    *error = "write failed: " + jsonl_path;
+    return false;
   }
-  buf_.clear();
+  return true;
 }
 
-bool SpillWriter::Close() {
-  if (file_ == nullptr) {
-    return ok_;
-  }
-  Flush();
-  if (std::fclose(file_) != 0) {
-    ok_ = false;
-  }
-  file_ = nullptr;
-  return ok_;
-}
+}  // namespace
 
 bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
                                const std::string& jsonl_path,
@@ -665,83 +861,8 @@ bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
   if (error == nullptr) {
     error = &local_error;
   }
-  std::ifstream in(tfcb_path, std::ios::binary);
-  if (!in) {
-    *error = "cannot open " + tfcb_path;
-    return false;
-  }
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  in.close();
-
-  size_t off = 0;
-  if (data.size() < 20 ||
-      data.compare(0, sizeof kTfcbMagic, kTfcbMagic, sizeof kTfcbMagic) != 0) {
-    *error = tfcb_path + ": not a TFCB file (bad magic)";
-    return false;
-  }
-  off = sizeof kTfcbMagic;
-  uint32_t version = 0;
-  uint32_t series_count = 0;
-  uint64_t record_count = 0;
-  GetU32(data, off, &version);
-  GetU32(data, off, &series_count);
-  GetU64(data, off, &record_count);
-  if (version != kTfcbVersion) {
-    *error = tfcb_path + ": unsupported TFCB version " + std::to_string(version);
-    return false;
-  }
-
-  // Name table; a name's position is its series_id. Pre-quote once so the
-  // record loop only concatenates.
-  std::vector<std::string> quoted_names;
-  quoted_names.reserve(series_count);
-  for (uint32_t i = 0; i < series_count; ++i) {
-    uint32_t len = 0;
-    if (!GetU32(data, off, &len) || off + len > data.size()) {
-      *error = tfcb_path + ": truncated name table";
-      return false;
-    }
-    quoted_names.push_back(Quoted(data.substr(off, len)));
-    off += len;
-  }
-
-  if (data.size() - off != record_count * SpillWriter::kRecordBytes) {
-    *error = tfcb_path + ": record section is " +
-             std::to_string(data.size() - off) + " bytes, header promises " +
-             std::to_string(record_count * SpillWriter::kRecordBytes);
-    return false;
-  }
-
-  std::ofstream out(jsonl_path, std::ios::trunc);
-  if (!out) {
-    *error = "cannot open " + jsonl_path;
-    return false;
-  }
-  for (uint64_t i = 0; i < record_count; ++i) {
-    uint32_t series_id = 0;
-    uint64_t t_bits = 0;
-    uint64_t v_bits = 0;
-    GetU32(data, off, &series_id);
-    GetU64(data, off, &t_bits);
-    GetU64(data, off, &v_bits);
-    if (series_id >= series_count) {
-      *error = tfcb_path + ": record " + std::to_string(i) +
-               " names out-of-range series " + std::to_string(series_id);
-      return false;
-    }
-    // Byte-compatible with the legacy exporter line:
-    //   {"t_ns": T, "name": "...", "v": V}
-    out << "{\"t_ns\": " << static_cast<int64_t>(t_bits)
-        << ", \"name\": " << quoted_names[series_id]
-        << ", \"v\": " << JsonNumber(std::bit_cast<double>(v_bits)) << "}\n";
-  }
-  out.flush();
-  if (!out) {
-    *error = "write failed: " + jsonl_path;
-    return false;
-  }
-  return true;
+  SeriesLog log;
+  return log.Load(tfcb_path, error) && WriteJsonl(log, jsonl_path, error);
 }
 
 // ---------------------------------------------------------------------------
@@ -858,36 +979,10 @@ bool WriteManifest(const std::string& path, const RunManifest& manifest,
 
 bool WriteMetricsTfcb(const std::string& path, const TimeSeriesRecorder* recorder,
                       std::string* error) {
-  SpillWriter w;
-  const uint32_t series_count =
-      recorder != nullptr ? static_cast<uint32_t>(recorder->series_count()) : 0;
-  const uint64_t record_count =
-      recorder != nullptr ? recorder->total_samples() : 0;
-  if (!w.Open(path, series_count, record_count)) {
-    *error = "cannot open " + path;
-    return false;
+  if (recorder == nullptr) {
+    return SeriesLog().Write(path, error);  // header only
   }
-  if (recorder != nullptr) {
-    // SeriesNames() and ForEachSeries both walk the series map in name
-    // order, so a series' position in the name table is its series_id.
-    for (const std::string& name : recorder->SeriesNames()) {
-      w.AppendName(name);
-    }
-    uint32_t series_id = 0;
-    recorder->ForEachSeries(
-        [&w, &series_id](const std::string&,
-                         const std::vector<TimeSeriesRecorder::Sample>& samples) {
-          for (const TimeSeriesRecorder::Sample& s : samples) {
-            w.AppendRecord(series_id, s.t, s.v);
-          }
-          ++series_id;
-        });
-  }
-  if (!w.Close()) {
-    *error = "write failed: " + path;
-    return false;
-  }
-  return true;
+  return recorder->log().Write(path, error);
 }
 
 void WriteHistogramJson(std::ofstream& f, const Histogram& h, const char* indent) {

@@ -17,10 +17,10 @@
 //                    interns a dense MetricId: sampling loops read through
 //                    the id (flat-vector index), never the name.
 //
-//   TimeSeriesRecorder  samples watched metrics on a fixed cadence into
-//                    per-series buffers through a *compiled sample plan*:
-//                    watch names and prefixes resolve to (MetricId, series)
-//                    pairs once, re-resolved only when the registry
+//   TimeSeriesRecorder  samples watched metrics on a fixed cadence into a
+//                    change-only SeriesLog through a *compiled sample
+//                    plan*: watch names and prefixes resolve to (MetricId,
+//                    series) pairs once, re-resolved only when the registry
 //                    generation changes, so a tick touches no strings and
 //                    no maps. Ticks are *daemon* events
 //                    (Scheduler::ScheduleDaemonAfter), so an attached
@@ -28,11 +28,11 @@
 //                    "no leaked timers" pending() assertions.
 //
 //   Run exporter     writes a per-run directory: manifest.json (what ran),
-//                    metrics.tfcb (the recorded series, binary spill
-//                    format), summary.json (final snapshot of every metric
-//                    + profiler sites). ConvertMetricsTfcbToJsonl (exposed
-//                    as `tfcsim --convert`) renders the spill back to the
-//                    PR-3 metrics.jsonl byte-compatibly. Formats are
+//                    metrics.tfcb (the recorder's SeriesLog, spilled
+//                    verbatim), summary.json (final snapshot of every
+//                    metric + profiler sites). ConvertMetricsTfcbToJsonl
+//                    (exposed as `tfcsim --convert`) renders the spill back
+//                    to the PR-3 metrics.jsonl byte-compatibly. Formats are
 //                    documented in docs/observability.md and validated by
 //                    tools/telemetry_schema.py in CI.
 //
@@ -47,7 +47,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
@@ -387,28 +386,111 @@ class ScopedMetrics {
   std::vector<std::string> names_;
 };
 
-// Samples watched counters/gauges on a fixed cadence into per-metric
-// buffers. Ticks are daemon events: they fire inside Run()/RunUntil() like
-// any event but do not keep drain-mode Run() alive and are excluded from
-// pending(). A watched metric that disappears (its component unregistered)
-// simply stops extending its series.
+// A change-only log of sampled series: the recorder's storage and, spilled
+// verbatim, the payload of metrics.tfcb.
+//
+// A tick stores its timestamp. A series sampled at a tick stores a value
+// only when the value's bits differ from that series' previous sample (or
+// it has none yet); readers carry the last stored value forward. Which
+// series a tick samples is its *epoch* — the recorder's plan order,
+// snapshotted once per plan change — so a stored value is just a
+// (series id, value) pair. Finished flows and idle ports never change, so
+// at 100-sender incast scale about one sample in six is stored.
+class SeriesLog {
+ public:
+  struct Sample {
+    TimeNs t;
+    double v;
+  };
+  // One tick: its time, and the end of its changes in the change arrays
+  // (they start where the previous tick's end).
+  struct Tick {
+    TimeNs t;
+    uint64_t change_end;
+  };
+  // The series each tick samples, in sample order, from first_tick until
+  // the next epoch begins.
+  struct Epoch {
+    uint64_t first_tick;
+    std::vector<uint32_t> sids;
+  };
+
+  // Interns a new series; ids are dense, in call order.
+  uint32_t AddSeries(std::string name);
+  // Makes `sids` the epoch of the next AppendTick, which must follow
+  // before the next BeginEpoch (a no-op when `sids` already is the epoch).
+  void BeginEpoch(const std::vector<uint32_t>& sids);
+  // Hot path: one tick at `t` reading reads[i] into series sids[i] (the
+  // current epoch), storing only the values that changed.
+  void AppendTick(TimeNs t, const MetricRegistry::CompiledRead* reads,
+                  const uint32_t* sids, size_t n);
+
+  size_t series_count() const { return names_.size(); }
+  const std::string& name(uint32_t sid) const { return names_[sid]; }
+  uint64_t tick_count() const { return ticks_.size(); }
+  uint64_t change_count() const { return changes_; }
+  // Samples the log stands for: every epoch series at every tick.
+  uint64_t sample_count() const;
+
+  // One series' samples, oldest first (empty when never sampled).
+  std::vector<Sample> Samples(uint32_t sid) const;
+
+  // Visits every (name, samples oldest-first) pair in name order. Decodes
+  // the whole log into per-series copies first: an offline reader's tool.
+  template <typename Fn>
+  void ForEachSeries(Fn&& fn) const {
+    const std::vector<std::vector<Sample>> by_sid = DecodeAll();
+    for (uint32_t sid : SidsByName()) {
+      fn(names_[sid], by_sid[sid]);
+    }
+  }
+
+  // Writes metrics.tfcb (format below); false with *error on I/O failure.
+  bool Write(const std::string& path, std::string* error) const;
+  // Replaces this log with the one stored at `path`. Rejects, with the
+  // reason in *error, any file the writer could not have produced: bad
+  // magic or version, counts the file is too short for, ids out of range,
+  // time or change offsets running backwards, or a series sampled before
+  // it has a value. Leaves the log unchanged on failure.
+  bool Load(const std::string& path, std::string* error);
+
+ private:
+  uint64_t EpochEnd(size_t e) const {
+    return e + 1 < epochs_.size() ? epochs_[e + 1].first_tick : ticks_.size();
+  }
+  std::vector<std::vector<Sample>> DecodeAll() const;
+  std::vector<uint32_t> SidsByName() const;
+  void GrowChanges(size_t need);
+
+  std::vector<std::string> names_;  // by sid
+  std::vector<Epoch> epochs_;
+  std::vector<Tick> ticks_;
+  // The changes, as two parallel arrays. Raw buffers rather than vectors:
+  // resize() would zero-fill the slots AppendTick is about to overwrite.
+  std::unique_ptr<uint32_t[]> change_sids_;
+  std::unique_ptr<double[]> change_values_;
+  size_t changes_ = 0;
+  size_t change_capacity_ = 0;
+  // Writer state: each series' last sampled bits, and how many series the
+  // last tick knew (newer ids have no sample yet, so their first is
+  // stored whatever its bits).
+  std::vector<uint64_t> last_bits_;
+  size_t seen_series_ = 0;
+};
+
+// Samples watched counters/gauges on a fixed cadence into a SeriesLog.
+// Ticks are daemon events: they fire inside Run()/RunUntil() like any event
+// but do not keep drain-mode Run() alive and are excluded from pending(). A
+// watched metric that disappears (its component unregistered) simply stops
+// extending its series.
 //
 // Ticks run off a compiled sample plan: watches and prefixes resolve once
 // to (MetricId, series id) pairs, re-resolved only when the registry
 // generation changes, so the per-tick cost is an id-indexed read plus a
-// log append per watched metric — no string compares, no map lookups.
+// compare per watched metric — no string compares, no map lookups.
 class TimeSeriesRecorder {
  public:
-  struct Sample {
-    // The user-provided (empty) default constructor leaves members
-    // uninitialized on purpose: MaterializeLog resize()s series and then
-    // overwrites every slot, and value-initialization would memset
-    // megabytes only to throw the zeros away.
-    Sample() {}
-    Sample(TimeNs t_, double v_) : t(t_), v(v_) {}
-    TimeNs t;
-    double v;
-  };
+  using Sample = SeriesLog::Sample;
 
   TimeSeriesRecorder(Scheduler* scheduler, MetricRegistry* registry)
       : scheduler_(scheduler), registry_(registry) {}
@@ -435,7 +517,7 @@ class TimeSeriesRecorder {
   bool running() const { return running_; }
 
   TimeNs period() const { return period_; }
-  uint64_t ticks() const { return ticks_; }
+  uint64_t ticks() const { return log_.tick_count(); }
 
   // How many times the sample plan was compiled — equals the number of
   // registry-churn episodes the recorder saw (plus the initial build).
@@ -443,67 +525,37 @@ class TimeSeriesRecorder {
   uint64_t plan_rebuilds() const { return plan_rebuilds_; }
 
   // Number of distinct recorded series / total samples across them.
-  size_t series_count() const { return series_.size(); }
-  size_t total_samples() const;
+  size_t series_count() const { return log_.series_count(); }
+  size_t total_samples() const { return static_cast<size_t>(log_.sample_count()); }
 
   // Recorded series for `name`, oldest sample first (empty if never
   // sampled).
   std::vector<Sample> Series(const std::string& name) const;
 
-  // Names with at least one sample, sorted.
+  // Names of every recorded series, sorted.
   std::vector<std::string> SeriesNames() const;
 
-  // Visits every (name, samples oldest-first) pair in name order.
-  template <typename Fn>
-  void ForEachSeries(Fn&& fn) const {
-    MaterializeLog();
-    for (const auto& [name, samples] : series_) {
-      fn(name, samples);
-    }
-  }
+  // Everything recorded so far; WriteRunDirectory spills it verbatim.
+  const SeriesLog& log() const { return log_; }
 
  private:
-  // Ticks append to a value-stream log — contiguous cursors instead of ~N
-  // scattered series tails — and readers demux into the series later. A tick stores one timestamp plus its values in plan order; the
-  // sid sequence those values map to is snapshotted once per plan epoch,
-  // so the per-sample record is just the 8-byte double.
-  struct LogEpoch {
-    std::vector<uint32_t> sids;  // plan sid order when the epoch began
-    uint64_t ticks = 0;          // ticks recorded under this epoch
-  };
-
   void Tick();
   void RebuildPlan();
   void AddPlanEntry(const std::string& name, MetricId id);
-  // Demuxes the flat log into the per-series buffers (counted reserve, one
-  // pass); cold path, called by readers. Const because every accessor
-  // needs it; only the log and series contents move.
-  void MaterializeLog() const;
-  void GrowLogV(size_t need) const;  // ensures capacity for `need` more
 
   Scheduler* scheduler_;
   MetricRegistry* registry_;
   std::vector<std::string> watches_;
   std::vector<std::string> prefixes_;
-  std::map<std::string, std::vector<Sample>> series_;
+  // Series ids persist for the recorder's lifetime: a metric that returns
+  // under the same name extends its old series.
   std::map<std::string, uint32_t> sid_by_name_;
-  // Map-node stable demux targets, indexed by sid.
-  std::vector<std::vector<Sample>*> series_by_sid_;
-  // Value log, tick-major. A raw buffer instead of std::vector<double>
-  // because resize() value-initializes: the tick path would memset every
-  // slot it is about to overwrite. GrowLogV keeps amortized growth.
-  mutable std::unique_ptr<double[]> log_v_;
-  mutable size_t log_v_size_ = 0;
-  mutable size_t log_v_cap_ = 0;
-  mutable std::vector<TimeNs> log_t_;  // one timestamp per tick
-  mutable std::vector<LogEpoch> log_epochs_;
-  // Plan changed (or the log drained) since the last epoch snapshot.
-  mutable bool epoch_dirty_ = true;
+  SeriesLog log_;
   // The compiled plan, as two parallel arrays: the tick loop streams the
-  // reads (call `fn(obj)`, append the value), and the sids map plan
-  // positions to series for the epoch snapshot. Compiled reads share the id
-  // contract: valid until the registry generation moves, which forces a
-  // rebuild before the next sample.
+  // reads (call `fn(obj)`), and the sids name the series each read feeds —
+  // the log's epoch. Compiled reads share the id contract: valid until the
+  // registry generation moves, which forces a rebuild before the next
+  // sample.
   std::vector<MetricRegistry::CompiledRead> plan_reads_;
   std::vector<uint32_t> plan_sids_;
   uint64_t plan_generation_ = 0;  // registry generation the plan matches;
@@ -511,7 +563,6 @@ class TimeSeriesRecorder {
   uint64_t plan_rebuilds_ = 0;
   bool replan_every_tick_ = false;
   TimeNs period_ = 0;
-  uint64_t ticks_ = 0;
   bool running_ = false;
   Scheduler::EventId tick_event_;
 };
@@ -522,55 +573,31 @@ class TimeSeriesRecorder {
 
 class Profiler;
 
-// metrics.tfcb — compact binary series spill (all fields little-endian):
+// metrics.tfcb v2 — a SeriesLog spilled verbatim. Little-endian; the three
+// log sections are the log's in-memory arrays, written as they are:
 //
-//   header   "TFCB" magic, u32 version (=1), u32 series_count,
-//            u64 record_count                              (20 bytes)
-//   names    series_count entries of {u32 len, bytes};
-//            a name's position in the table is its series_id
-//   records  record_count entries of {u32 series_id, u64 t_ns, f64 v},
-//            grouped by series in name-table order, oldest first
+//   header   "TFCB" magic, u32 version (=2), u32 series_count,
+//            u32 epoch_count, u64 tick_count, u64 change_count (32 bytes)
+//   names    series_count entries of {u32 len, bytes}; a name's position
+//            is its series id (first-recorded order, not name order)
+//   epochs   epoch_count entries of {u64 first_tick, u32 width,
+//            width x u32 series id}
+//   ticks    tick_count entries of {i64 t_ns, u64 change_end}
+//   sids     change_count x u32: the series each stored value belongs to
+//   values   change_count x f64
 //
-// The converter re-emits the legacy metrics.jsonl byte-compatibly (same
-// shortest-round-trip number formatting as the old exporter).
+// Every series of a tick's epoch has a sample at that tick: its latest
+// stored value. The converter re-emits the legacy metrics.jsonl
+// byte-compatibly (same samples, same shortest-round-trip formatting).
 inline constexpr char kTfcbMagic[4] = {'T', 'F', 'C', 'B'};
-inline constexpr uint32_t kTfcbVersion = 1;
-
-// Buffered writer for metrics.tfcb. AppendRecord is the hot call: it only
-// memcpy-packs into the buffer; file I/O happens in batched Flush()es.
-class SpillWriter {
- public:
-  static constexpr size_t kRecordBytes = 4 + 8 + 8;  // series_id, t_ns, v
-  static constexpr size_t kBufferBytes = 256 * 1024;
-
-  SpillWriter() { buf_.reserve(kBufferBytes); }
-  SpillWriter(const SpillWriter&) = delete;
-  SpillWriter& operator=(const SpillWriter&) = delete;
-  ~SpillWriter() { Close(); }
-
-  // Opens `path` and writes the header. Returns false on I/O failure.
-  bool Open(const std::string& path, uint32_t series_count,
-            uint64_t record_count);
-  // Appends one name-table entry; call series_count times after Open.
-  void AppendName(const std::string& name);
-  // Hot path: packs one fixed-width record into the batch buffer.
-  void AppendRecord(uint32_t series_id, TimeNs t_ns, double v);
-  // Flushes the buffer and closes the file. Returns false if any write
-  // failed (sticky across the writer's lifetime).
-  bool Close();
-
- private:
-  void Flush();
-
-  std::FILE* file_ = nullptr;
-  std::vector<unsigned char> buf_;
-  bool ok_ = true;
-};
+inline constexpr uint32_t kTfcbVersion = 2;
+inline constexpr size_t kTfcbHeaderBytes = 32;
 
 // Offline converter: decodes `tfcb_path` and writes the legacy JSONL
-// (`{"t_ns": ..., "name": ..., "v": ...}` per line) to `jsonl_path`,
-// byte-compatible with the pre-binary exporter. Returns false and fills
-// *error on decode or I/O failure. Exposed via `tfcsim --convert=RUN_DIR`.
+// (`{"t_ns": ..., "name": ..., "v": ...}` per line, grouped by series in
+// name order) to `jsonl_path`, byte-compatible with the pre-binary
+// exporter. Returns false and fills *error on decode or I/O failure.
+// Exposed via `tfcsim --convert=RUN_DIR`.
 bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
                                const std::string& jsonl_path,
                                std::string* error);
@@ -600,8 +627,9 @@ const std::string& GitDescribe();
 
 // Writes the per-run directory (created if needed):
 //   dir/manifest.json   schema_version, git describe, timestamps, manifest
-//   dir/metrics.tfcb    binary series spill (header-only when recorder is
-//                       null); convert to JSONL with tfcsim --convert
+//   dir/metrics.tfcb    the recorder's log, verbatim (header-only when
+//                       recorder is null); convert to JSONL with
+//                       tfcsim --convert
 //   dir/summary.json    final value of every registry metric, histogram
 //                       percentiles, and profiler sites (profiler may be null)
 // Returns false and fills *error on filesystem failure. Formats are stable

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -138,6 +139,49 @@ TEST(FlightRecorderTest, LoadRejectsCorruptFiles) {
   std::string error;
   EXPECT_FALSE(LoadFlightDump(path, &dump, &error));
   EXPECT_FALSE(error.empty());
+}
+
+TEST(FlightRecorderTest, LoadRejectsTruncationOversizedCountsAndUnknownTypes) {
+  FlightRecorder rec;
+  rec.Arm(64);
+  rec.Record(Ev(1000, FlightEventType::kSlotEnd, 0));
+  rec.Record(Ev(2000, FlightEventType::kLinkDown, 0));
+  const std::string path = TempPath("oversized.tfct");
+  std::string error;
+  ASSERT_TRUE(rec.Dump(path, {"S"}, &error)) << error;
+  std::ifstream in(path, std::ios::binary);
+  const std::string good((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  ASSERT_EQ(good.size(), 32u + (4 + 1) + 2 * 40u);
+
+  // Header: node_count at 12, event_count at 24; records start at 37 and
+  // carry their type byte at +36. 2^61 extra events wrap the 40-byte size
+  // product back to the true section size.
+  struct Case {
+    size_t off;
+    uint64_t value;
+    size_t width;
+    const char* error;
+  };
+  const Case cases[] = {
+      {12, 0xffffffffu, 4, "truncated"},
+      {24, 2 + (uint64_t{1} << 61), 8, "size mismatch"},
+      {37 + 40 + 36, 200, 1, "event 1 has unknown type 200"},
+  };
+  for (const Case& c : cases) {
+    std::string bytes = good;
+    for (size_t i = 0; i < c.width; ++i) {
+      bytes[c.off + i] = static_cast<char>(c.value >> (8 * i));
+    }
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    FlightDump dump;
+    EXPECT_FALSE(LoadFlightDump(path, &dump, &error)) << c.error;
+    EXPECT_NE(error.find(c.error), std::string::npos) << error;
+  }
+  for (size_t n = 0; n < good.size(); ++n) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << good.substr(0, n);
+    FlightDump dump;
+    EXPECT_FALSE(LoadFlightDump(path, &dump, &error)) << "a " << n << "-byte prefix loaded";
+  }
 }
 
 TEST(FlightRecorderTest, SaturatingConversionClampsPayloads) {

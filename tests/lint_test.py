@@ -63,6 +63,15 @@ class RecorderHotTest(unittest.TestCase):
         self.assertEqual(rules_fired("src/sim/telemetry.cc", code),
                          ["recorder-hot"])
 
+    def test_name_lookup_in_log_append_fires(self):
+        code = (
+            "void SeriesLog::AppendTick(TimeNs t) {\n"
+            "  const uint32_t sid = sid_by_name_[name];\n"
+            "}\n"
+        )
+        self.assertEqual(rules_fired("src/sim/telemetry.cc", code),
+                         ["recorder-hot"])
+
     def test_growth_in_flight_append_fires(self):
         code = (
             "class FlightRecorder {\n"

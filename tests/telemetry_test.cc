@@ -391,6 +391,119 @@ TEST(TimeSeriesRecorderTest, CachedPlanMatchesFreshPlanUnderRegistryChurn) {
       EXPECT_DOUBLE_EQ(a[i].v, b[i].v) << name << "[" << i << "]";
     }
   }
+  // Re-planning every tick yields the same epochs, so the logs match too.
+  EXPECT_EQ(cached.log().change_count(), fresh.log().change_count());
+}
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+TEST(TimeSeriesRecorderTest, LogStoresChangedBitsAndReplaysEverySample) {
+  // One value per tick, compared by bits: NaN repeats are no change, while
+  // 0.0 after -0.0 is one (they compare equal as doubles).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> values = {1, 1, 2, 2, nan, nan, -0.0, 0.0, 0.0, 5};
+  Scheduler sched;
+  MetricRegistry registry;
+  Gauge* g = registry.AddGauge("g");
+  registry.AddGauge("flat")->Set(7.0);
+  TimeSeriesRecorder recorder(&sched, &registry);
+  recorder.WatchAll();
+  recorder.Start(Microseconds(10));
+  for (size_t i = 0; i < values.size(); ++i) {
+    sched.ScheduleAt(Microseconds(10) * static_cast<int64_t>(i) + 5,
+                     [g, v = values[i]] { g->Set(v); });
+  }
+  sched.ScheduleAt(Microseconds(10) * static_cast<int64_t>(values.size()) + 1, [] {});
+  sched.Run();
+
+  // t=0 samples the initial 0, then one tick after each Set.
+  const std::vector<TimeSeriesRecorder::Sample> s = recorder.Series("g");
+  ASSERT_EQ(s.size(), values.size() + 1);
+  EXPECT_EQ(Bits(s[0].v), Bits(0.0));
+  for (size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(s[i + 1].t, Microseconds(10) * static_cast<int64_t>(i + 1));
+    EXPECT_EQ(Bits(s[i + 1].v), Bits(values[i])) << "tick " << i + 1;
+  }
+  EXPECT_EQ(recorder.Series("flat").size(), values.size() + 1);
+  EXPECT_EQ(recorder.total_samples(), 2 * (values.size() + 1));
+  // g stores its first sample and the changes to 1, 2, NaN, -0, 0 and 5;
+  // flat stores only its first.
+  EXPECT_EQ(recorder.log().change_count(), 7u + 1u);
+}
+
+TEST(TimeSeriesRecorderTest, ReturningSeriesCarriesItsLastStoredValue) {
+  // A metric that leaves and comes back with the value it left with stores
+  // nothing on return; its samples still cover exactly the ticks it was
+  // watched at.
+  Scheduler sched;
+  MetricRegistry registry;
+  auto churn = std::make_unique<ScopedMetrics>(&registry);
+  churn->AddGauge("q")->Set(10.0);
+  TimeSeriesRecorder recorder(&sched, &registry);
+  recorder.WatchPrefix("q");
+  recorder.Start(Microseconds(10));
+  sched.ScheduleAt(Microseconds(15), [&churn] { churn.reset(); });
+  sched.ScheduleAt(Microseconds(35), [&churn, &registry] {
+    churn = std::make_unique<ScopedMetrics>(&registry);
+    churn->AddGauge("q")->Set(10.0);
+  });
+  sched.ScheduleAt(Microseconds(41), [] {});
+  sched.Run();
+
+  const std::vector<TimeSeriesRecorder::Sample> q = recorder.Series("q");
+  ASSERT_EQ(q.size(), 3u);  // t=0, 10, 40; gone at 20 and 30
+  EXPECT_EQ(q[2].t, Microseconds(40));
+  EXPECT_DOUBLE_EQ(q[2].v, 10.0);
+  EXPECT_EQ(recorder.log().change_count(), 1u);
+  EXPECT_EQ(recorder.ticks(), 5u);
+}
+
+TEST(ExporterTest, SpillLoadsBackToTheRecordedLog) {
+  // Registry churn gives the log several epochs; the loaded copy must
+  // replay every series exactly as the recorder does.
+  Scheduler sched;
+  MetricRegistry registry;
+  Gauge* q = registry.AddGauge("app.q");
+  auto churn = std::make_unique<ScopedMetrics>(&registry);
+  churn->AddGauge("app.churn")->Set(3.0);
+  TimeSeriesRecorder recorder(&sched, &registry);
+  recorder.WatchPrefix("app.");
+  recorder.Start(Microseconds(10));
+  for (int i = 1; i < 8; ++i) {
+    sched.ScheduleAt(Microseconds(10 * i + 5), [q, i] { q->Set(static_cast<double>(i % 3)); });
+  }
+  sched.ScheduleAt(Microseconds(25), [&churn] { churn.reset(); });
+  sched.ScheduleAt(Microseconds(45), [&registry] { registry.AddGauge("app.late")->Set(1.0); });
+  sched.ScheduleAt(Microseconds(81), [] {});
+  sched.Run();
+
+  const std::string dir = testing::TempDir() + "/telemetry_reload";
+  std::filesystem::create_directories(dir);
+  std::string error;
+  ASSERT_TRUE(recorder.log().Write(dir + "/m.tfcb", &error)) << error;
+  SeriesLog loaded;
+  ASSERT_TRUE(loaded.Load(dir + "/m.tfcb", &error)) << error;
+  EXPECT_EQ(loaded.tick_count(), recorder.ticks());
+  EXPECT_EQ(loaded.change_count(), recorder.log().change_count());
+  EXPECT_EQ(loaded.sample_count(), recorder.total_samples());
+  ASSERT_EQ(loaded.series_count(), 3u);
+  for (uint32_t sid = 0; sid < loaded.series_count(); ++sid) {
+    const std::vector<SeriesLog::Sample> want = recorder.Series(loaded.name(sid));
+    const std::vector<SeriesLog::Sample> got = loaded.Samples(sid);
+    ASSERT_EQ(got.size(), want.size()) << loaded.name(sid);
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].t, want[i].t);
+      EXPECT_EQ(Bits(got[i].v), Bits(want[i].v));
+    }
+  }
+  // ForEachSeries decodes the same samples, in name order.
+  std::vector<std::string> names;
+  loaded.ForEachSeries(
+      [&](const std::string& name, const std::vector<SeriesLog::Sample>& samples) {
+        names.push_back(name);
+        EXPECT_EQ(samples.size(), recorder.Series(name).size()) << name;
+      });
+  EXPECT_EQ(names, recorder.SeriesNames());
 }
 
 // --- Exporter ---------------------------------------------------------------
@@ -458,11 +571,12 @@ TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
             "{\"t_ns\": 0, \"name\": \"queue\", \"v\": 0}\n"
             "{\"t_ns\": 10000, \"name\": \"queue\", \"v\": 1500}\n");
 
-  // The spill itself: magic + version=1, one series, two records.
+  // The spill itself: header, the name "queue", one epoch of one series,
+  // two ticks, and two stored values (the t=0 baseline and the change).
   const std::string tfcb = Slurp(dir + "/metrics.tfcb");
-  ASSERT_GE(tfcb.size(), 20u);
   EXPECT_EQ(tfcb.substr(0, 4), "TFCB");
-  EXPECT_EQ(tfcb.size(), 20u + (4 + 5) + 2 * SpillWriter::kRecordBytes);
+  EXPECT_EQ(tfcb.size(),
+            kTfcbHeaderBytes + (4 + 5) + (8 + 4 + 4) + 2 * (8 + 8) + 2 * (4 + 8));
 
   // The manifest carries the verbatim run section (with escaping) plus the
   // exporter's own provenance keys.
@@ -495,7 +609,7 @@ TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatConvertsToEmptyJsonl) {
   ASSERT_TRUE(WriteRunDirectory(dir, manifest, registry, nullptr, nullptr,
                                 &error))
       << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.tfcb").size(), 20u);  // header, no payload
+  EXPECT_EQ(Slurp(dir + "/metrics.tfcb").size(), kTfcbHeaderBytes);  // no payload
   ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb",
                                         dir + "/metrics.jsonl", &error))
       << error;
@@ -519,18 +633,129 @@ TEST(ExporterTest, ConverterRejectsMissingAndCorruptSpills) {
   EXPECT_NE(error.find("bad magic"), std::string::npos);
 
   {
-    // Valid magic/version but the header promises records that are not
-    // there: 1 series, 1 record, then a truncated body.
+    // Valid magic/version but the header promises a log that is not there:
+    // 1 series, 1 epoch, 1 tick, 1 change, then nothing after the epoch.
     std::ofstream f(dir + "/short.tfcb", std::ios::binary);
-    const unsigned char header[] = {'T', 'F', 'C', 'B', 1, 0, 0, 0,
-                                    1,   0,   0,   0,   1, 0, 0, 0,
-                                    0,   0,   0,   0};
+    const unsigned char header[] = {'T', 'F', 'C', 'B', 2, 0, 0, 0, 1, 0, 0,
+                                    0,   1,   0,   0,   0, 1, 0, 0, 0, 0, 0,
+                                    0,   0,   1,   0,   0, 0, 0, 0, 0, 0};
     f.write(reinterpret_cast<const char*>(header), sizeof header);
     f << "\x01" << std::string(3, '\0') << "q";  // name table: "q"
+    f << std::string(8, '\0') << "\x01" << std::string(7, '\0');  // epoch {0, [0]}
   }
   EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/short.tfcb",
                                          dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("record section"), std::string::npos);
+  EXPECT_NE(error.find("log sections are 0 bytes"), std::string::npos) << error;
+}
+
+// Two gauges a (constant 1) and b (2, then 3) watched in that order and
+// sampled at t=0 and t=10us: the smallest log with two series, and the
+// byte offsets of its fields in metrics.tfcb (pinned by the size check).
+struct TinyLog {
+  static constexpr size_t kVersion = 4;
+  static constexpr size_t kSeriesCount = 8;
+  static constexpr size_t kTickCount = 16;
+  static constexpr size_t kNameA = 32;       // u32 len, "a"
+  static constexpr size_t kNameB = 37;       // u32 len, "b"
+  static constexpr size_t kEpochFirst = 42;  // u64
+  static constexpr size_t kEpochWidth = 50;  // u32
+  static constexpr size_t kEpochSids = 54;   // 2 x u32
+  static constexpr size_t kTicks = 62;       // 2 x {i64 t, u64 end}
+  static constexpr size_t kSids = 94;        // 3 x u32
+  static constexpr size_t kSize = 130;       // + 3 x f64
+
+  static std::string Write(const std::string& dir) {
+    Scheduler sched;
+    MetricRegistry registry;
+    registry.AddGauge("a")->Set(1.0);
+    Gauge* b = registry.AddGauge("b");
+    b->Set(2.0);
+    TimeSeriesRecorder recorder(&sched, &registry);
+    recorder.Watch("a");
+    recorder.Watch("b");
+    recorder.Start(Microseconds(10));
+    sched.ScheduleAt(Microseconds(5), [b] { b->Set(3.0); });
+    sched.ScheduleAt(Microseconds(12), [] {});
+    sched.Run();
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/tiny.tfcb";
+    std::string error;
+    EXPECT_TRUE(recorder.log().Write(path, &error)) << error;
+    return path;
+  }
+};
+
+void Poke(std::string* bytes, size_t off, uint64_t v, size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    (*bytes)[off + i] = static_cast<char>(v >> (8 * i));
+  }
+}
+
+void Put(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(ExporterTest, LoadRejectsEveryTruncationAndTrailingBytes) {
+  const std::string dir = testing::TempDir() + "/telemetry_truncate";
+  const std::string path = TinyLog::Write(dir);
+  const std::string good = Slurp(path);
+  ASSERT_EQ(good.size(), TinyLog::kSize);
+  SeriesLog log;
+  std::string error;
+  ASSERT_TRUE(log.Load(path, &error)) << error;
+
+  const std::string cut = dir + "/cut.tfcb";
+  for (size_t n = 0; n < good.size(); ++n) {
+    Put(cut, good.substr(0, n));
+    EXPECT_FALSE(log.Load(cut, &error)) << "a " << n << "-byte prefix loaded";
+  }
+  Put(cut, good + '\0');
+  EXPECT_FALSE(log.Load(cut, &error));
+  // A failed Load leaves the last good log in place.
+  EXPECT_EQ(log.series_count(), 2u);
+  EXPECT_EQ(log.tick_count(), 2u);
+}
+
+TEST(ExporterTest, LoadRejectsInconsistentLogs) {
+  const std::string dir = testing::TempDir() + "/telemetry_inconsistent";
+  const std::string good = Slurp(TinyLog::Write(dir));
+  ASSERT_EQ(good.size(), TinyLog::kSize);
+  struct Case {
+    size_t off;
+    uint64_t value;
+    size_t width;
+    const char* error;
+  };
+  const Case cases[] = {
+      {TinyLog::kVersion, 1, 4, "unsupported TFCB version 1"},
+      // An oversized name table runs into the epoch table, whose zero
+      // first_tick reads as an empty third name.
+      {TinyLog::kSeriesCount, 0xffffffffu, 4, "series 2 has an empty name"},
+      {TinyLog::kNameB, 0xffff, 4, "truncated name table"},
+      {TinyLog::kNameA, 0, 4, "series 0 has an empty name"},
+      {TinyLog::kNameB + 4, 'a', 1, "duplicate series name a"},
+      {TinyLog::kEpochFirst, 1, 8, "epoch 0 starts at tick 1 of 2"},
+      {TinyLog::kEpochWidth, 0x7fffffffu, 4, "truncated epoch table"},
+      {TinyLog::kEpochSids + 4, 7, 4, "epoch 0 samples series 7 of 2"},
+      {TinyLog::kEpochSids + 4, 0, 4, "epoch 0 samples series 0 twice"},
+      {TinyLog::kTickCount, 1000, 8, "header promises 1000 ticks"},
+      {TinyLog::kTicks + 16, ~uint64_t{0}, 8, "tick 1 goes back in time"},
+      {TinyLog::kTicks + 8, 4, 8, "tick 0 ends its changes at 4"},
+      {TinyLog::kTicks + 24, 2, 8, "3 changes, but the last tick ends at 2"},
+      {TinyLog::kSids + 8, 5, 4, "change 2 stores series 5"},
+      {TinyLog::kSids + 4, 0, 4, "series b is sampled at tick 0 before it has a value"},
+  };
+  const std::string path = dir + "/bad.tfcb";
+  for (const Case& c : cases) {
+    std::string bytes = good;
+    Poke(&bytes, c.off, c.value, c.width);
+    Put(path, bytes);
+    SeriesLog log;
+    std::string error;
+    EXPECT_FALSE(log.Load(path, &error)) << c.error;
+    EXPECT_NE(error.find(c.error), std::string::npos)
+        << "want '" << c.error << "', got '" << error << "'";
+  }
 }
 
 TEST(ExporterTest, WriteFailureReportsError) {

@@ -52,10 +52,10 @@ Rules enforced (see docs/correctness.md):
   recorder-hot    the per-event recording hot paths must stay allocation-,
                   lookup-, and I/O-free. Three brace-matched scopes are
                   scanned: the telemetry sampler (TimeSeriesRecorder::Tick
-                  and SpillWriter::AppendRecord in
-                  src/sim/telemetry.cc — no std::map / unordered_map, no
-                  string-keyed lookups, no stream I/O; cold helpers like
-                  RebuildPlan and Flush do that work), the flight-recorder
+                  and SeriesLog::AppendTick in src/sim/telemetry.cc — no
+                  std::map / unordered_map, no string-keyed lookups, no
+                  stream I/O; cold helpers like RebuildPlan and
+                  SeriesLog::Write do that work), the flight-recorder
                   ring append (FlightRecorder::Record in src/sim/flight.h —
                   a masked store, so additionally no allocation or container
                   growth), and the trace emission path (Network::EmitTrace /
@@ -179,7 +179,7 @@ RECORDER_HOT_LOOKUP_BAN_RE = re.compile(
     r"\bstd::(?:map|unordered_map)\b"
     r"|\.(?:find|at)\s*\("
     r"|\.count\s*\(\s*[^)\s]"  # .count(key) lookups; .count() accessors are fine
-    r"|\bseries_\s*\["
+    r"|\bsid_by_name_\s*\["
 )
 RECORDER_HOT_APPEND_BAN_RE = re.compile(
     r"\bnew\b|\bmalloc\s*\(|\bstd::(?:map|unordered_map|string|vector)\b"
@@ -189,10 +189,10 @@ RECORDER_HOT_SCOPES = [
     (
         "src/sim/telemetry.cc",
         re.compile(
-            r"\b(?:TimeSeriesRecorder::Tick|SpillWriter::AppendRecord)\s*\("
+            r"\b(?:TimeSeriesRecorder::Tick|SeriesLog::AppendTick)\s*\("
         ),
         RECORDER_HOT_LOOKUP_BAN_RE,
-        "resolve in RebuildPlan / at Open time instead",
+        "resolve in RebuildPlan instead; write files in SeriesLog::Write",
     ),
     (
         "src/sim/flight.h",

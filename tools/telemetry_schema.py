@@ -9,16 +9,23 @@ Checks the files the exporter (src/sim/telemetry.cc) writes per run:
 
   manifest.json   object with schema_version == 2, git_describe,
                   created_unix / created_utc, and a "run" object.
-  metrics.tfcb    binary series spill: "TFCB" magic, u32 version (=1),
-                  u32 series_count, u64 record_count, interned name table
-                  ({u32 len, bytes} per series), then fixed-width
-                  {u32 series_id, u64 t_ns, f64 v} records (all little-
-                  endian). t_ns must be non-decreasing per series and ids
-                  must stay in range.
+  metrics.tfcb    the recorder's change-only log, spilled verbatim (all
+                  little-endian): "TFCB" magic, u32 version (=2),
+                  u32 series_count, u32 epoch_count, u64 tick_count,
+                  u64 change_count; a name table ({u32 len, bytes} per
+                  series, position = series id); epochs ({u64 first_tick,
+                  u32 width, width x u32 series id}); ticks ({i64 t_ns,
+                  u64 change_end}); change_count x u32 series ids; then
+                  change_count x f64 values. Names must be unique, epochs
+                  must start at tick 0 and move forward, ticks must not go
+                  back in time, their change ranges must tile the changes,
+                  every change must belong to a series its tick samples,
+                  and every sampled series must have a value by then.
   metrics.jsonl   optional converter output (`tfcsim --convert=RUN_DIR`):
                   one sample object {"t_ns", "name", "v"} per line; when
                   present its line count is cross-checked against the
-                  spill's record count.
+                  number of samples the spill stands for (every epoch
+                  series at every tick).
   summary.json    schema_version == 2 plus counters / gauges / histograms /
                   profile sections with the shapes documented in
                   docs/observability.md.
@@ -65,9 +72,12 @@ from pathlib import Path
 
 SCHEMA_VERSION = 2
 TFCB_MAGIC = b"TFCB"
-TFCB_VERSION = 1
-TFCB_HEADER = struct.Struct("<4sIIQ")   # magic, version, series, records
-TFCB_RECORD = struct.Struct("<IQd")     # series_id, t_ns, v
+TFCB_VERSION = 2
+TFCB_HEADER = struct.Struct("<4sIIIQQ")  # magic, version, series, epochs,
+                                         # ticks, changes
+TFCB_EPOCH = struct.Struct("<QI")        # first_tick, width
+TFCB_TICK = struct.Struct("<qQ")         # t_ns, change_end
+TFCB_CHANGE_BYTES = 4 + 8                # u32 series id + f64 value
 
 TFCT_MAGIC = b"TFCT"
 TFCT_VERSION = 1
@@ -129,13 +139,15 @@ def check_manifest(path: Path, ck: Checker) -> None:
 
 
 def check_metrics_tfcb(path: Path, ck: Checker) -> int:
-    """Validates the binary spill; returns its record count (or 0 on error)."""
+    """Validates the spilled log; returns the number of samples it stands
+    for (0 on error)."""
     where = str(path)
     data = path.read_bytes()
     if len(data) < TFCB_HEADER.size:
         ck.error(where, f"truncated header ({len(data)} bytes)")
         return 0
-    magic, version, series_count, record_count = TFCB_HEADER.unpack_from(data)
+    magic, version, series_count, epoch_count, tick_count, change_count = \
+        TFCB_HEADER.unpack_from(data)
     if not ck.expect(magic == TFCB_MAGIC, where, f"bad magic {magic!r}"):
         return 0
     if not ck.expect(version == TFCB_VERSION, where,
@@ -160,24 +172,76 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
         ck.expect(bool(name), where, f"name {i} must be non-empty")
         names.append(name)
         off += length
-    body = len(data) - off
-    if not ck.expect(body == record_count * TFCB_RECORD.size, where,
-                     f"record section is {body} bytes, header promises "
-                     f"{record_count * TFCB_RECORD.size}"):
-        return 0
-    last_t = {}  # series_id -> last t_ns
-    for i in range(record_count):
-        series_id, t_ns, _v = TFCB_RECORD.unpack_from(data, off)
-        off += TFCB_RECORD.size
-        if not ck.expect(series_id < series_count, where,
-                         f"record {i} names out-of-range series {series_id}"):
+    ck.expect(len(set(names)) == len(names), where, "series names must be unique")
+
+    epochs = []  # (first_tick, series ids)
+    for e in range(epoch_count):
+        if off + TFCB_EPOCH.size > len(data):
+            ck.error(where, f"truncated epoch table at epoch {e}")
             return 0
-        prev = last_t.get(series_id)
-        ck.expect(prev is None or t_ns >= prev, where,
-                  f"t_ns went backwards for series {names[series_id]!r}: "
-                  f"{prev} -> {t_ns}")
-        last_t[series_id] = t_ns
-    return record_count
+        first, width = TFCB_EPOCH.unpack_from(data, off)
+        off += TFCB_EPOCH.size
+        if off + 4 * width > len(data):
+            ck.error(where, f"truncated epoch table at epoch {e}")
+            return 0
+        sids = struct.unpack_from(f"<{width}I", data, off)
+        off += 4 * width
+        prev = epochs[-1][0] if epochs else None
+        if not ck.expect(first < tick_count and (first == 0 if prev is None else first > prev),
+                         where, f"epoch {e} starts at tick {first} of {tick_count}"):
+            return 0
+        if not ck.expect(all(s < series_count for s in sids) and len(set(sids)) == width,
+                         where, f"epoch {e} samples an unknown series or one twice"):
+            return 0
+        epochs.append((first, sids))
+    if not ck.expect(tick_count == 0 or epochs, where, "ticks without an epoch"):
+        return 0
+
+    body = len(data) - off
+    want = tick_count * TFCB_TICK.size + change_count * TFCB_CHANGE_BYTES
+    if not ck.expect(body == want, where,
+                     f"log sections are {body} bytes, header promises {want}"):
+        return 0
+    ticks = [TFCB_TICK.unpack_from(data, off + i * TFCB_TICK.size)
+             for i in range(tick_count)]
+    change_sids = struct.unpack_from(f"<{change_count}I", data,
+                                     off + tick_count * TFCB_TICK.size)
+    begin = 0
+    for i, (t_ns, end) in enumerate(ticks):
+        if i > 0 and not ck.expect(t_ns >= ticks[i - 1][0], where,
+                                   f"tick {i} goes back in time"):
+            return 0
+        if not ck.expect(begin <= end <= change_count, where,
+                         f"tick {i} ends its changes at {end}"):
+            return 0
+        begin = end
+    if not ck.expect(begin == change_count, where,
+                     f"{change_count} changes, but the last tick ends at {begin}"):
+        return 0
+
+    # Replay: each change belongs to a series its tick samples, and each
+    # sampled series has a value by the first tick of its epoch.
+    has_value = [False] * series_count
+    samples = 0
+    c = 0
+    for e, (first, sids) in enumerate(epochs):
+        end = epochs[e + 1][0] if e + 1 < len(epochs) else tick_count
+        members = set(sids)
+        samples += (end - first) * len(sids)
+        for i in range(first, end):
+            for sid in change_sids[c:ticks[i][1]]:
+                if not ck.expect(sid in members, where,
+                                 f"tick {i} stores series {sid}, which it does not sample"):
+                    return 0
+                has_value[sid] = True
+            c = ticks[i][1]
+            if i == first:
+                missing = [names[s] for s in sids if not has_value[s]]
+                if not ck.expect(not missing, where,
+                                 f"series {missing[:3]} sampled at tick {i} before "
+                                 "they have a value"):
+                    return 0
+    return samples
 
 
 def check_metrics_jsonl(path: Path, ck: Checker) -> int:

@@ -2,7 +2,8 @@
 # Local CI entry point — the same matrix .github/workflows/ci.yml runs.
 #
 #   ./ci.sh            full matrix: release, asan-ubsan, hardened, tsan, lint,
-#                      astlint, tidy, units, telemetry, trace, chaos, sweep
+#                      astlint, tidy, units, telemetry, trace, chaos, sweep,
+#                      perfbench
 #   ./ci.sh release    one leg by name
 #
 # Every leg must pass for the gate to be green. The sanitizer and hardened
@@ -246,6 +247,26 @@ leg_sweep() {
   echo "sweep: supervised+resumed outputs byte-identical to single runs"
 }
 
+# Benchmark outcome gate (perfbench/README.md): the benchmark's own smoke
+# test, then a short end-to-end run of every BENCHMARK.json workload. Each
+# repetition's simulated outcome is checked against perfbench/reference.json
+# (exact statistics for recorded seeds) and its invariants, so a core change
+# that alters what a Fig. 15/16-scale run computes fails here. Timings are
+# not gated.
+leg_perfbench() {
+  echo "=== [perfbench] smoke test + outcome check per workload ==="
+  python3 perfbench/smoke_test.py
+  local workload result
+  for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    echo "--- [perfbench] ${workload} ---"
+    result=$(python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 3 --trace 0 | tail -n 1)
+    echo "${result}"
+    python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}" || {
+      echo "perfbench: ${workload} failed its outcome check" >&2; return 1; }
+  done
+  echo "perfbench: every workload correct, 0 failed"
+}
+
 case "${1:-all}" in
   release)    leg_release ;;
   asan-ubsan) leg_asan_ubsan ;;
@@ -259,6 +280,7 @@ case "${1:-all}" in
   trace)      leg_trace ;;
   chaos)      leg_chaos ;;
   sweep)      leg_sweep ;;
+  perfbench)  leg_perfbench ;;
   all)
     leg_release
     leg_asan_ubsan
@@ -272,10 +294,11 @@ case "${1:-all}" in
     leg_trace
     leg_chaos
     leg_sweep
+    leg_perfbench
     echo "=== ci.sh: all legs green ==="
     ;;
   *)
-    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|units|telemetry|trace|chaos|sweep|all]" >&2
+    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|units|telemetry|trace|chaos|sweep|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -127,7 +127,7 @@ class Network : public FlightNames {
 
   // --- runtime invariant auditing (src/sim/audit.h) ---
   // Components register invariant callbacks here; the network itself
-  // registers the scheduler's event heap, the packet pool, and every port.
+  // registers the scheduler's event queue, the packet pool, and every port.
   AuditRegistry& audit() { return audit_registry_; }
 
   // Turns on periodic auditing: every `period` of simulated time (and once

@@ -11,7 +11,7 @@
 // run and once at teardown.
 //
 // An audit pass is O(live state) — it walks queues, free lists, and the
-// event heap — so it is off by default and enabled in the sanitizer /
+// event queue — so it is off by default and enabled in the sanitizer /
 // hardened CI presets (cmake -DTFC_AUDIT=ON, or the TFC_AUDIT=1 environment
 // variable; see docs/correctness.md). Failures abort with every violated
 // invariant listed, the same contract as TFC_CHECK.

@@ -171,7 +171,9 @@ bool FlightRecorder::Dump(const std::string& path,
                           std::string* error) const {
   std::vector<unsigned char> buf;
   buf.reserve(kTfctHeaderBytes + size() * kTfctRecordBytes);
-  buf.insert(buf.end(), kTfctMagic, kTfctMagic + 4);
+  for (const char c : kTfctMagic) {
+    buf.push_back(static_cast<unsigned char>(c));
+  }
   PutU32(&buf, kTfctVersion);
   PutU32(&buf, kTfctRecordBytes);
   PutU32(&buf, static_cast<uint32_t>(node_names.size()));

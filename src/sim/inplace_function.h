@@ -44,15 +44,15 @@ class InplaceFunction<R(Args...), Capacity> {
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned callables are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "callables must be nothrow-movable (the event heap moves "
-                  "them while sifting)");
+                  "callables must be nothrow-movable (the event queue moves "
+                  "them out of its slab on pop)");
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     ops_ = &OpsFor<Fn>::value;
   }
 
   // Constructs a callable in place, replacing the current one. Equivalent
   // to `*this = InplaceFunction(f)` without the intermediate object and its
-  // move — the event heap uses this to build callbacks directly in its slab.
+  // move — the event queue uses this to build callbacks directly in its slab.
   template <typename F,
             typename Fn = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<Fn, InplaceFunction> &&
@@ -64,8 +64,8 @@ class InplaceFunction<R(Args...), Capacity> {
     static_assert(alignof(Fn) <= alignof(std::max_align_t),
                   "over-aligned callables are not supported");
     static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "callables must be nothrow-movable (the event heap moves "
-                  "them while sifting)");
+                  "callables must be nothrow-movable (the event queue moves "
+                  "them out of its slab on pop)");
     Reset();
     ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
     ops_ = &OpsFor<Fn>::value;

@@ -6,12 +6,14 @@
 // monotonically increasing sequence number), which makes simulations fully
 // deterministic for a fixed seed.
 //
-// Engineering notes (see docs/perf.md): events live in an indexed 4-ary
-// heap (src/sim/event_heap.h) so Cancel is a true O(log n) removal — no
-// tombstone set that grows with every cancelled retransmission timer — and
-// callbacks are small-buffer-optimized move-only callables
-// (src/sim/inplace_function.h), so scheduling an event performs zero heap
-// allocations.
+// Engineering notes (see docs/perf.md): events live in a two-tier queue
+// (src/sim/event_queue.h). Events due within about 1 ms sit in a calendar
+// ring where push, pop and cancel are O(1); later ones (retransmission
+// timers) sit in an indexed heap where cancel is a true O(log n) removal —
+// no tombstone set that grows with every cancelled timer. Callbacks are
+// small-buffer-optimized move-only callables (src/sim/inplace_function.h),
+// built in place in the queue's slab, so scheduling an event performs zero
+// heap allocations.
 
 #ifndef SRC_SIM_SCHEDULER_H_
 #define SRC_SIM_SCHEDULER_H_
@@ -20,7 +22,7 @@
 
 #include "src/sim/audit.h"
 #include "src/sim/check.h"
-#include "src/sim/event_heap.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/inplace_function.h"
 #include "src/sim/time.h"
 
@@ -29,11 +31,12 @@ namespace tfc {
 class Scheduler {
  public:
   using Callback = InplaceFunction<void(), kDefaultInplaceCapacity>;
+  using Queue = EventQueue<Callback>;
 
   // Handle for a scheduled event; can be used to cancel it before it fires.
   // A default-constructed EventId is invalid and safe to Cancel (no-op), as
   // is the id of an event that has already fired or been cancelled.
-  using EventId = EventHeap<Callback>::Handle;
+  using EventId = Queue::Handle;
 
   Scheduler() = default;
   Scheduler(const Scheduler&) = delete;
@@ -43,11 +46,11 @@ class Scheduler {
 
   // Schedules `cb` to run at absolute time `t` (must be >= now()). Takes
   // the callable itself (not a pre-built Callback) so it can be constructed
-  // directly in the event heap's callback slab.
+  // directly in the event queue's callback slab.
   template <typename F>
   EventId ScheduleAt(TimeNs t, F&& cb) {
     TFC_CHECK_GE(t, now_);
-    return heap_.Push(t, ++next_seq_, std::forward<F>(cb));
+    return queue_.Push(t, ++next_seq_, std::forward<F>(cb));
   }
 
   // Schedules `cb` to run `delay` nanoseconds from now (delay >= 0).
@@ -76,13 +79,13 @@ class Scheduler {
 
   // Cancels a pending event. Returns true if the event was still pending.
   // Cancelling an already-fired, already-cancelled, or invalid id is a no-op.
-  bool Cancel(EventId id) { return heap_.Remove(id); }
+  bool Cancel(EventId id) { return queue_.Remove(id); }
 
   // Cancels a pending daemon event (one scheduled with ScheduleDaemonAfter).
   // The daemon counter is adjusted only when the event was actually removed,
   // so cancelling an already-fired daemon id is a safe no-op.
   bool CancelDaemon(EventId id) {
-    if (heap_.Remove(id)) {
+    if (queue_.Remove(id)) {
       TFC_DCHECK_GT(daemon_pending_, 0u);
       --daemon_pending_;
       return true;
@@ -93,16 +96,19 @@ class Scheduler {
   // Number of pending (non-cancelled) user events. Daemon events are
   // infrastructure (the invariant auditor's tick) and are excluded, so
   // "no leaked timers" assertions keep working with the auditor enabled.
-  size_t pending() const { return heap_.size() - daemon_pending_; }
+  size_t pending() const { return queue_.size() - daemon_pending_; }
 
   // Number of pending events including daemons.
-  size_t pending_total() const { return heap_.size(); }
+  size_t pending_total() const { return queue_.size(); }
 
   // Number of pending daemon events.
   size_t daemon_pending() const { return daemon_pending_; }
 
   // Total number of events executed so far.
   uint64_t executed() const { return executed_; }
+
+  // Push/pop/cancel counts per queue tier (ring vs far heap).
+  const Queue::TierCounts& queue_counts() const { return queue_.counts(); }
 
   // Runs until the event queue drains (daemon events excepted) or Stop()
   // is called.
@@ -126,13 +132,13 @@ class Scheduler {
   // Makes Run()/RunUntil() return after the current event completes.
   void Stop() { stopped_ = true; }
 
-  // Runtime-auditor hook: structural validation of the event heap plus the
-  // clock/queue relationship (no pending event may be in the past).
+  // Runtime-auditor hook: structural validation of both queue tiers plus
+  // the clock/queue relationship (no pending event may be in the past). The
+  // earliest event is looked up only in a queue that passed its own checks.
   void AuditInvariants(Auditor& audit) const {
-    if (!heap_.empty()) {
-      audit.CheckGe(heap_.top_time(), now_, "no pending event in the past");
+    if (queue_.AuditInvariants(audit) && !queue_.empty()) {
+      audit.CheckGe(queue_.top_time(), now_, "no pending event in the past");
     }
-    heap_.AuditInvariants(audit);
   }
 
  private:
@@ -142,12 +148,12 @@ class Scheduler {
   // always > now_ here — an eligible daemon would have been popped on an
   // earlier iteration).
   bool PopAndRunOne(TimeNs limit, bool drain_mode) {
-    if (heap_.empty() || heap_.top_time() > limit ||
-        (drain_mode && heap_.size() == daemon_pending_)) {
+    if (queue_.empty() || queue_.top_time() > limit ||
+        (drain_mode && queue_.size() == daemon_pending_)) {
       return false;
     }
     TimeNs t;
-    Callback cb = heap_.Pop(&t);
+    Callback cb = queue_.Pop(&t);
     TFC_DCHECK_GE(t, now_);
     now_ = t;
     ++executed_;
@@ -155,7 +161,7 @@ class Scheduler {
     return true;
   }
 
-  EventHeap<Callback> heap_;
+  Queue queue_;
   TimeNs now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;

@@ -631,7 +631,9 @@ bool SeriesLog::Write(const std::string& path, std::string* error) const {
     error = &local_error;
   }
   std::vector<unsigned char> head;  // header, name table and epoch table
-  head.insert(head.end(), kTfcbMagic, kTfcbMagic + sizeof kTfcbMagic);
+  for (const char c : kTfcbMagic) {
+    head.push_back(static_cast<unsigned char>(c));
+  }
   PutU32(head, kTfcbVersion);
   PutU32(head, static_cast<uint32_t>(names_.size()));
   PutU32(head, static_cast<uint32_t>(epochs_.size()));

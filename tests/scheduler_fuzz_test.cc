@@ -1,13 +1,18 @@
 // Differential scheduler fuzz: long random schedule/cancel/run-until op
 // sequences executed against a trivially-correct reference model (a sorted
 // std::multimap, which keeps equal keys in insertion order), asserting the
-// exact firing order matches event for event. This proves the indexed
-// 4-ary event heap equivalent to the obvious implementation, including the
-// FIFO tie-break that determinism depends on.
+// exact firing order matches event for event. This proves the two-tier event
+// queue (calendar ring + far heap, src/sim/event_queue.h) equivalent to the
+// obvious implementation, including the FIFO tie-break that determinism
+// depends on. The op mix reaches both tiers: delays up to several ring
+// spans, idle jumps that wrap the ring's bucket indices many times, cancels
+// in either tier, a far event and a later ring event at the same time, and
+// same-bucket bursts past the ring's walk cap.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <utility>
 #include <vector>
@@ -19,10 +24,11 @@
 namespace tfc {
 namespace {
 
-// Structural validation of the live heap (back-index consistency, heap
-// property, free-list integrity) — the fuzz driver runs it after every
-// run-until step, so any structural corruption is caught at the op that
-// introduced it rather than as a later firing-order divergence.
+// Structural validation of both queue tiers (bucket links and order, bitmap
+// agreement, far-heap order and back-index, free-list integrity) — the fuzz
+// loop runs it after every run-until step, so any structural corruption is
+// caught at the op that introduced it rather than as a later firing-order
+// divergence.
 void ExpectHeapStructurallyValid(const Scheduler& sched, int step, uint64_t seed) {
   AuditReport report;
   Auditor auditor(&report);
@@ -36,6 +42,10 @@ void ExpectHeapStructurallyValid(const Scheduler& sched, int step, uint64_t seed
 
 TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
   constexpr int kOpsPerSeed = 12000;  // acceptance floor is 10k random ops
+  constexpr TimeNs kSpan = Scheduler::Queue::kRingSpan;
+  constexpr TimeNs kWidth = Scheduler::Queue::kBucketWidth;
+  constexpr int kBurst = static_cast<int>(Scheduler::Queue::kWalkCap) + 4;
+  static_assert(kWidth.count() > kBurst, "a burst must fit in one bucket");
   for (uint64_t seed : {1u, 7u, 42u, 1234u, 99999u}) {
     Rng rng(seed);
     Scheduler sched;
@@ -49,8 +59,14 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
     std::vector<int> expected;
     int next_op = 0;
 
-    auto drain_model_until = [&](TimeNs horizon) {
-      while (!model.empty() && model.begin()->first <= horizon) {
+    auto schedule = [&](TimeNs at) {
+      const int op = next_op++;
+      auto id = sched.ScheduleAt(at, [op, &executed] { executed.push_back(op); });
+      model.emplace(at, op);
+      live.emplace(op, std::make_pair(at, id));
+    };
+    auto drain_model_until = [&](TimeNs t) {
+      while (!model.empty() && model.begin()->first <= t) {
         expected.push_back(model.begin()->second);
         live.erase(model.begin()->second);
         model.erase(model.begin());
@@ -58,16 +74,76 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
     };
 
     TimeNs horizon = 0;
+    // Runs to `t` and checks the firing order, pending count, clock and
+    // structure against the model.
+    auto run_until = [&](TimeNs t, int step) {
+      horizon = t;
+      sched.RunUntil(horizon);
+      drain_model_until(horizon);
+      ASSERT_EQ(executed, expected) << "divergence at step " << step
+                                    << " (seed " << seed << ")";
+      ASSERT_EQ(sched.pending(), model.size());
+      ASSERT_EQ(sched.now(), horizon);
+      ExpectHeapStructurallyValid(sched, step, seed);
+    };
+
+    int burst_overflows = 0;  // bursts that sent their tail to the far heap
+    int ring_twins = 0;       // same-time twins of a far event that landed in the ring
+
+    // Prologue, on the empty queue: pop at a bucket that is not the first of
+    // its bitmap word, then push one event into the span's last bucket (its
+    // index wraps to just below the popped one, in the same word) and one a
+    // few words later. The first-bucket search must skip the wrapped bits
+    // and fire the later-word event first.
+    {
+      const TimeNs pop_at = kWidth * (64 * rng.UniformInt(0, 200) + rng.UniformInt(1, 63));
+      schedule(pop_at);
+      run_until(pop_at, -1);
+      schedule(pop_at + kSpan - kWidth);
+      schedule(pop_at + kWidth * (64 * rng.UniformInt(1, 100)));
+      run_until(pop_at + kSpan, -1);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+
     for (int step = 0; step < kOpsPerSeed; ++step) {
       const double dice = rng.Uniform();
-      if (dice < 0.60 || live.empty()) {
-        // Schedule at a random future time (often colliding, to stress the
-        // FIFO tie-break).
-        const TimeNs at = horizon + rng.UniformInt(0, 500);
-        const int op = next_op++;
-        auto id = sched.ScheduleAt(at, [op, &executed] { executed.push_back(op); });
-        model.emplace(at, op);
-        live.emplace(op, std::make_pair(at, id));
+      if (dice < 0.45 || live.empty()) {
+        // Schedule at a random near-future time (often colliding, to stress
+        // the FIFO tie-break).
+        schedule(horizon + rng.UniformInt(0, 500));
+      } else if (dice < 0.60) {
+        // Delay log-uniform over [0, 4 ring spans]: mostly ring, some far.
+        const double hi = std::log(static_cast<double>(4 * kSpan.count()) + 1.0);
+        schedule(horizon + static_cast<int64_t>(std::exp(rng.Uniform(0.0, hi)) - 1.0));
+      } else if (dice < 0.62) {
+        // Burst in one bucket, latest first: every push after the first walks
+        // past all earlier ones, so the last few exceed the walk cap.
+        const TimeNs bucket =
+            kWidth * (horizon.count() / kWidth.count() + 1 + rng.UniformInt(0, 8));
+        const uint64_t far_before = sched.queue_counts().far_pushes;
+        for (int k = 0; k < kBurst; ++k) {
+          schedule(bucket + kWidth - TimeNs(1 + k));
+        }
+        // All kBurst go far when the bucket lies beyond the ring's span.
+        const uint64_t far = sched.queue_counts().far_pushes - far_before;
+        burst_overflows += far > 0 && far < kBurst ? 1 : 0;
+      } else if (dice < 0.63) {
+        // An event beyond the ring's span goes to the far heap. Then a pop
+        // half a span before it brings its time within the ring, and a twin
+        // pushed at the same time lands in the ring: the far one, pushed
+        // first, must still fire first.
+        const TimeNs at = horizon + kSpan + TimeNs(rng.UniformInt(0, 500));
+        schedule(at);
+        schedule(at - kSpan / 2);
+        run_until(at - kSpan / 2, step);
+        if (HasFatalFailure()) {
+          return;
+        }
+        const uint64_t ring_before = sched.queue_counts().ring_pushes;
+        schedule(at);
+        ring_twins += sched.queue_counts().ring_pushes > ring_before ? 1 : 0;
       } else if (dice < 0.80) {
         // Cancel a random live event.
         auto it = live.begin();
@@ -84,15 +160,15 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
         }
         live.erase(it);
       } else {
-        // Run forward a random amount and drain the model to match.
-        horizon += rng.UniformInt(0, 400);
-        sched.RunUntil(horizon);
-        drain_model_until(horizon);
-        ASSERT_EQ(executed, expected) << "divergence at step " << step
-                                      << " (seed " << seed << ")";
-        ASSERT_EQ(sched.pending(), model.size());
-        ASSERT_EQ(sched.now(), horizon);
-        ExpectHeapStructurallyValid(sched, step, seed);
+        // Run forward a random amount — now and then an idle jump past the
+        // ring's span — and drain the model to match.
+        run_until(horizon + (dice < 0.985 ? TimeNs(rng.UniformInt(0, 400))
+                                          : TimeNs(rng.UniformInt(kSpan.count(),
+                                                                  3 * kSpan.count()))),
+                  step);
+        if (HasFatalFailure()) {
+          return;
+        }
       }
     }
     sched.Run();
@@ -106,6 +182,15 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
     std::sort(sorted.begin(), sorted.end());
     EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
         << "an event executed twice (seed " << seed << ")";
+
+    // The op mix reached every path it is meant to.
+    const auto& c = sched.queue_counts();
+    EXPECT_GT(c.far_pops, 0u) << "seed " << seed;
+    EXPECT_GT(c.ring_cancels, 0u) << "seed " << seed;
+    EXPECT_GT(c.far_cancels, 0u) << "seed " << seed;
+    EXPECT_GT(burst_overflows, 0) << "seed " << seed;
+    EXPECT_GT(ring_twins, 0) << "seed " << seed;
+    EXPECT_GT(horizon, 50 * kSpan) << "seed " << seed;  // bucket indices wrapped
   }
 }
 
@@ -132,8 +217,8 @@ TEST(SchedulerFuzzTest, FifoOrderWithinEqualTimesSurvivesCancellations) {
 
 // Regression: cancelling an already-fired event used to insert a tombstone
 // and decrement the pending count, underflowing it (the count is a size_t)
-// and leaking the tombstone. The indexed heap detects the stale handle via
-// its generation counter and treats the cancel as the documented no-op.
+// and leaking the tombstone. The queue detects the stale handle via its
+// generation counter and treats the cancel as the documented no-op.
 TEST(SchedulerFuzzTest, CancelAfterFireIsANoOp) {
   Scheduler sched;
   int fired = 0;

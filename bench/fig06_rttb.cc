@@ -15,10 +15,10 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "src/sim/timer.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/persistent_flow.h"
-#include "src/workload/samplers.h"
 
 int main(int argc, char** argv) {
   using namespace tfc;

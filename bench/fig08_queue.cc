@@ -1,11 +1,10 @@
 // Fig. 8 — Queue length at the bottleneck under TFC / DCTCP / TCP.
 //
 // Setup (paper Sec. 6.1.2): H1 and H2 each start two long-lived flows to H3,
-// one flow every 3 seconds. The egress queue toward H3 is sampled — since
-// PR 3 through the telemetry recorder (src/sim/telemetry.h): the bench
-// watches the bottleneck port's registered "port.<node>.p<n>.queue_bytes"
-// gauge on the same cadence the bespoke QueueSampler used, so the numbers
-// in EXPERIMENTS.md reproduce from the recorder's series.
+// one flow every 3 seconds. The egress queue toward H3 is sampled through
+// the telemetry recorder (src/sim/telemetry.h): the bench watches the
+// bottleneck port's registered "port.<node>.p<n>.queue_bytes" gauge, so the
+// numbers in EXPERIMENTS.md reproduce from the recorder's series.
 //
 // Paper result: TFC keeps near-zero queue (spikes <= ~9 KB); DCTCP holds
 // ~30 KB around its marking threshold; TCP fills the whole 256 KB buffer.

@@ -9,12 +9,13 @@
 // varies around ~2 KB (about one packet) — TFC is work-conserving.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
 #include "src/workload/persistent_flow.h"
-#include "src/workload/samplers.h"
 
 int main(int argc, char** argv) {
   using namespace tfc;
@@ -44,8 +45,12 @@ int main(int argc, char** argv) {
 
   Port* s1_up = Network::FindPort(topo.s1, topo.s2);
   Port* s2_down = Network::FindPort(topo.s2, topo.h3);
-  QueueSampler q1(&net.scheduler(), s1_up, Milliseconds(1));
-  QueueSampler q2(&net.scheduler(), s2_down, Milliseconds(1));
+  const std::string q1_name = s1_up->metric_prefix() + ".queue_bytes";
+  const std::string q2_name = s2_down->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
+  recorder.Watch(q1_name);
+  recorder.Watch(q2_name);
+  recorder.Start(Milliseconds(1), /*first_delay=*/0);
 
   const TimeNs sample = quick ? Milliseconds(100) : Seconds(1.0);
   const int steps = quick ? 5 : 20;
@@ -80,10 +85,18 @@ int main(int argc, char** argv) {
     std::printf("  %-12s %6.1f Mbps per flow\n", labels[g],
                 sum / count[g] * 8.0 / ToSeconds(sample * steps) / 1e6);
   }
+  RunningStats q1;
+  RunningStats q2;
+  for (const TimeSeriesRecorder::Sample& s : recorder.Series(q1_name)) {
+    q1.Add(s.v);
+  }
+  for (const TimeSeriesRecorder::Sample& s : recorder.Series(q2_name)) {
+    q2.Add(s.v);
+  }
   std::printf("\nqueue stats: S1-up mean=%.2f KB max=%.2f KB | S2-down mean=%.2f KB "
               "max=%.2f KB | drops=%llu\n",
-              q1.stats.mean() / 1024.0, q1.stats.max() / 1024.0,
-              q2.stats.mean() / 1024.0, q2.stats.max() / 1024.0,
+              q1.mean() / 1024.0, q1.max() / 1024.0, q2.mean() / 1024.0,
+              q2.max() / 1024.0,
               static_cast<unsigned long long>(s1_up->drops() + s2_down->drops()));
   return 0;
 }

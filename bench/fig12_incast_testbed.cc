@@ -8,9 +8,11 @@
 // senders; DCTCP collapses beyond ~50 senders (queue near the buffer
 // limit); TCP collapses beyond ~10.
 
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
 #include "src/workload/incast.h"
 
@@ -41,13 +43,18 @@ Row RunOnce(tfc::Protocol protocol, int senders, bool quick) {
   IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
 
   Port* bottleneck = Network::FindPort(topo.sw, topo.hosts[0]);
-  RunningStats queue;
-  PeriodicTimer sampler(&net.scheduler(), [&] {
-    queue.Add(static_cast<double>(bottleneck->queue_bytes()));
-  });
-  sampler.Start(Microseconds(100));
+  const std::string queue_name = bottleneck->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
+  recorder.Watch(queue_name);
+  recorder.Start(Microseconds(100), /*first_delay=*/Microseconds(100));
   app.Start();
-  net.scheduler().RunUntil(Seconds(120));
+  // Drain-mode Run(): the recorder's ticks are daemon events, so the run
+  // (and the queue average) ends when the last round does.
+  net.scheduler().Run();
+  RunningStats queue;
+  for (const TimeSeriesRecorder::Sample& s : recorder.Series(queue_name)) {
+    queue.Add(s.v);
+  }
 
   return Row{app.goodput_bps() / 1e6, queue.mean() / 1024.0,
              static_cast<double>(bottleneck->max_queue_bytes()) / 1024.0,

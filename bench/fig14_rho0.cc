@@ -8,13 +8,14 @@
 // RTT fluctuations then have no headroom.
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "src/sim/telemetry.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/persistent_flow.h"
-#include "src/workload/samplers.h"
 
 namespace {
 
@@ -49,7 +50,10 @@ Row RunOnce(double rho0, bool quick) {
   const TimeNs measure = quick ? Milliseconds(200) : Seconds(2.0);
   net.scheduler().RunUntil(warmup);
   bottleneck->ResetMaxQueue();
-  QueueSampler sampler(&net.scheduler(), bottleneck, Microseconds(100));
+  const std::string queue_name = bottleneck->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
+  recorder.Watch(queue_name);
+  recorder.Start(Microseconds(100), /*first_delay=*/0);
   uint64_t before = 0;
   for (auto& f : flows) {
     before += f->delivered_bytes();
@@ -59,8 +63,12 @@ Row RunOnce(double rho0, bool quick) {
   for (auto& f : flows) {
     after += f->delivered_bytes();
   }
+  RunningStats queue;
+  for (const TimeSeriesRecorder::Sample& s : recorder.Series(queue_name)) {
+    queue.Add(s.v);
+  }
   return Row{static_cast<double>(after - before) * 8.0 / ToSeconds(measure) / 1e6,
-             sampler.stats.mean(),
+             queue.mean(),
              static_cast<double>(bottleneck->max_queue_bytes()) / 1024.0};
 }
 

@@ -103,14 +103,17 @@ leg_telemetry() {
   ./build/examples/tfcsim --workload=incast --protocol=tfc --topology=testbed \
       --senders=8 --block_kb=64 --rounds=5 \
       --telemetry-dir="${dir}" --telemetry-interval=500
-  # Decode the binary spill back to JSONL, then validate both (the schema
-  # checker cross-checks converted line count against the spill's records).
-  ./build/examples/tfcsim --convert="${dir}"
   python3 tools/telemetry_schema.py "${dir}"
-  # The run must actually contain the series the figures are built from.
+  # The run must actually contain the series the figures are built from;
+  # the names come from the schema checker's own metrics.tfcb parser.
   python3 - "${dir}" <<'EOF'
 import json, sys
-names = {json.loads(l)["name"] for l in open(sys.argv[1] + "/metrics.jsonl")}
+from pathlib import Path
+sys.path.insert(0, "tools")
+import telemetry_schema
+ck = telemetry_schema.Checker()
+names, _ = telemetry_schema.check_metrics_tfcb(Path(sys.argv[1]) / "metrics.tfcb", ck)
+assert not ck.errors, ck.errors
 want_prefixes = ("port.", "tfc.", "flow.")
 for p in want_prefixes:
     assert any(n.startswith(p) for n in names), f"no {p}* series recorded"
@@ -195,7 +198,9 @@ leg_chaos() {
 # (2) --resume must re-execute only the crashed run and go green;
 # (3) the recovered sweep must be byte-identical, run for run, to three
 #     plain single runs with the same seeds — supervision and resumption
-#     never change what a run computes.
+#     never change what a run computes. The workload is the randomized
+#     web-search benchmark, so different seeds give different spills and
+#     a seed mix-up cannot pass.
 # CI uploads build/sweep-smoke as the workflow's post-mortem artifact.
 leg_sweep() {
   echo "=== [sweep] supervised sweep: crash isolation + resume + identity ==="
@@ -203,8 +208,8 @@ leg_sweep() {
   cmake --build build -j "$(nproc)" --target tfcsim
   local dir=build/sweep-smoke
   rm -rf "${dir}"
-  local single=(--workload=incast --protocol=tfc --topology=testbed
-                --senders=6 --block_kb=64 --rounds=3 --trace-ring=16384)
+  local single=(--workload=benchmark --protocol=tfc --topology=testbed
+                --duration=0.05 --trace-ring=16384)
   local common=("${single[@]}" --seed=9 --sweep=3)
 
   echo "--- [sweep] one tripped run fails alone, siblings complete ---"
@@ -233,12 +238,20 @@ leg_sweep() {
   echo "sweep: resume completed only the missing run"
 
   echo "--- [sweep] recovered sweep == plain single runs ---"
+  if cmp -s "${dir}/supervised/run-0000/metrics.tfcb" \
+            "${dir}/supervised/run-0001/metrics.tfcb"; then
+    echo "sweep: seeds 9 and 10 gave identical spills; the comparison" \
+         "below could not catch a seed mix-up" >&2
+    return 1
+  fi
   local k run
   for k in 0 1 2; do
     run="run-000${k}"
     # Sweep repetition K runs seed 9+K; a single run at that seed must
-    # reproduce it byte for byte.
-    ./build/examples/tfcsim "${single[@]}" --seed="$((9 + k))" \
+    # reproduce it byte for byte. Sweep runs arm a 5 s watchdog by
+    # default, and its daemon ticks count in sim.events_executed, so the
+    # single runs arm the same one.
+    ./build/examples/tfcsim "${single[@]}" --seed="$((9 + k))" --watchdog=5 \
         --telemetry-dir="${dir}/clean/${run}" >/dev/null
     cmp "${dir}/supervised/${run}/metrics.tfcb" "${dir}/clean/${run}/metrics.tfcb"
     cmp "${dir}/supervised/${run}/summary.json" "${dir}/clean/${run}/summary.json"

@@ -21,7 +21,6 @@
 //   --force-audit-trip=US     fail an audit at US microseconds (testing)
 //   --telemetry-dir=DIR       write manifest.json/metrics.tfcb/summary.json
 //   --telemetry-interval=US   recorder sampling period in microseconds
-//   --convert=RUN_DIR         decode RUN_DIR/metrics.tfcb to RUN_DIR/metrics.jsonl
 //   --fault-spec=SPEC         inject faults (see src/net/fault.h), e.g.
 //                             drop=0.01,flap=5ms/500us,wipe=10ms,seed=7
 //   --sweep=N                 run N independent repetitions (seeds seed..seed+N-1)
@@ -29,16 +28,19 @@
 //   --retry=N --run-timeout=S --resume --backoff-ms=MS   supervised-sweep knobs
 //   --watchdog=S              per-run no-progress detector (sim seconds)
 
-#include <cmath>
+#include <algorithm>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "src/net/fault.h"
@@ -68,7 +70,6 @@ struct Options {
   uint64_t seed = 1;
   std::string trace_file;
   std::string telemetry_dir;
-  std::string convert_dir;
   std::string fault_spec;
   uint64_t telemetry_interval_us = 1000;
   int sweep = 1;
@@ -133,8 +134,6 @@ void PrintHelp() {
       "  --telemetry-dir=DIR       write a telemetry run directory\n"
       "                            (manifest.json, metrics.tfcb, summary.json)\n"
       "  --telemetry-interval=US   recorder sampling period (default 1000 us)\n"
-      "  --convert=RUN_DIR         decode RUN_DIR/metrics.tfcb into the legacy\n"
-      "                            RUN_DIR/metrics.jsonl and exit\n"
       "  --fault-spec=SPEC         deterministic fault schedule, e.g.\n"
       "                            drop=0.01,ge=0.02/0.3/0.5,flap=5ms/500us,\n"
       "                            wipe=10ms,host_down=4ms+1ms,seed=7\n"
@@ -157,14 +156,6 @@ void PrintHelp() {
       "                   (default: 5 in sweep mode, off single-run; 0 disables)");
 }
 
-// A seconds flag must convert to TimeNs without undefined behavior:
-// Seconds() casts s * 1e9 to int64_t, which is UB for NaN, +-inf, and any
-// value past ~292 years.
-bool FitsTimeNs(double s) {
-  const double ns = s * 1e9;
-  return std::isfinite(ns) && ns < 0x1p63 && ns >= -0x1p63;
-}
-
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
   const std::string prefix = std::string("--") + name + "=";
   if (std::strncmp(arg, prefix.c_str(), prefix.size()) == 0) {
@@ -172,6 +163,22 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
+}
+
+// Parses all of `text` as a base-10 integer in [lo, hi]. Unlike atoi, a
+// trailing "x" or a sign on an unsigned flag is an error, not 3 or a
+// wrapped-around rate.
+template <typename T>
+bool ParseInt(const std::string& text, std::type_identity_t<T> lo,
+              std::type_identity_t<T> hi, T* out) {
+  const char* end = text.data() + text.size();
+  T v{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 struct BuiltTopology {
@@ -524,10 +531,21 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Integer flag bounds: each value and what is derived from it must fit
+  // its type (senders + 1 hosts, block_kb * 1024 bytes, microseconds as
+  // int64 nanoseconds, ten times the edge rate for the leaf-spine core).
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr uint64_t kUint64Max = std::numeric_limits<uint64_t>::max();
+  constexpr uint64_t kMaxUs =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) / 1000;
+  constexpr uint64_t kMaxBlockKb =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) / 1024;
+  constexpr uint64_t kMaxGbps = kUint64Max / (10 * kGbps.count());
   Options opt;
   std::string value;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
+    bool ok = true;
     if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
       PrintHelp();
       return 0;
@@ -536,42 +554,41 @@ int main(int argc, char** argv) {
                ParseFlag(arg, "topology", &opt.topology) ||
                ParseFlag(arg, "trace", &opt.trace_file) ||
                ParseFlag(arg, "telemetry-dir", &opt.telemetry_dir) ||
-               ParseFlag(arg, "convert", &opt.convert_dir) ||
                ParseFlag(arg, "export-trace", &opt.export_trace_dir) ||
                ParseFlag(arg, "fault-spec", &opt.fault_spec)) {
       continue;
     } else if (ParseFlag(arg, "trace-ring", &value)) {
-      opt.trace_ring = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseInt(value, 0, FlightRecorder::kMaxCapacity, &opt.trace_ring);
     } else if (ParseFlag(arg, "force-audit-trip", &value)) {
-      opt.force_audit_trip_us = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseInt(value, 0, kMaxUs, &opt.force_audit_trip_us);
     } else if (ParseFlag(arg, "telemetry-interval", &value)) {
-      opt.telemetry_interval_us = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseInt(value, 1, kMaxUs, &opt.telemetry_interval_us);
     } else if (ParseFlag(arg, "senders", &value)) {
-      opt.senders = std::atoi(value.c_str());
+      ok = ParseInt(value, 1, kIntMax - 1, &opt.senders);
     } else if (ParseFlag(arg, "flows", &value)) {
-      opt.flows = std::atoi(value.c_str());
+      ok = ParseInt(value, 1, kIntMax - 1, &opt.flows);
     } else if (ParseFlag(arg, "block_kb", &value)) {
-      opt.block_kb = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseInt(value, 1, kMaxBlockKb, &opt.block_kb);
     } else if (ParseFlag(arg, "rounds", &value)) {
-      opt.rounds = std::atoi(value.c_str());
+      ok = ParseInt(value, 1, kIntMax, &opt.rounds);
     } else if (ParseFlag(arg, "duration", &value)) {
       opt.duration_s = std::atof(value.c_str());
     } else if (ParseFlag(arg, "gbps", &value)) {
-      opt.gbps = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseInt(value, 1, kMaxGbps, &opt.gbps);
     } else if (ParseFlag(arg, "seed", &value)) {
-      opt.seed = static_cast<uint64_t>(std::atoll(value.c_str()));
+      ok = ParseInt(value, 0, kUint64Max, &opt.seed);
     } else if (ParseFlag(arg, "sweep", &value)) {
-      opt.sweep = std::atoi(value.c_str());
+      ok = ParseInt(value, 1, kIntMax, &opt.sweep);
     } else if (ParseFlag(arg, "jobs", &value)) {
-      opt.jobs = std::atoi(value.c_str());
+      ok = ParseInt(value, 0, kIntMax, &opt.jobs);
     } else if (ParseFlag(arg, "retry", &value)) {
-      opt.retry = std::atoi(value.c_str());
+      ok = ParseInt(value, 0, kIntMax - 1, &opt.retry);  // 1 + retry attempts
     } else if (ParseFlag(arg, "run-timeout", &value)) {
       opt.run_timeout_s = std::atof(value.c_str());
     } else if (ParseFlag(arg, "backoff-ms", &value)) {
-      opt.backoff_ms = std::atoi(value.c_str());
+      ok = ParseInt(value, 1, kIntMax, &opt.backoff_ms);
     } else if (ParseFlag(arg, "trip-run", &value)) {
-      opt.trip_run = std::atoi(value.c_str());
+      ok = ParseInt(value, 0, kIntMax, &opt.trip_run);
     } else if (ParseFlag(arg, "watchdog", &value)) {
       opt.watchdog_s = std::atof(value.c_str());
     } else if (std::strcmp(arg, "--resume") == 0) {
@@ -580,19 +597,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown flag '%s' (try --help)\n", arg);
       return 1;
     }
-  }
-  if (!opt.convert_dir.empty()) {
-    // Offline converter mode: no simulation, just decode the binary spill
-    // back to the legacy JSONL for plotting scripts and diffing.
-    const std::string tfcb = opt.convert_dir + "/metrics.tfcb";
-    const std::string jsonl = opt.convert_dir + "/metrics.jsonl";
-    std::string error;
-    if (!tfc::ConvertMetricsTfcbToJsonl(tfcb, jsonl, &error)) {
-      std::fprintf(stderr, "convert failed: %s\n", error.c_str());
+    if (!ok) {
+      std::fprintf(stderr, "bad value in '%s' (try --help)\n", arg);
       return 1;
     }
-    std::printf("converted %s -> %s\n", tfcb.c_str(), jsonl.c_str());
-    return 0;
   }
   if (!opt.export_trace_dir.empty()) {
     // Offline exporter mode: no simulation, just render DIR/flight.tfct into
@@ -607,17 +615,15 @@ int main(int argc, char** argv) {
                 opt.export_trace_dir.c_str());
     return 0;
   }
-  if (!FitsTimeNs(opt.duration_s) || !FitsTimeNs(opt.watchdog_s) ||
-      !FitsTimeNs(opt.run_timeout_s)) {
+  // Seconds flags go through Seconds(), so each must fit int64 nanoseconds.
+  if (!FitsTimeNs(opt.duration_s * 1e9) || !FitsTimeNs(opt.watchdog_s * 1e9) ||
+      !FitsTimeNs(opt.run_timeout_s * 1e9)) {
     std::fprintf(stderr, "--duration/--watchdog/--run-timeout must be finite "
                          "and fit int64 nanoseconds\n");
     return 1;
   }
-  if (opt.senders < 1 || opt.flows < 1 || opt.rounds < 1 || opt.gbps < 1 ||
-      opt.duration_s <= 0 || opt.telemetry_interval_us < 1 || opt.sweep < 1 ||
-      opt.jobs < 0 || opt.retry < 0 || opt.run_timeout_s < 0 ||
-      opt.backoff_ms < 1) {
-    std::fprintf(stderr, "numeric flags must be positive\n");
+  if (opt.duration_s <= 0 || opt.run_timeout_s < 0) {
+    std::fprintf(stderr, "--duration must be positive, --run-timeout not negative\n");
     return 1;
   }
   if (opt.sweep > 1 && !opt.trace_file.empty()) {

@@ -1,7 +1,9 @@
 #include "src/net/fault.h"
 
+#include <charconv>
 #include <cstdlib>
 #include <limits>
+#include <system_error>
 #include <utility>
 
 #include "src/net/host.h"
@@ -47,7 +49,7 @@ bool ParseDouble(const std::string& s, double* out) {
 
 bool ParseProb(const std::string& s, double* out) {
   double v = 0.0;
-  if (!ParseDouble(s, &v) || v < 0.0 || v > 1.0) {
+  if (!ParseDouble(s, &v) || !(v >= 0.0 && v <= 1.0)) {  // rejects NaN too
     return false;
   }
   *out = v;
@@ -75,8 +77,8 @@ bool ParseDuration(const std::string& s, TimeNs* out) {
     strip(1);
   }
   double v = 0.0;
-  if (!ParseDouble(num, &v) || v < 0.0) {
-    return false;
+  if (!ParseDouble(num, &v) || !(v >= 0.0) || !FitsTimeNs(v * scale)) {
+    return false;  // negative, NaN, inf, or past int64 nanoseconds
   }
   *out = static_cast<TimeNs>(v * scale);
   return true;
@@ -127,9 +129,10 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out, std::string* erro
     } else if (key == "stop") {
       ok = ParseDuration(val, &spec.profile.active_until);
     } else if (key == "seed") {
-      char* end = nullptr;
-      spec.seed = std::strtoull(val.c_str(), &end, 10);
-      ok = !val.empty() && end == val.c_str() + val.size();
+      // from_chars, unlike strtoull, rejects a sign, spaces and overflow.
+      const char* end = val.data() + val.size();
+      const auto [ptr, ec] = std::from_chars(val.data(), end, spec.seed);
+      ok = ec == std::errc() && ptr == end;
     } else {
       *error = "fault-spec: unknown key '" + key + "'";
       return false;
@@ -140,7 +143,7 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out, std::string* erro
     }
   }
   if (spec.profile.reorder_prob > 0 && spec.profile.reorder_max_delay == 0) {
-    *error = "fault-spec: reorder needs reorder_delay > 0";
+    *error = "fault-spec: 'reorder' needs 'reorder_delay' > 0";
     return false;
   }
   *out = spec;

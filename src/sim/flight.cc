@@ -151,6 +151,7 @@ const char* FlightEventName(FlightEventType t) {
 FlightRecorder::~FlightRecorder() { DisarmPostMortem(); }
 
 void FlightRecorder::Arm(size_t capacity) {
+  TFC_CHECK_LE(capacity, kMaxCapacity);
   size_t rounded = kMinCapacity;
   while (rounded < capacity) {
     rounded <<= 1;

@@ -159,6 +159,8 @@ class FlightNames {
 class FlightRecorder {
  public:
   static constexpr size_t kMinCapacity = 64;
+  // 2^30 events (40 GiB): rounding up to a power of two cannot overflow.
+  static constexpr size_t kMaxCapacity = size_t{1} << 30;
 
   FlightRecorder() = default;
   FlightRecorder(const FlightRecorder&) = delete;
@@ -166,7 +168,8 @@ class FlightRecorder {
   ~FlightRecorder();  // unregisters any post-mortem hook
 
   // Preallocates the ring (capacity rounded up to a power of two, minimum
-  // kMinCapacity) and starts recording. Re-arming resets the ring.
+  // kMinCapacity; more than kMaxCapacity aborts) and starts recording.
+  // Re-arming resets the ring.
   void Arm(size_t capacity);
   void Disarm();
   bool armed() const { return armed_; }

@@ -42,14 +42,7 @@ class Rng {
     return std::exponential_distribution<double>(1.0 / mean)(engine_);
   }
 
-  // Lognormal parameterized by the mean and sigma of the underlying normal.
-  double Lognormal(double mu, double sigma) {
-    return std::lognormal_distribution<double>(mu, sigma)(engine_);
-  }
-
   bool Bernoulli(double p) { return Uniform() < p; }
-
-  std::mt19937_64& engine() { return engine_; }
 
  private:
   std::mt19937_64 engine_;

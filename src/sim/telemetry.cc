@@ -21,20 +21,6 @@
 
 namespace tfc {
 
-const char* MetricKindName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kCounter:
-      return "counter";
-    case MetricKind::kGauge:
-      return "gauge";
-    case MetricKind::kCallbackGauge:
-      return "callback_gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // Histogram
 // ---------------------------------------------------------------------------
@@ -74,46 +60,46 @@ MetricRegistry::Entry& MetricRegistry::Insert(std::string name, MetricKind kind,
     TFC_CHECK_MSG(replace, "duplicate metric name: " << it->first);
     // Re-claim: drop the displaced entry (std::map node stability keeps
     // every other metric pointer valid) and rebuild it fresh.
-    ReleaseId(it->second);
     std::string key = it->first;
     entries_.erase(it);
     it = entries_.try_emplace(std::move(key)).first;
   }
   it->second.kind = kind;
   it->second.owner = owner;
-  AssignId(it->second);
+  ++generation_;
   return it->second;
 }
 
-void MetricRegistry::AssignId(Entry& e) {
-  if (!free_ids_.empty()) {
-    e.id = free_ids_.back();
-    free_ids_.pop_back();
-    by_id_[e.id] = &e;
-  } else {
-    e.id = static_cast<MetricId>(by_id_.size());
-    by_id_.push_back(&e);
-  }
+void MetricRegistry::Erase(std::map<std::string, Entry>::iterator it) {
+  entries_.erase(it);
   ++generation_;
 }
 
-void MetricRegistry::ReleaseId(Entry& e) {
-  if (e.id != kInvalidMetricId) {
-    by_id_[e.id] = nullptr;
-    free_ids_.push_back(e.id);
-    e.id = kInvalidMetricId;
+bool MetricRegistry::Compile(Entry& e, CompiledRead* out) {
+  switch (e.kind) {
+    case MetricKind::kCounter:
+      out->fn = [](void* p) {
+        return static_cast<double>(static_cast<Counter*>(p)->value());
+      };
+      out->obj = &e.counter;
+      return true;
+    case MetricKind::kGauge:
+      out->fn = [](void* p) { return static_cast<Gauge*>(p)->value(); };
+      out->obj = &e.gauge;
+      return true;
+    case MetricKind::kCallbackGauge:
+      out->fn = e.fn.raw_invoke();
+      out->obj = e.fn.raw_storage();
+      return out->fn != nullptr;
+    case MetricKind::kHistogram:
+      return false;
   }
-  ++generation_;
+  return false;
 }
 
-MetricId MetricRegistry::IdOf(const std::string& name) const {
+bool MetricRegistry::CompileRead(const std::string& name, CompiledRead* out) {
   auto it = entries_.find(name);
-  return it != entries_.end() ? it->second.id : kInvalidMetricId;
-}
-
-MetricKind MetricRegistry::KindOfId(MetricId id) const {
-  TFC_CHECK(id < by_id_.size() && by_id_[id] != nullptr);
-  return by_id_[id]->kind;
+  return it != entries_.end() && Compile(it->second, out);
 }
 
 Counter* MetricRegistry::AddCounter(std::string name) {
@@ -141,39 +127,24 @@ Histogram* MetricRegistry::AddHistogram(std::string name) {
 void MetricRegistry::Unregister(const std::string& name) {
   auto it = entries_.find(name);
   if (it != entries_.end()) {
-    ReleaseId(it->second);
-    entries_.erase(it);
+    Erase(it);
   }
 }
 
 void MetricRegistry::UnregisterOwned(const std::string& name, uint64_t token) {
   auto it = entries_.find(name);
   if (it != entries_.end() && it->second.owner == token) {
-    ReleaseId(it->second);
-    entries_.erase(it);
+    Erase(it);
   }
 }
 
 bool MetricRegistry::Read(const std::string& name, double* out) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
+  CompiledRead read;
+  if (!CompileRead(name, &read)) {
     return false;
   }
-  Entry& e = it->second;
-  switch (e.kind) {
-    case MetricKind::kCounter:
-      *out = static_cast<double>(e.counter.value());
-      return true;
-    case MetricKind::kGauge:
-      *out = e.gauge.value();
-      return true;
-    case MetricKind::kCallbackGauge:
-      *out = e.fn();
-      return true;
-    case MetricKind::kHistogram:
-      return false;
-  }
-  return false;
+  *out = read.fn(read.obj);
+  return true;
 }
 
 const Histogram* MetricRegistry::FindHistogram(const std::string& name) const {
@@ -182,14 +153,6 @@ const Histogram* MetricRegistry::FindHistogram(const std::string& name) const {
     return nullptr;
   }
   return it->second.hist;
-}
-
-const Histogram* MetricRegistry::FindHistogram(MetricId id) const {
-  if (id >= by_id_.size() || by_id_[id] == nullptr ||
-      by_id_[id]->kind != MetricKind::kHistogram) {
-    return nullptr;
-  }
-  return by_id_[id]->hist;
 }
 
 void MetricRegistry::AuditInvariants(Auditor& audit) {
@@ -288,7 +251,7 @@ void TimeSeriesRecorder::Stop() {
 }
 
 // Cold path, runs only when the registry generation moved (or on the first
-// tick): resolves watches and prefixes to (id, series) pairs in the exact
+// tick): compiles watches and prefixes to (read, series) pairs in the exact
 // order the pre-plan Tick sampled them — exact watches in insertion order,
 // then prefix matches in registry name order minus the exact names — so
 // stateful callback gauges see an identical read sequence.
@@ -297,22 +260,17 @@ void TimeSeriesRecorder::RebuildPlan() {
   plan_reads_.clear();
   plan_sids_.clear();
   for (const std::string& name : watches_) {
-    const MetricId id = registry_->IdOf(name);
-    if (id == kInvalidMetricId ||
-        registry_->KindOfId(id) == MetricKind::kHistogram) {
-      // A watched metric that has disappeared (component destroyed mid-run)
-      // silently stops extending its series; distributions export via
-      // summary.json, not as series.
-      continue;
+    MetricRegistry::CompiledRead read;
+    // A watched metric that has disappeared (component destroyed mid-run)
+    // silently stops extending its series; distributions export via
+    // summary.json, not as series.
+    if (registry_->CompileRead(name, &read)) {
+      AddPlanEntry(name, read);
     }
-    AddPlanEntry(name, id);
   }
   if (!prefixes_.empty()) {
-    registry_->ForEachMetric(
-        [this](const std::string& name, MetricKind kind, MetricId id) {
-          if (kind == MetricKind::kHistogram) {
-            return;
-          }
+    registry_->ForEachRead(
+        [this](const std::string& name, MetricRegistry::CompiledRead read) {
           bool matched = false;
           for (const std::string& p : prefixes_) {
             if (name.compare(0, p.size(), p) == 0) {
@@ -324,20 +282,15 @@ void TimeSeriesRecorder::RebuildPlan() {
               std::find(watches_.begin(), watches_.end(), name) != watches_.end()) {
             return;  // not watched, or already planned via the exact-name list
           }
-          AddPlanEntry(name, id);
+          AddPlanEntry(name, read);
         });
   }
   plan_generation_ = registry_->generation();
   log_.BeginEpoch(plan_sids_);
 }
 
-void TimeSeriesRecorder::AddPlanEntry(const std::string& name, MetricId id) {
-  MetricRegistry::CompiledRead read;
-  if (!registry_->CompileReadId(id, &read)) {
-    // Defensive (the callers exclude histograms and dead ids): an
-    // unreadable metric records nothing.
-    return;
-  }
+void TimeSeriesRecorder::AddPlanEntry(const std::string& name,
+                                      MetricRegistry::CompiledRead read) {
   auto it = sid_by_name_.find(name);
   if (it == sid_by_name_.end()) {
     it = sid_by_name_.emplace(name, log_.AddSeries(name)).first;
@@ -463,32 +416,6 @@ std::vector<SeriesLog::Sample> SeriesLog::Samples(uint32_t sid) const {
       }
       if (sampled) {
         out.push_back(Sample{ticks_[i].t, v});
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<SeriesLog::Sample>> SeriesLog::DecodeAll() const {
-  std::vector<uint64_t> counts(names_.size(), 0);
-  for (size_t e = 0; e < epochs_.size(); ++e) {
-    for (uint32_t sid : epochs_[e].sids) {
-      counts[sid] += EpochEnd(e) - epochs_[e].first_tick;
-    }
-  }
-  std::vector<std::vector<Sample>> out(names_.size());
-  for (size_t sid = 0; sid < out.size(); ++sid) {
-    out[sid].reserve(counts[sid]);
-  }
-  std::vector<double> value(names_.size(), 0.0);  // latest stored, by sid
-  uint64_t c = 0;
-  for (size_t e = 0; e < epochs_.size(); ++e) {
-    for (uint64_t i = epochs_[e].first_tick; i < EpochEnd(e); ++i) {
-      for (; c < ticks_[i].change_end; ++c) {
-        value[change_sids_[c]] = change_values_[c];
-      }
-      for (uint32_t sid : epochs_[e].sids) {
-        out[sid].push_back(Sample{ticks_[i].t, value[sid]});
       }
     }
   }
@@ -828,45 +755,6 @@ bool SeriesLog::Load(const std::string& path, std::string* error) {
   return true;
 }
 
-namespace {
-
-bool WriteJsonl(const SeriesLog& log, const std::string& jsonl_path, std::string* error) {
-  std::ofstream out(jsonl_path, std::ios::trunc);
-  if (!out) {
-    *error = "cannot open " + jsonl_path;
-    return false;
-  }
-  log.ForEachSeries([&out](const std::string& name,
-                           const std::vector<SeriesLog::Sample>& samples) {
-    // Byte-compatible with the legacy exporter line:
-    //   {"t_ns": T, "name": "...", "v": V}
-    const std::string quoted = Quoted(name);
-    for (const SeriesLog::Sample& s : samples) {
-      out << "{\"t_ns\": " << s.t.count() << ", \"name\": " << quoted
-          << ", \"v\": " << JsonNumber(s.v) << "}\n";
-    }
-  });
-  out.flush();
-  if (!out) {
-    *error = "write failed: " + jsonl_path;
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
-                               const std::string& jsonl_path,
-                               std::string* error) {
-  std::string local_error;
-  if (error == nullptr) {
-    error = &local_error;
-  }
-  SeriesLog log;
-  return log.Load(tfcb_path, error) && WriteJsonl(log, jsonl_path, error);
-}
-
 // ---------------------------------------------------------------------------
 // RunManifest
 // ---------------------------------------------------------------------------
@@ -958,8 +846,8 @@ bool WriteManifest(const std::string& path, const RunManifest& manifest,
     std::strftime(utc, sizeof utc, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
   }
   f << "{\n";
-  // v2: metrics.tfcb (binary spill) replaced metrics.jsonl as the recorded
-  // format; everything else is unchanged.
+  // v2: series are recorded in the binary metrics.tfcb (v1 wrote them as
+  // JSON lines); everything else is unchanged.
   f << "  \"schema_version\": 2,\n";
   f << "  \"git_describe\": " << Quoted(GitDescribe()) << ",\n";
   f << "  \"created_unix\": " << static_cast<int64_t>(now) << ",\n";

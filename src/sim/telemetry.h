@@ -13,27 +13,27 @@
 //                    gauges invert the flow: components expose an existing
 //                    member (queue_bytes_, token_bytes_) through a pull
 //                    function, so instrumented hot paths pay nothing at all
-//                    until somebody actually samples. Registration also
-//                    interns a dense MetricId: sampling loops read through
-//                    the id (flat-vector index), never the name.
+//                    until somebody actually samples. A sampling loop reads
+//                    through a CompiledRead — one indirect call — never the
+//                    name.
 //
 //   TimeSeriesRecorder  samples watched metrics on a fixed cadence into a
 //                    change-only SeriesLog through a *compiled sample
-//                    plan*: watch names and prefixes resolve to (MetricId,
-//                    series) pairs once, re-resolved only when the registry
-//                    generation changes, so a tick touches no strings and
-//                    no maps. Ticks are *daemon* events
+//                    plan*: watch names and prefixes resolve to (compiled
+//                    read, series) pairs once, re-resolved only when the
+//                    registry generation changes, so a tick touches no
+//                    strings and no maps. Ticks are *daemon* events
 //                    (Scheduler::ScheduleDaemonAfter), so an attached
 //                    recorder never keeps Run() alive and never perturbs
-//                    "no leaked timers" pending() assertions.
+//                    "no leaked timers" pending() assertions. Read series
+//                    in-process with TimeSeriesRecorder::Series, offline
+//                    with SeriesLog::Load + SeriesLog::Samples.
 //
 //   Run exporter     writes a per-run directory: manifest.json (what ran),
 //                    metrics.tfcb (the recorder's SeriesLog, spilled
 //                    verbatim), summary.json (final snapshot of every
-//                    metric + profiler sites). ConvertMetricsTfcbToJsonl
-//                    (exposed as `tfcsim --convert`) renders the spill back
-//                    to the PR-3 metrics.jsonl byte-compatibly. Formats are
-//                    documented in docs/observability.md and validated by
+//                    metric + profiler sites). Formats are documented in
+//                    docs/observability.md and validated by
 //                    tools/telemetry_schema.py in CI.
 //
 // The registry lives on the Network (Network::metrics()) next to the audit
@@ -164,18 +164,6 @@ enum class MetricKind : uint8_t {
   kHistogram,
 };
 
-const char* MetricKindName(MetricKind kind);
-
-// Dense interned handle for a registered metric: an index into the
-// registry's flat id table, assigned at registration. Id-indexed reads are
-// the sampling hot path — one bounds check, one vector index, one kind
-// switch; no string, no map. An id freed by Unregister may be reused by a
-// later registration, and every register/unregister bumps the registry
-// generation, so consumers caching ids (the recorder's sample plan)
-// re-resolve exactly when the mapping can have changed.
-using MetricId = uint32_t;
-inline constexpr MetricId kInvalidMetricId = ~static_cast<MetricId>(0);
-
 // Registry of named metrics. Registration and lookup are cold-path (map by
 // name); the returned pointers are stable for the metric's lifetime, so hot
 // paths touch only the metric object. Duplicate names abort (TFC_CHECK):
@@ -210,74 +198,20 @@ class MetricRegistry {
   // absent names return false). Non-const: callback gauges may be stateful.
   bool Read(const std::string& name, double* out);
 
-  // Id-indexed Read: the sampling hot path. Freed slots, out-of-range ids,
-  // and histograms return false. Ids stay valid while generation() is
-  // unchanged.
-  bool ReadId(MetricId id, double* out) {
-    if (id >= by_id_.size() || by_id_[id] == nullptr) {
-      return false;
-    }
-    Entry& e = *by_id_[id];
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        *out = static_cast<double>(e.counter.value());
-        return true;
-      case MetricKind::kGauge:
-        *out = e.gauge.value();
-        return true;
-      case MetricKind::kCallbackGauge:
-        *out = e.fn();
-        return true;
-      case MetricKind::kHistogram:
-        return false;
-    }
-    return false;
-  }
-
   // A read compiled all the way down: one indirect call through `fn(obj)`
   // with the kind dispatch resolved at compile-the-plan time instead of per
-  // sample. Valid under the same contract as ids — until generation()
-  // changes.
+  // sample. Valid until generation() changes.
   struct CompiledRead {
     double (*fn)(void*);
     void* obj;
   };
 
-  // Compiles a live counter/gauge/callback id to a direct read. Histograms,
-  // freed slots, and empty callbacks return false (cold path).
-  bool CompileReadId(MetricId id, CompiledRead* out) {
-    if (id >= by_id_.size() || by_id_[id] == nullptr) {
-      return false;
-    }
-    Entry& e = *by_id_[id];
-    switch (e.kind) {
-      case MetricKind::kCounter:
-        out->fn = [](void* p) {
-          return static_cast<double>(static_cast<Counter*>(p)->value());
-        };
-        out->obj = &e.counter;
-        return true;
-      case MetricKind::kGauge:
-        out->fn = [](void* p) { return static_cast<Gauge*>(p)->value(); };
-        out->obj = &e.gauge;
-        return true;
-      case MetricKind::kCallbackGauge:
-        out->fn = e.fn.raw_invoke();
-        out->obj = e.fn.raw_storage();
-        return out->fn != nullptr;
-      case MetricKind::kHistogram:
-        return false;
-    }
-    return false;
-  }
+  // Compiles a counter, gauge or callback gauge to a direct read (cold
+  // path). Absent names, histograms and empty callbacks return false.
+  bool CompileRead(const std::string& name, CompiledRead* out);
 
-  // Resolves a name to its interned id (cold path; kInvalidMetricId when
-  // absent), and the kind of a live id (precondition: id is live).
-  MetricId IdOf(const std::string& name) const;
-  MetricKind KindOfId(MetricId id) const;
-
-  // Bumped on every register and unregister. Consumers holding resolved ids
-  // (the recorder's compiled sample plan) re-resolve when this changes.
+  // Bumped on every register and unregister. Consumers holding compiled
+  // reads (the recorder's sample plan) recompile when this changes.
   uint64_t generation() const { return generation_; }
 
   // Visits every metric in name order: fn(name, kind). Use Read /
@@ -289,17 +223,20 @@ class MetricRegistry {
     }
   }
 
-  // Like ForEachName but also hands out the interned id: fn(name, kind, id).
-  // Plan builders use this to resolve prefix watches in one ordered pass.
+  // Visits every readable metric (see CompileRead) in name order with its
+  // compiled read: fn(name, read). Plan builders resolve prefix watches in
+  // this one ordered pass.
   template <typename Fn>
-  void ForEachMetric(Fn&& fn) const {
-    for (const auto& [name, entry] : entries_) {
-      fn(name, entry.kind, entry.id);
+  void ForEachRead(Fn&& fn) {
+    for (auto& [name, entry] : entries_) {
+      CompiledRead read;
+      if (Compile(entry, &read)) {
+        fn(name, read);
+      }
     }
   }
 
   const Histogram* FindHistogram(const std::string& name) const;
-  const Histogram* FindHistogram(MetricId id) const;
 
   // Runtime-auditor hook: every counter must be monotone between audit
   // passes (a shrinking counter means double-release or reset-in-flight).
@@ -316,29 +253,24 @@ class MetricRegistry {
     Histogram* hist = nullptr;  // kHistogram (owned; ~8 KB, heap-allocated)
     uint64_t last_audited = 0;  // monotonicity watermark for counters
     uint64_t owner = 0;         // ScopedMetrics token; 0 = direct registration
-    MetricId id = kInvalidMetricId;  // dense slot in by_id_
     ~Entry();
     Entry() : kind(MetricKind::kCounter) {}
     Entry(Entry&&) = delete;
   };
 
   // `replace` re-claims an existing name (dropping the previous entry)
-  // instead of aborting; only ScopedMetrics exposes it.
+  // instead of aborting; only ScopedMetrics exposes it. Insert and Erase
+  // bump generation_ so cached plans recompile.
   Entry& Insert(std::string name, MetricKind kind, uint64_t owner, bool replace);
+  void Erase(std::map<std::string, Entry>::iterator it);
 
-  // Id bookkeeping: both bump generation_ so cached plans re-resolve.
-  void AssignId(Entry& e);
-  void ReleaseId(Entry& e);
+  static bool Compile(Entry& e, CompiledRead* out);
 
   uint64_t NewOwnerToken() { return next_owner_token_++; }
 
   // std::map: stable node addresses (metric pointers survive unrelated
   // inserts/erases) and deterministic name-ordered iteration for exports.
   std::map<std::string, Entry> entries_;
-  // Dense id -> entry; nullptr marks a freed slot awaiting reuse. Entry
-  // addresses are map-node stable, so these pointers survive churn.
-  std::vector<Entry*> by_id_;
-  std::vector<MetricId> free_ids_;
   uint64_t generation_ = 1;  // starts above the recorder's "no plan" zero
   uint64_t next_owner_token_ = 1;
 };
@@ -435,16 +367,6 @@ class SeriesLog {
   // One series' samples, oldest first (empty when never sampled).
   std::vector<Sample> Samples(uint32_t sid) const;
 
-  // Visits every (name, samples oldest-first) pair in name order. Decodes
-  // the whole log into per-series copies first: an offline reader's tool.
-  template <typename Fn>
-  void ForEachSeries(Fn&& fn) const {
-    const std::vector<std::vector<Sample>> by_sid = DecodeAll();
-    for (uint32_t sid : SidsByName()) {
-      fn(names_[sid], by_sid[sid]);
-    }
-  }
-
   // Writes metrics.tfcb (format below); false with *error on I/O failure.
   bool Write(const std::string& path, std::string* error) const;
   // Replaces this log with the one stored at `path`. Rejects, with the
@@ -458,7 +380,6 @@ class SeriesLog {
   uint64_t EpochEnd(size_t e) const {
     return e + 1 < epochs_.size() ? epochs_[e + 1].first_tick : ticks_.size();
   }
-  std::vector<std::vector<Sample>> DecodeAll() const;
   std::vector<uint32_t> SidsByName() const;
   void GrowChanges(size_t need);
 
@@ -485,8 +406,8 @@ class SeriesLog {
 // extending its series.
 //
 // Ticks run off a compiled sample plan: watches and prefixes resolve once
-// to (MetricId, series id) pairs, re-resolved only when the registry
-// generation changes, so the per-tick cost is an id-indexed read plus a
+// to (compiled read, series id) pairs, re-resolved only when the registry
+// generation changes, so the per-tick cost is one indirect call plus a
 // compare per watched metric — no string compares, no map lookups.
 class TimeSeriesRecorder {
  public:
@@ -541,7 +462,7 @@ class TimeSeriesRecorder {
  private:
   void Tick();
   void RebuildPlan();
-  void AddPlanEntry(const std::string& name, MetricId id);
+  void AddPlanEntry(const std::string& name, MetricRegistry::CompiledRead read);
 
   Scheduler* scheduler_;
   MetricRegistry* registry_;
@@ -553,9 +474,8 @@ class TimeSeriesRecorder {
   SeriesLog log_;
   // The compiled plan, as two parallel arrays: the tick loop streams the
   // reads (call `fn(obj)`), and the sids name the series each read feeds —
-  // the log's epoch. Compiled reads share the id contract: valid until the
-  // registry generation moves, which forces a rebuild before the next
-  // sample.
+  // the log's epoch. Compiled reads are valid until the registry
+  // generation moves, which forces a rebuild before the next sample.
   std::vector<MetricRegistry::CompiledRead> plan_reads_;
   std::vector<uint32_t> plan_sids_;
   uint64_t plan_generation_ = 0;  // registry generation the plan matches;
@@ -587,20 +507,10 @@ class Profiler;
 //   values   change_count x f64
 //
 // Every series of a tick's epoch has a sample at that tick: its latest
-// stored value. The converter re-emits the legacy metrics.jsonl
-// byte-compatibly (same samples, same shortest-round-trip formatting).
+// stored value. SeriesLog::Load + SeriesLog::Samples read it back.
 inline constexpr char kTfcbMagic[4] = {'T', 'F', 'C', 'B'};
 inline constexpr uint32_t kTfcbVersion = 2;
 inline constexpr size_t kTfcbHeaderBytes = 32;
-
-// Offline converter: decodes `tfcb_path` and writes the legacy JSONL
-// (`{"t_ns": ..., "name": ..., "v": ...}` per line, grouped by series in
-// name order) to `jsonl_path`, byte-compatible with the pre-binary
-// exporter. Returns false and fills *error on decode or I/O failure.
-// Exposed via `tfcsim --convert=RUN_DIR`.
-bool ConvertMetricsTfcbToJsonl(const std::string& tfcb_path,
-                               const std::string& jsonl_path,
-                               std::string* error);
 
 // Ordered key/value description of what ran (workload, protocol, topology,
 // seeds, flags). Values keep their JSON type; the exporter adds
@@ -628,8 +538,7 @@ const std::string& GitDescribe();
 // Writes the per-run directory (created if needed):
 //   dir/manifest.json   schema_version, git describe, timestamps, manifest
 //   dir/metrics.tfcb    the recorder's log, verbatim (header-only when
-//                       recorder is null); convert to JSONL with
-//                       tfcsim --convert
+//                       recorder is null)
 //   dir/summary.json    final value of every registry metric, histogram
 //                       percentiles, and profiler sites (profiler may be null)
 // Returns false and fills *error on filesystem failure. Formats are stable

@@ -30,7 +30,6 @@
 #ifndef SRC_SIM_THREAD_ANNOTATIONS_H_
 #define SRC_SIM_THREAD_ANNOTATIONS_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -104,11 +103,6 @@ class TFC_CAPABILITY("mutex") Mutex {
 
   void Lock() TFC_ACQUIRE() { mu_.lock(); }
   void Unlock() TFC_RELEASE() { mu_.unlock(); }
-  bool TryLock() TFC_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-
-  // For CondVar::Wait only: the analysis treats the wait as keeping the
-  // capability held, which matches condition_variable semantics.
-  std::mutex& native_handle() { return mu_; }
 
  private:
   std::mutex mu_;
@@ -128,31 +122,6 @@ class TFC_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex* mu_;
-};
-
-// Condition variable paired with tfc::Mutex. Wait takes the predicate form
-// only — bare waits invite the spurious-wakeup bugs that
-// bugprone-spuriously-wake-up-functions exists to catch.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  template <typename Predicate>
-  void Wait(Mutex* mu, Predicate pred) TFC_REQUIRES(mu) {
-    // The analysis cannot see through unique_lock's adopt/release dance, but
-    // the capability is genuinely held on entry and exit.
-    std::unique_lock<std::mutex> lock(mu->native_handle(), std::adopt_lock);
-    cv_.wait(lock, std::move(pred));
-    lock.release();  // ownership stays with the caller's MutexLock
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace tfc

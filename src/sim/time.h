@@ -30,6 +30,12 @@ constexpr TimeNs Seconds(double s) {
   return TimeNs(s * static_cast<double>(kSecond.count()));
 }
 
+// Whether `ns`, a nanosecond count held in a double, converts to TimeNs
+// without undefined behavior: the cast is undefined for NaN, +-inf, and any
+// value outside int64 (about +-292 years). Check `s * 1e9` before calling
+// Seconds(s) on untrusted input.
+constexpr bool FitsTimeNs(double ns) { return ns >= -0x1p63 && ns < 0x1p63; }
+
 // Conversions to floating-point seconds, for statistics and printing.
 constexpr double ToSeconds(TimeNs t) {
   return static_cast<double>(t.count()) / static_cast<double>(kSecond.count());

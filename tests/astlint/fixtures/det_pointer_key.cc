@@ -15,7 +15,7 @@ class FaultMap {
  private:
   std::map<Port*, int> by_port_;          // VIOLATION det-pointer-key
   std::unordered_set<const Port*> seen_;  // VIOLATION det-pointer-key
-  std::map<int, Port*> by_id_;            // clean: int key, pointer value
+  std::map<int, Port*> ports_by_id_;      // clean: int key, pointer value
 };
 
 using PortQueue = std::priority_queue<Port*>;  // VIOLATION det-pointer-key

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/dctcp/dctcp.h"
 #include "src/net/network.h"
+#include "src/sim/stats.h"
+#include "src/sim/telemetry.h"
 #include "src/workload/persistent_flow.h"
-#include "src/workload/samplers.h"
 
 namespace tfc {
 namespace {
@@ -37,15 +40,22 @@ TEST(DctcpTest, QueueStabilizesNearMarkingThreshold) {
   Port* bottleneck = Network::FindPort(d.s, d.b);
   d.net.scheduler().RunUntil(Seconds(1.0));  // warm up
   bottleneck->ResetMaxQueue();
-  QueueSampler sampler(&d.net.scheduler(), bottleneck, Microseconds(100));
+  const std::string queue_name = bottleneck->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&d.net.scheduler(), &d.net.metrics());
+  recorder.Watch(queue_name);
+  recorder.Start(Microseconds(100), /*first_delay=*/0);
   d.net.scheduler().RunUntil(Seconds(3.0));
-  sampler.Stop();
+  recorder.Stop();
+  RunningStats queue;
+  for (const TimeSeriesRecorder::Sample& s : recorder.Series(queue_name)) {
+    queue.Add(s.v);
+  }
 
   // Paper Fig. 8: DCTCP holds the queue around K (~30 KB), far below the
   // 256 KB buffer that TCP fills.
-  EXPECT_LT(sampler.stats.max(), 100'000.0);
-  EXPECT_GT(sampler.stats.mean(), 1'000.0);
-  EXPECT_LT(sampler.stats.mean(), 60'000.0);
+  EXPECT_LT(queue.max(), 100'000.0);
+  EXPECT_GT(queue.mean(), 1'000.0);
+  EXPECT_LT(queue.mean(), 60'000.0);
 }
 
 TEST(DctcpTest, AlphaConvergesBelowOneUnderMildCongestion) {

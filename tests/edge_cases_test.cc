@@ -1,19 +1,21 @@
 // Assorted edge cases across layers: speed mismatches, flow-control
-// limits, sampler arithmetic, and boundary conditions that integration
+// limits, queue sampling, and boundary conditions that integration
 // scenarios don't isolate.
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/net/network.h"
+#include "src/sim/stats.h"
+#include "src/sim/telemetry.h"
 #include "src/tcp/tcp.h"
 #include "src/tfc/endpoints.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/incast.h"
-#include "src/workload/samplers.h"
 
 namespace tfc {
 namespace {
@@ -134,31 +136,16 @@ TEST(IncastEdgeTest, SingleSenderSingleRound) {
   EXPECT_EQ(app.flows()[0]->delivered_bytes(), 64u * 1024u);
 }
 
-TEST(SamplerTest, GoodputSamplerRateArithmetic) {
-  // Feed the sampler a synthetic counter advancing 1250 bytes per 10 us:
-  // exactly 1 Gbps.
-  Network net(98);
-  uint64_t counter = 0;
-  PeriodicTimer feeder(&net.scheduler(), [&] { counter += 1250; });
-  feeder.Start(Microseconds(10));
-  GoodputSampler sampler(
-      &net.scheduler(), [&] { return counter; }, Milliseconds(1));
-  net.scheduler().RunUntil(Milliseconds(10));
-  sampler.Stop();
-  feeder.Stop();
-  EXPECT_EQ(sampler.series.size(), 10u);
-  for (double v : sampler.series.v) {
-    EXPECT_NEAR(v, 1e9, 1e7);
-  }
-}
-
-TEST(SamplerTest, QueueSamplerTracksInstantaneousDepth) {
+TEST(SamplerTest, RecordedQueueTracksInstantaneousDepth) {
   Network net(99);
   Host* a = net.AddHost("a");
   Host* b = net.AddHost("b");
   net.Link(a, b, kGbps, Microseconds(5));
   net.BuildRoutes();
-  QueueSampler sampler(&net.scheduler(), a->nic(), Microseconds(5));
+  const std::string queue_name = a->nic()->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
+  recorder.Watch(queue_name);
+  recorder.Start(Microseconds(5), /*first_delay=*/0);
   // Enqueue 10 full frames at t=0; they drain at 12.3 us each.
   for (int i = 0; i < 10; ++i) {
     PacketPtr pkt = std::make_unique<Packet>();
@@ -170,9 +157,15 @@ TEST(SamplerTest, QueueSamplerTracksInstantaneousDepth) {
     a->nic()->Enqueue(std::move(pkt));
   }
   net.scheduler().RunUntil(Milliseconds(1));
-  sampler.Stop();
-  EXPECT_NEAR(sampler.stats.max(), 10.0 * 1518, 1600.0);
-  EXPECT_EQ(sampler.series.v.back(), 0.0);  // drained by the end
+  recorder.Stop();
+  const std::vector<TimeSeriesRecorder::Sample> series = recorder.Series(queue_name);
+  RunningStats queue;
+  for (const TimeSeriesRecorder::Sample& s : series) {
+    queue.Add(s.v);
+  }
+  EXPECT_NEAR(queue.max(), 10.0 * 1518, 1600.0);
+  ASSERT_FALSE(series.empty());
+  EXPECT_EQ(series.back().v, 0.0);  // drained by the end
 }
 
 TEST(TfcEdgeTest, AckOnlyReversePortNeverComputesSlots) {

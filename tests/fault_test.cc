@@ -10,6 +10,7 @@
 
 #include "src/net/fault.h"
 #include "src/net/network.h"
+#include "src/sim/random.h"
 #include "src/tfc/endpoints.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
@@ -529,15 +530,134 @@ TEST(FaultSpecTest, BareNumbersAreNanoseconds) {
 }
 
 TEST(FaultSpecTest, RejectsMalformedInput) {
-  FaultSpec spec;
-  std::string error;
-  EXPECT_FALSE(FaultSpec::Parse("bogus=1", &spec, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(FaultSpec::Parse("drop=1.5", &spec, &error));  // prob > 1
-  EXPECT_FALSE(FaultSpec::Parse("drop=abc", &spec, &error));
-  EXPECT_FALSE(FaultSpec::Parse("reorder=0.1", &spec, &error));  // needs delay
-  EXPECT_FALSE(FaultSpec::Parse("ge=0.1/0.2", &spec, &error));   // 3 fields
-  EXPECT_FALSE(FaultSpec::Parse("wipe=10xs", &spec, &error));    // bad suffix
+  struct Case {
+    const char* spec;
+    const char* key;  // the error must quote it
+  };
+  const Case cases[] = {
+      {"drop=1.5", "drop"},  // prob > 1
+      {"drop=abc", "drop"},
+      {"reorder=0.1", "reorder_delay"},  // needs a delay
+      {"wipe=10xs", "wipe"},             // bad suffix
+      // NaN, infinite and overflowing probabilities.
+      {"drop=nan", "drop"},
+      {"drop=inf", "drop"},
+      {"drop=1e400", "drop"},
+      {"dup=nan", "dup"},
+      {"dup=-inf", "dup"},
+      {"reorder=nan", "reorder"},
+      {"reorder=inf", "reorder"},
+      {"ge=nan/0.3/0.5", "ge"},
+      {"ge=0.02/inf/0.5", "ge"},
+      {"ge=0.02/0.3/1e999", "ge"},
+      // NaN, infinite and overflowing durations: 2^63 ns is one past int64.
+      {"reorder_delay=nan", "reorder_delay"},
+      {"reorder_delay=inf", "reorder_delay"},
+      {"reorder_delay=9223372036854775808", "reorder_delay"},
+      {"flap=nan/1ms", "flap"},
+      {"flap=1ms/infus", "flap"},
+      {"flap=1e300s/1ms", "flap"},
+      {"wipe=nan", "wipe"},
+      {"wipe=inf", "wipe"},
+      {"wipe=1e10s", "wipe"},
+      {"host_down=nanms+1ms", "host_down"},
+      {"host_down=1ms+inf", "host_down"},
+      {"host_down=1ms+1e17ms", "host_down"},
+      {"start=nan", "start"},
+      {"start=inf", "start"},
+      {"start=9.3e18", "start"},
+      {"stop=nans", "stop"},
+      {"stop=1e300s", "stop"},
+      {"seed=18446744073709551616", "seed"},
+      {"seed=-1", "seed"},
+      // Empty values and trailing garbage.
+      {"drop=", "drop"},
+      {"wipe=", "wipe"},
+      {"seed=", "seed"},
+      {"ge=//", "ge"},
+      {"drop=0.1x", "drop"},
+      {"wipe=10ms ", "wipe"},
+      {"wipe=10 ms", "wipe"},
+      {"stop=5msms", "stop"},
+      {"seed=7x", "seed"},
+      // The wrong number of '/' or '+' parts.
+      {"ge=0.1/0.2", "ge"},
+      {"ge=0.1/0.2/0.3/0.4", "ge"},
+      {"flap=5ms", "flap"},
+      {"flap=5ms/1ms/1ms", "flap"},
+      {"host_down=4ms", "host_down"},
+      {"host_down=4ms+1ms+1ms", "host_down"},
+      // An unknown key, and a missing '='.
+      {"bogus=1", "bogus"},
+      {"drop=0.1,drop", "drop"},
+  };
+  for (const Case& c : cases) {
+    FaultSpec spec;
+    std::string error;
+    EXPECT_FALSE(FaultSpec::Parse(c.spec, &spec, &error)) << c.spec;
+    EXPECT_NE(error.find(std::string("'") + c.key + "'"), std::string::npos)
+        << c.spec << " -> " << error;
+  }
+}
+
+TEST(FaultSpecTest, MutatedValidSpecsParseOrFail) {
+  // Random edits of valid specs: every input either parses into a spec
+  // with probabilities in [0, 1] and non-negative durations, or fails with
+  // an error. Under the asan-ubsan preset this also proves no input
+  // reaches an undefined double -> int64 cast.
+  const std::string valid[] = {
+      "drop=0.01,dup=0.002,reorder=0.005,reorder_delay=20us,ge=0.02/0.3/0.5",
+      "flap=5ms/500us,wipe=10ms,host_down=4ms+1ms,start=1ms,stop=50ms,seed=7",
+      "wipe=1500,seed=18446744073709551615",
+  };
+  const std::string tokens[] = {"nan", "inf", "1e300", "-", "9223372036854775808",
+                                "e", ",", "=", "/", "+", "s", "ms", "us", ""};
+  Rng rng(15);
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+  };
+  size_t parsed = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string s = valid[pick(std::size(valid))];
+    for (int edits = 1 + static_cast<int>(pick(3)); edits > 0; --edits) {
+      const size_t pos = pick(s.size() + 1);
+      switch (pick(3)) {
+        case 0:  // insert a token
+          s.insert(pos, tokens[pick(std::size(tokens))]);
+          break;
+        case 1:  // delete a byte
+          if (pos < s.size()) {
+            s.erase(pos, 1);
+          }
+          break;
+        default:  // overwrite a byte with a digit
+          if (pos < s.size()) {
+            s[pos] = static_cast<char>('0' + pick(10));
+          }
+          break;
+      }
+    }
+    FaultSpec spec;
+    std::string error;
+    if (!FaultSpec::Parse(s, &spec, &error)) {
+      EXPECT_FALSE(error.empty()) << s;
+      continue;
+    }
+    ++parsed;
+    const FaultProfile& p = spec.profile;
+    for (double prob : {p.drop_prob, p.dup_prob, p.reorder_prob, p.ge_enter_bad,
+                        p.ge_exit_bad, p.ge_drop_bad}) {
+      EXPECT_TRUE(prob >= 0.0 && prob <= 1.0) << s;
+    }
+    for (TimeNs t : {p.reorder_max_delay, p.active_from, p.active_until, spec.flap_mean_up,
+                     spec.flap_mean_down, spec.wipe_period, spec.host_down_at,
+                     spec.host_down_for}) {
+      EXPECT_GE(t, 0) << s;
+    }
+  }
+  // The loop exercises both outcomes.
+  EXPECT_GT(parsed, 1000u);
+  EXPECT_LT(parsed, 19000u);
 }
 
 TEST(FaultSpecTest, AppliedSpecDisruptsButFlowsComplete) {

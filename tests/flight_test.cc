@@ -59,6 +59,15 @@ TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwoWithFloor) {
   EXPECT_EQ(rec.capacity(), static_cast<size_t>(1) << 12);
 }
 
+TEST(FlightRecorderDeathTest, ArmAbortsPastTheCapacityBound) {
+  // Unbounded, the power-of-two rounding wraps to 0 for a capacity past
+  // 2^63 (the loop never ends) and asks for 2^63 events just below it.
+  FlightRecorder rec;
+  EXPECT_DEATH(rec.Arm(FlightRecorder::kMaxCapacity + 1), "capacity <= kMaxCapacity");
+  EXPECT_DEATH(rec.Arm(~size_t{0}), "capacity <= kMaxCapacity");
+  EXPECT_FALSE(rec.armed());
+}
+
 TEST(FlightRecorderTest, RingWrapsAndForEachWalksOldestFirst) {
   FlightRecorder rec;
   rec.Arm(64);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -119,38 +120,41 @@ TEST(ScopedMetricsTest, ReplaceOnCollisionHandsOverOwnership) {
   EXPECT_FALSE(registry.Has("shared"));
 }
 
-TEST(MetricRegistryTest, IdIndexedReadsAndGenerationTracking) {
+TEST(MetricRegistryTest, CompiledReadsAndGenerationTracking) {
   MetricRegistry registry;
   const uint64_t gen0 = registry.generation();
   Counter* c = registry.AddCounter("c");
   registry.AddHistogram("h");
+  registry.AddGauge("b")->Set(5.0);
   EXPECT_GT(registry.generation(), gen0);  // registration bumps
 
-  const MetricId c_id = registry.IdOf("c");
-  const MetricId h_id = registry.IdOf("h");
-  ASSERT_NE(c_id, kInvalidMetricId);
-  EXPECT_EQ(registry.IdOf("missing"), kInvalidMetricId);
-  EXPECT_EQ(registry.KindOfId(c_id), MetricKind::kCounter);
-
+  MetricRegistry::CompiledRead read;
+  ASSERT_TRUE(registry.CompileRead("c", &read));
   c->Add(42);
-  double v = 0;
-  ASSERT_TRUE(registry.ReadId(c_id, &v));
-  EXPECT_DOUBLE_EQ(v, 42.0);
-  EXPECT_FALSE(registry.ReadId(h_id, &v));  // histograms are not scalars
-  EXPECT_EQ(registry.FindHistogram(h_id), registry.FindHistogram("h"));
-  EXPECT_EQ(registry.FindHistogram(c_id), nullptr);
+  EXPECT_DOUBLE_EQ(read.fn(read.obj), 42.0);
+  EXPECT_FALSE(registry.CompileRead("h", &read));  // histograms are not scalars
+  EXPECT_FALSE(registry.CompileRead("missing", &read));
 
-  // Unregister frees the slot (reads fail) and bumps the generation; a
-  // later registration may reuse the id, which is why consumers re-resolve
-  // on generation change.
+  // The ordered pass hands out the same reads, by name, minus histograms.
+  std::vector<std::string> seen;
+  registry.ForEachRead([&seen](const std::string& name, MetricRegistry::CompiledRead r) {
+    seen.push_back(name + "=" + std::to_string(static_cast<int>(r.fn(r.obj))));
+  });
+  EXPECT_EQ(seen, (std::vector<std::string>{"b=5", "c=42"}));
+
+  // Unregister and re-claim both bump the generation, which is what tells
+  // holders of compiled reads to recompile.
   const uint64_t gen1 = registry.generation();
   registry.Unregister("c");
   EXPECT_GT(registry.generation(), gen1);
-  EXPECT_FALSE(registry.ReadId(c_id, &v));
-  registry.AddGauge("g2")->Set(5.0);
-  EXPECT_EQ(registry.IdOf("g2"), c_id);  // freed id reused
-  ASSERT_TRUE(registry.ReadId(c_id, &v));
-  EXPECT_DOUBLE_EQ(v, 5.0);
+  EXPECT_FALSE(registry.CompileRead("c", &read));
+  ScopedMetrics owner(&registry);
+  owner.set_replace_on_collision(true);
+  const uint64_t gen2 = registry.generation();
+  owner.AddGauge("b")->Set(7.0);
+  EXPECT_GT(registry.generation(), gen2);
+  ASSERT_TRUE(registry.CompileRead("b", &read));
+  EXPECT_DOUBLE_EQ(read.fn(read.obj), 7.0);
 }
 
 TEST(MetricRegistryTest, CounterMonotonicityAudit) {
@@ -487,7 +491,9 @@ TEST(ExporterTest, SpillLoadsBackToTheRecordedLog) {
   EXPECT_EQ(loaded.change_count(), recorder.log().change_count());
   EXPECT_EQ(loaded.sample_count(), recorder.total_samples());
   ASSERT_EQ(loaded.series_count(), 3u);
+  std::vector<std::string> names;
   for (uint32_t sid = 0; sid < loaded.series_count(); ++sid) {
+    names.push_back(loaded.name(sid));
     const std::vector<SeriesLog::Sample> want = recorder.Series(loaded.name(sid));
     const std::vector<SeriesLog::Sample> got = loaded.Samples(sid);
     ASSERT_EQ(got.size(), want.size()) << loaded.name(sid);
@@ -496,13 +502,7 @@ TEST(ExporterTest, SpillLoadsBackToTheRecordedLog) {
       EXPECT_EQ(Bits(got[i].v), Bits(want[i].v));
     }
   }
-  // ForEachSeries decodes the same samples, in name order.
-  std::vector<std::string> names;
-  loaded.ForEachSeries(
-      [&](const std::string& name, const std::vector<SeriesLog::Sample>& samples) {
-        names.push_back(name);
-        EXPECT_EQ(samples.size(), recorder.Series(name).size()) << name;
-      });
+  std::sort(names.begin(), names.end());
   EXPECT_EQ(names, recorder.SeriesNames());
 }
 
@@ -562,14 +562,18 @@ TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
                                 &error))
       << error;
 
-  // The binary spill decodes back to the exact bytes the pre-tfcb JSONL
-  // exporter produced: same line format, same number rendering.
-  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb",
-                                        dir + "/metrics.jsonl", &error))
-      << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.jsonl"),
-            "{\"t_ns\": 0, \"name\": \"queue\", \"v\": 0}\n"
-            "{\"t_ns\": 10000, \"name\": \"queue\", \"v\": 1500}\n");
+  // The spill loads back to the recorded samples: the t=0 baseline and the
+  // value at the 10 us tick.
+  SeriesLog loaded;
+  ASSERT_TRUE(loaded.Load(dir + "/metrics.tfcb", &error)) << error;
+  ASSERT_EQ(loaded.series_count(), 1u);
+  EXPECT_EQ(loaded.name(0), "queue");
+  const std::vector<SeriesLog::Sample> samples = loaded.Samples(0);
+  ASSERT_EQ(samples.size(), 2u);
+  EXPECT_EQ(samples[0].t, 0);
+  EXPECT_EQ(samples[0].v, 0.0);
+  EXPECT_EQ(samples[1].t, Microseconds(10));
+  EXPECT_EQ(samples[1].v, 1500.0);
 
   // The spill itself: header, the name "queue", one epoch of one series,
   // two ticks, and two stored values (the t=0 baseline and the change).
@@ -601,7 +605,7 @@ TEST(ExporterTest, RunDirectoryGoldenRoundTrip) {
             std::string::npos);
 }
 
-TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatConvertsToEmptyJsonl) {
+TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatLoadsEmpty) {
   MetricRegistry registry;
   RunManifest manifest;
   const std::string dir = testing::TempDir() + "/telemetry_empty";
@@ -610,42 +614,10 @@ TEST(ExporterTest, NullRecorderWritesHeaderOnlySpillThatConvertsToEmptyJsonl) {
                                 &error))
       << error;
   EXPECT_EQ(Slurp(dir + "/metrics.tfcb").size(), kTfcbHeaderBytes);  // no payload
-  ASSERT_TRUE(ConvertMetricsTfcbToJsonl(dir + "/metrics.tfcb",
-                                        dir + "/metrics.jsonl", &error))
-      << error;
-  EXPECT_EQ(Slurp(dir + "/metrics.jsonl"), "");
-}
-
-TEST(ExporterTest, ConverterRejectsMissingAndCorruptSpills) {
-  const std::string dir = testing::TempDir() + "/telemetry_corrupt";
-  std::string error;
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/nope.tfcb",
-                                         dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
-
-  std::filesystem::create_directories(dir);
-  {
-    std::ofstream f(dir + "/bad.tfcb", std::ios::binary);
-    f << "JUNKJUNKJUNKJUNKJUNK";  // 20 bytes, wrong magic
-  }
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/bad.tfcb",
-                                         dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("bad magic"), std::string::npos);
-
-  {
-    // Valid magic/version but the header promises a log that is not there:
-    // 1 series, 1 epoch, 1 tick, 1 change, then nothing after the epoch.
-    std::ofstream f(dir + "/short.tfcb", std::ios::binary);
-    const unsigned char header[] = {'T', 'F', 'C', 'B', 2, 0, 0, 0, 1, 0, 0,
-                                    0,   1,   0,   0,   0, 1, 0, 0, 0, 0, 0,
-                                    0,   0,   1,   0,   0, 0, 0, 0, 0, 0};
-    f.write(reinterpret_cast<const char*>(header), sizeof header);
-    f << "\x01" << std::string(3, '\0') << "q";  // name table: "q"
-    f << std::string(8, '\0') << "\x01" << std::string(7, '\0');  // epoch {0, [0]}
-  }
-  EXPECT_FALSE(ConvertMetricsTfcbToJsonl(dir + "/short.tfcb",
-                                         dir + "/out.jsonl", &error));
-  EXPECT_NE(error.find("log sections are 0 bytes"), std::string::npos) << error;
+  SeriesLog loaded;
+  ASSERT_TRUE(loaded.Load(dir + "/metrics.tfcb", &error)) << error;
+  EXPECT_EQ(loaded.series_count(), 0u);
+  EXPECT_EQ(loaded.tick_count(), 0u);
 }
 
 // Two gauges a (constant 1) and b (2, then 3) watched in that order and
@@ -702,6 +674,8 @@ TEST(ExporterTest, LoadRejectsEveryTruncationAndTrailingBytes) {
   ASSERT_EQ(good.size(), TinyLog::kSize);
   SeriesLog log;
   std::string error;
+  EXPECT_FALSE(log.Load(dir + "/missing.tfcb", &error));
+  EXPECT_NE(error.find("cannot open"), std::string::npos) << error;
   ASSERT_TRUE(log.Load(path, &error)) << error;
 
   const std::string cut = dir + "/cut.tfcb";

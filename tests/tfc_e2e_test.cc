@@ -9,13 +9,13 @@
 
 #include "src/net/network.h"
 #include "src/sim/stats.h"
+#include "src/sim/telemetry.h"
 #include "src/tfc/endpoints.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/incast.h"
 #include "src/workload/persistent_flow.h"
 #include "src/workload/protocol.h"
-#include "src/workload/samplers.h"
 
 namespace tfc {
 namespace {
@@ -111,13 +111,20 @@ TEST(TfcE2eTest, NearZeroQueueInSteadyState) {
   }
   s.net.scheduler().RunUntil(Milliseconds(100));
   s.bottleneck()->ResetMaxQueue();
-  QueueSampler sampler(&s.net.scheduler(), s.bottleneck(), Microseconds(100));
+  const std::string queue_name = s.bottleneck()->metric_prefix() + ".queue_bytes";
+  TimeSeriesRecorder recorder(&s.net.scheduler(), &s.net.metrics());
+  recorder.Watch(queue_name);
+  recorder.Start(Microseconds(100), /*first_delay=*/0);
   s.net.scheduler().RunUntil(Milliseconds(400));
+  RunningStats queue;
+  for (const TimeSeriesRecorder::Sample& sample : recorder.Series(queue_name)) {
+    queue.Add(sample.v);
+  }
 
   // Paper Fig. 8: TFC's instantaneous queue stays within a few KB (max
   // observed ~9 KB) while TCP fills the 256 KB buffer.
   EXPECT_LT(s.bottleneck()->max_queue_bytes(), 15'000u);
-  EXPECT_LT(sampler.stats.mean(), 8'000.0);
+  EXPECT_LT(queue.mean(), 8'000.0);
   EXPECT_EQ(s.bottleneck()->drops(), 0u);
 }
 

@@ -4,9 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/net/network.h"
 #include "src/tcp/tcp.h"
-#include "src/workload/samplers.h"
 
 namespace tfc {
 namespace {
@@ -199,20 +200,25 @@ TEST(TransportTest, SynRetransmittedWhenLost) {
   EXPECT_GT(flow.stats().timeouts, 0u);
 }
 
-TEST(TransportTest, GoodputSamplerMatchesDeliveredBytes) {
+TEST(TransportTest, DeliveredBytesReachLineRateInSomeWindow) {
   Dumbbell d;
   TcpSender flow(&d.net, d.a, d.b, TcpConfig());
-  GoodputSampler sampler(
-      &d.net.scheduler(), [&] { return flow.delivered_bytes(); }, Milliseconds(10));
   flow.Write(10'000'000);
   flow.Close();
   flow.Start();
-  d.net.scheduler().RunUntil(Milliseconds(100));
-  sampler.Stop();
+  // Goodput of each 10 ms window of the first 100 ms.
+  double max_bps = 0;
+  Bytes last = 0;
+  for (int64_t i = 1; i <= 10; ++i) {
+    d.net.scheduler().RunUntil(Milliseconds(10) * i);
+    const Bytes delivered = flow.delivered_bytes();
+    max_bps = std::max(max_bps, static_cast<double>(delivered - last) * 8.0 / 0.01);
+    last = delivered;
+  }
   d.net.scheduler().Run();
 
-  // Mean sampled goodput over the run should be near line rate after ramp-up.
-  EXPECT_GT(sampler.stats.max(), 0.9e9);
+  // After ramp-up, some window runs near line rate.
+  EXPECT_GT(max_bps, 0.9e9);
 }
 
 }  // namespace

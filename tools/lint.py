@@ -30,8 +30,8 @@ Rules enforced (see docs/correctness.md):
                   counter/metric justifying the loss (e.g. host teardown
                   drops, arbiter expiry).
   raw-thread      threading primitives in src/ must be the annotated wrappers
-                  from src/sim/thread_annotations.h (tfc::Mutex, MutexLock,
-                  CondVar) so clang's -Wthread-safety sees every lock. Raw
+                  from src/sim/thread_annotations.h (tfc::Mutex, MutexLock)
+                  so clang's -Wthread-safety sees every lock. Raw
                   std::mutex / std::lock_guard / std::thread & co. are
                   allowed only inside src/sim/thread_annotations.h (the
                   wrappers themselves). Suppress with
@@ -331,8 +331,8 @@ def lint_file(path: Path, rel: str) -> list[str]:
         ):
             errors.append(
                 f"{rel}:{lineno}: [raw-thread] use the annotated wrappers "
-                "from src/sim/thread_annotations.h (tfc::Mutex / MutexLock / "
-                "CondVar), not raw std threading primitives"
+                "from src/sim/thread_annotations.h (tfc::Mutex / MutexLock), "
+                "not raw std threading primitives"
             )
         if (
             rel.startswith(UNITS_LAYERS)

@@ -21,16 +21,13 @@ Checks the files the exporter (src/sim/telemetry.cc) writes per run:
                   back in time, their change ranges must tile the changes,
                   every change must belong to a series its tick samples,
                   and every sampled series must have a value by then.
-  metrics.jsonl   optional converter output (`tfcsim --convert=RUN_DIR`):
-                  one sample object {"t_ns", "name", "v"} per line; when
-                  present its line count is cross-checked against the
-                  number of samples the spill stands for (every epoch
-                  series at every tick).
+                  check_metrics_tfcb also returns the series names, for
+                  scripts that import this module.
   summary.json    schema_version == 2 plus counters / gauges / histograms /
                   profile sections with the shapes documented in
                   docs/observability.md.
 
-At least one of metrics.tfcb / metrics.jsonl must exist.
+All three files must exist.
 
 Flight-recorder artifacts (src/sim/flight.cc) are validated when present in
 a run directory, or standalone via `--flight DIR`:
@@ -138,32 +135,35 @@ def check_manifest(path: Path, ck: Checker) -> None:
     ck.expect(isinstance(doc.get("run"), dict), where, '"run" must be an object')
 
 
-def check_metrics_tfcb(path: Path, ck: Checker) -> int:
-    """Validates the spilled log; returns the number of samples it stands
-    for (0 on error)."""
+def check_metrics_tfcb(path: Path, ck: Checker) -> tuple[list[str], int]:
+    """Validates the spilled log; returns its series names (in series-id
+    order) and the number of samples it stands for (([], 0) on error)."""
     where = str(path)
+    if not path.exists():
+        ck.error(where, "missing")
+        return [], 0
     data = path.read_bytes()
     if len(data) < TFCB_HEADER.size:
         ck.error(where, f"truncated header ({len(data)} bytes)")
-        return 0
+        return [], 0
     magic, version, series_count, epoch_count, tick_count, change_count = \
         TFCB_HEADER.unpack_from(data)
     if not ck.expect(magic == TFCB_MAGIC, where, f"bad magic {magic!r}"):
-        return 0
+        return [], 0
     if not ck.expect(version == TFCB_VERSION, where,
                      f"version must be {TFCB_VERSION}, got {version}"):
-        return 0
+        return [], 0
     off = TFCB_HEADER.size
     names = []
     for i in range(series_count):
         if off + 4 > len(data):
             ck.error(where, f"truncated name table at entry {i}")
-            return 0
+            return [], 0
         (length,) = struct.unpack_from("<I", data, off)
         off += 4
         if off + length > len(data):
             ck.error(where, f"truncated name table at entry {i}")
-            return 0
+            return [], 0
         try:
             name = data[off:off + length].decode("utf-8")
         except UnicodeDecodeError:
@@ -178,30 +178,30 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
     for e in range(epoch_count):
         if off + TFCB_EPOCH.size > len(data):
             ck.error(where, f"truncated epoch table at epoch {e}")
-            return 0
+            return [], 0
         first, width = TFCB_EPOCH.unpack_from(data, off)
         off += TFCB_EPOCH.size
         if off + 4 * width > len(data):
             ck.error(where, f"truncated epoch table at epoch {e}")
-            return 0
+            return [], 0
         sids = struct.unpack_from(f"<{width}I", data, off)
         off += 4 * width
         prev = epochs[-1][0] if epochs else None
         if not ck.expect(first < tick_count and (first == 0 if prev is None else first > prev),
                          where, f"epoch {e} starts at tick {first} of {tick_count}"):
-            return 0
+            return [], 0
         if not ck.expect(all(s < series_count for s in sids) and len(set(sids)) == width,
                          where, f"epoch {e} samples an unknown series or one twice"):
-            return 0
+            return [], 0
         epochs.append((first, sids))
     if not ck.expect(tick_count == 0 or epochs, where, "ticks without an epoch"):
-        return 0
+        return [], 0
 
     body = len(data) - off
     want = tick_count * TFCB_TICK.size + change_count * TFCB_CHANGE_BYTES
     if not ck.expect(body == want, where,
                      f"log sections are {body} bytes, header promises {want}"):
-        return 0
+        return [], 0
     ticks = [TFCB_TICK.unpack_from(data, off + i * TFCB_TICK.size)
              for i in range(tick_count)]
     change_sids = struct.unpack_from(f"<{change_count}I", data,
@@ -210,14 +210,14 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
     for i, (t_ns, end) in enumerate(ticks):
         if i > 0 and not ck.expect(t_ns >= ticks[i - 1][0], where,
                                    f"tick {i} goes back in time"):
-            return 0
+            return [], 0
         if not ck.expect(begin <= end <= change_count, where,
                          f"tick {i} ends its changes at {end}"):
-            return 0
+            return [], 0
         begin = end
     if not ck.expect(begin == change_count, where,
                      f"{change_count} changes, but the last tick ends at {begin}"):
-        return 0
+        return [], 0
 
     # Replay: each change belongs to a series its tick samples, and each
     # sampled series has a value by the first tick of its epoch.
@@ -232,7 +232,7 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
             for sid in change_sids[c:ticks[i][1]]:
                 if not ck.expect(sid in members, where,
                                  f"tick {i} stores series {sid}, which it does not sample"):
-                    return 0
+                    return [], 0
                 has_value[sid] = True
             c = ticks[i][1]
             if i == first:
@@ -240,46 +240,8 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> int:
                 if not ck.expect(not missing, where,
                                  f"series {missing[:3]} sampled at tick {i} before "
                                  "they have a value"):
-                    return 0
-    return samples
-
-
-def check_metrics_jsonl(path: Path, ck: Checker) -> int:
-    where = str(path)
-    if not path.exists():
-        ck.error(where, "missing")
-        return 0
-    last_t = {}  # series name -> last t_ns
-    lines = 0
-    with path.open() as f:
-        for lineno, raw in enumerate(f, start=1):
-            raw = raw.strip()
-            if not raw:
-                continue
-            lines += 1
-            loc = f"{where}:{lineno}"
-            try:
-                obj = json.loads(raw)
-            except json.JSONDecodeError as e:
-                ck.error(loc, f"invalid JSON: {e}")
-                continue
-            if not ck.expect(isinstance(obj, dict), loc, "sample must be an object"):
-                continue
-            ck.expect(set(obj.keys()) == {"t_ns", "name", "v"}, loc,
-                      f'sample keys must be exactly t_ns/name/v, got {sorted(obj.keys())}')
-            name = obj.get("name")
-            t_ns = obj.get("t_ns")
-            v = obj.get("v")
-            ck.expect(isinstance(name, str) and name, loc, "name must be a non-empty string")
-            ck.expect(v is None or is_number(v), loc, "v must be a number or null")
-            if not ck.expect(is_uint(t_ns), loc, "t_ns must be a non-negative integer"):
-                continue
-            if isinstance(name, str):
-                prev = last_t.get(name)
-                ck.expect(prev is None or t_ns >= prev, loc,
-                          f"t_ns went backwards for series {name!r}: {prev} -> {t_ns}")
-                last_t[name] = t_ns
-    return lines
+                    return [], 0
+    return names, samples
 
 
 def check_flight_tfct(path: Path, ck: Checker) -> int:
@@ -460,21 +422,7 @@ def check_summary(path: Path, ck: Checker) -> None:
 
 def check_run_dir(run_dir: Path, ck: Checker) -> int:
     check_manifest(run_dir / "manifest.json", ck)
-    tfcb = run_dir / "metrics.tfcb"
-    jsonl = run_dir / "metrics.jsonl"
-    samples = 0
-    if not tfcb.exists() and not jsonl.exists():
-        ck.error(str(run_dir), "neither metrics.tfcb nor metrics.jsonl exists")
-    if tfcb.exists():
-        samples = check_metrics_tfcb(tfcb, ck)
-    if jsonl.exists():
-        jsonl_samples = check_metrics_jsonl(jsonl, ck)
-        if tfcb.exists():
-            ck.expect(jsonl_samples == samples, str(jsonl),
-                      f"{jsonl_samples} converted samples but the spill "
-                      f"records {samples}")
-        else:
-            samples = jsonl_samples
+    _, samples = check_metrics_tfcb(run_dir / "metrics.tfcb", ck)
     check_summary(run_dir / "summary.json", ck)
     # Flight-recorder artifacts ride along when the run was armed.
     if (run_dir / "flight.tfct").exists():

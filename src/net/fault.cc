@@ -351,7 +351,7 @@ void FaultInjector::WipeAgentNow(Port* port) {
   for (PacketPtr& pkt : lost) {
     ++wiped_parked_acks_;
     ++drops_;
-    net_->EmitTrace(TraceEventType::kFaultDrop, *pkt, port->owner(), port);
+    net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port);
     pkt.reset();
   }
 }
@@ -441,7 +441,7 @@ void FaultInjector::ApplySpec(const FaultSpec& spec) {
 
 void FaultInjector::Destroy(Port* port, PacketPtr pkt) {
   ++drops_;
-  net_->EmitTrace(TraceEventType::kFaultDrop, *pkt, port->owner(), port);
+  net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port);
   pkt.reset();
 }
 

@@ -10,7 +10,7 @@
 // replays bit-identically; all timeline events are scheduler *daemon*
 // events, so an armed injector never keeps drain-mode Run() alive.
 //
-// Every destroyed packet emits a TraceEventType::kFaultDrop trace event and
+// Every destroyed packet emits a FlightEventType::kFaultDrop trace event and
 // bumps a `fault.*` metric — loss injected here is always observable,
 // never silent (tools/lint.py's packet-drop rule enforces that the only
 // other loss site in the stack is the tail-drop in Port::Enqueue).

@@ -22,17 +22,17 @@ void Host::Receive(PacketPtr pkt, Port* ingress) {
   if (down_) {
     // Crashed host: the NIC is dead, the packet is lost on arrival.
     ++down_drops_;
-    network_->EmitTrace(TraceEventType::kFaultDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kFaultDrop, *pkt, this, nullptr);  // lint:allow packet-drop
     return;
   }
-  network_->EmitTrace(TraceEventType::kDeliver, *pkt, this, nullptr);
+  network_->EmitTrace(FlightEventType::kDeliver, *pkt, this, nullptr);
   auto it = endpoints_.find(pkt->flow_id);
   if (it == endpoints_.end()) {
     // Packet for a finished/unknown flow (e.g. a retransmitted FIN's ACK
     // arriving after teardown): account and trace the drop so post-teardown
     // traffic is observable, then destroy it.
     ++unroutable_;
-    network_->EmitTrace(TraceEventType::kDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr);  // lint:allow packet-drop
     return;
   }
   it->second->OnReceive(std::move(pkt));
@@ -42,7 +42,7 @@ void Host::Send(PacketPtr pkt) {
   TFC_CHECK(!ports_.empty());
   if (down_) {
     ++down_drops_;
-    network_->EmitTrace(TraceEventType::kFaultDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kFaultDrop, *pkt, this, nullptr);  // lint:allow packet-drop
     return;
   }
   Scheduler& sched = network_->scheduler();

@@ -102,7 +102,7 @@ class Network : public FlightNames {
   // True when any sink (tracer or armed ring) consumes events. Control-
   // plane instrumentation gates its event construction on this.
   bool TraceActive() const { return tracer_ != nullptr || flight_.armed(); }
-  void EmitTrace(TraceEventType type, const Packet& pkt, const Node* node,
+  void EmitTrace(FlightEventType type, const Packet& pkt, const Node* node,
                  const Port* port) {
     if (tracer_ == nullptr && !flight_.armed()) {
       return;
@@ -154,7 +154,7 @@ class Network : public FlightNames {
   // Armed path: fills the fixed-width record straight into the claimed ring
   // slot (inline MakePacketEvent, no intermediate copy), then feeds any
   // text tracer. Inline so the bench-gated armed cost stays call-free.
-  void EmitTraceArmed(TraceEventType type, const Packet& pkt, const Node* node,
+  void EmitTraceArmed(FlightEventType type, const Packet& pkt, const Node* node,
                       const Port* port) {
     if (flight_.armed()) {
       FlightEvent& event = *flight_.Append();

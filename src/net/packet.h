@@ -80,19 +80,6 @@ struct Packet {
   TimeNs ts = 0;
   TimeNs ts_echo = 0;
 
-  // RCP baseline fields: routers stamp the minimum fair rate along the path
-  // into data packets; the receiver echoes it in ACKs. The sender also
-  // carries its current RTT estimate so routers can average d-hat.
-  uint64_t rate_bps = 0;  // 0 = unset/unlimited
-  TimeNs rtt_hint = 0;
-
-  // XCP baseline fields: the congestion header. Senders advertise their
-  // current cwnd; routers compute a per-packet window delta and keep the
-  // most restrictive value along the path; receivers echo it.
-  uint32_t cwnd_hint = 0;          // sender's cwnd in payload bytes
-  double xcp_feedback = 0.0;       // delta-cwnd in bytes (signed)
-  bool xcp_feedback_set = false;   // whether any router stamped feedback
-
   uint32_t frame_bytes() const { return payload + kHeaderBytes; }
   uint32_t wire_bytes() const {
     return std::max(frame_bytes(), kMinFrameBytes) + kWireOverheadBytes;

@@ -82,7 +82,7 @@ void Port::Enqueue(PacketPtr pkt) {
   if (queue_bytes_ + frame > buffer_limit_bytes_) {
     ++drops_;
     dropped_bytes_ += frame;
-    owner_->network()->EmitTrace(TraceEventType::kDrop, *pkt, owner_, this);
+    owner_->network()->EmitTrace(FlightEventType::kDrop, *pkt, owner_, this);
     return;  // tail drop
   }
   // DCTCP-style instantaneous marking: mark when the queue the packet joins
@@ -95,7 +95,7 @@ void Port::Enqueue(PacketPtr pkt) {
   if (queue_bytes_ > max_queue_bytes_) {
     max_queue_bytes_ = queue_bytes_;
   }
-  owner_->network()->EmitTrace(TraceEventType::kEnqueue, *pkt, owner_, this);
+  owner_->network()->EmitTrace(FlightEventType::kEnqueue, *pkt, owner_, this);
   queue_.push_back(std::move(pkt));
   TryTransmit();
 }
@@ -123,7 +123,7 @@ void Port::OnSerialized() {
   busy_ns_ += ser;
   serialize_site_->AddSim(ser);
   busy_ = false;
-  owner_->network()->EmitTrace(TraceEventType::kTransmit, *pkt, owner_, this);
+  owner_->network()->EmitTrace(FlightEventType::kTransmit, *pkt, owner_, this);
 
   // The wire: with an injector attached the packet may be lost, duplicated,
   // or delayed here instead of (or in addition to) the normal delivery.

@@ -34,10 +34,6 @@
 
 namespace tfc {
 
-// Packet events predate the flight recorder; existing call sites spell the
-// shared event enum as TraceEventType.
-using TraceEventType = FlightEventType;
-
 class Tracer {
  public:
   virtual ~Tracer() = default;

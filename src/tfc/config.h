@@ -53,13 +53,6 @@ struct TfcSwitchConfig {
   // Re-elect the delimiter after 2^k·rtt_last of silence, k <= this
   // (Sec. 5.2: maximum k is 7).
   int max_miss_exponent = 7;
-  // rtt_b is a running minimum (paper-faithful with 0 = no aging, the
-  // default). Setting this positive takes the minimum over two rotating
-  // epochs of this many slots instead: the estimate can then recover from an
-  // anomalously short sample, at the cost of slowly absorbing any standing
-  // queue into rtt_b (which weakens the zero-queue property — see the
-  // fig14_rho0 bench, which only tracks ρ0 with the pure min).
-  uint64_t rttb_epoch_slots = 0;
 
   // --- delay function for sub-MSS windows (Sec. 4.6) ---
   bool enable_delay_function = true;

@@ -15,8 +15,6 @@ TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& con
       scheduler_(port->scheduler()),
       link_rate_(port->bps()),
       rttb_(config.initial_rttb),
-      rttb_epoch_min_(config.initial_rttb),
-      rttb_prev_epoch_min_(config.initial_rttb),
       failover_timer_(scheduler_, [this] { OnFailoverTimer(); }),
       token_(bdp()),
       counter_(config.counter_cap_quanta *
@@ -160,9 +158,6 @@ void TfcPortAgent::AdoptDelimiter(const Packet& pkt) {
     // the new delimiter's own samples min-correct within a round or two.
     const TimeNs seed = rttm_last_ > 0 ? rttm_last_ : config_.initial_rttb;
     rttb_ = seed;
-    rttb_epoch_min_ = seed;
-    rttb_prev_epoch_min_ = seed;
-    rttb_epoch_count_ = 0;
   }
   delimiter_flow_ = pkt.flow_id;
   delimiter_closed_ = false;
@@ -209,15 +204,7 @@ void TfcPortAgent::EndSlot(const Packet& pkt) {
         static_cast<double>(slot_start_queue_bytes_.count()) / link_rate_.bytes_per_ns());
     const TimeNs candidate = std::max(rtt_m - local_wait, rtt_m / 8);
     rttb_measured_ = true;
-    rttb_epoch_min_ = std::min(rttb_epoch_min_, candidate);
-    if (config_.rttb_epoch_slots > 0 &&
-        ++rttb_epoch_count_ >= config_.rttb_epoch_slots) {
-      // Rotate: forget samples older than two epochs.
-      rttb_prev_epoch_min_ = rttb_epoch_min_;
-      rttb_epoch_min_ = candidate;
-      rttb_epoch_count_ = 0;
-    }
-    rttb_ = std::min(rttb_epoch_min_, rttb_prev_epoch_min_);
+    rttb_ = std::min(rttb_, candidate);
   }
 
   // The RM ending this slot belongs to the next one; account it there.
@@ -452,7 +439,7 @@ void TfcPortAgent::DropParkedAck(PacketPtr pkt) {
   ++arbiter_expired_;
   Network* net = switch_->network();
   net->EmitTrace(  // lint:allow packet-drop (arbiter_expired_)
-      TraceEventType::kDrop, *pkt, switch_, port_);
+      FlightEventType::kDrop, *pkt, switch_, port_);
   if (net->TraceActive()) {
     FlightEvent e = ControlFlightEvent(FlightEventType::kArbiterExpire,
                                        switch_->id(), port_->index(),
@@ -537,9 +524,6 @@ void TfcPortAgent::WipeState(std::deque<PacketPtr>* lost) {
   want_new_delimiter_ = true;
   slot_start_ = scheduler_->now();
   rttb_ = config_.initial_rttb;
-  rttb_epoch_min_ = config_.initial_rttb;
-  rttb_prev_epoch_min_ = config_.initial_rttb;
-  rttb_epoch_count_ = 0;
   rttb_measured_ = false;
   rttm_last_ = 0;
   E_ = 1;
@@ -630,10 +614,8 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   audit.CheckGe(E_, 1, "effective flows>=1");
   audit.CheckGe(synfin_count_, 0, "synfin count>=0");
 
-  // RTT estimator (Sec. 4.4): rtt_b is the min over the two epochs.
+  // RTT estimator (Sec. 4.4).
   audit.Check(rttb_ > 0, "rtt_b>0");
-  audit.CheckLe(rttb_, rttb_epoch_min_, "rtt_b<=epoch min");
-  audit.CheckLe(rttb_, rttb_prev_epoch_min_, "rtt_b<=prev epoch min");
 
   // Delay arbiter queue: bounded, and every parked packet is a live sub-MSS
   // RMA ack (a poisoned uid here is a use-after-free of a pooled packet).

@@ -118,9 +118,6 @@ class TfcPortAgent : public PortAgent {
   bool want_new_delimiter_ = true;
   TimeNs slot_start_ = 0;
   TimeNs rttb_;
-  TimeNs rttb_epoch_min_;
-  TimeNs rttb_prev_epoch_min_;
-  uint64_t rttb_epoch_count_ = 0;
   bool rttb_measured_ = false;
   TimeNs rttm_last_ = 0;
   int E_ = 1;

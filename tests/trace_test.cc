@@ -134,7 +134,7 @@ TEST(TraceTest, DirectEventRendersExactLine) {
   std::ostringstream out;
   TextTracer tracer(&out);
   const FlightEvent event = MakePacketEvent(Microseconds(3'021'840),
-                                            TraceEventType::kEnqueue, pkt, d.s, port);
+                                            FlightEventType::kEnqueue, pkt, d.s, port);
   tracer.OnEvent(event, d.net);
 
   EXPECT_EQ(out.str(), "3.021840 + s:p1 DATA f=7 seq=14600 len=1460 rm q=0\n");
@@ -155,7 +155,7 @@ TEST(TraceTest, DirectDeliverEventOmitsPortAndShowsFlags) {
   std::ostringstream out;
   TextTracer tracer(&out);
   tracer.OnEvent(
-      MakePacketEvent(Seconds(1.5), TraceEventType::kDeliver, pkt, d.b, nullptr),
+      MakePacketEvent(Seconds(1.5), FlightEventType::kDeliver, pkt, d.b, nullptr),
       d.net);
 
   EXPECT_EQ(out.str(), "1.500000 r b ACK f=3 seq=1 len=0 rma w=2920 ce\n");

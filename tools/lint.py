@@ -114,7 +114,7 @@ HOT_IO_ALLOWED_FILES = {
 # packet-drop: the sanctioned drop-trace funnels. Everything else in src/
 # needs an explicit suppression tied to a counter.
 PACKET_DROP_RE = re.compile(
-    r"EmitTrace\s*\(\s*(?:Trace|Flight)EventType::k(?:Fault)?Drop\b"
+    r"EmitTrace\s*\(\s*FlightEventType::k(?:Fault)?Drop\b"
 )
 PACKET_DROP_ALLOWED_FILES = {
     "src/net/port.cc",

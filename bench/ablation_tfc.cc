@@ -15,8 +15,8 @@
 #include "src/tfc/endpoints.h"
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
-#include "src/workload/incast.h"
 #include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
@@ -99,25 +99,22 @@ void AblateResumeProbe(bool quick) {
               "goodput(Gbps)");
   const int senders = quick ? 150 : 400;
   for (bool resume : {true, false}) {
-    Network net(203);
-    LinkOptions opts;
-    opts.switch_buffer_bytes = 512 * 1024;
-    StarTopology topo = BuildStar(net, senders + 1, opts, 10 * kGbps, Microseconds(5));
-    ProtocolSuite suite = bench::MakeSuite(Protocol::kTfc);
-    suite.tfc.resume_probe = resume;
-    suite.InstallSwitchLogic(net);
-    std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.end());
-    IncastConfig cfg;
-    cfg.block_bytes = 256 * 1024;
-    cfg.rounds = 1 << 20;
-    IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-    app.Start();
-    net.scheduler().RunUntil(quick ? Milliseconds(300) : Seconds(1.5));
+    Scenario s;
+    s.suite.tfc.resume_probe = resume;
+    s.seed = 203;
+    s.link_bps = 10 * kGbps;
+    s.switch_buffer_bytes = 512 * 1024;
+    s.senders = senders;
+    s.incast.block_bytes = 256 * 1024;
+    s.incast.rounds = 1 << 20;
+    s.horizon = quick ? Milliseconds(300) : Seconds(1.5);
+    ScenarioRun run(s);
+    run.Start();
+    run.Run();
     std::printf("%-14s %10llu %12llu %18.2f\n", resume ? "with" : "without (paper)",
-                static_cast<unsigned long long>(
-                    Network::FindPort(topo.sw, topo.hosts[0])->drops()),
-                static_cast<unsigned long long>(app.total_timeouts()),
-                app.goodput_bps() / 1e9);
+                static_cast<unsigned long long>(run.bottleneck()->drops()),
+                static_cast<unsigned long long>(run.incast()->total_timeouts()),
+                run.incast()->goodput_bps() / 1e9);
   }
 }
 

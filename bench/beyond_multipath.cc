@@ -12,27 +12,27 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/topo/topologies.h"
-#include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
 using namespace tfc;
 
 void RunOnce(Protocol protocol, bool quick) {
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(181);
-  LinkOptions opts;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  FatTreeTopology topo = BuildFatTree(net, 4, opts);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.topology = Topology::kFatTree;
+  s.suite.protocol = protocol;
+  s.seed = 181;
+  ScenarioRun run(s);
+  Network& net = run.net();
+  const std::vector<Host*>& hosts = run.hosts();  // pod-major, 4 per pod
 
   // Pod-shifted permutation: host i of pod p -> host i of pod p+1.
   std::vector<std::unique_ptr<PersistentFlow>> flows;
-  for (int pod = 0; pod < 4; ++pod) {
-    for (int i = 0; i < 4; ++i) {
-      flows.push_back(std::make_unique<PersistentFlow>(suite.MakeSender(
-          &net, topo.host(pod, i), topo.host((pod + 1) % 4, i))));
+  for (size_t pod = 0; pod < 4; ++pod) {
+    for (size_t i = 0; i < 4; ++i) {
+      flows.push_back(std::make_unique<PersistentFlow>(
+          s.suite.MakeSender(&net, hosts[4 * pod + i], hosts[4 * ((pod + 1) % 4) + i])));
       flows.back()->Start();
     }
   }
@@ -71,7 +71,7 @@ void RunOnce(Protocol protocol, bool quick) {
       max_queue = std::max(max_queue, port->max_queue_bytes());
     }
   }
-  std::printf("%-8s %16.2f %10.3f %14.1f %10llu\n", suite.name(), total / 1e9,
+  std::printf("%-8s %16.2f %10.3f %14.1f %10llu\n", ProtocolName(protocol), total / 1e9,
               JainFairness(rates), static_cast<double>(max_queue) / 1024.0,
               static_cast<unsigned long long>(drops));
 }

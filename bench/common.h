@@ -35,12 +35,6 @@ inline void Header(const char* figure, const char* claim) {
   std::printf("==============================================================================\n");
 }
 
-inline ProtocolSuite MakeSuite(Protocol p) {
-  ProtocolSuite suite;
-  suite.protocol = p;
-  return suite;
-}
-
 inline const std::vector<Protocol>& AllProtocols() {
   static const std::vector<Protocol> kAll = {Protocol::kTfc, Protocol::kDctcp,
                                              Protocol::kTcp};

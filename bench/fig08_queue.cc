@@ -14,8 +14,7 @@
 
 #include "bench/common.h"
 #include "src/sim/telemetry.h"
-#include "src/topo/topologies.h"
-#include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
@@ -28,25 +27,25 @@ struct Result {
 
 Result RunOnce(tfc::Protocol protocol, bool quick) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(81);
-  LinkOptions opts;
-  opts.switch_buffer_bytes = 256 * 1024;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  TestbedTopology topo = BuildTestbed(net, opts);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.suite.protocol = protocol;
+  s.seed = 81;
+  ScenarioRun run(s);
+  Network& net = run.net();
+  const std::vector<Host*>& hosts = run.hosts();
 
   const TimeNs stagger = quick ? Milliseconds(100) : Seconds(3.0);
   std::vector<std::unique_ptr<PersistentFlow>> flows;
-  Host* sources[] = {topo.hosts[0], topo.hosts[1], topo.hosts[0], topo.hosts[1]};
+  Host* sources[] = {hosts[0], hosts[1], hosts[0], hosts[1]};
   for (int i = 0; i < 4; ++i) {
     flows.push_back(std::make_unique<PersistentFlow>(
-        suite.MakeSender(&net, sources[i], topo.hosts[2])));
+        s.suite.MakeSender(&net, sources[i], hosts[2])));
     PersistentFlow* flow = flows.back().get();
     net.scheduler().ScheduleAt(stagger * i + 1, [flow] { flow->Start(); });
   }
 
-  Port* bottleneck = Network::FindPort(topo.switches[1], topo.hosts[2]);
+  Port* bottleneck = hosts[2]->ports()[0]->peer_port();  // NF1 -> H3
   const std::string series_name = bottleneck->metric_prefix() + ".queue_bytes";
   TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
   recorder.Watch(series_name);
@@ -55,8 +54,8 @@ Result RunOnce(tfc::Protocol protocol, bool quick) {
   recorder.Stop();
 
   Result r;
-  for (const TimeSeriesRecorder::Sample& s : recorder.Series(series_name)) {
-    r.queue.Add(s.v);
+  for (const TimeSeriesRecorder::Sample& sample : recorder.Series(series_name)) {
+    r.queue.Add(sample.v);
   }
   r.samples = static_cast<size_t>(r.queue.count());
   r.max_queue = bottleneck->max_queue_bytes();

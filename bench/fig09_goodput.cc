@@ -17,26 +17,26 @@
 #include "bench/common.h"
 #include "src/sim/stats.h"
 #include "src/sim/telemetry.h"
-#include "src/topo/topologies.h"
-#include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
 void RunOnce(tfc::Protocol protocol, bool quick) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(91);
-  LinkOptions opts;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  TestbedTopology topo = BuildTestbed(net, opts);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.suite.protocol = protocol;
+  s.seed = 91;
+  ScenarioRun run(s);
+  Network& net = run.net();
+  const std::vector<Host*>& hosts = run.hosts();
 
   const TimeNs stagger = quick ? Milliseconds(100) : Seconds(3.0);
   std::vector<std::unique_ptr<PersistentFlow>> flows;
-  Host* sources[] = {topo.hosts[0], topo.hosts[1], topo.hosts[0], topo.hosts[1]};
+  Host* sources[] = {hosts[0], hosts[1], hosts[0], hosts[1]};
   for (int i = 0; i < 4; ++i) {
     flows.push_back(std::make_unique<PersistentFlow>(
-        suite.MakeSender(&net, sources[i], topo.hosts[2])));
+        s.suite.MakeSender(&net, sources[i], hosts[2])));
     PersistentFlow* flow = flows.back().get();
     net.scheduler().ScheduleAt(stagger * i + 1, [flow] { flow->Start(); });
   }

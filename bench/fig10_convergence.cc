@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/topo/topologies.h"
-#include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
@@ -19,19 +18,20 @@ namespace {
 // within 25% of the fair share for 3 consecutive 1 ms windows (-1 = never).
 double RunOnce(tfc::Protocol protocol, bool quick) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(101);
-  LinkOptions opts;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  TestbedTopology topo = BuildTestbed(net, opts);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.suite.protocol = protocol;
+  s.seed = 101;
+  ScenarioRun run(s);
+  Network& net = run.net();
+  const std::vector<Host*>& hosts = run.hosts();
 
   // Two incumbents, warmed up.
   std::vector<std::unique_ptr<PersistentFlow>> flows;
-  Host* sources[] = {topo.hosts[0], topo.hosts[1], topo.hosts[0]};
+  Host* sources[] = {hosts[0], hosts[1], hosts[0]};
   for (int i = 0; i < 2; ++i) {
     flows.push_back(std::make_unique<PersistentFlow>(
-        suite.MakeSender(&net, sources[i], topo.hosts[2])));
+        s.suite.MakeSender(&net, sources[i], hosts[2])));
     flows.back()->Start();
   }
   const TimeNs warmup = quick ? Milliseconds(50) : Seconds(1.0);
@@ -39,7 +39,7 @@ double RunOnce(tfc::Protocol protocol, bool quick) {
 
   // The newcomer.
   flows.push_back(std::make_unique<PersistentFlow>(
-      suite.MakeSender(&net, sources[2], topo.hosts[2])));
+      s.suite.MakeSender(&net, sources[2], hosts[2])));
   flows.back()->Start();
   const TimeNs t0 = net.scheduler().now();
 

@@ -13,8 +13,7 @@
 
 #include "bench/common.h"
 #include "src/sim/telemetry.h"
-#include "src/topo/topologies.h"
-#include "src/workload/incast.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
@@ -28,34 +27,29 @@ struct Row {
 
 Row RunOnce(tfc::Protocol protocol, int senders, bool quick) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(121);
-  LinkOptions opts;
-  opts.switch_buffer_bytes = 256 * 1024;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  StarTopology topo = BuildStar(net, senders + 1, opts);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.suite.protocol = protocol;
+  s.seed = 121;
+  s.senders = senders;
+  s.incast.block_bytes = 256 * 1024;
+  s.incast.rounds = quick ? 3 : 10;
+  ScenarioRun run(s);
 
-  std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.end());
-  IncastConfig cfg;
-  cfg.block_bytes = 256 * 1024;
-  cfg.rounds = quick ? 3 : 10;
-  IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-
-  Port* bottleneck = Network::FindPort(topo.sw, topo.hosts[0]);
+  Port* bottleneck = run.bottleneck();
   const std::string queue_name = bottleneck->metric_prefix() + ".queue_bytes";
-  TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
+  TimeSeriesRecorder recorder(&run.net().scheduler(), &run.net().metrics());
   recorder.Watch(queue_name);
   recorder.Start(Microseconds(100), /*first_delay=*/Microseconds(100));
-  app.Start();
+  run.Start();
   // Drain-mode Run(): the recorder's ticks are daemon events, so the run
   // (and the queue average) ends when the last round does.
-  net.scheduler().Run();
+  run.Run();
   RunningStats queue;
-  for (const TimeSeriesRecorder::Sample& s : recorder.Series(queue_name)) {
-    queue.Add(s.v);
+  for (const TimeSeriesRecorder::Sample& sample : recorder.Series(queue_name)) {
+    queue.Add(sample.v);
   }
 
+  const IncastApp& app = *run.incast();
   return Row{app.goodput_bps() / 1e6, queue.mean() / 1024.0,
              static_cast<double>(bottleneck->max_queue_bytes()) / 1024.0,
              app.total_timeouts(), bottleneck->drops()};

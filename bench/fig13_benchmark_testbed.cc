@@ -11,42 +11,40 @@
 // with TFC, larger ones slightly slower (query traffic takes bandwidth).
 
 #include "bench/common.h"
-#include "src/topo/topologies.h"
-#include "src/workload/benchmark_traffic.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
 void RunOnce(tfc::Protocol protocol, bool quick) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(131);
-  LinkOptions opts;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  TestbedTopology topo = BuildTestbed(net, opts);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.workload = Workload::kBenchmark;
+  s.suite.protocol = protocol;
+  s.seed = 131;
+  s.benchmark.query_interarrival = Milliseconds(2);
+  s.benchmark.background_interarrival = Milliseconds(4);
+  s.benchmark.stop_time = quick ? Milliseconds(300) : Seconds(3.0);
+  s.horizon = s.benchmark.stop_time + Seconds(30.0);  // drain stragglers
+  ScenarioRun run(s);
+  run.Start();
+  run.Run();
 
-  BenchmarkTrafficConfig cfg;
-  cfg.query_interarrival = Milliseconds(2);
-  cfg.background_interarrival = Milliseconds(4);
-  cfg.stop_time = quick ? Milliseconds(300) : Seconds(3.0);
-  BenchmarkTrafficApp app(&net, suite, topo.hosts, cfg);
-  app.Start();
-  net.scheduler().RunUntil(cfg.stop_time + Seconds(30.0));  // drain stragglers
-
+  BenchmarkTrafficApp& app = *run.benchmark();
   std::printf("\n--- %s: %llu flows (%llu completed), %llu timeouts ---\n",
-              suite.name(), static_cast<unsigned long long>(app.flows_started()),
+              ProtocolName(protocol), static_cast<unsigned long long>(app.flows_started()),
               static_cast<unsigned long long>(app.flows_completed()),
               static_cast<unsigned long long>(app.total_timeouts()));
   bench::PrintTailRow("query", app.fct().query());
   std::printf("background flows, 99.9th percentile FCT by size bin:\n");
   for (int bin = 0; bin < kNumSizeBins; ++bin) {
-    SampleSet& s = app.fct().background(bin);
-    if (s.empty()) {
+    SampleSet& fcts = app.fct().background(bin);
+    if (fcts.empty()) {
       std::printf("  %-10s (no samples)\n", kSizeBinLabels[static_cast<size_t>(bin)]);
     } else {
       std::printf("  %-10s n=%-5zu mean=%10.1fus  99.9th=%12.1fus\n",
-                  kSizeBinLabels[static_cast<size_t>(bin)], s.count(), s.Mean(),
-                  s.Percentile(99.9));
+                  kSizeBinLabels[static_cast<size_t>(bin)], fcts.count(), fcts.Mean(),
+                  fcts.Percentile(99.9));
     }
   }
 }

@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "bench/common.h"
-#include "src/topo/topologies.h"
-#include "src/workload/incast.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
@@ -25,25 +24,22 @@ struct Row {
 Row RunOnce(tfc::Protocol protocol, int senders, uint64_t block_kb,
             tfc::TimeNs duration) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(151);
-  LinkOptions opts;
-  opts.switch_buffer_bytes = 512 * 1024;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(10 * kGbps);
-  StarTopology topo = BuildStar(net, senders + 1, opts, 10 * kGbps, Microseconds(5));
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.suite.protocol = protocol;
+  s.seed = 151;
+  s.link_bps = 10 * kGbps;
+  s.switch_buffer_bytes = 512 * 1024;
+  s.senders = senders;
+  s.incast.block_bytes = block_kb * 1024;
+  s.incast.rounds = 1 << 20;  // effectively unbounded; the duration decides
+  s.horizon = duration;
+  ScenarioRun run(s);
+  run.Start();
+  run.Run();
 
-  std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.end());
-  IncastConfig cfg;
-  cfg.block_bytes = block_kb * 1024;
-  cfg.rounds = 1 << 20;  // effectively unbounded; the duration decides
-  IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-  app.Start();
-  net.scheduler().RunUntil(duration);
-
-  Port* bottleneck = Network::FindPort(topo.sw, topo.hosts[0]);
+  const IncastApp& app = *run.incast();
   return Row{app.goodput_bps() / 1e9, app.max_timeouts_per_block(),
-             bottleneck->drops(), app.rounds_completed()};
+             run.bottleneck()->drops(), app.rounds_completed()};
 }
 
 }  // namespace

@@ -10,48 +10,46 @@
 // Background flows >1 KB finish slightly slower under TFC.
 
 #include "bench/common.h"
-#include "src/topo/topologies.h"
-#include "src/workload/benchmark_traffic.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
 void RunOnce(tfc::Protocol protocol, bool quick) {
   using namespace tfc;
-  ProtocolSuite suite = bench::MakeSuite(protocol);
-  Network net(161);
-  LinkOptions opts;
-  opts.switch_buffer_bytes = 512 * 1024;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  const int racks = quick ? 6 : 18;
-  const int hosts_per_rack = quick ? 5 : 20;
-  LeafSpineTopology topo = BuildLeafSpine(net, racks, hosts_per_rack, opts);
-  suite.InstallSwitchLogic(net);
-
-  BenchmarkTrafficConfig cfg;
+  Scenario s;
+  s.topology = Topology::kLeafSpine;
+  s.workload = Workload::kBenchmark;
+  s.suite.protocol = protocol;
+  s.seed = 161;
+  s.switch_buffer_bytes = 512 * 1024;
+  s.racks = quick ? 6 : 18;
+  s.hosts_per_rack = quick ? 5 : 20;
   // Full-fan-in queries (all other servers respond to one aggregator).
-  cfg.query_interarrival = quick ? Milliseconds(20) : Milliseconds(25);
-  cfg.query_fanin = 0;
-  cfg.background_interarrival = quick ? Milliseconds(2) : Microseconds(400);
-  cfg.stop_time = quick ? Milliseconds(200) : Milliseconds(800);
-  BenchmarkTrafficApp app(&net, suite, topo.all_hosts, cfg);
-  app.Start();
-  net.scheduler().RunUntil(cfg.stop_time + Seconds(40.0));  // drain stragglers
+  s.benchmark.query_interarrival = quick ? Milliseconds(20) : Milliseconds(25);
+  s.benchmark.query_fanin = 0;
+  s.benchmark.background_interarrival = quick ? Milliseconds(2) : Microseconds(400);
+  s.benchmark.stop_time = quick ? Milliseconds(200) : Milliseconds(800);
+  s.horizon = s.benchmark.stop_time + Seconds(40.0);  // drain stragglers
+  ScenarioRun run(s);
+  run.Start();
+  run.Run();
 
+  BenchmarkTrafficApp& app = *run.benchmark();
   std::printf("\n--- %s: %llu flows (%llu completed), %llu timeouts ---\n",
-              suite.name(), static_cast<unsigned long long>(app.flows_started()),
+              ProtocolName(protocol), static_cast<unsigned long long>(app.flows_started()),
               static_cast<unsigned long long>(app.flows_completed()),
               static_cast<unsigned long long>(app.total_timeouts()));
   // The paper reports these in milliseconds at this scale.
   bench::PrintTailRow("query", app.fct().query(), 1000.0, "ms");
   std::printf("background flows, mean FCT by size bin:\n");
   for (int bin = 0; bin < kNumSizeBins; ++bin) {
-    SampleSet& s = app.fct().background(bin);
-    if (s.empty()) {
+    SampleSet& fcts = app.fct().background(bin);
+    if (fcts.empty()) {
       std::printf("  %-10s (no samples)\n", kSizeBinLabels[static_cast<size_t>(bin)]);
     } else {
       std::printf("  %-10s n=%-5zu mean=%10.2fms  99.9th=%12.2fms\n",
-                  kSizeBinLabels[static_cast<size_t>(bin)], s.count(),
-                  s.Mean() / 1000.0, s.Percentile(99.9) / 1000.0);
+                  kSizeBinLabels[static_cast<size_t>(bin)], fcts.count(),
+                  fcts.Mean() / 1000.0, fcts.Percentile(99.9) / 1000.0);
     }
   }
 }

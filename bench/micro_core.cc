@@ -17,10 +17,8 @@
 #include "src/sim/telemetry.h"
 #include "src/tfc/endpoints.h"
 #include "src/tfc/switch_port.h"
-#include "src/topo/topologies.h"
 #include "src/workload/benchmark_traffic.h"
-#include "src/workload/incast.h"
-#include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -223,21 +221,16 @@ BENCHMARK(BM_EmpiricalCdfSample);
 void BM_EndToEndSimulation(benchmark::State& state) {
   const auto protocol = static_cast<Protocol>(state.range(0));
   for (auto _ : state) {
-    ProtocolSuite suite;
-    suite.protocol = protocol;
-    Network net(9);
-    LinkOptions opts;
-    opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-    StarTopology topo = BuildStar(net, 9, opts);
-    suite.InstallSwitchLogic(net);
-    std::vector<std::unique_ptr<PersistentFlow>> flows;
-    for (int i = 1; i <= 8; ++i) {
-      flows.push_back(std::make_unique<PersistentFlow>(
-          suite.MakeSender(&net, topo.hosts[static_cast<size_t>(i)], topo.hosts[0])));
-      flows.back()->Start();
-    }
-    net.scheduler().RunUntil(Milliseconds(20));
-    state.counters["events"] = static_cast<double>(net.scheduler().executed());
+    Scenario s;
+    s.workload = Workload::kLongFlows;
+    s.suite.protocol = protocol;
+    s.seed = 9;
+    s.flows = 8;
+    s.horizon = Milliseconds(20);
+    ScenarioRun run(s);
+    run.Start();
+    run.Run();
+    state.counters["events"] = static_cast<double>(run.net().scheduler().executed());
   }
 }
 BENCHMARK(BM_EndToEndSimulation)
@@ -246,30 +239,33 @@ BENCHMARK(BM_EndToEndSimulation)
     ->Arg(static_cast<int>(Protocol::kTfc))
     ->Unit(benchmark::kMillisecond);
 
-// End-to-end macro-bench: simulated scheduler events per wall second for a
-// TFC incast on the paper's testbed topology (Fig. 4 shape, Fig. 12
-// workload). items_per_second here IS the simulator's events/sec figure
-// recorded in BENCH_core.json; later PRs are measured against it.
+// The workload of the four BM_IncastTestbed* benches: a TFC incast 8->1,
+// 64 KB x 20 rounds, on the paper's testbed topology (Fig. 4 shape, Fig. 12
+// workload).
+Scenario IncastTestbed() {
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.seed = 3;
+  s.senders = 8;
+  s.incast.block_bytes = 64 * 1024;
+  s.incast.rounds = 20;
+  s.horizon = Seconds(2);
+  return s;
+}
+
+// End-to-end macro-bench: simulated scheduler events per wall second for
+// IncastTestbed(). items_per_second here IS the simulator's events/sec
+// figure recorded in BENCH_core.json; later PRs are measured against it.
 void BM_IncastTestbedEventsPerSec(benchmark::State& state) {
   uint64_t events = 0;
   double pool_hits = 0;
   double pool_misses = 0;
   double pool_high_water = 0;
   for (auto _ : state) {
-    ProtocolSuite suite;
-    suite.protocol = Protocol::kTfc;
-    Network net(3);
-    LinkOptions opts;
-    opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-    TestbedTopology topo = BuildTestbed(net, opts);
-    suite.InstallSwitchLogic(net);
-    std::vector<Host*> senders(topo.hosts.begin() + 1, topo.hosts.end());
-    IncastConfig cfg;
-    cfg.block_bytes = 64 * 1024;
-    cfg.rounds = 20;
-    IncastApp app(&net, suite, topo.hosts[0], senders, cfg);
-    app.Start();
-    net.scheduler().RunUntil(Seconds(2));
+    ScenarioRun run(IncastTestbed());
+    run.Start();
+    run.Run();
+    Network& net = run.net();
     events += net.scheduler().executed();
     pool_hits += static_cast<double>(net.packet_pool().hits());
     pool_misses += static_cast<double>(net.packet_pool().misses());
@@ -296,26 +292,16 @@ void BM_IncastTestbedTelemetryOn(benchmark::State& state) {
   uint64_t samples = 0;
   double series = 0;
   for (auto _ : state) {
-    ProtocolSuite suite;
-    suite.protocol = Protocol::kTfc;
-    Network net(3);
-    LinkOptions opts;
-    opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-    TestbedTopology topo = BuildTestbed(net, opts);
-    suite.InstallSwitchLogic(net);
-    std::vector<Host*> senders(topo.hosts.begin() + 1, topo.hosts.end());
-    IncastConfig cfg;
-    cfg.block_bytes = 64 * 1024;
-    cfg.rounds = 20;
-    IncastApp app(&net, suite, topo.hosts[0], senders, cfg);
+    ScenarioRun run(IncastTestbed());
+    Network& net = run.net();
     TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
     recorder.WatchAll();
     recorder.Start(Microseconds(100));
+    run.Start();
     // Stop at workload completion so the recorder samples exactly the
     // region the telemetry-off bench simulates with traffic in flight.
-    app.on_finished = [&recorder] { recorder.Stop(); };
-    app.Start();
-    net.scheduler().RunUntil(Seconds(2));
+    run.incast()->on_finished = [&recorder] { recorder.Stop(); };
+    run.Run();
     events += net.scheduler().executed();
     state.counters["plan_rebuilds"] =
         static_cast<double>(recorder.plan_rebuilds());
@@ -341,21 +327,11 @@ void BM_IncastTestbedTraceOn(benchmark::State& state) {
   uint64_t events = 0;
   uint64_t recorded = 0;
   for (auto _ : state) {
-    ProtocolSuite suite;
-    suite.protocol = Protocol::kTfc;
-    Network net(3);
-    LinkOptions opts;
-    opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-    TestbedTopology topo = BuildTestbed(net, opts);
-    suite.InstallSwitchLogic(net);
+    ScenarioRun run(IncastTestbed());
+    Network& net = run.net();
     net.flight().Arm(1 << 16);
-    std::vector<Host*> senders(topo.hosts.begin() + 1, topo.hosts.end());
-    IncastConfig cfg;
-    cfg.block_bytes = 64 * 1024;
-    cfg.rounds = 20;
-    IncastApp app(&net, suite, topo.hosts[0], senders, cfg);
-    app.Start();
-    net.scheduler().RunUntil(Seconds(2));
+    run.Start();
+    run.Run();
     events += net.scheduler().executed();
     recorded += net.flight().recorded();
     benchmark::DoNotOptimize(net.flight().size());
@@ -379,13 +355,8 @@ void BM_IncastTestbedFaultIdle(benchmark::State& state) {
   uint64_t events = 0;
   uint64_t inspected = 0;
   for (auto _ : state) {
-    ProtocolSuite suite;
-    suite.protocol = Protocol::kTfc;
-    Network net(3);
-    LinkOptions opts;
-    opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-    TestbedTopology topo = BuildTestbed(net, opts);
-    suite.InstallSwitchLogic(net);
+    ScenarioRun run(IncastTestbed());
+    Network& net = run.net();
     FaultInjector inject(&net, 17);
     FaultProfile idle;  // all probabilities zero: pure hook overhead
     for (const auto& node : net.nodes()) {
@@ -393,13 +364,8 @@ void BM_IncastTestbedFaultIdle(benchmark::State& state) {
         inject.Attach(port.get(), idle);
       }
     }
-    std::vector<Host*> senders(topo.hosts.begin() + 1, topo.hosts.end());
-    IncastConfig cfg;
-    cfg.block_bytes = 64 * 1024;
-    cfg.rounds = 20;
-    IncastApp app(&net, suite, topo.hosts[0], senders, cfg);
-    app.Start();
-    net.scheduler().RunUntil(Seconds(2));
+    run.Start();
+    run.Run();
     events += net.scheduler().executed();
     inspected += inject.inspected();
     benchmark::DoNotOptimize(inject.drops());

@@ -2,7 +2,7 @@
 # Local CI entry point — the same matrix .github/workflows/ci.yml runs.
 #
 #   ./ci.sh            full matrix: release, asan-ubsan, hardened, tsan, lint,
-#                      astlint, tidy, units, telemetry, trace, chaos, sweep,
+#                      astlint, tidy, telemetry, trace, chaos, sweep,
 #                      perfbench
 #   ./ci.sh release    one leg by name
 #
@@ -65,31 +65,6 @@ leg_tsan() {
   run_preset tsan
 }
 leg_tidy()       { echo "=== [tidy] tools/tidy.sh ==="; bash tools/tidy.sh build; }
-
-# Units leg: the dimension-safety gate (docs/correctness.md "Units").
-# (1) Negative-compile battery — each banned cross-dimension conversion must
-#     be rejected, and the control case must compile (same cases ctest runs
-#     as WILL_FAIL entries, checked here without needing a configured build).
-# (2) clang-tidy narrowing profile over src/{net,tfc,transport} — skips with
-#     a notice when clang-tidy is absent, like leg_tidy.
-# The lint.py units rule (raw unit-suffixed declarations) runs in leg_lint.
-leg_units() {
-  echo "=== [units] negative-compile battery ==="
-  local src=tests/units_compile_fail/compile_fail.cc
-  local cxx="${CXX:-g++}"
-  "${cxx}" -std=c++20 -I. -fsyntax-only "${src}"
-  echo "units: control case compiles"
-  local case
-  for case in BYTES_PLUS_TIME TOKENS_TO_BYTES BYTES_NARROWING; do
-    if "${cxx}" -std=c++20 -I. -fsyntax-only "-DCASE_${case}=1" "${src}" 2>/dev/null; then
-      echo "units: CASE_${case} compiled but must be rejected" >&2
-      return 1
-    fi
-    echo "units: CASE_${case} rejected (expected)"
-  done
-  echo "=== [units] clang-tidy narrowing profile ==="
-  bash tools/tidy_units.sh build
-}
 
 # Telemetry-enabled incast smoke on the paper's Fig. 4 testbed topology:
 # runs tfcsim with --telemetry-dir and validates the emitted run directory
@@ -288,7 +263,6 @@ case "${1:-all}" in
   lint)       leg_lint ;;
   astlint)    leg_astlint ;;
   tidy)       leg_tidy ;;
-  units)      leg_units ;;
   telemetry)  leg_telemetry ;;
   trace)      leg_trace ;;
   chaos)      leg_chaos ;;
@@ -302,7 +276,6 @@ case "${1:-all}" in
     leg_lint
     leg_astlint
     leg_tidy
-    leg_units
     leg_telemetry
     leg_trace
     leg_chaos
@@ -311,7 +284,7 @@ case "${1:-all}" in
     echo "=== ci.sh: all legs green ==="
     ;;
   *)
-    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|units|telemetry|trace|chaos|sweep|perfbench|all]" >&2
+    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|telemetry|trace|chaos|sweep|perfbench|all]" >&2
     exit 2
     ;;
 esac

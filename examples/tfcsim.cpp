@@ -8,25 +8,7 @@
 //   ./tfcsim --workload=shuffle --protocol=dctcp --topology=fattree
 //   ./tfcsim --workload=longflows --protocol=tcp --flows=8 --duration=2
 //   ./tfcsim --workload=benchmark --protocol=tfc --topology=leafspine
-//   ./tfcsim --help
-//
-// Flags (all optional):
-//   --workload=incast|shuffle|longflows|benchmark     (default incast)
-//   --protocol=tfc|dctcp|tcp|all                      (default tfc)
-//   --topology=star|testbed|leafspine|fattree         (default star)
-//   --senders=N  --flows=N  --block_kb=N  --rounds=N  --duration=SECONDS
-//   --gbps=N (link rate)  --seed=N  --trace=FILE  --quick
-//   --trace-ring=N            arm the binary flight recorder (N events)
-//   --export-trace=RUN_DIR    render RUN_DIR/flight.tfct to Perfetto JSON
-//   --force-audit-trip=US     fail an audit at US microseconds (testing)
-//   --telemetry-dir=DIR       write manifest.json/metrics.tfcb/summary.json
-//   --telemetry-interval=US   recorder sampling period in microseconds
-//   --fault-spec=SPEC         inject faults (see src/net/fault.h), e.g.
-//                             drop=0.01,flap=5ms/500us,wipe=10ms,seed=7
-//   --sweep=N                 run N independent repetitions (seeds seed..seed+N-1)
-//   --jobs=J                  concurrent sweep runs (default: all hardware threads)
-//   --retry=N --run-timeout=S --resume --backoff-ms=MS   supervised-sweep knobs
-//   --watchdog=S              per-run no-progress detector (sim seconds)
+//   ./tfcsim --help          (every flag, with its default)
 
 #include <algorithm>
 #include <charconv>
@@ -41,17 +23,14 @@
 #include <string>
 #include <system_error>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/net/fault.h"
 #include "src/net/trace.h"
 #include "src/sim/supervisor.h"
 #include "src/sim/telemetry.h"
-#include "src/topo/topologies.h"
-#include "src/workload/benchmark_traffic.h"
-#include "src/workload/incast.h"
-#include "src/workload/persistent_flow.h"
-#include "src/workload/shuffle.h"
+#include "src/workload/scenario.h"
 
 namespace {
 
@@ -59,8 +38,10 @@ using namespace tfc;
 
 struct Options {
   std::string workload = "incast";
+  Workload workload_id = Workload::kIncast;  // `workload`, looked up in main()
   std::string protocol = "tfc";
   std::string topology = "star";
+  Topology topology_id = Topology::kStar;    // `topology`, looked up in main()
   int senders = 40;
   int flows = 4;
   uint64_t block_kb = 256;
@@ -181,34 +162,48 @@ bool ParseInt(const std::string& text, std::type_identity_t<T> lo,
   return true;
 }
 
-struct BuiltTopology {
-  std::vector<Host*> hosts;
-  std::vector<Switch*> switches;
-};
-
-BuiltTopology Build(Network& net, const Options& opt, const LinkOptions& link_opts) {
-  BuiltTopology out;
-  const BitsPerSec bps = opt.gbps * kGbps;
-  if (opt.topology == "testbed") {
-    TestbedTopology t = BuildTestbed(net, link_opts, bps);
-    out.hosts = t.hosts;
-    out.switches = t.switches;
-  } else if (opt.topology == "leafspine") {
-    LeafSpineTopology t = BuildLeafSpine(net, 6, 8, link_opts, bps, 10 * bps);
-    out.hosts = t.all_hosts;
-    out.switches = t.leaves;
-    out.switches.push_back(t.spine);
-  } else if (opt.topology == "fattree") {
-    FatTreeTopology t = BuildFatTree(net, 4, link_opts, bps);
-    out.hosts = t.hosts;
-    out.switches = t.cores;
-  } else {  // star
-    const int hosts = std::max(opt.senders + 1, opt.flows + 1);
-    StarTopology t = BuildStar(net, hosts, link_opts, bps);
-    out.hosts = t.hosts;
-    out.switches.push_back(t.sw);
+// Finds `name` in a {name, value} table; false when it is not there.
+template <typename T, size_t N>
+bool Lookup(const std::pair<const char*, T> (&table)[N], const std::string& name,
+            T* out) {
+  for (const auto& [key, value] : table) {
+    if (name == key) {
+      *out = value;
+      return true;
+    }
   }
-  return out;
+  return false;
+}
+
+constexpr std::pair<const char*, Topology> kTopologies[] = {
+    {"star", Topology::kStar}, {"testbed", Topology::kTestbed},
+    {"leafspine", Topology::kLeafSpine}, {"fattree", Topology::kFatTree}};
+constexpr std::pair<const char*, Workload> kWorkloads[] = {
+    {"incast", Workload::kIncast}, {"shuffle", Workload::kShuffle},
+    {"longflows", Workload::kLongFlows}, {"benchmark", Workload::kBenchmark}};
+
+Scenario MakeScenario(const Options& opt, Protocol protocol) {
+  Scenario s;
+  s.topology = opt.topology_id;
+  s.workload = opt.workload_id;
+  s.suite.protocol = protocol;
+  s.seed = opt.seed;
+  s.link_bps = opt.gbps * kGbps;
+  s.senders = opt.senders;
+  s.flows = opt.flows;
+  s.incast.block_bytes = opt.block_kb * 1024;
+  s.incast.rounds = opt.rounds;
+  s.shuffle.block_bytes = opt.block_kb * 1024;
+  s.benchmark.stop_time = Seconds(opt.duration_s);
+  // Incast and shuffle drain: the run ends when the workload does, and
+  // recorder daemon ticks never keep it alive. The benchmark gets 30 s past
+  // its last arrival for stragglers.
+  if (s.workload == Workload::kLongFlows) {
+    s.horizon = Seconds(opt.duration_s);
+  } else if (s.workload == Workload::kBenchmark) {
+    s.horizon = Seconds(opt.duration_s) + Seconds(30);
+  }
+  return s;
 }
 
 struct PortTotals {
@@ -232,13 +227,8 @@ PortTotals SwitchTotals(const Network& net) {
 
 int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
            Report& rep) {
-  ProtocolSuite suite;
-  suite.protocol = protocol;
-  Network net(opt.seed);
-  LinkOptions link_opts;
-  link_opts.ecn_threshold_bytes = suite.EcnThresholdBytes(opt.gbps * kGbps);
-  BuiltTopology topo = Build(net, opt, link_opts);
-  suite.InstallSwitchLogic(net);
+  ScenarioRun run(MakeScenario(opt, protocol));
+  Network& net = run.net();
 
   // Flight recorder: arm the ring before any workload traffic, and register
   // the post-mortem path immediately so an abort at *any* later point (audit
@@ -286,29 +276,9 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
                                                   Seconds(opt.watchdog_s));
     watchdog->set_abort_on_stall(true);
   }
-  Network* const net_for_watch = &net;
-  const auto arm_watchdog = [&watchdog,
-                             net_for_watch](LivenessWatchdog::DoneFn done) {
-    if (watchdog == nullptr) {
-      return;
-    }
-    watchdog->Watch(
-        "workload",
-        [net_for_watch] {
-          double total = 0;
-          for (const auto& node : net_for_watch->nodes()) {
-            for (const auto& port : node->ports()) {
-              total += static_cast<double>(port->tx_bytes());
-            }
-          }
-          return total;
-        },
-        std::move(done));
-    watchdog->Start();
-  };
 
   // The injector owns daemon timers into the scheduler, so it must die
-  // before the Network: declare it after `net`.
+  // before the Network: declare it after `run`.
   std::unique_ptr<FaultInjector> inject;
   if (!opt.fault_spec.empty()) {
     FaultSpec spec;
@@ -344,40 +314,54 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
     recorder->Start(Microseconds(static_cast<int64_t>(opt.telemetry_interval_us)));
   }
 
-  rep.Printf("--- %s | %s | %s ---\n", suite.name(), opt.workload.c_str(),
+  rep.Printf("--- %s | %s | %s ---\n", ProtocolName(protocol), opt.workload.c_str(),
               opt.topology.c_str());
-
-  // Workload objects are hoisted out of the branches so their registered
-  // metrics (FCT histograms, per-flow gauges) are still alive when the
-  // telemetry exporter snapshots the registry below.
-  std::unique_ptr<IncastApp> incast_app;
-  std::unique_ptr<ShuffleApp> shuffle_app;
-  std::vector<std::unique_ptr<PersistentFlow>> long_flows;
-  std::unique_ptr<BenchmarkTrafficApp> bench_app;
-
-  if (opt.workload == "incast") {
-    if (static_cast<size_t>(opt.senders) + 1 > topo.hosts.size()) {
-      rep.Printf("topology too small for %d senders\n", opt.senders);
-      return 1;
+  if (opt.workload_id == Workload::kIncast &&
+      static_cast<size_t>(opt.senders) + 1 > run.hosts().size()) {
+    rep.Printf("topology too small for %d senders\n", opt.senders);
+    return 1;
+  }
+  run.Start();
+  if (watchdog != nullptr) {
+    // Persistent flows are never "done": only the duration horizon ends the
+    // run, so any sustained silence is a genuine stall.
+    LivenessWatchdog::DoneFn done = [] { return false; };
+    if (opt.workload_id == Workload::kIncast) {
+      done = [app_ptr = run.incast(), rounds = opt.rounds] {
+        return app_ptr->rounds_completed() >= rounds;
+      };
+    } else if (opt.workload_id == Workload::kShuffle) {
+      done = [app_ptr = run.shuffle()] {
+        return app_ptr->flows_completed() >= app_ptr->flows_total();
+      };
+    } else if (opt.workload_id == Workload::kBenchmark) {
+      done = [app_ptr = run.benchmark(), net_ptr = &net, stop = Seconds(opt.duration_s)] {
+        return net_ptr->scheduler().now() >= stop &&
+               app_ptr->flows_completed() >= app_ptr->flows_started();
+      };
     }
-    std::vector<Host*> responders(topo.hosts.begin() + 1,
-                                  topo.hosts.begin() + 1 + opt.senders);
-    IncastConfig cfg;
-    cfg.block_bytes = opt.block_kb * 1024;
-    cfg.rounds = opt.rounds;
-    incast_app = std::make_unique<IncastApp>(&net, suite, topo.hosts[0],
-                                             responders, cfg);
-    IncastApp& app = *incast_app;
-    app.Start();
-    arm_watchdog([app_ptr = &app, rounds = opt.rounds] {
-      return app_ptr->rounds_completed() >= rounds;
-    });
-    // Drain-mode Run(): finishes when the workload does, and recorder
-    // daemon ticks never keep it alive (unlike RunUntil with a horizon).
-    net.scheduler().Run();
+    watchdog->Watch(
+        "workload",
+        [net_ptr = &net] {
+          double total = 0;
+          for (const auto& node : net_ptr->nodes()) {
+            for (const auto& port : node->ports()) {
+              total += static_cast<double>(port->tx_bytes());
+            }
+          }
+          return total;
+        },
+        std::move(done));
+    watchdog->Start();
+  }
+  run.Run();
+
+  const PortTotals totals = SwitchTotals(net);
+  if (opt.workload_id == Workload::kIncast) {
+    const IncastApp& app = *run.incast();
     if (recorder != nullptr) {
       // Per-flow block FCT summary gauges land in summary.json.
-      for (size_t i = 0; i < responders.size(); ++i) {
+      for (size_t i = 0; i < app.flows().size(); ++i) {
         SampleSet fcts = app.block_fcts(i);
         const std::string prefix = "incast.flow" + std::to_string(i);
         net.metrics().AddGauge(prefix + ".fct_mean_us")->Set(fcts.Mean() * 1e6);
@@ -385,7 +369,6 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
         net.metrics().AddGauge(prefix + ".fct_max_us")->Set(fcts.Max() * 1e6);
       }
     }
-    PortTotals totals = SwitchTotals(net);
     rep.Printf("rounds=%d/%d goodput=%.1fMbps timeouts=%llu maxTO/block=%.2f "
                 "drops=%llu maxq=%.1fKB\n",
                 app.rounds_completed(), opt.rounds, app.goodput_bps() / 1e6,
@@ -393,21 +376,8 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
                 app.max_timeouts_per_block(),
                 static_cast<unsigned long long>(totals.drops),
                 static_cast<double>(totals.max_queue) / 1024.0);
-  } else if (opt.workload == "shuffle") {
-    std::vector<Host*> participants(topo.hosts.begin(),
-                                    topo.hosts.begin() + std::min<size_t>(
-                                                             topo.hosts.size(),
-                                                             static_cast<size_t>(opt.flows)));
-    ShuffleConfig cfg;
-    cfg.block_bytes = opt.block_kb * 1024;
-    shuffle_app = std::make_unique<ShuffleApp>(&net, suite, participants, cfg);
-    ShuffleApp& app = *shuffle_app;
-    app.Start();
-    arm_watchdog([app_ptr = &app] {
-      return app_ptr->flows_completed() >= app_ptr->flows_total();
-    });
-    net.scheduler().Run();
-    PortTotals totals = SwitchTotals(net);
+  } else if (opt.workload_id == Workload::kShuffle) {
+    const ShuffleApp& app = *run.shuffle();
     rep.Printf("flows=%zu/%zu elapsed=%.3fs goodput=%.1fMbps timeouts=%llu "
                 "drops=%llu maxq=%.1fKB\n",
                 app.flows_completed(), app.flows_total(), ToSeconds(app.elapsed()),
@@ -415,37 +385,18 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
                 static_cast<unsigned long long>(app.total_timeouts()),
                 static_cast<unsigned long long>(totals.drops),
                 static_cast<double>(totals.max_queue) / 1024.0);
-  } else if (opt.workload == "longflows") {
-    std::vector<std::unique_ptr<PersistentFlow>>& flows = long_flows;
-    for (int i = 1; i <= opt.flows && static_cast<size_t>(i) < topo.hosts.size(); ++i) {
-      flows.push_back(std::make_unique<PersistentFlow>(
-          suite.MakeSender(&net, topo.hosts[static_cast<size_t>(i)], topo.hosts[0])));
-      flows.back()->Start();
-    }
-    // Persistent flows are never "done": only the duration horizon ends the
-    // run, so any sustained silence is a genuine stall.
-    arm_watchdog([] { return false; });
-    net.scheduler().RunUntil(Seconds(opt.duration_s));
+  } else if (opt.workload_id == Workload::kLongFlows) {
+    const std::vector<std::unique_ptr<PersistentFlow>>& flows = run.long_flows();
     uint64_t delivered = 0;
-    for (auto& f : flows) {
+    for (const auto& f : flows) {
       delivered += f->delivered_bytes();
     }
-    PortTotals totals = SwitchTotals(net);
     rep.Printf("flows=%zu goodput=%.1fMbps drops=%llu maxq=%.1fKB\n", flows.size(),
                 static_cast<double>(delivered) * 8.0 / opt.duration_s / 1e6,
                 static_cast<unsigned long long>(totals.drops),
                 static_cast<double>(totals.max_queue) / 1024.0);
-  } else if (opt.workload == "benchmark") {
-    BenchmarkTrafficConfig cfg;
-    cfg.stop_time = Seconds(opt.duration_s);
-    bench_app = std::make_unique<BenchmarkTrafficApp>(&net, suite, topo.hosts, cfg);
-    BenchmarkTrafficApp& app = *bench_app;
-    app.Start();
-    arm_watchdog([app_ptr = &app, net_for_watch, stop = Seconds(opt.duration_s)] {
-      return net_for_watch->scheduler().now() >= stop &&
-             app_ptr->flows_completed() >= app_ptr->flows_started();
-    });
-    net.scheduler().RunUntil(Seconds(opt.duration_s) + Seconds(30));
+  } else {
+    BenchmarkTrafficApp& app = *run.benchmark();
     rep.Printf("flows=%llu/%llu query FCT: mean=%.1fus 99th=%.1fus 99.9th=%.1fus "
                 "timeouts=%llu\n",
                 static_cast<unsigned long long>(app.flows_completed()),
@@ -453,9 +404,6 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
                 app.fct().query().Mean(), app.fct().query().Percentile(99),
                 app.fct().query().Percentile(99.9),
                 static_cast<unsigned long long>(app.total_timeouts()));
-  } else {
-    rep.Printf("unknown workload '%s'\n", opt.workload.c_str());
-    return 1;
   }
 
   if (inject != nullptr) {
@@ -500,7 +448,7 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
     RunManifest manifest;
     manifest.Set("tool", "tfcsim");
     manifest.Set("workload", opt.workload);
-    manifest.Set("protocol", suite.name());
+    manifest.Set("protocol", ProtocolName(protocol));
     manifest.Set("topology", opt.topology);
     manifest.SetInt("senders", opt.senders);
     manifest.SetInt("flows", opt.flows);
@@ -654,6 +602,16 @@ int main(int argc, char** argv) {
     opt.watchdog_s = opt.sweep > 1 ? 5.0 : 0.0;
   }
 
+  if (!Lookup(kTopologies, opt.topology, &opt.topology_id)) {
+    std::fprintf(stderr, "unknown topology '%s' (star|testbed|leafspine|fattree)\n",
+                 opt.topology.c_str());
+    return 1;
+  }
+  if (!Lookup(kWorkloads, opt.workload, &opt.workload_id)) {
+    std::fprintf(stderr, "unknown workload '%s' (incast|shuffle|longflows|benchmark)\n",
+                 opt.workload.c_str());
+    return 1;
+  }
   std::vector<tfc::Protocol> protocols;
   if (opt.protocol == "all") {
     protocols = {tfc::Protocol::kTfc, tfc::Protocol::kDctcp, tfc::Protocol::kTcp};

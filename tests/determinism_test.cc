@@ -11,10 +11,8 @@
 #include "src/net/fault.h"
 #include "src/net/network.h"
 #include "src/topo/topologies.h"
-#include "src/workload/benchmark_traffic.h"
-#include "src/workload/incast.h"
 #include "src/workload/persistent_flow.h"
-#include "src/workload/protocol.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -29,25 +27,23 @@ struct Fingerprint {
 };
 
 Fingerprint RunFingerprint(uint64_t seed, Protocol protocol) {
-  ProtocolSuite suite;
-  suite.protocol = protocol;
-  Network net(seed);
-  LinkOptions opts;
-  opts.switch_buffer_bytes = 64 * 1024;
-  opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  TestbedTopology topo = BuildTestbed(net, opts);
-  suite.InstallSwitchLogic(net);
-  for (Host* h : topo.hosts) {
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.workload = Workload::kBenchmark;
+  s.suite.protocol = protocol;
+  s.seed = seed;
+  s.switch_buffer_bytes = 64 * 1024;
+  s.benchmark.query_interarrival = Milliseconds(3);
+  s.benchmark.background_interarrival = Milliseconds(3);
+  s.benchmark.stop_time = Milliseconds(120);
+  s.horizon = Milliseconds(200);
+  ScenarioRun run(s);
+  Network& net = run.net();
+  for (Host* h : run.hosts()) {
     h->set_processing_delay(Microseconds(2), Microseconds(8));  // uses the RNG
   }
-
-  BenchmarkTrafficConfig cfg;
-  cfg.query_interarrival = Milliseconds(3);
-  cfg.background_interarrival = Milliseconds(3);
-  cfg.stop_time = Milliseconds(120);
-  BenchmarkTrafficApp app(&net, suite, topo.hosts, cfg);
-  app.Start();
-  net.scheduler().RunUntil(Milliseconds(200));
+  run.Start();
+  run.Run();
 
   Fingerprint fp;
   fp.events = net.scheduler().executed();
@@ -78,12 +74,17 @@ TEST(DeterminismTest, DifferentSeedsDiverge) {
 // randomness (drops, duplication, flapping, wipes, a host outage) must be
 // just as replayable as the fault-free run.
 Fingerprint RunFaultFingerprint(uint64_t seed) {
-  ProtocolSuite suite;
-  suite.protocol = Protocol::kTfc;
-  Network net(seed);
-  TestbedTopology topo = BuildTestbed(net);
-  suite.InstallSwitchLogic(net);
-  for (Host* h : topo.hosts) {
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.workload = Workload::kBenchmark;
+  s.seed = seed;
+  s.benchmark.query_interarrival = Milliseconds(3);
+  s.benchmark.background_interarrival = Milliseconds(3);
+  s.benchmark.stop_time = Milliseconds(80);
+  s.horizon = Milliseconds(150);
+  ScenarioRun run(s);
+  Network& net = run.net();
+  for (Host* h : run.hosts()) {
     h->set_processing_delay(Microseconds(2), Microseconds(8));
   }
   FaultInjector inject(&net, seed + 99);
@@ -95,14 +96,8 @@ Fingerprint RunFaultFingerprint(uint64_t seed) {
       &spec, &error))
       << error;
   inject.ApplySpec(spec);
-
-  BenchmarkTrafficConfig cfg;
-  cfg.query_interarrival = Milliseconds(3);
-  cfg.background_interarrival = Milliseconds(3);
-  cfg.stop_time = Milliseconds(80);
-  BenchmarkTrafficApp app(&net, suite, topo.hosts, cfg);
-  app.Start();
-  net.scheduler().RunUntil(Milliseconds(150));
+  run.Start();
+  run.Run();
 
   Fingerprint fp;
   fp.events = net.scheduler().executed();
@@ -165,31 +160,29 @@ class TfcLinkSpeedSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TfcLinkSpeedSweep, InvariantsHoldAcrossLinkRates) {
   const uint64_t gbps = static_cast<uint64_t>(GetParam());
-  Network net(31 + gbps);
-  LinkOptions opts;
-  opts.switch_buffer_bytes = 512 * 1024;
-  StarTopology topo = BuildStar(net, 9, opts, gbps * kGbps, Microseconds(5));
-  InstallTfcSwitches(net);
-  std::vector<std::unique_ptr<PersistentFlow>> flows;
-  for (int i = 1; i <= 8; ++i) {
-    flows.push_back(std::make_unique<PersistentFlow>(std::make_unique<TfcSender>(
-        &net, topo.hosts[static_cast<size_t>(i)], topo.hosts[0], TfcHostConfig())));
-    flows.back()->Start();
-  }
-  net.scheduler().RunUntil(Milliseconds(60));
-  uint64_t before = 0;
-  for (auto& f : flows) {
-    before += f->delivered_bytes();
-  }
-  net.scheduler().RunUntil(Milliseconds(160));
-  uint64_t after = 0;
-  for (auto& f : flows) {
-    after += f->delivered_bytes();
-  }
-  const double rate = static_cast<double>(after - before) * 8.0 / 0.1;
+  Scenario s;
+  s.workload = Workload::kLongFlows;
+  s.seed = 31 + gbps;
+  s.link_bps = gbps * kGbps;
+  s.switch_buffer_bytes = 512 * 1024;
+  s.flows = 8;
+  s.horizon = Milliseconds(60);
+  ScenarioRun run(s);
+  const auto delivered = [&run] {
+    uint64_t total = 0;
+    for (const auto& f : run.long_flows()) {
+      total += f->delivered_bytes();
+    }
+    return total;
+  };
+  run.Start();
+  run.Run();
+  const uint64_t before = delivered();
+  run.net().scheduler().RunUntil(Milliseconds(160));
+  const double rate = static_cast<double>(delivered() - before) * 8.0 / 0.1;
   const double capacity = static_cast<double>(gbps) * 1e9;
   EXPECT_GT(rate, 0.75 * capacity);
-  EXPECT_EQ(Network::FindPort(topo.sw, topo.hosts[0])->drops(), 0u);
+  EXPECT_EQ(run.bottleneck()->drops(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(LinkRates, TfcLinkSpeedSweep, ::testing::Values(1, 10, 40),
@@ -200,20 +193,18 @@ class TfcIncastBlockSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TfcIncastBlockSweep, ZeroLossForAnyBlockSize) {
   const uint64_t block_kb = static_cast<uint64_t>(GetParam());
-  Network net(17);
-  ProtocolSuite suite;
-  StarTopology topo = BuildStar(net, 41);
-  suite.InstallSwitchLogic(net);
-  std::vector<Host*> senders(topo.hosts.begin() + 1, topo.hosts.end());
-  IncastConfig cfg;
-  cfg.block_bytes = block_kb * 1024;
-  cfg.rounds = 4;
-  IncastApp app(&net, suite, topo.hosts[0], senders, cfg);
-  app.Start();
-  net.scheduler().RunUntil(Seconds(10));
-  ASSERT_TRUE(app.finished());
-  EXPECT_EQ(app.total_timeouts(), 0u);
-  EXPECT_EQ(Network::FindPort(topo.sw, topo.hosts[0])->drops(), 0u);
+  Scenario s;
+  s.seed = 17;
+  s.senders = 40;
+  s.incast.block_bytes = block_kb * 1024;
+  s.incast.rounds = 4;
+  s.horizon = Seconds(10);
+  ScenarioRun run(s);
+  run.Start();
+  run.Run();
+  ASSERT_TRUE(run.incast()->finished());
+  EXPECT_EQ(run.incast()->total_timeouts(), 0u);
+  EXPECT_EQ(run.bottleneck()->drops(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Blocks, TfcIncastBlockSweep,

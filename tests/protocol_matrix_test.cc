@@ -10,8 +10,7 @@
 #include <vector>
 
 #include "src/topo/topologies.h"
-#include "src/workload/incast.h"
-#include "src/workload/protocol.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -134,20 +133,19 @@ class TfcIncastSenderSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(TfcIncastSenderSweep, ZeroLossZeroTimeouts) {
   const int senders = GetParam();
-  Network net(63);
-  ProtocolSuite suite;
-  StarTopology topo = BuildStar(net, senders + 1);
-  suite.InstallSwitchLogic(net);
-  std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.end());
-  IncastConfig cfg;
-  cfg.block_bytes = 128 * 1024;
-  cfg.rounds = 3;
-  IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-  app.Start();
-  net.scheduler().RunUntil(Seconds(20));
+  Scenario s;
+  s.seed = 63;
+  s.senders = senders;
+  s.incast.block_bytes = 128 * 1024;
+  s.incast.rounds = 3;
+  s.horizon = Seconds(20);
+  ScenarioRun run(s);
+  run.Start();
+  run.Run();
+  const IncastApp& app = *run.incast();
   ASSERT_TRUE(app.finished()) << senders << " senders";
   EXPECT_EQ(app.total_timeouts(), 0u);
-  EXPECT_EQ(Network::FindPort(topo.sw, topo.hosts[0])->drops(), 0u);
+  EXPECT_EQ(run.bottleneck()->drops(), 0u);
   EXPECT_GT(app.goodput_bps(), 0.75e9);
 }
 

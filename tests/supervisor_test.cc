@@ -28,9 +28,7 @@
 #include "src/sim/audit.h"
 #include "src/sim/supervisor.h"
 #include "src/sim/telemetry.h"
-#include "src/topo/topologies.h"
-#include "src/workload/incast.h"
-#include "src/workload/protocol.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -70,25 +68,20 @@ SupervisorOptions FastOptions(int workers) {
 // what a real sweep job does, scaled down. Runs *in the forked child*.
 int RunMicroIncast(uint64_t seed, const std::string& run_dir,
                    std::string* report) {
-  ProtocolSuite suite;
-  Network net(seed);
-  LinkOptions link_opts;
-  link_opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  StarTopology topo = BuildStar(net, 5, link_opts, kGbps);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.seed = seed;
+  s.senders = 4;
+  s.incast.block_bytes = 32 * 1024;
+  s.incast.rounds = 1;
+  ScenarioRun run(s);
+  Network& net = run.net();
 
   TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
   recorder.WatchPrefix("port.");
   recorder.WatchPrefix("incast.");
   recorder.Start(Microseconds(500));
-
-  std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.end());
-  IncastConfig cfg;
-  cfg.block_bytes = 32 * 1024;
-  cfg.rounds = 1;
-  IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-  app.Start();
-  net.scheduler().Run();
+  run.Start();
+  run.Run();
   recorder.Stop();
 
   RunManifest manifest;
@@ -99,7 +92,7 @@ int RunMicroIncast(uint64_t seed, const std::string& run_dir,
     *report += "export failed: " + error + "\n";
     return 1;
   }
-  *report += "rounds=" + std::to_string(app.rounds_completed()) + "\n";
+  *report += "rounds=" + std::to_string(run.incast()->rounds_completed()) + "\n";
   return 0;
 }
 
@@ -204,12 +197,13 @@ TEST(SupervisorTest, AuditTripInChildSalvagesFlightPostMortem) {
   const std::string run_dir = (dir / "run").string();
   RunSupervisor sup(FastOptions(1));
   sup.Add("tripped", run_dir, "", [run_dir](std::string* report) {
-    ProtocolSuite suite;
-    Network net(3);
-    LinkOptions link_opts;
-    link_opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-    StarTopology topo = BuildStar(net, 5, link_opts, kGbps);
-    suite.InstallSwitchLogic(net);
+    Scenario s;
+    s.seed = 3;
+    s.senders = 4;
+    s.incast.block_bytes = 64 * 1024;
+    s.incast.rounds = 4;
+    ScenarioRun run(s);
+    Network& net = run.net();
     net.flight().Arm(1024);
     std::error_code ec;
     fs::create_directories(run_dir, ec);
@@ -221,13 +215,8 @@ TEST(SupervisorTest, AuditTripInChildSalvagesFlightPostMortem) {
                        a.Check(net_ptr->scheduler().now() < Microseconds(200),
                                "forced trip");
                      });
-    std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.end());
-    IncastConfig cfg;
-    cfg.block_bytes = 64 * 1024;
-    cfg.rounds = 4;
-    IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-    app.Start();
-    net.scheduler().Run();  // aborts at the 200us audit tick
+    run.Start();
+    run.Run();  // aborts at the 200us audit tick
     *report += "unreachable\n";
     return 0;
   });

@@ -26,8 +26,7 @@
 #include "src/sim/supervisor.h"
 #include "src/sim/telemetry.h"
 #include "src/topo/topologies.h"
-#include "src/workload/incast.h"
-#include "src/workload/protocol.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -48,32 +47,28 @@ Protocol ProtocolForIndex(int i) {
 // directory. Returns a compact result line so sweeps can also be compared
 // without touching the filesystem.
 std::string RunTestbedIncast(uint64_t seed, Protocol protocol, const std::string& dir) {
-  ProtocolSuite suite;
-  suite.protocol = protocol;
-  Network net(seed);
-  LinkOptions link_opts;
-  link_opts.ecn_threshold_bytes = suite.EcnThresholdBytes(kGbps);
-  TestbedTopology topo = BuildTestbed(net, link_opts, kGbps);
-  suite.InstallSwitchLogic(net);
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.suite.protocol = protocol;
+  s.seed = seed;
+  s.senders = 6;
+  s.incast.block_bytes = 64 * 1024;
+  s.incast.rounds = 2;
+  ScenarioRun run(s);
+  Network& net = run.net();
 
   TimeSeriesRecorder recorder(&net.scheduler(), &net.metrics());
   for (const char* prefix : {"port.", "tfc.", "flow.", "sim.", "pool."}) {
     recorder.WatchPrefix(prefix);
   }
   recorder.Start(Microseconds(500));
-
-  std::vector<Host*> responders(topo.hosts.begin() + 1, topo.hosts.begin() + 1 + 6);
-  IncastConfig cfg;
-  cfg.block_bytes = 64 * 1024;
-  cfg.rounds = 2;
-  IncastApp app(&net, suite, topo.hosts[0], responders, cfg);
-  app.Start();
-  net.scheduler().Run();
+  run.Start();
+  run.Run();
   recorder.Stop();
 
   if (!dir.empty()) {
     RunManifest manifest;
-    manifest.Set("protocol", suite.name());
+    manifest.Set("protocol", ProtocolName(protocol));
     manifest.SetInt("seed", static_cast<int64_t>(seed));
     std::string error;
     EXPECT_TRUE(WriteRunDirectory(dir, manifest, net.metrics(), &recorder,
@@ -83,7 +78,8 @@ std::string RunTestbedIncast(uint64_t seed, Protocol protocol, const std::string
 
   std::ostringstream line;
   line << ProtocolName(protocol) << " seed=" << seed
-       << " rounds=" << app.rounds_completed() << " goodput=" << app.goodput_bps()
+       << " rounds=" << run.incast()->rounds_completed()
+       << " goodput=" << run.incast()->goodput_bps()
        << " executed=" << net.scheduler().executed();
   return line.str();
 }

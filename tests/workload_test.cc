@@ -1,5 +1,6 @@
 // Tests for the workload layer: incast app semantics, benchmark traffic
-// generation, FCT binning, persistent flows, and protocol suite plumbing.
+// generation, FCT binning, persistent flows, protocol suite plumbing, and
+// the scenario builder.
 
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include "src/workload/incast.h"
 #include "src/workload/persistent_flow.h"
 #include "src/workload/protocol.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -220,6 +222,50 @@ TEST(TopologyTest, LeafSpineShape) {
   // Uplinks are 10 Gbps, host links 1 Gbps.
   EXPECT_EQ(Network::FindPort(topo.leaves[0], topo.spine)->bps(), 10 * kGbps);
   EXPECT_EQ(Network::FindPort(topo.leaves[0], topo.racks[0][0])->bps(), kGbps);
+}
+
+// The Sec. 6.2.1 fabric: a 10 Gbps star with 512 KB switch buffers.
+TEST(ScenarioTest, BuildsTheProvisionedFabric) {
+  Scenario s;
+  s.suite.protocol = Protocol::kDctcp;
+  s.link_bps = 10 * kGbps;
+  s.switch_buffer_bytes = 512 * 1024;
+  s.senders = 8;
+  {
+    ScenarioRun run(s);
+    ASSERT_EQ(run.hosts().size(), 9u);
+    EXPECT_EQ(run.bottleneck()->peer(), run.hosts()[0]);
+    for (const auto& node : run.net().nodes()) {
+      for (const auto& port : node->ports()) {
+        EXPECT_EQ(port->buffer_limit(),
+                  node->is_host() ? Bytes(8 * 1024 * 1024) : Bytes(512 * 1024));
+      }
+    }
+  }
+  s.suite.protocol = Protocol::kTfc;
+  ScenarioRun run(s);
+  for (const auto& node : run.net().nodes()) {
+    for (const auto& port : node->ports()) {
+      EXPECT_EQ(TfcPortAgent::FromPort(port.get()) != nullptr, !node->is_host());
+    }
+  }
+}
+
+TEST(ScenarioDeathTest, LongFlowsNeedAHorizon) {
+  Scenario s;
+  s.workload = Workload::kLongFlows;
+  s.flows = 2;
+  ScenarioRun run(s);
+  run.Start();
+  EXPECT_DEATH(run.Run(), "kLongFlows");
+}
+
+TEST(ScenarioDeathTest, IncastNeedsSendersPlusOneHosts) {
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.senders = 9;  // the testbed has 9 hosts, one of them the receiver
+  ScenarioRun run(s);
+  EXPECT_DEATH(run.Start(), "senders");
 }
 
 }  // namespace

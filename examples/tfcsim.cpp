@@ -14,7 +14,6 @@
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -59,9 +58,7 @@ struct Options {
   std::string export_trace_dir;
   uint64_t force_audit_trip_us = 0;  // schedule a failing audit (testing)
   int trip_run = -1;        // sweep repetition the forced trip applies to (-1 = all)
-  int retry = 0;            // supervised sweeps: extra attempts per failed run
   double run_timeout_s = 0; // supervised sweeps: per-run wall-clock limit
-  int backoff_ms = 250;     // supervised sweeps: first retry delay
   bool resume = false;      // supervised sweeps: skip done-marker-verified runs
   double watchdog_s = -1;   // no-progress stall threshold (sim s); -1 = default
 };
@@ -125,13 +122,10 @@ void PrintHelp() {
       "                   each run executes in its own forked child (a crashing\n"
       "                   run cannot take the sweep down)\n"
       "  --jobs=J         concurrent sweep runs (default: hardware threads)\n"
-      "  --retry=N        extra attempts per failed sweep run; two attempts that\n"
-      "                   die the same way stop early (deterministic failure)\n"
       "  --run-timeout=S  SIGKILL a sweep run after S wall-clock seconds\n"
-      "  --backoff-ms=MS  first retry delay, doubling per failure (default 250)\n"
       "  --resume         skip sweep runs whose done marker verifies against\n"
-      "                   (config, seed, git describe, schema); needs\n"
-      "                   --telemetry-dir\n"
+      "                   (config, seed, git describe, schema) and re-run the\n"
+      "                   rest, failed runs included; needs --telemetry-dir\n"
       "  --trip-run=K     apply --force-audit-trip to sweep repetition K only\n"
       "  --watchdog=S     abort a run that makes no progress for S sim-seconds\n"
       "                   (default: 5 in sweep mode, off single-run; 0 disables)");
@@ -146,12 +140,14 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-// Parses all of `text` as a base-10 integer in [lo, hi]. Unlike atoi, a
-// trailing "x" or a sign on an unsigned flag is an error, not 3 or a
-// wrapped-around rate.
+// Parses all of `text` as a base-10 number in [lo, hi]. Unlike atoi or
+// atof, a trailing "x", a non-number, an empty value or a sign on an
+// unsigned flag is an error, not 3, 0 s or a wrapped-around rate. For a
+// double, NaN passes any bounds; main()'s finiteness check rejects it, along
+// with inf and values too large for int64 nanoseconds.
 template <typename T>
-bool ParseInt(const std::string& text, std::type_identity_t<T> lo,
-              std::type_identity_t<T> hi, T* out) {
+bool ParseNumber(const std::string& text, std::type_identity_t<T> lo,
+                 std::type_identity_t<T> hi, T* out) {
   const char* end = text.data() + text.size();
   T v{};
   const auto [ptr, ec] = std::from_chars(text.data(), end, v);
@@ -482,6 +478,7 @@ int main(int argc, char** argv) {
   // Integer flag bounds: each value and what is derived from it must fit
   // its type (senders + 1 hosts, block_kb * 1024 bytes, microseconds as
   // int64 nanoseconds, ten times the edge rate for the leaf-spine core).
+  // Seconds flags are bounded after parsing, by the checks below.
   constexpr int kIntMax = std::numeric_limits<int>::max();
   constexpr uint64_t kUint64Max = std::numeric_limits<uint64_t>::max();
   constexpr uint64_t kMaxUs =
@@ -489,6 +486,7 @@ int main(int argc, char** argv) {
   constexpr uint64_t kMaxBlockKb =
       static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) / 1024;
   constexpr uint64_t kMaxGbps = kUint64Max / (10 * kGbps.count());
+  constexpr double kInf = std::numeric_limits<double>::infinity();
   Options opt;
   std::string value;
   for (int i = 1; i < argc; ++i) {
@@ -506,39 +504,36 @@ int main(int argc, char** argv) {
                ParseFlag(arg, "fault-spec", &opt.fault_spec)) {
       continue;
     } else if (ParseFlag(arg, "trace-ring", &value)) {
-      ok = ParseInt(value, 0, FlightRecorder::kMaxCapacity, &opt.trace_ring);
+      ok = ParseNumber(value, 0, FlightRecorder::kMaxCapacity, &opt.trace_ring);
     } else if (ParseFlag(arg, "force-audit-trip", &value)) {
-      ok = ParseInt(value, 0, kMaxUs, &opt.force_audit_trip_us);
+      ok = ParseNumber(value, 0, kMaxUs, &opt.force_audit_trip_us);
     } else if (ParseFlag(arg, "telemetry-interval", &value)) {
-      ok = ParseInt(value, 1, kMaxUs, &opt.telemetry_interval_us);
+      ok = ParseNumber(value, 1, kMaxUs, &opt.telemetry_interval_us);
     } else if (ParseFlag(arg, "senders", &value)) {
-      ok = ParseInt(value, 1, kIntMax - 1, &opt.senders);
+      ok = ParseNumber(value, 1, kIntMax - 1, &opt.senders);
     } else if (ParseFlag(arg, "flows", &value)) {
-      ok = ParseInt(value, 1, kIntMax - 1, &opt.flows);
+      ok = ParseNumber(value, 1, kIntMax - 1, &opt.flows);
     } else if (ParseFlag(arg, "block_kb", &value)) {
-      ok = ParseInt(value, 1, kMaxBlockKb, &opt.block_kb);
+      ok = ParseNumber(value, 1, kMaxBlockKb, &opt.block_kb);
     } else if (ParseFlag(arg, "rounds", &value)) {
-      ok = ParseInt(value, 1, kIntMax, &opt.rounds);
+      ok = ParseNumber(value, 1, kIntMax, &opt.rounds);
     } else if (ParseFlag(arg, "duration", &value)) {
-      opt.duration_s = std::atof(value.c_str());
+      ok = ParseNumber(value, -kInf, kInf, &opt.duration_s);
     } else if (ParseFlag(arg, "gbps", &value)) {
-      ok = ParseInt(value, 1, kMaxGbps, &opt.gbps);
+      ok = ParseNumber(value, 1, kMaxGbps, &opt.gbps);
     } else if (ParseFlag(arg, "seed", &value)) {
-      ok = ParseInt(value, 0, kUint64Max, &opt.seed);
+      ok = ParseNumber(value, 0, kUint64Max, &opt.seed);
     } else if (ParseFlag(arg, "sweep", &value)) {
-      ok = ParseInt(value, 1, kIntMax, &opt.sweep);
+      ok = ParseNumber(value, 1, kIntMax, &opt.sweep);
     } else if (ParseFlag(arg, "jobs", &value)) {
-      ok = ParseInt(value, 0, kIntMax, &opt.jobs);
-    } else if (ParseFlag(arg, "retry", &value)) {
-      ok = ParseInt(value, 0, kIntMax - 1, &opt.retry);  // 1 + retry attempts
+      ok = ParseNumber(value, 0, kIntMax, &opt.jobs);
     } else if (ParseFlag(arg, "run-timeout", &value)) {
-      opt.run_timeout_s = std::atof(value.c_str());
-    } else if (ParseFlag(arg, "backoff-ms", &value)) {
-      ok = ParseInt(value, 1, kIntMax, &opt.backoff_ms);
+      ok = ParseNumber(value, -kInf, kInf, &opt.run_timeout_s);
     } else if (ParseFlag(arg, "trip-run", &value)) {
-      ok = ParseInt(value, 0, kIntMax, &opt.trip_run);
+      ok = ParseNumber(value, 0, kIntMax, &opt.trip_run);
     } else if (ParseFlag(arg, "watchdog", &value)) {
-      opt.watchdog_s = std::atof(value.c_str());
+      // Negative is the internal "unset" value, not a setting.
+      ok = ParseNumber(value, 0.0, kInf, &opt.watchdog_s);
     } else if (std::strcmp(arg, "--resume") == 0) {
       opt.resume = true;
     } else {
@@ -563,45 +558,6 @@ int main(int argc, char** argv) {
                 opt.export_trace_dir.c_str());
     return 0;
   }
-  // Seconds flags go through Seconds(), so each must fit int64 nanoseconds.
-  if (!FitsTimeNs(opt.duration_s * 1e9) || !FitsTimeNs(opt.watchdog_s * 1e9) ||
-      !FitsTimeNs(opt.run_timeout_s * 1e9)) {
-    std::fprintf(stderr, "--duration/--watchdog/--run-timeout must be finite "
-                         "and fit int64 nanoseconds\n");
-    return 1;
-  }
-  if (opt.duration_s <= 0 || opt.run_timeout_s < 0) {
-    std::fprintf(stderr, "--duration must be positive, --run-timeout not negative\n");
-    return 1;
-  }
-  if (opt.sweep > 1 && !opt.trace_file.empty()) {
-    std::fprintf(stderr, "--trace and --sweep cannot combine "
-                         "(runs would clobber one trace file)\n");
-    return 1;
-  }
-  if (opt.sweep > 1 && opt.trace_ring > 0 && opt.telemetry_dir.empty()) {
-    std::fprintf(stderr, "--trace-ring with --sweep needs --telemetry-dir "
-                         "(each run dumps flight.tfct into its run directory)\n");
-    return 1;
-  }
-  if (opt.sweep == 1 && (opt.resume || opt.retry > 0 || opt.run_timeout_s > 0 ||
-                         opt.trip_run >= 0)) {
-    std::fprintf(stderr, "--resume/--retry/--run-timeout/--trip-run "
-                         "require --sweep\n");
-    return 1;
-  }
-  if (opt.resume && opt.telemetry_dir.empty()) {
-    std::fprintf(stderr, "--resume needs --telemetry-dir "
-                         "(done markers live in the run directories)\n");
-    return 1;
-  }
-  // Watchdog default: on (5 sim-seconds) for sweep runs — a silently hung
-  // run should fail loudly, not pin a worker slot — off for interactive
-  // single runs. --watchdog=0 disables it everywhere.
-  if (opt.watchdog_s < 0) {
-    opt.watchdog_s = opt.sweep > 1 ? 5.0 : 0.0;
-  }
-
   if (!Lookup(kTopologies, opt.topology, &opt.topology_id)) {
     std::fprintf(stderr, "unknown topology '%s' (star|testbed|leafspine|fattree)\n",
                  opt.topology.c_str());
@@ -626,6 +582,50 @@ int main(int argc, char** argv) {
                  opt.protocol.c_str());
     return 1;
   }
+  // Seconds flags go through Seconds(), so each must fit int64 nanoseconds.
+  if (!FitsTimeNs(opt.duration_s * 1e9) || !FitsTimeNs(opt.watchdog_s * 1e9) ||
+      !FitsTimeNs(opt.run_timeout_s * 1e9)) {
+    std::fprintf(stderr, "--duration/--watchdog/--run-timeout must be finite "
+                         "and fit int64 nanoseconds\n");
+    return 1;
+  }
+  if (opt.duration_s <= 0 || opt.run_timeout_s < 0) {
+    std::fprintf(stderr, "--duration must be positive, --run-timeout not negative\n");
+    return 1;
+  }
+  if (opt.workload_id == Workload::kShuffle && opt.flows < 2) {
+    std::fprintf(stderr, "--workload=shuffle needs --flows >= 2\n");
+    return 1;
+  }
+  // More than one run: a sweep, or one run per protocol.
+  const bool many_runs = opt.sweep > 1 || protocols.size() > 1;
+  if (many_runs && !opt.trace_file.empty()) {
+    std::fprintf(stderr, "--trace cannot combine with --sweep or --protocol=all "
+                         "(runs would clobber one trace file)\n");
+    return 1;
+  }
+  if (many_runs && opt.trace_ring > 0 && opt.telemetry_dir.empty()) {
+    std::fprintf(stderr, "--trace-ring with --sweep or --protocol=all needs "
+                         "--telemetry-dir (each run dumps flight.tfct into its "
+                         "run directory)\n");
+    return 1;
+  }
+  if (opt.sweep == 1 && (opt.resume || opt.run_timeout_s > 0 || opt.trip_run >= 0)) {
+    std::fprintf(stderr, "--resume/--run-timeout/--trip-run require --sweep\n");
+    return 1;
+  }
+  if (opt.resume && opt.telemetry_dir.empty()) {
+    std::fprintf(stderr, "--resume needs --telemetry-dir "
+                         "(done markers live in the run directories)\n");
+    return 1;
+  }
+  // Watchdog default: on (5 sim-seconds) for sweep runs — a silently hung
+  // run should fail loudly, not pin a worker slot — off for interactive
+  // single runs. --watchdog=0 disables it everywhere.
+  if (opt.watchdog_s < 0) {
+    opt.watchdog_s = opt.sweep > 1 ? 5.0 : 0.0;
+  }
+
   if (opt.sweep == 1) {
     for (tfc::Protocol p : protocols) {
       // With --protocol=all each protocol gets its own run subdirectory.
@@ -646,16 +646,16 @@ int main(int argc, char** argv) {
 
   // Sweep mode: one job per (repetition, protocol), each with its own seed
   // and telemetry subdirectory. The supervisor forks every run into its own
-  // child process (crash isolation, per-run timeout, retry with backoff,
-  // done-marker resume); reports print in submission order.
+  // child process (crash isolation, per-run timeout, done-marker resume);
+  // reports print in submission order.
   const int workers = opt.jobs > 0 ? opt.jobs : tfc::RunSupervisor::DefaultWorkers();
 
   // Cache-key fingerprint: every flag that influences a run's *output*.
-  // Execution-only knobs (--jobs, --retry, --run-timeout, --backoff-ms,
-  // --watchdog, --trip-run, --force-audit-trip, --trace-ring) are excluded
-  // on purpose: a run that completed under different supervision is still
-  // the same run, so `--resume` after a crashed or force-tripped sweep
-  // reuses every run that finished clean.
+  // Execution-only knobs (--jobs, --run-timeout, --watchdog, --trip-run,
+  // --force-audit-trip, --trace-ring) are excluded on purpose: a run that
+  // completed under different supervision is still the same run, so
+  // `--resume` after a crashed or force-tripped sweep reuses every run that
+  // finished clean.
   const auto fingerprint = [&opt](tfc::Protocol p) {
     std::string fp;
     fp += "workload=" + opt.workload;
@@ -674,9 +674,7 @@ int main(int argc, char** argv) {
 
   tfc::SupervisorOptions sup;
   sup.workers = workers;
-  sup.max_retries = opt.retry;
   sup.timeout_s = opt.run_timeout_s;
-  sup.backoff_base_ms = opt.backoff_ms;
   sup.resume = opt.resume;
   tfc::RunSupervisor supervisor(sup);
   std::vector<uint64_t> seeds;  // per job, in submission order
@@ -715,12 +713,8 @@ int main(int argc, char** argv) {
   std::vector<std::string> failed_names;
   for (const tfc::SupervisedResult& r : results) {
     std::string annot;
-    if (r.status != tfc::RunStatus::kOk || r.attempts > 1) {
-      annot = std::string(" [") + tfc::RunStatusName(r.status);
-      if (r.attempts != 1) {
-        annot += ", attempts=" + std::to_string(r.attempts);
-      }
-      annot += "]";
+    if (r.status != tfc::RunStatus::kOk) {
+      annot = std::string(" [") + tfc::RunStatusName(r.status) + "]";
     }
     std::printf("=== %s (seed %llu, %.3fs)%s ===\n", r.name.c_str(),
                 static_cast<unsigned long long>(seeds[static_cast<size_t>(r.index)]),
@@ -745,7 +739,6 @@ int main(int argc, char** argv) {
     sweep_manifest.SetInt("base_seed", static_cast<int64_t>(opt.seed));
     sweep_manifest.SetInt("sweep", opt.sweep);
     sweep_manifest.SetInt("jobs", workers);
-    sweep_manifest.SetInt("retry", opt.retry);
     sweep_manifest.SetDouble("run_timeout_s", opt.run_timeout_s);
     sweep_manifest.SetBool("resume", opt.resume);
     if (!opt.fault_spec.empty()) {

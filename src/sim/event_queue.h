@@ -78,9 +78,9 @@ class EventQueue {
   static constexpr uint32_t kBucketShift = 6;
   static constexpr TimeNs kBucketWidth{int64_t{1} << kBucketShift};
   // 16384 buckets span 1.05 ms: every serialization (1.2-12 µs) and
-  // propagation (5-20 µs) delay and the 200 µs delayed-ACK timer fit with
-  // room to spare, while retransmission timers (RTO >= 200 ms) go to the far
-  // heap. The ring's arrays take 130 KB.
+  // propagation (5-20 µs) delay fits with room to spare, while
+  // retransmission timers (RTO >= 200 ms) go to the far heap. The ring's
+  // arrays take 130 KB.
   static constexpr uint32_t kRingBuckets = 16384;
   static constexpr TimeNs kRingSpan = kRingBuckets * kBucketWidth;
   // Most nodes a push walks back from a bucket's tail looking for its place.

@@ -1,9 +1,9 @@
 #include "src/sim/supervisor.h"
 
 // The supervisor is the one sanctioned process-spawning site in src/: it
-// forks one child per run attempt, supervises the fleet single-threaded
+// forks one child per run, supervises the fleet single-threaded
 // (poll + waitpid, no worker threads), and does only cold-path file I/O —
-// once per attempt, never per event. lint:allow hot-io
+// once per run, never per event. lint:allow hot-io
 
 #include <fcntl.h>
 #include <signal.h>
@@ -67,7 +67,6 @@ const char* RunStatusName(RunStatus s) {
 RunSupervisor::RunSupervisor(const SupervisorOptions& options)
     : options_(options) {
   TFC_CHECK_GE(options_.workers, 1);
-  TFC_CHECK_GE(options_.max_retries, 0);
   // SpawnNext casts timeout_s * 1000 to int64 ms and adds it to a steady
   // clock reading; NaN, inf, or a huge value would be undefined there.
   TFC_CHECK_MSG(options_.timeout_s >= 0.0 && options_.timeout_s < 1e12,
@@ -93,41 +92,8 @@ void RunSupervisor::Add(std::string name, std::string run_dir,
   jobs_.push_back(std::move(job));
 }
 
-int64_t RunSupervisor::BackoffMs(int failures, int base_ms, int cap_ms) {
-  if (failures < 1) {
-    failures = 1;
-  }
-  if (base_ms < 0) {
-    base_ms = 0;
-  }
-  const int64_t cap = cap_ms < base_ms ? base_ms : cap_ms;
-  const int shift = failures - 1 > 30 ? 30 : failures - 1;
-  const int64_t ms = static_cast<int64_t>(base_ms) << shift;
-  return ms > cap ? cap : ms;
-}
-
-uint64_t RunSupervisor::HashKey(const std::string& key) {
-  // FNV-1a 64: stable across platforms, good enough to key a done marker
-  // (the marker also embeds the full key, so a collision cannot validate
-  // a mismatched config — matching compares the whole contents).
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::string RunSupervisor::DoneMarkerContents(const std::string& cache_key) {
-  char hex[17];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(HashKey(cache_key)));
-  std::string out = "tfc-run-done v1\nhash ";
-  out += hex;
-  out += "\nkey ";
-  out += cache_key;
-  out += "\n";
-  return out;
+  return "tfc-run-done v2\nkey " + cache_key + "\n";
 }
 
 std::string RunSupervisor::DoneMarkerPath(const std::string& run_dir) {
@@ -192,48 +158,16 @@ std::vector<std::string> RunSupervisor::ListRunDirFiles(
   return out;
 }
 
-void RunSupervisor::SalvageForRetry(Job& job, int attempt) {
-  // A retry reruns the job into the same run directory; move what the
-  // failed attempt left behind (partial telemetry, the flight.tfct
-  // post-mortem) out of the blast radius first.
-  const std::vector<std::string> files = ListRunDirFiles(job.run_dir);
-  if (files.empty()) {
-    return;
-  }
-  const std::filesystem::path salvage_dir =
-      std::filesystem::path(job.run_dir) /
-      ("salvage-attempt-" + std::to_string(attempt));
-  std::error_code ec;
-  std::filesystem::create_directories(salvage_dir, ec);
-  if (ec) {
-    job.result.report += "supervisor: salvage dir failed: " + ec.message() + "\n";
-    return;
-  }
-  for (const std::string& f : files) {
-    std::filesystem::rename(std::filesystem::path(job.run_dir) / f,
-                            salvage_dir / f, ec);
-    if (ec) {
-      job.result.report +=
-          "supervisor: salvage of " + f + " failed: " + ec.message() + "\n";
-    }
-  }
-  job.result.report += "supervisor: salvaged " + std::to_string(files.size()) +
-                       " file(s) from attempt " + std::to_string(attempt) +
-                       " to " + salvage_dir.string() + "/\n";
-}
-
 bool RunSupervisor::SpawnNext(int64_t now_ms) {
-  size_t pick = jobs_.size();
-  for (size_t i = 0; i < jobs_.size(); ++i) {
-    Job& j = jobs_[i];
-    if (!j.done && !j.running && j.ready_at_ms <= now_ms) {
-      pick = i;
-      break;
-    }
+  // Jobs start in submission order, each at most once; resume has already
+  // marked the cached ones done.
+  while (next_job_ < jobs_.size() && jobs_[next_job_].done) {
+    ++next_job_;
   }
-  if (pick == jobs_.size()) {
+  if (next_job_ == jobs_.size()) {
     return false;
   }
+  const size_t pick = next_job_++;
   Job& job = jobs_[pick];
 
   int fds[2];
@@ -299,8 +233,6 @@ bool RunSupervisor::SpawnNext(int64_t now_ms) {
   close(fds[1]);
   const int flags = fcntl(fds[0], F_GETFL, 0);
   fcntl(fds[0], F_SETFL, flags | O_NONBLOCK);
-  job.running = true;
-  ++job.attempts;
   Child c;
   c.pid = pid;
   c.job = pick;
@@ -339,8 +271,6 @@ void RunSupervisor::HandleExit(Child& c, int wait_status, int64_t now_ms) {
     c.read_fd = -1;
   }
   Job& job = jobs_[c.job];
-  job.running = false;
-  job.result.attempts = job.attempts;
   job.result.wall_seconds =
       static_cast<double>(now_ms - c.start_ms) / 1000.0;
   job.result.report += c.report;
@@ -365,15 +295,14 @@ void RunSupervisor::HandleExit(Child& c, int wait_status, int64_t now_ms) {
     return;
   }
 
-  // Failure path: classify, then retry or finalize.
+  // Failure path: classify and finalize.
   const int term_signal = WIFSIGNALED(wait_status) ? WTERMSIG(wait_status) : 0;
   const RunStatus status =
       c.kill_sent ? RunStatus::kTimeout : RunStatus::kFailed;
   const int exit_code = exited ? exit_status : 128 + term_signal;
 
   std::ostringstream line;
-  line << "supervisor: " << job.name << " attempt " << job.attempts << "/"
-       << (1 + options_.max_retries) << ": ";
+  line << "supervisor: " << job.name << ": ";
   if (status == RunStatus::kTimeout) {
     line << "timed out after " << options_.timeout_s << "s (SIGKILL)";
   } else if (term_signal != 0) {
@@ -381,32 +310,7 @@ void RunSupervisor::HandleExit(Child& c, int wait_status, int64_t now_ms) {
   } else {
     line << "exited with code " << exit_code;
   }
-
-  const bool identical = job.have_failure_sig && job.sig_status == status &&
-                         job.sig_exit == exit_code &&
-                         job.sig_signal == term_signal;
-  const bool can_retry = job.attempts < 1 + options_.max_retries;
-  if (can_retry && !identical) {
-    const int64_t backoff = BackoffMs(job.attempts, options_.backoff_base_ms,
-                                      options_.backoff_cap_ms);
-    line << "; retrying in " << backoff << "ms\n";
-    job.result.report += line.str();
-    job.have_failure_sig = true;
-    job.sig_status = status;
-    job.sig_exit = exit_code;
-    job.sig_signal = term_signal;
-    SalvageForRetry(job, job.attempts);
-    job.ready_at_ms = now_ms + backoff;
-    return;  // back to pending
-  }
-
-  if (identical) {
-    line << "; same failure twice — deterministic, not retrying\n";
-  } else if (options_.max_retries > 0) {
-    line << "; retry budget exhausted\n";
-  } else {
-    line << "\n";
-  }
+  line << "\n";
   job.result.report += line.str();
   job.result.status = status;
   job.result.exit_code = exit_code;
@@ -426,7 +330,6 @@ std::vector<SupervisedResult> RunSupervisor::Run() {
   for (Job& job : jobs_) {
     if (options_.resume && DoneMarkerMatches(job.run_dir, job.cache_key)) {
       job.result.status = RunStatus::kSkippedCached;
-      job.result.attempts = 0;
       job.result.report = "supervisor: done marker verified, skipping\n";
       job.done = true;
       ++completed_;
@@ -512,7 +415,6 @@ bool WriteSweepManifest(const std::string& path, const RunManifest& extra,
     f << (first ? "\n" : ",\n") << "    {\"index\": " << r.index << ", \"name\": \""
       << JsonEscape(r.name) << "\", \"status\": \"" << RunStatusName(r.status)
       << "\", \"exit_code\": " << r.exit_code << ", \"signal\": " << r.term_signal
-      << ", \"attempts\": " << r.attempts
       << ", \"wall_seconds\": " << JsonNumber(r.wall_seconds);
     if (!r.salvaged.empty()) {
       f << ", \"salvaged\": [";

@@ -1,4 +1,4 @@
-// Sweep executor: forked children, timeouts, retry, resume.
+// Sweep executor: forked children, timeouts, resume.
 //
 // The paper's evaluation (Figs. 6-16) is a grid of *independent*
 // simulations — flow counts, RTTs, loads, seeds — that share nothing but
@@ -12,22 +12,21 @@
 //     captures both the exit status and the terminating signal;
 //   * a per-run wall-clock timeout SIGKILLs runaway children (status
 //     `timeout`), so one hung run cannot pin a worker slot forever;
-//   * failed runs retry up to `max_retries` times with deterministic capped
-//     exponential backoff, classifying deterministic vs. transient
-//     failures: two attempts that die the *same* way (same status, exit
-//     code, and signal) mark the failure deterministic and stop retrying;
-//   * artifacts a failed attempt left in its run directory (most notably
-//     the post-mortem flight.tfct dump, src/sim/flight.h) are salvaged —
-//     moved aside to salvage-attempt-N/ before a retry can clobber them,
-//     and inventoried in the result on final failure;
-//   * completed runs write a `done` marker keyed by a hash of (config,
-//     seed, git-describe, sweep-schema-version); with `resume` set, runs
-//     whose marker verifies are skipped (`skipped-cached`) without forking.
+//   * a failed run is final after its first exit: a run is a pure function
+//     of its inputs, so running it again would fail the same way, and a
+//     `resume` pass (tfcsim --resume) is the way to re-run it. The files it
+//     left in its run directory (most notably the post-mortem flight.tfct
+//     dump, src/sim/flight.h) stay where it wrote them and are inventoried
+//     in the result;
+//   * completed runs write a `done` marker holding the full cache key
+//     (config, seed, git-describe, sweep-schema-version); with `resume` set,
+//     runs whose marker verifies are skipped (`skipped-cached`) without
+//     forking, and every other run executes.
 //
 // Determinism contract: the supervisor never changes what a run computes —
-// a retried or resumed run with the same seed produces byte-identical
-// output to a clean serial run (regression-tested in
-// tests/supervisor_test.cc and gated end-to-end by `ci.sh sweep`).
+// a resumed run with the same seed produces byte-identical output to a
+// clean serial run (regression-tested in tests/supervisor_test.cc and gated
+// end-to-end by `ci.sh sweep`).
 //
 // The parent is single-threaded: concurrency comes from having several
 // children alive at once, not from threads.
@@ -58,11 +57,8 @@ const char* RunStatusName(RunStatus s);
 
 struct SupervisorOptions {
   int workers = 1;           // max concurrent children (>= 1)
-  int max_retries = 0;       // extra attempts after the first failure
   double timeout_s = 0.0;    // per-run wall-clock limit; 0 = unlimited
                              // (finite, >= 0)
-  int backoff_base_ms = 250; // first retry delay
-  int backoff_cap_ms = 8000; // backoff ceiling
   bool resume = false;       // skip runs with a verified done marker
 };
 
@@ -73,11 +69,10 @@ struct SupervisedResult {
   RunStatus status = RunStatus::kOk;
   int exit_code = 0;    // child exit code; 128+signal when signal-killed
   int term_signal = 0;  // terminating signal (0 when it exited)
-  int attempts = 0;     // child executions (0 when skipped-cached)
-  std::string report;   // every attempt's buffered output, in order
-  double wall_seconds = 0.0;  // wall-clock of the final attempt
-  // Top-level files left in the run directory by a finally-failed run
-  // (flight.tfct, partial telemetry, ...), sorted. Empty on success.
+  std::string report;   // the child's buffered output
+  double wall_seconds = 0.0;  // wall-clock of the child
+  // Top-level files a failed run left in its run directory (flight.tfct,
+  // partial telemetry, ...), sorted. Empty on success.
   std::vector<std::string> salvaged;
 
   bool ok() const {
@@ -86,9 +81,10 @@ struct SupervisedResult {
 };
 
 // sweep.json schema: v2 added per-run status ("ok" / "failed" / "timeout" /
-// "skipped-cached"), terminating signal, attempt count, and salvaged-file
-// inventory so a degraded sweep is still queryable run by run.
-inline constexpr int kSweepSchemaVersion = 2;
+// "skipped-cached"), terminating signal, and salvaged-file inventory so a
+// degraded sweep is still queryable run by run; v3 dropped the attempt count
+// (every run executes at most once per sweep).
+inline constexpr int kSweepSchemaVersion = 3;
 
 // Runs a list of independent jobs, each in its own forked child process.
 // Single-use: Add everything, then Run once. POSIX-only (fork/pipe/waitpid)
@@ -106,7 +102,7 @@ class RunSupervisor {
   RunSupervisor(const RunSupervisor&) = delete;
   RunSupervisor& operator=(const RunSupervisor&) = delete;
 
-  // `run_dir` is the job's artifact directory ("" = none: no salvage, no
+  // `run_dir` is the job's artifact directory ("" = none: no inventory, no
   // caching). `cache_key` keys the done marker ("" = never cached); build
   // it with SweepCacheKey so git-describe and the schema version are in.
   void Add(std::string name, std::string run_dir, std::string cache_key,
@@ -116,18 +112,10 @@ class RunSupervisor {
   // result[i] corresponds to the i-th Add call.
   std::vector<SupervisedResult> Run();
 
-  const SupervisorOptions& options() const { return options_; }
-  size_t job_count() const { return jobs_.size(); }
-
   // Online CPUs, clamped to >= 1: the default number of concurrent children.
   static int DefaultWorkers();
 
-  // Deterministic capped exponential backoff before retry number
-  // `failures` (1-based): min(cap_ms, base_ms << (failures - 1)).
-  static int64_t BackoffMs(int failures, int base_ms, int cap_ms);
-
   // Done-marker plumbing (exposed for tests and tools).
-  static uint64_t HashKey(const std::string& key);  // FNV-1a 64
   static std::string DoneMarkerContents(const std::string& cache_key);
   static std::string DoneMarkerPath(const std::string& run_dir);
   static bool DoneMarkerMatches(const std::string& run_dir,
@@ -142,15 +130,7 @@ class RunSupervisor {
     std::string run_dir;
     std::string cache_key;
     JobFn fn;
-    // Scheduling state (parent-side only).
-    int attempts = 0;        // executions started so far
-    bool running = false;
-    bool done = false;
-    int64_t ready_at_ms = 0; // steady-clock ms; backoff gate for retries
-    bool have_failure_sig = false;  // previous failure's signature
-    RunStatus sig_status = RunStatus::kOk;
-    int sig_exit = 0;
-    int sig_signal = 0;
+    bool done = false;  // parent-side: reached a terminal status
     SupervisedResult result;
   };
 
@@ -167,12 +147,12 @@ class RunSupervisor {
   bool SpawnNext(int64_t now_ms);
   void DrainPipe(Child& c);
   void HandleExit(Child& c, int wait_status, int64_t now_ms);
-  void SalvageForRetry(Job& job, int attempt);
   static std::vector<std::string> ListRunDirFiles(const std::string& run_dir);
 
   const SupervisorOptions options_;
   std::vector<Job> jobs_;
   std::vector<Child> children_;
+  size_t next_job_ = 0;  // first job SpawnNext has not yet considered
   size_t completed_ = 0;
   bool ran_ = false;
 };
@@ -186,8 +166,8 @@ std::string SweepCacheKey(const std::string& config_fingerprint,
                           uint64_t seed);
 
 // Writes the merged sweep manifest `<path>` (conventionally
-// <sweep-dir>/sweep.json, schema v2): schema header, sweep-level config
-// from `extra`, and per-run status/exit_code/signal/attempts/salvaged —
+// <sweep-dir>/sweep.json, schema v3): schema header, sweep-level config
+// from `extra`, and per-run status/exit_code/signal/salvaged —
 // written even when runs failed so a degraded sweep still ships a
 // queryable manifest. Returns false and sets *error on I/O failure.
 bool WriteSweepManifest(const std::string& path, const RunManifest& extra,

@@ -46,9 +46,7 @@ TfcSender::TfcSender(Network* network, Host* local, Host* remote, const TfcHostC
 
 std::unique_ptr<ReliableReceiver> TfcSender::MakeReceiver() {
   return std::make_unique<TfcReceiver>(network(), remote(), flow_id(),
-                                       transport_config().receive_window,
-                                       transport_config().ack_every,
-                                       transport_config().delayed_ack_timeout);
+                                       transport_config().receive_window);
 }
 
 Bytes TfcSender::FrameBytesInFlight(Bytes inflight_payload) const {

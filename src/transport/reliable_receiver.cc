@@ -1,21 +1,15 @@
 #include "src/transport/reliable_receiver.h"
 
 #include "src/net/network.h"
-#include "src/sim/check.h"
 
 namespace tfc {
 
 ReliableReceiver::ReliableReceiver(Network* network, Host* local, int flow_id,
-                                   Bytes advertised_window, uint32_t ack_every,
-                                   TimeNs delayed_ack_timeout)
+                                   Bytes advertised_window)
     : network_(network),
       local_(local),
       flow_id_(flow_id),
-      advertised_window_(advertised_window),
-      ack_every_(ack_every),
-      delayed_ack_timeout_(delayed_ack_timeout),
-      delack_timer_(&network->scheduler(), [this] { FlushDelayedAck(); }) {
-  TFC_CHECK_GE(ack_every_, 1u);
+      advertised_window_(advertised_window) {
   local_->RegisterEndpoint(flow_id_, this);
 }
 
@@ -45,7 +39,6 @@ void ReliableReceiver::OnReceive(PacketPtr pkt) {
 }
 
 void ReliableReceiver::HandleData(const Packet& pkt) {
-  bool advanced_in_order = false;
   if (pkt.payload > 0) {
     const uint64_t start = pkt.seq;
     const uint64_t end = pkt.seq + pkt.payload;
@@ -75,44 +68,11 @@ void ReliableReceiver::HandleData(const Packet& pkt) {
         out_of_order_.erase(head);
       }
     }
-    if (rcv_next_ > before) {
-      advanced_in_order = out_of_order_.empty();
-      if (on_deliver) {
-        on_deliver(rcv_next_ - before);
-      }
+    if (rcv_next_ > before && on_deliver) {
+      on_deliver(rcv_next_ - before);
     }
   }
-
-  // Decide between an immediate and a delayed cumulative ACK. Anything the
-  // sender must react to promptly short-circuits the delay.
-  const bool must_ack_now = ack_every_ <= 1 || !advanced_in_order || pkt.payload == 0 ||
-                            pkt.rm || pkt.ecn_ce;
-  ++unacked_data_;
-  if (must_ack_now || unacked_data_ >= ack_every_) {
-    unacked_data_ = 0;
-    delack_timer_.Cancel();
-    SendAck(pkt, PacketType::kAck);
-    return;
-  }
-  pending_ack_src_ = pkt.src;
-  pending_ack_ts_ = pkt.ts;
-  if (!delack_timer_.pending()) {
-    delack_timer_.RestartAfter(delayed_ack_timeout_);
-  }
-}
-
-void ReliableReceiver::FlushDelayedAck() {
-  if (unacked_data_ == 0 || pending_ack_src_ < 0) {
-    return;
-  }
-  unacked_data_ = 0;
-  Packet cause;
-  cause.flow_id = flow_id_;
-  cause.src = pending_ack_src_;
-  cause.dst = local_->id();
-  cause.type = PacketType::kData;
-  cause.ts = pending_ack_ts_;
-  SendAck(cause, PacketType::kAck);
+  SendAck(pkt, PacketType::kAck);
 }
 
 void ReliableReceiver::SendAck(const Packet& cause, PacketType type) {
@@ -124,7 +84,6 @@ void ReliableReceiver::SendAck(const Packet& cause, PacketType type) {
   ack->ack = rcv_next_;
   ack->ts_echo = cause.ts;
   DecorateAck(cause, *ack);
-  ++acks_sent_;
   local_->Send(std::move(ack));
 }
 

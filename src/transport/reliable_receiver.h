@@ -1,13 +1,10 @@
 // Receiver half of a flow: reassembly, cumulative ACK generation, ECN echo.
 //
-// By default the receiver ACKs every data packet. With `ack_every > 1` it
-// runs a classic delayed-ACK policy: in-order, unmarked data is coalesced
-// and acknowledged every Nth packet or after a short timeout, while
-// anything that carries a signal — out-of-order arrivals (dup-ACKs drive
-// fast retransmit), CE marks (DCTCP needs per-packet echo), TFC round
-// marks (the RMA carries the window grant), zero-payload probes, and
-// control packets — is acknowledged immediately. Protocol-specific ACK
-// decoration (TFC's RMA bit + window echo) is a virtual hook.
+// The receiver ACKs every data packet at once: out-of-order arrivals
+// (dup-ACKs drive fast retransmit), CE marks (DCTCP echoes each one) and
+// TFC round marks (the RMA carries the window grant) all need their own
+// ACK. Protocol-specific ACK decoration (TFC's RMA bit + window echo) is a
+// virtual hook.
 
 #ifndef SRC_TRANSPORT_RELIABLE_RECEIVER_H_
 #define SRC_TRANSPORT_RELIABLE_RECEIVER_H_
@@ -18,7 +15,6 @@
 
 #include "src/net/host.h"
 #include "src/net/packet.h"
-#include "src/sim/timer.h"
 
 namespace tfc {
 
@@ -26,8 +22,7 @@ class Network;
 
 class ReliableReceiver : public Endpoint {
  public:
-  ReliableReceiver(Network* network, Host* local, int flow_id, Bytes advertised_window,
-                   uint32_t ack_every = 1, TimeNs delayed_ack_timeout = Microseconds(200));
+  ReliableReceiver(Network* network, Host* local, int flow_id, Bytes advertised_window);
   ~ReliableReceiver() override;
 
   void OnReceive(PacketPtr pkt) override;
@@ -36,9 +31,6 @@ class ReliableReceiver : public Endpoint {
   // sequence-space position, so it stays raw uint64 like the rest of
   // seq space.
   uint64_t delivered_bytes() const { return rcv_next_; }  // lint:allow units
-
-  // Number of ACK packets this receiver has emitted.
-  uint64_t acks_sent() const { return acks_sent_; }
 
   // Called with the number of new in-order bytes each time delivery advances.
   std::function<void(uint64_t)> on_deliver;
@@ -56,24 +48,14 @@ class ReliableReceiver : public Endpoint {
  private:
   void HandleData(const Packet& pkt);
   void SendAck(const Packet& cause, PacketType type);
-  void FlushDelayedAck();
 
   Network* network_;
   Host* local_;
   int flow_id_;
   Bytes advertised_window_;
-  uint32_t ack_every_;
-  TimeNs delayed_ack_timeout_;
 
   uint64_t rcv_next_ = 0;
   std::map<uint64_t, uint64_t> out_of_order_;  // start -> end (exclusive)
-
-  // Delayed-ACK state.
-  uint32_t unacked_data_ = 0;
-  int32_t pending_ack_src_ = -1;
-  TimeNs pending_ack_ts_ = 0;
-  Timer delack_timer_;
-  uint64_t acks_sent_ = 0;
 };
 
 }  // namespace tfc

@@ -46,8 +46,7 @@ void ReliableSender::InitializeReceiver() {
 
 std::unique_ptr<ReliableReceiver> ReliableSender::MakeReceiver() {
   return std::make_unique<ReliableReceiver>(network_, remote_, flow_id_,
-                                            config_.receive_window, config_.ack_every,
-                                            config_.delayed_ack_timeout);
+                                            config_.receive_window);
 }
 
 void ReliableSender::Start() {

@@ -45,14 +45,6 @@ struct TransportConfig {
   TimeNs rto_initial = Milliseconds(200);
   uint32_t dupack_threshold = 3;
   Bytes receive_window = 4 * 1024 * 1024;     // advertised window (payload bytes)
-
-  // Delayed ACKs: acknowledge every Nth in-order data packet, flushing
-  // after `delayed_ack_timeout` if no further data arrives. 1 = per-packet
-  // ACKs (the default; what this repo's experiments use). Control packets,
-  // out-of-order arrivals, CE-marked and round-marked packets are always
-  // acknowledged immediately so loss recovery, DCTCP, and TFC stay exact.
-  uint32_t ack_every = 1;
-  TimeNs delayed_ack_timeout = Microseconds(200);
 };
 
 class ReliableSender : public Endpoint {

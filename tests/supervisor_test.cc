@@ -2,13 +2,12 @@
 //
 // The contracts under test are the ones `tfcsim --sweep` leans on: a child
 // that aborts (even through the TFC_CHECK/audit funnel, with a post-mortem
-// flight dump) takes only itself down and its artifacts are salvaged; a
-// hung child is SIGKILLed at the deadline; failed runs retry with a
-// deterministic backoff schedule and stop early when the failure is
-// deterministic (two attempts dying the same way); completed runs leave a
-// done marker that --resume verifies before skipping; and a retried run
-// with the same seed produces byte-identical output to a clean run —
-// supervision changes *whether* a run executes, never what it computes.
+// flight dump) takes only itself down and the files it left are
+// inventoried; a hung child is SIGKILLed at the deadline; completed runs
+// leave a done marker that --resume verifies before skipping; and a failed
+// run re-executed by --resume with the same seed produces byte-identical
+// output to a clean run — supervision changes *whether* a run executes,
+// never what it computes.
 
 #include <gtest/gtest.h>
 
@@ -55,12 +54,9 @@ void WriteFile(const fs::path& p, const std::string& contents) {
   f << contents;
 }
 
-// Fast supervisor options for tests: 1ms backoff so retry tests don't wait.
-SupervisorOptions FastOptions(int workers) {
+SupervisorOptions WithWorkers(int workers) {
   SupervisorOptions o;
   o.workers = workers;
-  o.backoff_base_ms = 1;
-  o.backoff_cap_ms = 4;
   return o;
 }
 
@@ -97,22 +93,8 @@ int RunMicroIncast(uint64_t seed, const std::string& run_dir,
 }
 
 // ---------------------------------------------------------------------------
-// Pure mechanics: backoff schedule, done markers
+// Pure mechanics: done markers
 // ---------------------------------------------------------------------------
-
-TEST(SupervisorTest, BackoffScheduleIsDeterministicAndCapped) {
-  EXPECT_EQ(RunSupervisor::BackoffMs(1, 250, 8000), 250);
-  EXPECT_EQ(RunSupervisor::BackoffMs(2, 250, 8000), 500);
-  EXPECT_EQ(RunSupervisor::BackoffMs(3, 250, 8000), 1000);
-  EXPECT_EQ(RunSupervisor::BackoffMs(6, 250, 8000), 8000);   // capped
-  EXPECT_EQ(RunSupervisor::BackoffMs(40, 250, 8000), 8000);  // shift clamp
-  EXPECT_EQ(RunSupervisor::BackoffMs(0, 250, 8000), 250);    // floor at 1
-  // Same inputs, same schedule — every call site sees identical delays.
-  for (int i = 1; i < 10; ++i) {
-    EXPECT_EQ(RunSupervisor::BackoffMs(i, 10, 100),
-              RunSupervisor::BackoffMs(i, 10, 100));
-  }
-}
 
 TEST(SupervisorTest, DoneMarkerRoundTrip) {
   const fs::path dir = FreshDir("tfc_supervisor_marker");
@@ -127,12 +109,11 @@ TEST(SupervisorTest, DoneMarkerRoundTrip) {
   ASSERT_TRUE(RunSupervisor::WriteDoneMarker(dir.string(), key, &error)) << error;
   EXPECT_TRUE(RunSupervisor::DoneMarkerMatches(dir.string(), key));
 
-  // The marker embeds both the hash and the full key.
+  // The marker holds the full key, and matching compares the whole file.
   const std::string contents =
       ReadFile(fs::path(RunSupervisor::DoneMarkerPath(dir.string())));
   EXPECT_EQ(contents, RunSupervisor::DoneMarkerContents(key));
-  EXPECT_NE(contents.find("tfc-run-done v1\n"), std::string::npos);
-  EXPECT_NE(contents.find("key " + key), std::string::npos);
+  EXPECT_EQ(contents, "tfc-run-done v2\nkey " + key + "\n");
 
   // A different key (config drift, new git describe, schema bump) must not
   // verify; neither must a corrupted marker.
@@ -151,7 +132,7 @@ TEST(SupervisorTest, DoneMarkerRoundTrip) {
 
 TEST(SupervisorTest, AbortingChildIsIsolatedAndReportsSignal) {
   const fs::path dir = FreshDir("tfc_supervisor_abort");
-  RunSupervisor sup(FastOptions(/*workers=*/3));
+  RunSupervisor sup(WithWorkers(3));
   sup.Add("ok-0", "", "", [](std::string* report) {
     *report = "first fine\n";
     return 0;
@@ -181,7 +162,6 @@ TEST(SupervisorTest, AbortingChildIsIsolatedAndReportsSignal) {
   EXPECT_EQ(results[1].status, RunStatus::kFailed);
   EXPECT_EQ(results[1].term_signal, SIGABRT);
   EXPECT_EQ(results[1].exit_code, 128 + SIGABRT);
-  EXPECT_EQ(results[1].attempts, 1);
   EXPECT_NE(results[1].report.find("killed by signal"), std::string::npos);
   // Artifacts the dead child left behind are inventoried.
   ASSERT_EQ(results[1].salvaged.size(), 1u);
@@ -195,7 +175,7 @@ TEST(SupervisorTest, AuditTripInChildSalvagesFlightPostMortem) {
   // the SIGABRT and inventory the dump for the manifest.
   const fs::path dir = FreshDir("tfc_supervisor_trip");
   const std::string run_dir = (dir / "run").string();
-  RunSupervisor sup(FastOptions(1));
+  RunSupervisor sup(WithWorkers(1));
   sup.Add("tripped", run_dir, "", [run_dir](std::string* report) {
     Scenario s;
     s.seed = 3;
@@ -234,7 +214,7 @@ TEST(SupervisorTest, AuditTripInChildSalvagesFlightPostMortem) {
 }
 
 TEST(SupervisorTest, HungChildIsKilledAtDeadline) {
-  SupervisorOptions o = FastOptions(1);
+  SupervisorOptions o = WithWorkers(1);
   o.timeout_s = 0.2;
   RunSupervisor sup(o);
   sup.Add("hangs", "", "", [](std::string*) {
@@ -255,7 +235,7 @@ TEST(SupervisorTest, ThrowPreservesPartialReportAndMapsToExit70) {
   // Partial output buffered before the throw must survive into the result —
   // the child catches, appends the message, and ships the report over the
   // pipe before exiting 70 (EX_SOFTWARE).
-  RunSupervisor sup(FastOptions(1));
+  RunSupervisor sup(WithWorkers(1));
   sup.Add("throws", "", "", [](std::string* report) -> int {
     *report += "progress before the explosion\n";
     throw std::runtime_error("boom");
@@ -271,104 +251,6 @@ TEST(SupervisorTest, ThrowPreservesPartialReportAndMapsToExit70) {
 }
 
 // ---------------------------------------------------------------------------
-// Retry policy
-// ---------------------------------------------------------------------------
-
-TEST(SupervisorTest, DeterministicFailureStopsAfterTwoIdenticalAttempts) {
-  SupervisorOptions o = FastOptions(1);
-  o.max_retries = 5;
-  RunSupervisor sup(o);
-  sup.Add("det", "", "", [](std::string*) { return 9; });
-  std::vector<SupervisedResult> results = sup.Run();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, RunStatus::kFailed);
-  EXPECT_EQ(results[0].exit_code, 9);
-  // Budget allowed 6 attempts; two identical failures end it at 2.
-  EXPECT_EQ(results[0].attempts, 2);
-  EXPECT_NE(results[0].report.find("deterministic, not retrying"),
-            std::string::npos);
-}
-
-TEST(SupervisorTest, TransientFailureRetriesThenSucceeds) {
-  // Attempt state must live on the filesystem: every attempt is a fresh
-  // fork, so in-memory state resets. First attempt fails, second succeeds.
-  const fs::path dir = FreshDir("tfc_supervisor_transient");
-  const fs::path flag = dir / "first_attempt_done";
-  SupervisorOptions o = FastOptions(1);
-  o.max_retries = 3;
-  RunSupervisor sup(o);
-  sup.Add("transient", "", "", [flag](std::string* report) {
-    if (!fs::exists(flag)) {
-      WriteFile(flag, "x");
-      *report += "failing once\n";
-      return 21;
-    }
-    *report += "recovered\n";
-    return 0;
-  });
-  std::vector<SupervisedResult> results = sup.Run();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, RunStatus::kOk);
-  EXPECT_EQ(results[0].exit_code, 0);
-  EXPECT_EQ(results[0].attempts, 2);
-  // Both attempts' reports, in order.
-  EXPECT_NE(results[0].report.find("failing once"), std::string::npos);
-  EXPECT_NE(results[0].report.find("retrying in"), std::string::npos);
-  EXPECT_NE(results[0].report.find("recovered"), std::string::npos);
-}
-
-TEST(SupervisorTest, AlternatingFailuresExhaustTheRetryBudget) {
-  const fs::path dir = FreshDir("tfc_supervisor_budget");
-  const fs::path counter = dir / "attempts";
-  SupervisorOptions o = FastOptions(1);
-  o.max_retries = 2;
-  RunSupervisor sup(o);
-  sup.Add("flaky", "", "", [counter](std::string*) {
-    int n = 0;
-    if (fs::exists(counter)) {
-      n = std::atoi(ReadFile(counter).c_str());
-    }
-    WriteFile(counter, std::to_string(n + 1));
-    return 11 + n;  // 11, 12, 13 — never the same signature twice
-  });
-  std::vector<SupervisedResult> results = sup.Run();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, RunStatus::kFailed);
-  EXPECT_EQ(results[0].attempts, 3);  // 1 + max_retries
-  EXPECT_EQ(results[0].exit_code, 13);
-  EXPECT_NE(results[0].report.find("retry budget exhausted"), std::string::npos);
-}
-
-TEST(SupervisorTest, RetrySalvagesThePreviousAttemptsArtifacts) {
-  const fs::path dir = FreshDir("tfc_supervisor_salvage");
-  const std::string run_dir = (dir / "run").string();
-  SupervisorOptions o = FastOptions(1);
-  o.max_retries = 1;
-  RunSupervisor sup(o);
-  const fs::path flag = dir / "failed_once";
-  sup.Add("salvage", run_dir, "", [run_dir, flag](std::string* report) {
-    fs::create_directories(run_dir);
-    if (!fs::exists(flag)) {
-      WriteFile(flag, "x");
-      WriteFile(fs::path(run_dir) / "flight.tfct", "attempt-1 post-mortem");
-      std::abort();
-    }
-    WriteFile(fs::path(run_dir) / "metrics.tfcb", "attempt-2 output");
-    *report += "clean rerun\n";
-    return 0;
-  });
-  std::vector<SupervisedResult> results = sup.Run();
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_EQ(results[0].status, RunStatus::kOk);
-  EXPECT_EQ(results[0].attempts, 2);
-  // Attempt 1's artifact was moved aside before attempt 2 ran, not lost.
-  EXPECT_EQ(ReadFile(fs::path(run_dir) / "salvage-attempt-1" / "flight.tfct"),
-            "attempt-1 post-mortem");
-  EXPECT_EQ(ReadFile(fs::path(run_dir) / "metrics.tfcb"), "attempt-2 output");
-  EXPECT_NE(results[0].report.find("salvaged 1 file(s)"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // Resume
 // ---------------------------------------------------------------------------
 
@@ -381,7 +263,7 @@ TEST(SupervisorTest, ResumeSkipsVerifiedRunsAndExecutesTheRest) {
 
   // First sweep: run A succeeds (marker written), run B aborts (no marker).
   {
-    RunSupervisor sup(FastOptions(2));
+    RunSupervisor sup(WithWorkers(2));
     sup.Add("a", run_a, key_a, [](std::string* r) {
       *r = "a ran\n";
       return 0;
@@ -397,7 +279,7 @@ TEST(SupervisorTest, ResumeSkipsVerifiedRunsAndExecutesTheRest) {
   // Resume: A is skipped without forking (its side effect would be visible),
   // B re-executes and completes.
   {
-    SupervisorOptions o = FastOptions(2);
+    SupervisorOptions o = WithWorkers(2);
     o.resume = true;
     RunSupervisor sup(o);
     const fs::path a_reran = dir / "a_reran";
@@ -411,7 +293,6 @@ TEST(SupervisorTest, ResumeSkipsVerifiedRunsAndExecutesTheRest) {
     });
     std::vector<SupervisedResult> results = sup.Run();
     EXPECT_EQ(results[0].status, RunStatus::kSkippedCached);
-    EXPECT_EQ(results[0].attempts, 0);
     EXPECT_FALSE(fs::exists(a_reran)) << "skipped run must not fork";
     EXPECT_EQ(results[1].status, RunStatus::kOk);
     EXPECT_EQ(results[1].report, "b recovered\n");
@@ -420,7 +301,7 @@ TEST(SupervisorTest, ResumeSkipsVerifiedRunsAndExecutesTheRest) {
 
   // A stale key (config drift) invalidates the cache: A re-executes.
   {
-    SupervisorOptions o = FastOptions(1);
+    SupervisorOptions o = WithWorkers(1);
     o.resume = true;
     RunSupervisor sup(o);
     sup.Add("a", run_a, SweepCacheKey("cfg-changed", 1), [](std::string* r) {
@@ -429,7 +310,7 @@ TEST(SupervisorTest, ResumeSkipsVerifiedRunsAndExecutesTheRest) {
     });
     std::vector<SupervisedResult> results = sup.Run();
     EXPECT_EQ(results[0].status, RunStatus::kOk);
-    EXPECT_EQ(results[0].attempts, 1);
+    EXPECT_EQ(results[0].report, "a re-ran under new config\n");
   }
 }
 
@@ -437,15 +318,16 @@ TEST(SupervisorTest, ResumeSkipsVerifiedRunsAndExecutesTheRest) {
 // Determinism: supervision never changes what a run computes
 // ---------------------------------------------------------------------------
 
-TEST(SupervisorTest, RetriedRunIsByteIdenticalToACleanRun) {
+TEST(SupervisorTest, ResumedRunIsByteIdenticalToACleanRun) {
   const fs::path dir = FreshDir("tfc_supervisor_bitident");
   const std::string clean_dir = (dir / "clean").string();
-  const std::string retried_dir = (dir / "retried").string();
+  const std::string resumed_dir = (dir / "resumed").string();
   constexpr uint64_t kSeed = 77;
+  const std::string key = SweepCacheKey("micro-incast", kSeed);
 
-  // Clean reference: one supervised attempt, no drama.
+  // Clean reference: one supervised run, no drama.
   {
-    RunSupervisor sup(FastOptions(1));
+    RunSupervisor sup(WithWorkers(1));
     sup.Add("clean", clean_dir, "", [clean_dir](std::string* report) {
       return RunMicroIncast(kSeed, clean_dir, report);
     });
@@ -453,35 +335,38 @@ TEST(SupervisorTest, RetriedRunIsByteIdenticalToACleanRun) {
     ASSERT_EQ(results[0].status, RunStatus::kOk) << results[0].report;
   }
 
-  // Same simulation, but the first attempt crashes mid-run; the retry must
+  // Same run, but it crashes mid-run after a partial write: the failure is
+  // final, and the partial stays where the run wrote it.
+  {
+    RunSupervisor sup(WithWorkers(1));
+    sup.Add("resumed", resumed_dir, key, [resumed_dir](std::string*) -> int {
+      fs::create_directories(resumed_dir);
+      WriteFile(fs::path(resumed_dir) / "metrics.tfcb", "garbage partial");
+      std::abort();
+    });
+    std::vector<SupervisedResult> results = sup.Run();
+    ASSERT_EQ(results[0].status, RunStatus::kFailed);
+    EXPECT_EQ(results[0].salvaged, std::vector<std::string>{"metrics.tfcb"});
+  }
+
+  // Resume re-executes the failed run (it left no done marker) and must
   // reproduce the clean run bit for bit (same seed, fresh process).
   {
-    SupervisorOptions o = FastOptions(1);
-    o.max_retries = 1;
+    SupervisorOptions o = WithWorkers(1);
+    o.resume = true;
     RunSupervisor sup(o);
-    const fs::path flag = dir / "crashed_once";
-    sup.Add("retried", retried_dir, "", [retried_dir, flag](std::string* report) {
-      if (!fs::exists(flag)) {
-        WriteFile(flag, "x");
-        fs::create_directories(retried_dir);
-        WriteFile(fs::path(retried_dir) / "metrics.tfcb", "garbage partial");
-        std::abort();
-      }
-      return RunMicroIncast(kSeed, retried_dir, report);
+    sup.Add("resumed", resumed_dir, key, [resumed_dir](std::string* report) {
+      return RunMicroIncast(kSeed, resumed_dir, report);
     });
     std::vector<SupervisedResult> results = sup.Run();
     ASSERT_EQ(results[0].status, RunStatus::kOk) << results[0].report;
-    EXPECT_EQ(results[0].attempts, 2);
   }
 
   for (const char* file : {"metrics.tfcb", "summary.json"}) {
     EXPECT_EQ(ReadFile(fs::path(clean_dir) / file),
-              ReadFile(fs::path(retried_dir) / file))
+              ReadFile(fs::path(resumed_dir) / file))
         << file;
   }
-  // The garbage partial from the crashed attempt was salvaged, not merged.
-  EXPECT_EQ(ReadFile(fs::path(retried_dir) / "salvage-attempt-1" / "metrics.tfcb"),
-            "garbage partial");
 }
 
 // ---------------------------------------------------------------------------
@@ -490,7 +375,7 @@ TEST(SupervisorTest, RetriedRunIsByteIdenticalToACleanRun) {
 
 TEST(SupervisorTest, ManifestRecordsPerRunStatusSignalAndSalvage) {
   const fs::path dir = FreshDir("tfc_supervisor_manifest");
-  RunSupervisor sup(FastOptions(2));
+  RunSupervisor sup(WithWorkers(2));
   sup.Add("good", "", "", [](std::string*) { return 0; });
   const std::string crash_dir = (dir / "crash").string();
   sup.Add("bad", crash_dir, "", [crash_dir](std::string*) -> int {
@@ -506,7 +391,8 @@ TEST(SupervisorTest, ManifestRecordsPerRunStatusSignalAndSalvage) {
   std::string error;
   ASSERT_TRUE(WriteSweepManifest(path, extra, results, &error)) << error;
   const std::string json = ReadFile(path);
-  EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_version\": 3"), std::string::npos);
+  EXPECT_EQ(json.find("\"attempts\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
   std::ostringstream sig;

@@ -2,7 +2,7 @@
 """AST-driven determinism analyzer (libclang; see docs/correctness.md).
 
 Every guarantee the replay/byte-identity gates enforce *dynamically* — chaos
-replay equality, parallel-sweep bit-identity, resume/retry byte-identity —
+replay equality, parallel-sweep bit-identity, resume byte-identity —
 is determinism. This tool makes nondeterminism a compile-time-class error:
 it walks the real clang AST of every first-party translation unit (via the
 build tree's compile_commands.json, no regex heuristics) and enforces the

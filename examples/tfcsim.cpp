@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
@@ -48,7 +47,6 @@ struct Options {
   double duration_s = 1.0;
   uint64_t gbps = 1;
   uint64_t seed = 1;
-  std::string trace_file;
   std::string telemetry_dir;
   std::string fault_spec;
   uint64_t telemetry_interval_us = 1000;
@@ -98,12 +96,12 @@ void PrintHelp() {
       "  --duration=S     longflows/benchmark seconds     (default 1.0)\n"
       "  --gbps=N         edge link rate                  (default 1)\n"
       "  --seed=N         RNG seed                        (default 1)\n"
-      "  --trace=FILE     write a packet trace (ns-2 style text)\n"
       "  --trace-ring=N   arm the flight recorder with an N-event ring; the\n"
       "                   ring dumps to flight.tfct (next to metrics.tfcb when\n"
       "                   --telemetry-dir is set) at end of run and on any\n"
       "                   audit/TFC_CHECK/watchdog abort\n"
-      "  --export-trace=DIR        read DIR/flight.tfct and write\n"
+      "  --export-trace=DIR        read DIR/flight.tfct and write DIR/trace.txt\n"
+      "                            (ns-2 style text, one line per event),\n"
       "                            DIR/trace.perfetto.json (load in Perfetto)\n"
       "                            and DIR/flows.txt, then exit\n"
       "  --force-audit-trip=US     register an audit invariant that fails once\n"
@@ -287,18 +285,6 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
     inject->ApplySpec(spec);
   }
 
-  std::ofstream trace_out;
-  std::unique_ptr<TextTracer> tracer;
-  if (!opt.trace_file.empty()) {
-    trace_out.open(opt.trace_file);
-    if (!trace_out) {
-      rep.Printf("cannot open trace file '%s'\n", opt.trace_file.c_str());
-      return 1;
-    }
-    tracer = std::make_unique<TextTracer>(&trace_out);
-    net.set_tracer(tracer.get());
-  }
-
   // Telemetry: watch every component prefix (prefixes re-expand on each
   // tick, so flows and apps registered below are picked up automatically).
   std::unique_ptr<TimeSeriesRecorder> recorder;
@@ -416,13 +402,6 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
                 static_cast<double>(inject->link_down_ns()) / 1e6);
   }
 
-  if (tracer != nullptr) {
-    rep.Printf("trace: %llu events -> %s\n",
-                static_cast<unsigned long long>(tracer->events_written()),
-                opt.trace_file.c_str());
-    net.set_tracer(nullptr);
-  }
-
   if (opt.trace_ring > 0) {
     // Clean end of run: dump the ring now. The recorder stays armed (and the
     // post-mortem registration stays live) through teardown, so a violation
@@ -498,7 +477,6 @@ int main(int argc, char** argv) {
     } else if (ParseFlag(arg, "workload", &opt.workload) ||
                ParseFlag(arg, "protocol", &opt.protocol) ||
                ParseFlag(arg, "topology", &opt.topology) ||
-               ParseFlag(arg, "trace", &opt.trace_file) ||
                ParseFlag(arg, "telemetry-dir", &opt.telemetry_dir) ||
                ParseFlag(arg, "export-trace", &opt.export_trace_dir) ||
                ParseFlag(arg, "fault-spec", &opt.fault_spec)) {
@@ -547,15 +525,15 @@ int main(int argc, char** argv) {
   }
   if (!opt.export_trace_dir.empty()) {
     // Offline exporter mode: no simulation, just render DIR/flight.tfct into
-    // a Perfetto-loadable JSON trace and a per-flow text timeline.
+    // text, a Perfetto-loadable JSON trace and a per-flow text timeline.
     std::string error;
     if (!tfc::ExportFlightTrace(opt.export_trace_dir, &error)) {
       std::fprintf(stderr, "export-trace failed: %s\n", error.c_str());
       return 1;
     }
-    std::printf("exported %s/flight.tfct -> %s/trace.perfetto.json, %s/flows.txt\n",
-                opt.export_trace_dir.c_str(), opt.export_trace_dir.c_str(),
-                opt.export_trace_dir.c_str());
+    const char* dir = opt.export_trace_dir.c_str();
+    std::printf("exported %s/flight.tfct -> %s/trace.txt, %s/trace.perfetto.json, "
+                "%s/flows.txt\n", dir, dir, dir, dir);
     return 0;
   }
   if (!Lookup(kTopologies, opt.topology, &opt.topology_id)) {
@@ -599,11 +577,6 @@ int main(int argc, char** argv) {
   }
   // More than one run: a sweep, or one run per protocol.
   const bool many_runs = opt.sweep > 1 || protocols.size() > 1;
-  if (many_runs && !opt.trace_file.empty()) {
-    std::fprintf(stderr, "--trace cannot combine with --sweep or --protocol=all "
-                         "(runs would clobber one trace file)\n");
-    return 1;
-  }
   if (many_runs && opt.trace_ring > 0 && opt.telemetry_dir.empty()) {
     std::fprintf(stderr, "--trace-ring with --sweep or --protocol=all needs "
                          "--telemetry-dir (each run dumps flight.tfct into its "
@@ -650,25 +623,31 @@ int main(int argc, char** argv) {
   // reports print in submission order.
   const int workers = opt.jobs > 0 ? opt.jobs : tfc::RunSupervisor::DefaultWorkers();
 
-  // Cache-key fingerprint: every flag that influences a run's *output*.
-  // Execution-only knobs (--jobs, --run-timeout, --watchdog, --trip-run,
-  // --force-audit-trip, --trace-ring) are excluded on purpose: a run that
-  // completed under different supervision is still the same run, so
-  // `--resume` after a crashed or force-tripped sweep reuses every run that
-  // finished clean.
-  const auto fingerprint = [&opt](tfc::Protocol p) {
+  // Cache-key fingerprint: every input that changes what a run writes.
+  // The watchdog, a forced audit trip and TFC_AUDIT schedule daemon ticks,
+  // which count in sim.events_executed, and the ring size decides what
+  // flight.tfct holds. The key takes the resolved watchdog (the sweep
+  // default and --watchdog=5 share a key) and this job's own trip (0 for
+  // the runs --trip-run spares, so resuming a force-tripped sweep reuses
+  // its clean runs). Doubles are rendered exactly, as manifest.json writes
+  // them. --jobs and --run-timeout only change how a run is supervised.
+  const auto fingerprint = [](const Options& o, tfc::Protocol p) {
     std::string fp;
-    fp += "workload=" + opt.workload;
+    fp += "workload=" + o.workload;
     fp += "|protocol=" + std::string(tfc::ProtocolName(p));
-    fp += "|topology=" + opt.topology;
-    fp += "|senders=" + std::to_string(opt.senders);
-    fp += "|flows=" + std::to_string(opt.flows);
-    fp += "|block_kb=" + std::to_string(opt.block_kb);
-    fp += "|rounds=" + std::to_string(opt.rounds);
-    fp += "|duration_s=" + std::to_string(opt.duration_s);
-    fp += "|gbps=" + std::to_string(opt.gbps);
-    fp += "|fault_spec=" + opt.fault_spec;
-    fp += "|telemetry_interval_us=" + std::to_string(opt.telemetry_interval_us);
+    fp += "|topology=" + o.topology;
+    fp += "|senders=" + std::to_string(o.senders);
+    fp += "|flows=" + std::to_string(o.flows);
+    fp += "|block_kb=" + std::to_string(o.block_kb);
+    fp += "|rounds=" + std::to_string(o.rounds);
+    fp += "|duration_s=" + tfc::JsonNumber(o.duration_s);
+    fp += "|gbps=" + std::to_string(o.gbps);
+    fp += "|fault_spec=" + o.fault_spec;
+    fp += "|telemetry_interval_us=" + std::to_string(o.telemetry_interval_us);
+    fp += "|watchdog_s=" + tfc::JsonNumber(o.watchdog_s);
+    fp += "|force_audit_trip_us=" + std::to_string(o.force_audit_trip_us);
+    fp += "|trace_ring=" + std::to_string(o.trace_ring);
+    fp += "|audit=" + std::to_string(tfc::AuditEnabledByDefault());
     return fp;
   };
 
@@ -697,7 +676,7 @@ int main(int argc, char** argv) {
       std::string cache_key;
       if (!opt.telemetry_dir.empty()) {
         run_dir = opt.telemetry_dir + "/" + name;
-        cache_key = tfc::SweepCacheKey(fingerprint(p), job_opt.seed);
+        cache_key = tfc::SweepCacheKey(fingerprint(job_opt, p), job_opt.seed);
       }
       seeds.push_back(job_opt.seed);
       supervisor.Add(std::move(name), run_dir, std::move(cache_key),

@@ -2,7 +2,7 @@
 //
 //   ./trace_capture [flow_id]
 //
-// Runs a tiny two-flow TFC scenario with a TextTracer attached and prints
+// Runs a tiny two-flow TFC scenario with the flight ring armed and prints
 // the first few hundred trace lines — you can see the marked SYN, the
 // zero-payload window-acquisition probe, the switch-stamped window coming
 // back in the RMA, and the per-round RM marks. Pass a flow id to filter.
@@ -24,11 +24,7 @@ int main(int argc, char** argv) {
   Network net(3);
   StarTopology topo = BuildStar(net, 3, LinkOptions(), kGbps, Microseconds(20));
   InstallTfcSwitches(net);
-
-  const int filter = argc > 1 ? std::atoi(argv[1]) : -1;
-  std::ostringstream capture;
-  TextTracer tracer(&capture, filter);
-  net.set_tracer(&tracer);
+  net.flight().Arm(4096);  // the run records a few hundred events
 
   TfcSender f1(&net, topo.hosts[1], topo.hosts[0], TfcHostConfig());
   TfcSender f2(&net, topo.hosts[2], topo.hosts[0], TfcHostConfig());
@@ -40,6 +36,16 @@ int main(int argc, char** argv) {
   net.scheduler().ScheduleAt(Microseconds(400), [&] { f2.Start(); });
   net.scheduler().Run();
 
+  const int filter = argc > 1 ? std::atoi(argv[1]) : -1;
+  std::ostringstream capture;
+  unsigned long long events = 0;
+  net.flight().ForEach([&](const FlightEvent& e) {
+    if (filter < 0 || e.flow == filter) {
+      WriteFlightEventLine(capture, e, net.NodeName(e.node));
+      ++events;
+    }
+  });
+
   // Print the first 120 lines; the full capture can be large.
   std::istringstream lines(capture.str());
   std::string line;
@@ -50,7 +56,7 @@ int main(int argc, char** argv) {
   }
   std::printf("... (%llu events total; legend: + enqueue, - transmit, d drop, "
               "r deliver)\n",
-              static_cast<unsigned long long>(tracer.events_written()));
+              events);
   std::printf("flow ids: f1=%d f2=%d — rerun with an id to follow one flow\n",
               f1.flow_id(), f2.flow_id());
   return 0;

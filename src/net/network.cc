@@ -75,9 +75,6 @@ void Network::AuditTick() {
 void Network::EmitFlight(FlightEvent event) {
   event.time = scheduler_.now();
   flight_.Record(event);
-  if (tracer_ != nullptr) {
-    tracer_->OnEvent(event, *this);
-  }
 }
 
 std::string_view Network::NodeName(int id) const {

@@ -1,9 +1,9 @@
 // Network: owns the scheduler, RNG, nodes, and links; computes routes.
 //
 // Thread-compatibility contract (docs/correctness.md "Thread safety"):
-// a Network and everything it owns — Scheduler, PacketPool,
-// MetricRegistry, Profiler, AuditRegistry, tracer, RNG — is *confined*:
-// one thread drives one instance, with no cross-instance shared state, so
+// a Network and everything it owns — Scheduler, PacketPool, MetricRegistry,
+// Profiler, AuditRegistry, FlightRecorder, RNG — is *confined*: one thread
+// drives one instance, with no cross-instance shared state, so
 // distinct instances run concurrently without synchronization. Embedders
 // that drive several Networks from several threads, and the MultiInstance
 // tests in tests/sweep_test.cc, rely on exactly this.
@@ -49,7 +49,7 @@ struct LinkOptions {
   Bytes ecn_threshold_bytes = 0;
 };
 
-class Network : public FlightNames {
+class Network {
  public:
   explicit Network(uint64_t seed = 1);
   Network(const Network&) = delete;
@@ -90,31 +90,31 @@ class Network : public FlightNames {
   PacketPool& packet_pool() { return packet_pool_; }
   const PacketPool& packet_pool() const { return packet_pool_; }
 
-  // Event tracing: the tracer (not owned) sees every packet and
-  // control-plane event live; the flight recorder, once armed, keeps the
-  // most recent events in a ring for post-mortem dumps and offline export.
-  // Null tracer + disarmed ring disables tracing (the default): the hot
-  // path pays two predictable loads and a branch.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-  Tracer* tracer() const { return tracer_; }
+  // Event tracing: the flight recorder, once armed, keeps the most recent
+  // packet and control-plane events in a ring for post-mortem dumps and
+  // offline export. A disarmed ring disables tracing (the default): the hot
+  // path pays one load and a branch.
   FlightRecorder& flight() { return flight_; }
   const FlightRecorder& flight() const { return flight_; }
-  // True when any sink (tracer or armed ring) consumes events. Control-
-  // plane instrumentation gates its event construction on this.
-  bool TraceActive() const { return tracer_ != nullptr || flight_.armed(); }
+  // True when the ring records events. Control-plane instrumentation gates
+  // its event construction on this.
+  bool TraceActive() const { return flight_.armed(); }
+  // Fills the fixed-width record straight into the claimed ring slot
+  // (inline MakePacketEvent, no intermediate copy). Inline so the
+  // bench-gated armed cost stays call-free.
   void EmitTrace(FlightEventType type, const Packet& pkt, const Node* node,
                  const Port* port) {
-    if (tracer_ == nullptr && !flight_.armed()) {
+    if (!flight_.armed()) {
       return;
     }
-    EmitTraceArmed(type, pkt, node, port);
+    *flight_.Append() = MakePacketEvent(scheduler_.now(), type, pkt, node, port);
   }
   // Records a pre-built control-plane event, stamping the current sim time.
   // Call sites gate on TraceActive() before building the event.
   void EmitFlight(FlightEvent event);
 
-  // FlightNames: resolves an interned node id for the live renderer.
-  std::string_view NodeName(int id) const override;
+  // Resolves an interned node id to its name; empty for unknown ids.
+  std::string_view NodeName(int id) const;
   // Snapshots node names and registers the armed ring with the process-wide
   // post-mortem hook: any TFC_CHECK failure (audit violation, watchdog
   // trip) drains it to `path` before aborting.
@@ -151,23 +151,6 @@ class Network : public FlightNames {
 
  private:
   void AuditTick();
-  // Armed path: fills the fixed-width record straight into the claimed ring
-  // slot (inline MakePacketEvent, no intermediate copy), then feeds any
-  // text tracer. Inline so the bench-gated armed cost stays call-free.
-  void EmitTraceArmed(FlightEventType type, const Packet& pkt, const Node* node,
-                      const Port* port) {
-    if (flight_.armed()) {
-      FlightEvent& event = *flight_.Append();
-      event = MakePacketEvent(scheduler_.now(), type, pkt, node, port);
-      if (tracer_ != nullptr) {
-        tracer_->OnEvent(event, *this);
-      }
-    } else {
-      const FlightEvent event =
-          MakePacketEvent(scheduler_.now(), type, pkt, node, port);
-      tracer_->OnEvent(event, *this);
-    }
-  }
   // Member order is destruction order in reverse: the audit and metric
   // registries are declared first so they are destroyed last — components
   // hold ScopedAudit/ScopedMetrics registrations that unregister in their
@@ -186,7 +169,6 @@ class Network : public FlightNames {
   std::vector<std::unique_ptr<Node>> nodes_;
   int next_flow_id_ = 1;
   uint64_t next_packet_uid_ = 1;
-  Tracer* tracer_ = nullptr;
   bool audit_enabled_ = false;
   TimeNs audit_period_ = 0;
   uint64_t audit_passes_ = 0;

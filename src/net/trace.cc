@@ -106,18 +106,8 @@ std::vector<std::pair<const char*, int64_t>> ControlFields(const FlightEvent& e)
 
 }  // namespace
 
-void TextTracer::OnEvent(const FlightEvent& event, const FlightNames& names) {
-  if (flow_filter_ >= 0 && event.flow != flow_filter_) {
-    return;
-  }
-  const std::string_view node_name = names.NodeName(event.node);
-  if (!node_filter_.empty() && node_name != node_filter_) {
-    return;
-  }
-  if (port_filter_ >= 0 && event.port != port_filter_) {
-    return;
-  }
-  std::ostream& out = *out_;
+void WriteFlightEventLine(std::ostream& out, const FlightEvent& event,
+                          std::string_view node_name) {
   out << std::fixed << std::setprecision(6) << ToSeconds(event.time) << ' '
       << EventChar(event.type) << ' ';
   WriteNodeRef(out, node_name, event);
@@ -146,34 +136,6 @@ void TextTracer::OnEvent(const FlightEvent& event, const FlightNames& names) {
     }
   }
   out << '\n';
-  ++events_written_;
-}
-
-void CountingTracer::OnEvent(const FlightEvent& event, const FlightNames&) {
-  const auto index = static_cast<size_t>(event.type);
-  if (index < static_cast<size_t>(kFlightEventTypeCount)) {
-    ++by_type[index];
-  }
-  switch (event.type) {
-    case FlightEventType::kEnqueue:
-      ++enqueues;
-      break;
-    case FlightEventType::kTransmit:
-      ++transmits;
-      break;
-    case FlightEventType::kDrop:
-      ++drops;
-      break;
-    case FlightEventType::kDeliver:
-      ++delivers;
-      break;
-    case FlightEventType::kFaultDrop:
-      ++fault_drops;
-      break;
-    default:
-      ++control;
-      break;
-  }
 }
 
 namespace {
@@ -204,6 +166,28 @@ std::string ArgsJson(const std::vector<std::pair<const char*, int64_t>>& kv) {
   }
   out += '}';
   return out;
+}
+
+// Writes `path` through `fill`; false with *error when the file cannot be
+// opened or the write comes up short.
+template <typename Fill>
+bool WriteExportFile(const std::string& path, const Fill& fill, std::string* error) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out) {
+    if (error != nullptr) {
+      *error = "flight: cannot open '" + path + "' for writing";
+    }
+    return false;
+  }
+  fill(out);
+  out.close();
+  if (!out) {
+    if (error != nullptr) {
+      *error = "flight: short write to '" + path + "'";
+    }
+    return false;
+  }
+  return true;
 }
 
 std::string DisplayName(const FlightDump& dump, int node) {
@@ -320,68 +304,50 @@ bool ExportFlightTrace(const std::string& dir, std::string* error) {
   std::stable_sort(entries.begin(), entries.end(),
                    [](const JsonEntry& a, const JsonEntry& b) { return a.time < b.time; });
 
-  const std::string json_path = dir + "/trace.perfetto.json";
-  std::ofstream out(json_path, std::ios::binary);
-  if (!out) {
-    if (error != nullptr) {
-      *error = "flight: cannot open '" + json_path + "' for writing";
+  const auto write_json = [&](std::ostream& out) {
+    out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
+    bool first = true;
+    // Metadata first: process (node) and thread (port) names.
+    for (const auto& [node, tids] : tracks) {
+      out << (first ? "" : ",\n")
+          << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << node
+          << ",\"args\":{\"name\":\"" << JsonEscape(DisplayName(dump, node)) << "\"}}";
+      first = false;
+      for (const auto& [tid, seen] : tids) {
+        (void)seen;
+        out << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << node
+            << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
+            << (tid == 0 ? std::string("node") : "p" + std::to_string(tid - 1))
+            << "\"}}";
+      }
     }
-    return false;
-  }
-  out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  bool first = true;
-  // Metadata first: process (node) and thread (port) names.
-  for (const auto& [node, tids] : tracks) {
-    out << (first ? "" : ",\n")
-        << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << node
-        << ",\"args\":{\"name\":\"" << JsonEscape(DisplayName(dump, node)) << "\"}}";
-    first = false;
-    for (const auto& [tid, seen] : tids) {
-      (void)seen;
-      out << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << node
-          << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-          << (tid == 0 ? std::string("node") : "p" + std::to_string(tid - 1))
-          << "\"}}";
+    for (const JsonEntry& entry : entries) {
+      out << (first ? "" : ",\n") << entry.json;
+      first = false;
     }
-  }
-  for (const JsonEntry& entry : entries) {
-    out << (first ? "" : ",\n") << entry.json;
-    first = false;
-  }
-  out << "\n]}\n";
-  out.close();
-  if (!out) {
-    if (error != nullptr) {
-      *error = "flight: short write to '" + json_path + "'";
+    out << "\n]}\n";
+  };
+  // Per-flow text timeline: each section lists the events whose flow id is
+  // the section's.
+  const auto write_flows = [&](std::ostream& out) {
+    for (const auto& [flow, span] : flows) {
+      (void)span;
+      out << "=== flow " << flow << " ===\n";
+      for (const FlightEvent& e : dump.events) {
+        if (e.flow == flow) {
+          WriteFlightEventLine(out, e, dump.NodeName(e.node));
+        }
+      }
     }
-    return false;
-  }
-
-  // Per-flow text timeline: the same TextTracer rendering, grouped by flow.
-  const std::string flows_path = dir + "/flows.txt";
-  std::ofstream ftxt(flows_path, std::ios::binary);
-  if (!ftxt) {
-    if (error != nullptr) {
-      *error = "flight: cannot open '" + flows_path + "' for writing";
-    }
-    return false;
-  }
-  for (const auto& [flow, span] : flows) {
-    (void)span;
-    ftxt << "=== flow " << flow << " ===\n";
-    TextTracer tracer(&ftxt, flow);
+  };
+  const auto write_trace = [&](std::ostream& out) {
     for (const FlightEvent& e : dump.events) {
-      tracer.OnEvent(e, dump);
+      WriteFlightEventLine(out, e, dump.NodeName(e.node));
     }
-  }
-  ftxt.close();
-  if (!ftxt) {
-    if (error != nullptr) {
-      *error = "flight: short write to '" + flows_path + "'";
-    }
-    return false;
-  }
-  return true;
+  };
+  return WriteExportFile(dir + "/trace.perfetto.json", write_json, error) &&
+         WriteExportFile(dir + "/flows.txt", write_flows, error) &&
+         WriteExportFile(dir + "/trace.txt", write_trace, error);
 }
 
 }  // namespace tfc

@@ -302,14 +302,34 @@ bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error
       off + event_count * kTfctRecordBytes != buf.size()) {
     return Fail(error, "flight: '" + path + "' record section size mismatch");
   }
+  // The writer's invariants (tools/telemetry_schema.py checks the same): the
+  // ring never holds more than was recorded, times start at zero and never
+  // go back, and every id is -1 (none) or a real index.
+  if (event_count > out->recorded_total) {
+    return Fail(error, "flight: '" + path + "' holds " + std::to_string(event_count) +
+                           " events but only " + std::to_string(out->recorded_total) +
+                           " were recorded");
+  }
   out->events.clear();
   out->events.reserve(static_cast<size_t>(event_count));
+  int64_t prev_time = 0;  // lint:allow units (FlightEvent time counts)
   for (uint64_t i = 0; i < event_count; ++i) {
     const FlightEvent e = GetEvent(buf.data() + off);
+    const auto reject = [&](const std::string& why) {
+      return Fail(error, "flight: '" + path + "' event " + std::to_string(i) + ' ' + why);
+    };
     if (static_cast<int>(e.type) >= kFlightEventTypeCount) {
-      return Fail(error, "flight: '" + path + "' event " + std::to_string(i) +
-                             " has unknown type " + std::to_string(static_cast<int>(e.type)));
+      return reject("has unknown type " + std::to_string(static_cast<int>(e.type)));
     }
+    if (e.time.count() < prev_time) {
+      return reject("has time " + std::to_string(e.time.count()) + " ns, earlier than " +
+                    std::to_string(prev_time) + " ns");
+    }
+    if (e.flow < -1 || e.node < -1 || e.port < -1) {
+      return reject("has an id below -1: flow " + std::to_string(e.flow) + ", node " +
+                    std::to_string(e.node) + ", port " + std::to_string(e.port));
+    }
+    prev_time = e.time.count();
     out->events.push_back(e);
     off += kTfctRecordBytes;
   }

@@ -17,14 +17,14 @@
 // (capacity is rounded up to a power of two), so a long run keeps the most
 // recent `capacity` events.
 //
-// Sinks layer on top of the same event struct:
-//   - TextTracer / CountingTracer (src/net/trace.h) render live events;
+// The ring is the only sink; its readers share the event struct:
+//   - ForEach() visits the live window in place;
 //   - Dump() drains the ring to a `flight.tfct` binary spill, and
 //     ArmPostMortem() registers the ring with a process-wide hook so any
 //     TFC_CHECK failure (audit violation, watchdog trip) drains it before
 //     aborting;
-//   - LoadFlightDump() + the Perfetto exporter (src/net/trace.h) read the
-//     spill back for offline analysis.
+//   - LoadFlightDump() + the text and Perfetto exporters (src/net/trace.h)
+//     read the spill back for offline analysis.
 
 #ifndef SRC_SIM_FLIGHT_H_
 #define SRC_SIM_FLIGHT_H_
@@ -41,7 +41,7 @@
 namespace tfc {
 
 enum class FlightEventType : uint8_t {
-  // Packet data-path events (ns-2 style; TextTracer chars + - d r x).
+  // Packet data-path events (ns-2 style; rendered as + - d r x).
   kEnqueue = 0,    // packet entered a port's transmit queue
   kTransmit = 1,   // packet finished serializing onto the link
   kDrop = 2,       // packet tail-dropped at a full buffer
@@ -145,15 +145,6 @@ constexpr FlightEvent ControlFlightEvent(FlightEventType type, int node, int por
   return e;
 }
 
-// Resolves a FlightEvent's interned node id back to a display name.
-// Implemented by Network (live rendering) and FlightDump (offline).
-class FlightNames {
- public:
-  virtual ~FlightNames() = default;
-  // Returns an empty view for unknown ids; renderers fall back to "n<id>".
-  virtual std::string_view NodeName(int id) const = 0;
-};
-
 // The ring. Confined like everything a Network owns: one thread appends.
 // Dump() and ForEach() are cold read paths.
 class FlightRecorder {
@@ -240,14 +231,14 @@ class FlightRecorder {
   bool post_mortem_registered_ = false;
 };
 
-// A loaded flight.tfct spill: events oldest-first plus the node name table,
-// usable directly as the renderer's name source.
-struct FlightDump : FlightNames {
+// A loaded flight.tfct spill: events oldest-first plus the node name table.
+struct FlightDump {
   std::vector<std::string> nodes;
   std::vector<FlightEvent> events;
   uint64_t recorded_total = 0;  // includes events overwritten by wraparound
 
-  std::string_view NodeName(int id) const override {
+  // Returns an empty view for unknown ids; renderers fall back to "n<id>".
+  std::string_view NodeName(int id) const {
     return id >= 0 && static_cast<size_t>(id) < nodes.size()
                ? std::string_view(nodes[static_cast<size_t>(id)])
                : std::string_view();
@@ -255,7 +246,9 @@ struct FlightDump : FlightNames {
 };
 
 // Decodes a flight.tfct spill. Returns false and fills *error on a missing
-// file, bad magic/version, or truncation.
+// file, bad magic/version, truncation, or a dump the writer cannot produce:
+// more events than recorded_total, a negative or decreasing time, or a
+// flow, node or port id below -1.
 bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error);
 
 }  // namespace tfc

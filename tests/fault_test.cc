@@ -50,6 +50,15 @@ struct WireRig {
   }
 
   uint64_t arrived() const { return b->unroutable_packets(); }
+
+  // Events of `type` in the armed flight ring, which must hold every event
+  // the run recorded.
+  uint64_t Recorded(FlightEventType type) const {
+    EXPECT_EQ(net.flight().size(), net.flight().recorded()) << "the ring wrapped";
+    uint64_t n = 0;
+    net.flight().ForEach([&](const FlightEvent& e) { n += e.type == type ? 1 : 0; });
+    return n;
+  }
 };
 
 TEST(FaultInjectorTest, NoProfileIsTransparent) {
@@ -372,30 +381,28 @@ TEST(FaultInjectorTest, MetricsExportFaultCounters) {
 
 TEST(FaultInjectorTest, FaultDropsEmitTraceEvents) {
   WireRig rig;
-  CountingTracer tracer;
-  rig.net.set_tracer(&tracer);
+  rig.net.flight().Arm(1024);
   FaultInjector inject(&rig.net, 22);
   FaultProfile profile;
   profile.drop_prob = 1.0;
   inject.Attach(rig.wire, profile);
   rig.SendBurst(8);
   rig.net.scheduler().Run();
-  EXPECT_EQ(tracer.fault_drops, 8u);
-  EXPECT_EQ(tracer.delivers, 0u);
+  EXPECT_EQ(rig.Recorded(FlightEventType::kFaultDrop), 8u);
+  EXPECT_EQ(rig.Recorded(FlightEventType::kDeliver), 0u);
 }
 
 // --- satellite: the host's own drop paths are observable ---
 
 TEST(HostDropAccountingTest, UnroutablePacketIsCountedTracedAndExported) {
   WireRig rig;
-  CountingTracer tracer;
-  rig.net.set_tracer(&tracer);
+  rig.net.flight().Arm(1024);
   rig.SendBurst(3);  // flow 99 has no registered endpoint at b
   rig.net.scheduler().Run();
 
   EXPECT_EQ(rig.b->unroutable_packets(), 3u);
-  EXPECT_EQ(tracer.drops, 3u);     // the post-teardown drop is a kDrop event
-  EXPECT_EQ(tracer.delivers, 3u);  // still delivered to the host first
+  EXPECT_EQ(rig.Recorded(FlightEventType::kDrop), 3u);  // the post-teardown drop is a kDrop event
+  EXPECT_EQ(rig.Recorded(FlightEventType::kDeliver), 3u);  // still delivered to the host first
   double value = 0.0;
   ASSERT_TRUE(rig.net.metrics().Read("host.b.unroutable", &value));
   EXPECT_EQ(value, 3.0);
@@ -403,16 +410,15 @@ TEST(HostDropAccountingTest, UnroutablePacketIsCountedTracedAndExported) {
 
 TEST(HostDropAccountingTest, DownHostDropsAreFaultDrops) {
   WireRig rig;
-  CountingTracer tracer;
-  rig.net.set_tracer(&tracer);
+  rig.net.flight().Arm(1024);
   rig.b->set_down(true);
   rig.SendBurst(4);
   rig.net.scheduler().Run();
 
   EXPECT_EQ(rig.b->down_drops(), 4u);
   EXPECT_EQ(rig.b->unroutable_packets(), 0u);
-  EXPECT_EQ(tracer.fault_drops, 4u);
-  EXPECT_EQ(tracer.delivers, 0u);
+  EXPECT_EQ(rig.Recorded(FlightEventType::kFaultDrop), 4u);
+  EXPECT_EQ(rig.Recorded(FlightEventType::kDeliver), 0u);
   double value = 0.0;
   ASSERT_TRUE(rig.net.metrics().Read("host.b.down_drops", &value));
   EXPECT_EQ(value, 4.0);

@@ -162,9 +162,13 @@ TEST(FlightRecorderTest, LoadRejectsTruncationOversizedCountsAndUnknownTypes) {
   const std::string good((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   ASSERT_EQ(good.size(), 32u + (4 + 1) + 2 * 40u);
 
-  // Header: node_count at 12, event_count at 24; records start at 37 and
-  // carry their type byte at +36. 2^61 extra events wrap the 40-byte size
-  // product back to the true section size.
+  // Header: node_count at 12, recorded_total at 16, event_count at 24;
+  // records start at 37 and carry time at +0, flow at +28, node at +32,
+  // port at +34 and the type byte at +36. 2^61 extra events wrap the
+  // 40-byte size product back to the true section size. The last six
+  // cases are dumps the writer cannot produce: more events than were ever
+  // recorded, a negative time, a time that goes backwards, and ids below
+  // -1 (tools/telemetry_schema.py rejects the same).
   struct Case {
     size_t off;
     uint64_t value;
@@ -175,6 +179,12 @@ TEST(FlightRecorderTest, LoadRejectsTruncationOversizedCountsAndUnknownTypes) {
       {12, 0xffffffffu, 4, "truncated"},
       {24, 2 + (uint64_t{1} << 61), 8, "size mismatch"},
       {37 + 40 + 36, 200, 1, "event 1 has unknown type 200"},
+      {16, 1, 8, "holds 2 events but only 1 were recorded"},
+      {37, static_cast<uint64_t>(-7), 8, "event 0 has time -7 ns, earlier than 0 ns"},
+      {37 + 40, 999, 8, "event 1 has time 999 ns, earlier than 1000 ns"},
+      {37 + 28, static_cast<uint32_t>(-5), 4, "event 0 has an id below -1: flow -5"},
+      {37 + 40 + 32, static_cast<uint16_t>(-2), 2, "event 1 has an id below -1: flow -1, node -2"},
+      {37 + 34, static_cast<uint16_t>(-3), 2, "node 0, port -3"},
   };
   for (const Case& c : cases) {
     std::string bytes = good;

@@ -380,7 +380,6 @@ TEST_F(TfcPortFixture, AgedParkedAckExpiresInsteadOfWaitingOutDeepDebt) {
   TfcSwitchConfig config;
   config.delay_park_timeout = Microseconds(100);
   Build(config);
-  CountingTracer tracer;
   // Drain the cap, then sink the counter far below zero with a full-window
   // grant, so the next refill to one quantum takes ~670 us — far past the
   // 100 us park timeout.
@@ -391,7 +390,7 @@ TEST_F(TfcPortFixture, AgedParkedAckExpiresInsteadOfWaitingOutDeepDebt) {
   PacketPtr big = MakeRmaAck(5, 100'000);
   ASSERT_TRUE(agent_->OnReverse(big));
 
-  net_->set_tracer(&tracer);
+  net_->flight().Arm(1024);
   PacketPtr parked = MakeRmaAck(6, 200);
   ASSERT_FALSE(agent_->OnReverse(parked));
 
@@ -401,13 +400,16 @@ TEST_F(TfcPortFixture, AgedParkedAckExpiresInsteadOfWaitingOutDeepDebt) {
   // and expired the aged grant instead of releasing it.
   EXPECT_EQ(agent_->arbiter_expired(), 1u);
   EXPECT_EQ(agent_->delay_queue_length(), 0u);
-  EXPECT_EQ(tracer.drops, 1u);
+  uint64_t drops = 0;
+  net_->flight().ForEach(
+      [&](const FlightEvent& e) { drops += e.type == FlightEventType::kDrop ? 1 : 0; });
+  EXPECT_EQ(net_->flight().size(), net_->flight().recorded()) << "the ring wrapped";
+  EXPECT_EQ(drops, 1u);
   EXPECT_LT(net_->scheduler().now() - start, Microseconds(300));
 
   double value = 0.0;
   ASSERT_TRUE(net_->metrics().Read("tfc.sw.p1.arbiter_expired", &value));
   EXPECT_EQ(value, 1.0);
-  net_->set_tracer(nullptr);
 }
 
 TEST_F(TfcPortFixture, ZeroParkTimeoutDisablesExpiry) {

@@ -17,9 +17,10 @@ Rules enforced (see docs/correctness.md):
   hot-io          src/sim, src/net, and src/tfc are simulation hot paths:
                   no stream/printf I/O there (std::cout, printf, ofstream,
                   ...). Observability goes through the metric registry /
-                  tracer / exporter (src/sim/telemetry.h) so the per-event
-                  cost is a pointer bump, not formatting. The tracer and
-                  exporter implementations themselves are allowlisted.
+                  flight recorder / exporter (src/sim/telemetry.h) so the
+                  per-event cost is a pointer bump, not formatting. The
+                  trace renderer and exporter implementations themselves
+                  are allowlisted.
                   Suppress a sanctioned site with `// lint:allow hot-io`.
   packet-drop     packet loss must stay auditable: the only sanctioned
                   emission sites for kDrop / kFaultDrop trace events in src/
@@ -58,9 +59,9 @@ Rules enforced (see docs/correctness.md):
                   SeriesLog::Write do that work), the flight-recorder
                   ring append (FlightRecorder::Record in src/sim/flight.h —
                   a masked store, so additionally no allocation or container
-                  growth), and the trace emission path (Network::EmitTrace /
-                  ::EmitTraceArmed in src/net/network.h — a gate branch plus
-                  an inline record fill). Suppress with
+                  growth), and the trace emission path (Network::EmitTrace
+                  in src/net/network.h — a gate branch plus an inline record
+                  fill). Suppress with
                   `// lint:allow recorder-hot`.
 
 Every rule here has this file as its only owner; tools/astlint.py carries
@@ -93,8 +94,8 @@ HOT_LAYERS = ("src/sim/", "src/net/")
 POOL_FILE = "src/net/packet_pool.h"
 
 # hot-io: stream/printf I/O is banned in the simulation hot layers. The
-# tracer and the telemetry exporter are the sanctioned I/O funnels; check.h
-# prints on the abort path only.
+# trace renderer and the telemetry exporter are the sanctioned I/O funnels;
+# check.h prints on the abort path only.
 HOT_IO_LAYERS = ("src/sim/", "src/net/", "src/tfc/")
 HOT_IO_ALLOWED_FILES = {
     "src/net/trace.h",
@@ -202,7 +203,7 @@ RECORDER_HOT_SCOPES = [
     ),
     (
         "src/net/network.h",
-        re.compile(r"\bvoid\s+EmitTrace(?:Armed)?\s*\("),
+        re.compile(r"\bvoid\s+EmitTrace\s*\("),
         RECORDER_HOT_APPEND_BAN_RE,
         "the emission gate is one branch and the armed fill is direct "
         "stores; batch-format offline instead",
@@ -309,7 +310,7 @@ def lint_file(path: Path, rel: str) -> list[str]:
         ):
             errors.append(
                 f"{rel}:{lineno}: [hot-io] no stream/printf I/O in hot-path "
-                "layers; use the metric registry / tracer / exporter "
+                "layers; use the metric registry / flight recorder / exporter "
                 "(src/sim/telemetry.h)"
             )
         if (

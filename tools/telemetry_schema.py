@@ -41,6 +41,10 @@ a run directory, or standalone via `--flight DIR`:
                         u8 ptype, u8 flags, u8 weight}. Timestamps must be
                         non-decreasing (the ring preserves record order),
                         types in range, and event_count <= recorded_total.
+  trace.txt             text export (`tfcsim --export-trace`): one line per
+                        dumped event, so exactly event_count lines, each
+                        led by a time in seconds no smaller than the
+                        previous line's.
   trace.perfetto.json   Chrome trace-event export (`tfcsim --export-trace`):
                         a traceEvents array whose non-metadata events have
                         non-decreasing ts, whose "X" slices have dur >= 0,
@@ -353,6 +357,26 @@ def check_perfetto_json(path: Path, ck: Checker) -> int:
     return len(events)
 
 
+def check_trace_txt(path: Path, event_count: int, ck: Checker) -> None:
+    """Validates the text export: one line per dumped event, in time order."""
+    where = str(path)
+    lines = path.read_text().splitlines()
+    ck.expect(len(lines) == event_count, where,
+              f"{len(lines)} lines for {event_count} dumped events")
+    prev_time = None
+    for i, line in enumerate(lines):
+        loc = f"{where} line {i + 1}"
+        try:
+            time_s = float(line.split(" ", 1)[0])
+        except ValueError:
+            ck.error(loc, f"does not start with a time: {line!r}")
+            return
+        if not ck.expect(prev_time is None or time_s >= prev_time, loc,
+                         f"time went backwards: {prev_time} -> {time_s}"):
+            return
+        prev_time = time_s
+
+
 def check_flight_dir(run_dir: Path, ck: Checker) -> int:
     """Validates a directory's flight artifacts; returns the event count."""
     tfct = run_dir / "flight.tfct"
@@ -360,6 +384,9 @@ def check_flight_dir(run_dir: Path, ck: Checker) -> int:
         ck.error(str(tfct), "missing")
         return 0
     events = check_flight_tfct(tfct, ck)
+    trace_txt = run_dir / "trace.txt"
+    if trace_txt.exists():
+        check_trace_txt(trace_txt, events, ck)
     perfetto = run_dir / "trace.perfetto.json"
     if perfetto.exists():
         check_perfetto_json(perfetto, ck)

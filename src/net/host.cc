@@ -26,8 +26,8 @@ void Host::Receive(PacketPtr pkt, Port* ingress) {
     return;
   }
   network_->EmitTrace(FlightEventType::kDeliver, *pkt, this, nullptr);
-  auto it = endpoints_.find(pkt->flow_id);
-  if (it == endpoints_.end()) {
+  Endpoint* ep = network_->endpoints().Find(pkt->flow_id, id_);
+  if (ep == nullptr) {
     // Packet for a finished/unknown flow (e.g. a retransmitted FIN's ACK
     // arriving after teardown): account and trace the drop so post-teardown
     // traffic is observable, then destroy it.
@@ -35,7 +35,7 @@ void Host::Receive(PacketPtr pkt, Port* ingress) {
     network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr);  // lint:allow packet-drop
     return;
   }
-  it->second->OnReceive(std::move(pkt));
+  ep->OnReceive(std::move(pkt));
 }
 
 void Host::Send(PacketPtr pkt) {
@@ -67,9 +67,40 @@ void Host::Send(PacketPtr pkt) {
 }
 
 void Host::RegisterEndpoint(int flow_id, Endpoint* ep) {
-  TFC_CHECK(endpoints_.emplace(flow_id, ep).second);
+  network_->endpoints().Register(flow_id, id_, ep);
 }
 
-void Host::UnregisterEndpoint(int flow_id) { endpoints_.erase(flow_id); }
+void Host::UnregisterEndpoint(int flow_id) {
+  network_->endpoints().Unregister(flow_id, id_);
+}
+
+void EndpointTable::Register(int flow_id, int host_id, Endpoint* ep) {
+  TFC_CHECK_GE(flow_id, 0);
+  const auto i = static_cast<size_t>(flow_id);
+  if (i >= flows_.size()) {
+    flows_.resize(i + 1);
+  }
+  Flow& f = flows_[i];
+  TFC_CHECK_MSG(f.host[0] != host_id && f.host[1] != host_id,
+                "flow " << flow_id << " already has an endpoint on host " << host_id);
+  const int slot = f.host[0] < 0 ? 0 : 1;
+  TFC_CHECK_MSG(f.host[slot] < 0, "flow " << flow_id << " already has two endpoints");
+  f.host[slot] = host_id;
+  f.ep[slot] = ep;
+}
+
+void EndpointTable::Unregister(int flow_id, int host_id) {
+  const auto i = static_cast<size_t>(static_cast<uint32_t>(flow_id));
+  if (i >= flows_.size()) {
+    return;
+  }
+  Flow& f = flows_[i];
+  for (int slot = 0; slot < 2; ++slot) {
+    if (f.host[slot] == host_id) {
+      f.host[slot] = -1;
+      f.ep[slot] = nullptr;
+    }
+  }
+}
 
 }  // namespace tfc

@@ -1,4 +1,4 @@
-// End host: owns transport endpoints and a single NIC port.
+// End host: a single NIC port, and the transport endpoints registered on it.
 //
 // The host models a configurable random per-packet processing delay on the
 // send path (OS stack + NIC). The delay is applied so that packet order is
@@ -10,7 +10,8 @@
 #ifndef SRC_NET_HOST_H_
 #define SRC_NET_HOST_H_
 
-#include <map>
+#include <cstdint>
+#include <vector>
 
 #include "src/net/node.h"
 #include "src/sim/random.h"
@@ -25,6 +26,35 @@ class Endpoint {
   virtual void OnReceive(PacketPtr pkt) = 0;
 };
 
+// Flow-id-indexed endpoint dispatch, one per Network and shared by its
+// hosts. Flow ids are dense (Network::AllocateFlowId counts from 1), so a
+// flat table with two {host id, Endpoint*} slots per flow id, the flow's
+// sender and receiver halves, resolves every arriving packet with one
+// indexed load. Ids index the table directly: register small ids only.
+class EndpointTable {
+ public:
+  // At most one endpoint per (flow id, host) and two per flow id.
+  void Register(int flow_id, int host_id, Endpoint* ep);
+  // No-op when `host_id` holds no endpoint for `flow_id`.
+  void Unregister(int flow_id, int host_id);
+  // Null for a negative, out-of-range or unregistered flow id.
+  Endpoint* Find(int flow_id, int host_id) const {
+    const auto i = static_cast<size_t>(static_cast<uint32_t>(flow_id));
+    if (i >= flows_.size()) {
+      return nullptr;
+    }
+    const Flow& f = flows_[i];
+    return f.host[0] == host_id ? f.ep[0] : f.host[1] == host_id ? f.ep[1] : nullptr;
+  }
+
+ private:
+  struct Flow {
+    int32_t host[2] = {-1, -1};  // -1: free slot
+    Endpoint* ep[2] = {nullptr, nullptr};
+  };
+  std::vector<Flow> flows_;
+};
+
 class Host : public Node {
  public:
   Host(Network* network, int id, std::string name);
@@ -36,7 +66,9 @@ class Host : public Node {
   // Sends through the NIC, applying the host processing-delay model.
   void Send(PacketPtr pkt);
 
-  // Endpoint registration: packets are dispatched by flow id.
+  // Endpoint registration: packets are dispatched by flow id through the
+  // network's EndpointTable. Registering a flow id twice on one host, or on
+  // a third host, fails a TFC_CHECK.
   void RegisterEndpoint(int flow_id, Endpoint* ep);
   void UnregisterEndpoint(int flow_id);
 
@@ -63,10 +95,6 @@ class Host : public Node {
   uint64_t down_drops() const { return down_drops_; }
 
  private:
-  // Ordered by flow id: iteration order (and with it any future traversal)
-  // is deterministic, never a function of libc hash salt (det-unordered-iter,
-  // tools/astlint.py).
-  std::map<int, Endpoint*> endpoints_;
   TimeNs proc_base_ = 0;
   TimeNs proc_jitter_ = 0;
   TimeNs last_departure_ = 0;

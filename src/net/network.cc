@@ -1,6 +1,6 @@
 #include "src/net/network.h"
 
-#include <queue>
+#include <algorithm>
 
 #include "src/sim/check.h"
 
@@ -135,59 +135,39 @@ Port* Network::Link(Node* a, Node* b, BitsPerSec bps, TimeNs prop_delay,
 }
 
 void Network::BuildRoutes() {
-  const size_t n = static_cast<size_t>(num_nodes());
-  // toward[dest][v] = every port of node v that lies on a shortest path to
-  // dest (the ECMP set), in port-index order for determinism.
-  std::vector<std::vector<std::vector<Port*>>> toward(
-      n, std::vector<std::vector<Port*>>(n));
-
+  const size_t n = nodes_.size();
+  std::vector<Switch*> switches;
+  for (const auto& node : nodes_) {
+    if (auto* sw = dynamic_cast<Switch*>(node.get())) {
+      sw->ResetRoutes(n);
+      switches.push_back(sw);
+    }
+  }
+  // One BFS per destination over reused buffers: dist[v] is v's hop count to
+  // dest (-1: unreachable), and `order` is the FIFO, which each node enters
+  // at most once.
+  std::vector<int> dist(n);
+  std::vector<size_t> order(n);
   for (size_t dest = 0; dest < n; ++dest) {
-    std::vector<int> dist(n, -1);
-    std::queue<size_t> frontier;
+    std::fill(dist.begin(), dist.end(), -1);
     dist[dest] = 0;
-    frontier.push(dest);
-    while (!frontier.empty()) {
-      const size_t u = frontier.front();
-      frontier.pop();
-      for (const auto& up : node(static_cast<int>(u))->ports()) {
+    order[0] = dest;
+    for (size_t head = 0, tail = 1; head < tail; ++head) {
+      const size_t u = order[head];
+      for (const auto& up : nodes_[u]->ports()) {
         if (up->peer() == nullptr) {
           continue;
         }
-        const size_t v = static_cast<size_t>(up->peer()->id());
+        const auto v = static_cast<size_t>(up->peer()->id());
         if (dist[v] == -1) {
           dist[v] = dist[u] + 1;
-          frontier.push(v);
+          order[tail++] = v;
         }
       }
     }
-    // Second pass: for every node, every neighbor one hop closer to dest is
-    // an equal-cost next hop.
-    for (size_t v = 0; v < n; ++v) {
-      if (dist[v] <= 0) {
-        continue;  // dest itself or unreachable
-      }
-      for (const auto& vp : node(static_cast<int>(v))->ports()) {
-        if (vp->peer() == nullptr) {
-          continue;
-        }
-        const size_t u = static_cast<size_t>(vp->peer()->id());
-        if (dist[u] != -1 && dist[u] == dist[v] - 1) {
-          toward[dest][v].push_back(vp.get());
-        }
-      }
+    for (Switch* sw : switches) {
+      sw->SetRoute(static_cast<int>(dest), dist);
     }
-  }
-
-  for (size_t v = 0; v < n; ++v) {
-    auto* sw = dynamic_cast<Switch*>(node(static_cast<int>(v)));
-    if (sw == nullptr) {
-      continue;
-    }
-    std::vector<std::vector<Port*>> table(n);
-    for (size_t dest = 0; dest < n; ++dest) {
-      table[dest] = toward[dest][v];
-    }
-    sw->set_next_hops(std::move(table));
   }
 }
 

@@ -65,7 +65,9 @@ class Network {
              const LinkOptions& opts = LinkOptions());
 
   // Computes shortest-path next-hop tables for every switch (BFS per
-  // destination; ties broken by port insertion order, deterministic).
+  // destination; every neighbour one hop closer is an equal-cost choice,
+  // kept in port order, so the tables are deterministic). Call again after
+  // growing the topology.
   void BuildRoutes();
 
   Scheduler& scheduler() { return scheduler_; }
@@ -76,6 +78,9 @@ class Network {
   const std::vector<std::unique_ptr<Node>>& nodes() const { return nodes_; }
 
   int AllocateFlowId() { return next_flow_id_++; }
+  // Flow-id-indexed endpoint dispatch shared by every host; transports
+  // register through Host::RegisterEndpoint.
+  EndpointTable& endpoints() { return endpoints_; }
   uint64_t AllocatePacketUid() { return next_packet_uid_++; }
 
   // Draws a recycled packet from the pool with a fresh uid; all other
@@ -166,6 +171,7 @@ class Network {
   PacketPool packet_pool_;
   Scheduler scheduler_;
   Rng rng_;
+  EndpointTable endpoints_;
   std::vector<std::unique_ptr<Node>> nodes_;
   int next_flow_id_ = 1;
   uint64_t next_packet_uid_ = 1;

@@ -67,12 +67,6 @@ void Port::AuditInvariants(Auditor& audit) const {
   audit.Check(queue_.empty() || busy_, "transmitter busy while queue non-empty");
 }
 
-TimeNs Port::SerializationTime(Bytes wire_bytes) const {
-  // Bytes / BitsPerSec -> TimeNs: bits * 1e9 / bps, computed in 128-bit to
-  // avoid overflow for large frames (src/sim/units.h).
-  return wire_bytes / bps_;
-}
-
 void Port::Enqueue(PacketPtr pkt) {
   TFC_CHECK_NE(peer_port_, nullptr);
   if (agent_ != nullptr) {
@@ -137,13 +131,13 @@ void Port::OnSerialized() {
 }
 
 void Port::DeliverToPeer(PacketPtr pkt, TimeNs extra_delay) {
-  // The packet rides inside the event. The Network owns nodes for the whole
-  // simulation lifetime.
-  Node* peer = peer_node_;
+  // The packet rides inside the event; the peer is the ingress port's
+  // owner. The Network owns nodes and ports for the whole simulation
+  // lifetime.
   Port* ingress = peer_port_;
   scheduler_->ScheduleAfter(prop_delay_ + extra_delay,
-                            [peer, ingress, pkt = std::move(pkt)]() mutable {
-                              peer->Receive(std::move(pkt), ingress);
+                            [ingress, pkt = std::move(pkt)]() mutable {
+                              ingress->owner()->Receive(std::move(pkt), ingress);
                             });
 }
 

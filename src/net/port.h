@@ -130,8 +130,17 @@ class Port {
   // .ecn_marks .busy_ns .max_queue_bytes (see docs/observability.md).
   std::string metric_prefix() const;
 
-  // Serialization time of `wire_bytes` on this link.
-  TimeNs SerializationTime(Bytes wire_bytes) const;
+  // Serialization time of `wire_bytes` on this link: Bytes / BitsPerSec,
+  // truncated the same way, but in 64 bits. 8e9 < 2^33, so bytes * 8e9
+  // cannot overflow below 2^31 bytes; only larger frames take the 128-bit
+  // division.
+  TimeNs SerializationTime(Bytes wire_bytes) const {
+    const auto bytes = static_cast<uint64_t>(wire_bytes.count());
+    if ((bytes >> 31) != 0) {
+      return wire_bytes / bps_;
+    }
+    return TimeNs(static_cast<int64_t>(bytes * 8'000'000'000ull / bps_.count()));
+  }
 
  private:
   void TryTransmit();

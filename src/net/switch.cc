@@ -36,16 +36,54 @@ inline size_t EcmpIndex(int flow_id, int switch_id, size_t choices) {
 }  // namespace
 
 void Switch::Forward(PacketPtr pkt) {
-  const size_t dest = static_cast<size_t>(pkt->dst);
-  if (dest >= next_hops_.size() || next_hops_[dest].empty()) {
+  // A negative dst wraps past the table like one beyond it.
+  const auto dest = static_cast<size_t>(static_cast<uint32_t>(pkt->dst));
+  if (dest >= routes_.size() || routes_[dest].count == 0) {
     ++unroutable_;
+    network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr);  // lint:allow packet-drop
     return;
   }
-  const auto& choices = next_hops_[dest];
-  Port* out = choices.size() == 1
-                  ? choices.front()
-                  : choices[EcmpIndex(pkt->flow_id, id(), choices.size())];
+  const Route& route = routes_[dest];
+  Port* out = route.count == 1
+                  ? route.port
+                  : ecmp_ports_[route.first + EcmpIndex(pkt->flow_id, id(), route.count)];
   out->Enqueue(std::move(pkt));
+}
+
+void Switch::ResetRoutes(size_t num_nodes) {
+  routes_.assign(num_nodes, Route{});
+  ecmp_ports_.clear();
+}
+
+void Switch::SetRoute(int dest, std::span<const int> dist) {
+  const int d = dist[static_cast<size_t>(id())];
+  if (d <= 0) {
+    return;  // dest itself or unreachable
+  }
+  Route& route = routes_[static_cast<size_t>(dest)];
+  route.first = static_cast<uint32_t>(ecmp_ports_.size());
+  for (const auto& p : ports()) {
+    if (p->peer() != nullptr && dist[static_cast<size_t>(p->peer()->id())] == d - 1) {
+      ecmp_ports_.push_back(p.get());
+    }
+  }
+  route.count = static_cast<uint32_t>(ecmp_ports_.size()) - route.first;
+  if (route.count == 1) {
+    route.port = ecmp_ports_.back();  // a single next hop stays inline
+    ecmp_ports_.pop_back();
+  }
+}
+
+std::span<Port* const> Switch::equal_cost_ports(int dest) const {
+  const auto d = static_cast<size_t>(static_cast<uint32_t>(dest));
+  if (d >= routes_.size()) {
+    return {};
+  }
+  const Route& route = routes_[d];
+  if (route.count == 1) {
+    return {&route.port, 1};
+  }
+  return {ecmp_ports_.data() + route.first, route.count};
 }
 
 }  // namespace tfc

@@ -4,6 +4,8 @@
 #ifndef SRC_NET_SWITCH_H_
 #define SRC_NET_SWITCH_H_
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/net/node.h"
@@ -17,28 +19,39 @@ class Switch : public Node {
   void Receive(PacketPtr pkt, Port* ingress) override;
 
   // Routes and enqueues on the egress port, bypassing ingress agent hooks.
-  // Used both by Receive and by agents re-injecting delayed packets.
+  // Used both by Receive and by agents re-injecting delayed packets. A
+  // packet without a route is counted in unroutable_packets(), traced as a
+  // kDrop and destroyed.
   void Forward(PacketPtr pkt);
 
-  // Filled in by Network::BuildRoutes: next_hops_[dest_node_id] lists all
-  // equal-cost ports toward the destination. A flow hashes to one of them
-  // (per-flow ECMP: stable path per flow, no intra-flow reordering).
-  void set_next_hops(std::vector<std::vector<Port*>> table) {
-    next_hops_ = std::move(table);
-  }
-  // First (or only) next hop toward `dest`; null if unreachable.
-  Port* next_hop(int dest) const {
-    const auto& choices = next_hops_.at(static_cast<size_t>(dest));
-    return choices.empty() ? nullptr : choices.front();
-  }
-  const std::vector<Port*>& equal_cost_ports(int dest) const {
-    return next_hops_.at(static_cast<size_t>(dest));
-  }
+  // Every equal-cost egress port toward node `dest`, in port order; empty
+  // when `dest` is unknown or unreachable. A flow hashes to one of them
+  // (per-flow ECMP: stable path per flow, no intra-flow reordering). Valid
+  // until the next Network::BuildRoutes.
+  std::span<Port* const> equal_cost_ports(int dest) const;
 
   uint64_t unroutable_packets() const { return unroutable_; }
 
+  // Route installation, driven by Network::BuildRoutes. ResetRoutes drops
+  // every route and sizes the table for `num_nodes` node ids. SetRoute
+  // installs the route toward `dest` from a breadth-first search of the
+  // topology: dist[v] is node v's hop count to dest (-1: unreachable), and
+  // every port whose neighbour is one hop closer is an equal-cost choice.
+  void ResetRoutes(size_t num_nodes);
+  void SetRoute(int dest, std::span<const int> dist);
+
  private:
-  std::vector<std::vector<Port*>> next_hops_;
+  // One entry per destination node id. Nearly every destination has a
+  // single next hop, held inline in `port`; a multi-path destination's
+  // choices are ecmp_ports_[first, first + count).
+  struct Route {
+    Port* port = nullptr;
+    uint32_t first = 0;
+    uint32_t count = 0;  // 0: unreachable
+  };
+  std::vector<Route> routes_;
+  // The ECMP choices of all multi-path destinations, one flat array.
+  std::vector<Port*> ecmp_ports_;
   uint64_t unroutable_ = 0;
 };
 

@@ -44,7 +44,9 @@ void ReliableReceiver::HandleData(const Packet& pkt) {
     const uint64_t end = pkt.seq + pkt.payload;
     const uint64_t before = rcv_next_;
     if (end > rcv_next_) {
-      // Merge [max(start, rcv_next_), end) into the out-of-order store.
+      // Merge [max(start, rcv_next_), end) with the stored holes it touches.
+      // Every stored hole starts above rcv_next_, so the merged range starts
+      // at rcv_next_ exactly when the segment reaches the in-order frontier.
       uint64_t s = std::max(start, rcv_next_);
       auto it = out_of_order_.lower_bound(s);
       if (it != out_of_order_.begin()) {
@@ -60,12 +62,10 @@ void ReliableReceiver::HandleData(const Packet& pkt) {
         s = std::min(s, it->first);
         it = out_of_order_.erase(it);
       }
-      out_of_order_[s] = e;
-      // Advance the in-order frontier.
-      auto head = out_of_order_.begin();
-      if (head != out_of_order_.end() && head->first <= rcv_next_) {
-        rcv_next_ = std::max(rcv_next_, head->second);
-        out_of_order_.erase(head);
+      if (s <= rcv_next_) {
+        rcv_next_ = e;  // advance the frontier; in-order data is never stored
+      } else {
+        out_of_order_[s] = e;
       }
     }
     if (rcv_next_ > before && on_deliver) {

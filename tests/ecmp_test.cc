@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <queue>
 #include <set>
 #include <vector>
 
@@ -15,6 +16,85 @@
 
 namespace tfc {
 namespace {
+
+// Hop counts from every node to `dest` (-1: unreachable), by a plain BFS.
+std::vector<int> HopsTo(const Network& net, int dest) {
+  std::vector<int> hops(static_cast<size_t>(net.num_nodes()), -1);
+  std::queue<const Node*> frontier;
+  hops[static_cast<size_t>(dest)] = 0;
+  frontier.push(net.node(dest));
+  while (!frontier.empty()) {
+    const Node* u = frontier.front();
+    frontier.pop();
+    for (const auto& port : u->ports()) {
+      const Node* v = port->peer();
+      if (v != nullptr && hops[static_cast<size_t>(v->id())] < 0) {
+        hops[static_cast<size_t>(v->id())] = hops[static_cast<size_t>(u->id())] + 1;
+        frontier.push(v);
+      }
+    }
+  }
+  return hops;
+}
+
+// Every switch's equal_cost_ports(dest) must be exactly its ports toward a
+// neighbour one hop closer to dest, in port order, for every destination.
+void ExpectRoutesMatchBfs(const Network& net) {
+  for (int dest = 0; dest < net.num_nodes(); ++dest) {
+    const std::vector<int> hops = HopsTo(net, dest);
+    for (const auto& node : net.nodes()) {
+      const auto* sw = dynamic_cast<const Switch*>(node.get());
+      if (sw == nullptr) {
+        continue;
+      }
+      std::vector<Port*> want;
+      const int d = hops[static_cast<size_t>(sw->id())];
+      for (const auto& port : sw->ports()) {
+        if (d > 0 && port->peer() != nullptr &&
+            hops[static_cast<size_t>(port->peer()->id())] == d - 1) {
+          want.push_back(port.get());
+        }
+      }
+      const auto got = sw->equal_cost_ports(dest);
+      EXPECT_EQ(std::vector<Port*>(got.begin(), got.end()), want)
+          << sw->name() << " toward " << net.node(dest)->name();
+    }
+  }
+  for (const auto& node : net.nodes()) {
+    if (const auto* sw = dynamic_cast<const Switch*>(node.get())) {
+      EXPECT_TRUE(sw->equal_cost_ports(-1).empty());
+      EXPECT_TRUE(sw->equal_cost_ports(net.num_nodes()).empty());
+    }
+  }
+}
+
+TEST(EcmpTest, RouteTablesMatchABreadthFirstSearch) {
+  {
+    Network net;
+    TestbedTopology topo = BuildTestbed(net);
+    ExpectRoutesMatchBfs(net);
+    // Grow it: a second core between NF1 and NF2 makes their paths
+    // equal-cost pairs, and a host behind it adds a destination.
+    Switch* core2 = net.AddSwitch("core2");
+    net.Link(topo.switches[1], core2, kGbps, Microseconds(5));
+    net.Link(core2, topo.switches[2], kGbps, Microseconds(5));
+    Host* extra = net.AddHost("extra");
+    net.Link(extra, core2, kGbps, Microseconds(5));
+    net.BuildRoutes();
+    ExpectRoutesMatchBfs(net);
+    EXPECT_EQ(topo.switches[1]->equal_cost_ports(topo.hosts[3]->id()).size(), 2u);
+  }
+  {
+    Network net;
+    BuildLeafSpine(net, 3, 4);
+    ExpectRoutesMatchBfs(net);
+  }
+  {
+    Network net;
+    BuildFatTree(net, 4);
+    ExpectRoutesMatchBfs(net);
+  }
+}
 
 TEST(EcmpTest, EqualCostSetsOnParallelPaths) {
   // a -- s1 -- {m1,m2} -- s2 -- b : two equal-cost paths between s1 and s2.

@@ -95,6 +95,26 @@ TEST(LinkTest, TenGigIsTenTimesFaster) {
   EXPECT_EQ(pa->SerializationTime(1538), 1230);  // 12304 / 10, truncated
 }
 
+TEST(LinkTest, SerializationTimeMatchesExactDivisionAtEveryRate) {
+  // The port's 64-bit arithmetic must truncate exactly like the 128-bit
+  // Bytes / BitsPerSec, also at a prime rate and on both sides of 2^31 B,
+  // where frames switch to the 128-bit division.
+  const BitsPerSec rates[] = {kGbps, 10 * kGbps, 25 * kGbps, 40 * kGbps, 100 * kGbps,
+                              BitsPerSec(1'000'000'007ull)};
+  for (const BitsPerSec bps : rates) {
+    Network net;
+    Port* p = net.Link(net.AddHost("a"), net.AddHost("b"), bps, 0);
+    for (int wire = 84; wire <= 9100; ++wire) {
+      ASSERT_EQ(p->SerializationTime(wire), Bytes(wire) / bps)
+          << wire << " B at " << bps << " bps";
+    }
+    for (const int64_t wire : {(int64_t{1} << 31) - 1, int64_t{1} << 31, int64_t{1} << 40}) {
+      ASSERT_EQ(p->SerializationTime(Bytes(wire)), Bytes(wire) / bps)
+          << wire << " B at " << bps << " bps";
+    }
+  }
+}
+
 TEST(QueueTest, TailDropWhenBufferFull) {
   Network net;
   Host* a = net.AddHost("a");
@@ -233,6 +253,25 @@ TEST(RoutingTest, UnroutablePacketCountsNotCrashes) {
   EXPECT_EQ(a->unroutable_packets(), 1u);
 }
 
+TEST(RoutingTest, SwitchWithoutRouteCountsAndTracesTheDrop) {
+  Network net;
+  Host* a = net.AddHost("a");
+  Switch* s = net.AddSwitch("s");
+  Host* isolated = net.AddHost("isolated");
+  net.Link(a, s, kGbps, 0);
+  net.BuildRoutes();
+  net.flight().Arm(64);
+  a->Send(MakeData(net, 1, a->id(), 99, 100));             // beyond the table
+  a->Send(MakeData(net, 1, a->id(), isolated->id(), 100));  // unreachable
+  net.scheduler().Run();
+  EXPECT_EQ(s->unroutable_packets(), 2u);
+  int drops_at_s = 0;
+  net.flight().ForEach([&](const FlightEvent& e) {
+    drops_at_s += e.type == FlightEventType::kDrop && e.node == s->id() ? 1 : 0;
+  });
+  EXPECT_EQ(drops_at_s, 2);
+}
+
 TEST(HostTest, ProcessingDelayPreservesPacketOrder) {
   Network net(/*seed=*/123);
   Host* a = net.AddHost("a");
@@ -255,6 +294,47 @@ TEST(HostTest, ProcessingDelayPreservesPacketOrder) {
   }
   // And delay was actually applied.
   EXPECT_GE(sink.arrival_times[0], Microseconds(5));
+}
+
+TEST(HostTest, AFlowIdHoldsOneEndpointPerHostAndTwoInAll) {
+  Network net;
+  Host* a = net.AddHost("a");
+  Host* b = net.AddHost("b");
+  Host* c = net.AddHost("c");
+  SinkEndpoint ea(&net.scheduler());
+  SinkEndpoint eb(&net.scheduler());
+  SinkEndpoint ec(&net.scheduler());
+  const int flow = net.AllocateFlowId();
+  a->RegisterEndpoint(flow, &ea);
+  b->RegisterEndpoint(flow, &eb);
+  EXPECT_DEATH(c->RegisterEndpoint(flow, &ec), "already has two endpoints");
+  EXPECT_DEATH(a->RegisterEndpoint(flow, &ec), "already has an endpoint on host");
+  // A freed slot is reusable: unregister, then register again on one host.
+  b->UnregisterEndpoint(flow);
+  b->RegisterEndpoint(flow, &ec);
+  b->Receive(MakeData(net, flow, a->id(), b->id(), 100), nullptr);
+  EXPECT_EQ(eb.packets.size(), 0u);
+  EXPECT_EQ(ec.packets.size(), 1u);
+  EXPECT_EQ(b->unroutable_packets(), 0u);
+}
+
+TEST(HostTest, NegativeAndUnregisteredFlowIdsAreUnroutable) {
+  Network net;
+  Host* a = net.AddHost("a");
+  Host* b = net.AddHost("b");
+  SinkEndpoint sink(&net.scheduler());
+  a->RegisterEndpoint(1, &sink);
+  net.flight().Arm(64);
+  for (const int flow : {-1, -7, 1, 2, 1 << 20}) {  // flow 1 lives on a, not b
+    b->Receive(MakeData(net, flow, a->id(), b->id(), 100), nullptr);
+  }
+  EXPECT_EQ(b->unroutable_packets(), 5u);
+  EXPECT_TRUE(sink.packets.empty());
+  int drops = 0;
+  net.flight().ForEach([&](const FlightEvent& e) {
+    drops += e.type == FlightEventType::kDrop && e.node == b->id() ? 1 : 0;
+  });
+  EXPECT_EQ(drops, 5);
 }
 
 TEST(NetworkTest, FindPortLocatesDirectNeighbors) {

@@ -72,8 +72,9 @@ TEST_F(ReassemblyTest, InOrderDeliveryAcksCumulatively) {
   Inject(0, 100);
   Inject(100, 100);
   Inject(200, 50);
-  EXPECT_EQ(DrainAcks(), (std::vector<uint64_t>{100, 200, 250}));
-  EXPECT_EQ(receiver_->delivered_bytes(), 250u);
+  Inject(200, 100);  // straddles the frontier with no stored holes
+  EXPECT_EQ(DrainAcks(), (std::vector<uint64_t>{100, 200, 250, 300}));
+  EXPECT_EQ(receiver_->delivered_bytes(), 300u);
 }
 
 TEST_F(ReassemblyTest, OutOfOrderHoleFillsInOneJump) {
@@ -83,6 +84,9 @@ TEST_F(ReassemblyTest, OutOfOrderHoleFillsInOneJump) {
   Inject(0, 100);  // plug the hole
   EXPECT_EQ(DrainAcks(), (std::vector<uint64_t>{300}));
   EXPECT_EQ(delivered_chunks_, (std::vector<uint64_t>{300}));
+  Inject(300, 100);  // in order, right after the last hole closed
+  EXPECT_EQ(DrainAcks(), (std::vector<uint64_t>{400}));
+  EXPECT_EQ(delivered_chunks_, (std::vector<uint64_t>{300, 100}));
 }
 
 TEST_F(ReassemblyTest, DuplicateSegmentsAreIdempotent) {

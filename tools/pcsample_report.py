@@ -12,6 +12,9 @@ to an object file and an ELF address, then attributed three ways:
     queue operation inlined into Scheduler::Run counts as itself;
   - by inlined line: the innermost frame's file:line.
 
+An address that lies past every sized `nm` symbol (the internals of a
+stripped library) counts as its object, `[libc.so.6]`, in all three.
+
 Needs nm and addr2line (binutils) on PATH, and line tables (-g, as in the
 RelWithDebInfo builds) for the last two tables.
 """
@@ -134,10 +137,14 @@ def attribute(maps, samples):
         frames = innermost_frames(path, sorted(counts))
         for addr, n in counts.items():
             k = bisect.bisect_right(sym_addrs, addr) - 1
-            if k >= 0 and (syms[k][1] == 0 or addr < syms[k][0] + syms[k][1]):
-                by_symbol[f"{syms[k][2]}  [{obj}]"] += n
-            else:
-                by_symbol[f"[{obj}]"] += n
+            if k < 0 or (syms[k][1] != 0 and addr >= syms[k][0] + syms[k][1]):
+                # Past every sized symbol, as in a stripped library's
+                # internals: addr2line would name the nearest exported
+                # symbol, so all three tables charge the object instead.
+                for table in (by_symbol, by_func, by_line):
+                    table[f"[{obj}]"] += n
+                continue
+            by_symbol[f"{syms[k][2]}  [{obj}]"] += n
             func, loc = frames.get(addr, ("??", "??:0"))
             by_func[f"{func}  [{obj}]"] += n
             by_line[f"{loc}  {func}"] += n

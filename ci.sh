@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI entry point — the same matrix .github/workflows/ci.yml runs.
 #
-#   ./ci.sh            full matrix: release, asan-ubsan, hardened, tsan, lint,
-#                      astlint, tidy, telemetry, trace, chaos, sweep,
-#                      perfbench
+#   ./ci.sh            full matrix: release, figures, asan-ubsan, hardened,
+#                      tsan, lint, astlint, tidy, telemetry, trace, chaos,
+#                      sweep, perfbench
 #   ./ci.sh release    one leg by name
 #
 # Every leg must pass for the gate to be green. The sanitizer and hardened
@@ -21,6 +21,15 @@ run_preset() {
 }
 
 leg_release()    { run_preset release; }
+# Claims gate (docs/correctness.md "Golden outputs"): every figure binary's
+# full-length stdout against tests/golden/full/, and the figure-shape
+# checks over it. ~70 s of runs serially; fig15 bounds the parallel run.
+leg_figures() {
+  echo "=== [figures] full-length bench goldens + figure shapes ==="
+  cmake --preset figures
+  cmake --build --preset figures -j "$(nproc)"
+  ctest --preset figures -j "$(nproc)"
+}
 leg_asan_ubsan() { run_preset asan-ubsan; }
 leg_hardened()   { run_preset hardened; }
 # Repo conventions: lint.py is the only owner of its rules (astlint carries
@@ -257,6 +266,7 @@ leg_perfbench() {
 
 case "${1:-all}" in
   release)    leg_release ;;
+  figures)    leg_figures ;;
   asan-ubsan) leg_asan_ubsan ;;
   hardened)   leg_hardened ;;
   tsan)       leg_tsan ;;
@@ -270,6 +280,7 @@ case "${1:-all}" in
   perfbench)  leg_perfbench ;;
   all)
     leg_release
+    leg_figures
     leg_asan_ubsan
     leg_hardened
     leg_tsan
@@ -284,7 +295,7 @@ case "${1:-all}" in
     echo "=== ci.sh: all legs green ==="
     ;;
   *)
-    echo "usage: $0 [release|asan-ubsan|hardened|tsan|lint|astlint|tidy|telemetry|trace|chaos|sweep|perfbench|all]" >&2
+    echo "usage: $0 [release|figures|asan-ubsan|hardened|tsan|lint|astlint|tidy|telemetry|trace|chaos|sweep|perfbench|all]" >&2
     exit 2
     ;;
 esac

@@ -1,7 +1,8 @@
 // Deterministic random number generation for workloads.
 //
-// A single Rng instance is threaded through the simulation so that a fixed
-// seed reproduces a run bit-for-bit. All distribution helpers are methods
+// Each Network owns one Rng, seeded by its seed, so that a fixed seed
+// reproduces a run bit-for-bit; a workload generator forks a stream of its
+// own from it (Rng::Fork). All distribution helpers are methods
 // (rather than std:: distribution objects at call sites) so the consumed
 // entropy per call is well defined.
 
@@ -44,7 +45,19 @@ class Rng {
 
   bool Bernoulli(double p) { return Uniform() < p; }
 
+  // Splits off a stream of its own: the returned Rng draws exactly what this
+  // one would have drawn next, and this one is re-keyed from its own next
+  // draw. A consumer moved onto a fork keeps its draws, and the consumers
+  // left on the parent no longer shift them.
+  Rng Fork() {
+    Rng fork = *this;
+    engine_.seed(engine_() ^ kForkKey);
+    return fork;
+  }
+
  private:
+  static constexpr uint64_t kForkKey = 0x9e3779b97f4a7c15;  // 2^64 / golden ratio
+
   std::mt19937_64 engine_;
 };
 

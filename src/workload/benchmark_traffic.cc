@@ -29,6 +29,7 @@ BenchmarkTrafficApp::BenchmarkTrafficApp(Network* net, const ProtocolSuite& suit
       suite_(suite),
       hosts_(std::move(hosts)),
       config_(config),
+      rng_(net->rng().Fork()),
       background_sizes_(WebSearchFlowSizes()) {
   TFC_CHECK_GE(hosts_.size(), 2u);
 }
@@ -44,7 +45,7 @@ void BenchmarkTrafficApp::Start() {
 
 void BenchmarkTrafficApp::ScheduleNextQuery() {
   const TimeNs gap = static_cast<TimeNs>(
-      net_->rng().Exponential(static_cast<double>(config_.query_interarrival)));
+      rng_.Exponential(static_cast<double>(config_.query_interarrival)));
   const TimeNs at = net_->scheduler().now() + std::max<TimeNs>(gap, 1);
   if (at > config_.stop_time) {
     return;
@@ -57,7 +58,7 @@ void BenchmarkTrafficApp::ScheduleNextQuery() {
 
 void BenchmarkTrafficApp::ScheduleNextBackground() {
   const TimeNs gap = static_cast<TimeNs>(
-      net_->rng().Exponential(static_cast<double>(config_.background_interarrival)));
+      rng_.Exponential(static_cast<double>(config_.background_interarrival)));
   const TimeNs at = net_->scheduler().now() + std::max<TimeNs>(gap, 1);
   if (at > config_.stop_time) {
     return;
@@ -90,12 +91,12 @@ void BenchmarkTrafficApp::LaunchQuery() {
 void BenchmarkTrafficApp::LaunchBackground() {
   const EmpiricalCdf& kSizes = background_sizes_;
   const size_t n = hosts_.size();
-  const size_t src = static_cast<size_t>(net_->rng().UniformInt(0, static_cast<int64_t>(n) - 1));
-  size_t dst = static_cast<size_t>(net_->rng().UniformInt(0, static_cast<int64_t>(n) - 2));
+  const size_t src = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(n) - 1));
+  size_t dst = static_cast<size_t>(rng_.UniformInt(0, static_cast<int64_t>(n) - 2));
   if (dst >= src) {
     ++dst;
   }
-  const Bytes bytes = std::max<uint64_t>(100, static_cast<uint64_t>(kSizes.Sample(net_->rng())));
+  const Bytes bytes = std::max<uint64_t>(100, static_cast<uint64_t>(kSizes.Sample(rng_)));
   StartFlow(hosts_[src], hosts_[dst], bytes, /*is_query=*/false);
 }
 

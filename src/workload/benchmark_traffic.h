@@ -64,6 +64,10 @@ class BenchmarkTrafficApp {
   ProtocolSuite suite_;
   std::vector<Host*> hosts_;
   BenchmarkTrafficConfig config_;
+  // Arrivals, sizes and endpoints, forked from the network's stream when the
+  // app is built: every protocol then runs the same traffic at one seed,
+  // whatever else (TFC's probe jitter) draws from the network's stream.
+  Rng rng_;
   // Per-instance copy (not a function-local static): concurrent sweep
   // workers each own their sampler, so no cross-simulation sharing.
   EmpiricalCdf background_sizes_;

@@ -168,6 +168,28 @@ TEST(RngTest, DeterministicForFixedSeed) {
   }
 }
 
+// A fork draws what its parent would have drawn; the parent moves on to a
+// stream of its own, so draws from one no longer shift the other.
+TEST(RngTest, ForkContinuesTheStreamAndReKeysTheParent) {
+  Rng reference(42);
+  Rng parent(42);
+  EXPECT_DOUBLE_EQ(parent.Uniform(), reference.Uniform());
+  Rng fork = parent.Fork();
+  std::vector<double> from_fork;
+  std::vector<double> from_parent;
+  for (int i = 0; i < 100; ++i) {
+    from_fork.push_back(fork.Uniform());
+    from_parent.push_back(parent.Uniform());
+    EXPECT_DOUBLE_EQ(from_fork.back(), reference.Uniform());
+  }
+  EXPECT_NE(from_fork, from_parent);
+  // The re-keyed stream depends on the parent's state alone.
+  Rng again(42);
+  again.Uniform();
+  again.Fork();
+  EXPECT_DOUBLE_EQ(again.Uniform(), from_parent.front());
+}
+
 TEST(RngTest, ExponentialHasRequestedMean) {
   Rng rng(7);
   double sum = 0;

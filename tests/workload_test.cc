@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/topo/topologies.h"
 #include "src/workload/benchmark_traffic.h"
 #include "src/workload/fct.h"
@@ -178,6 +180,37 @@ TEST(BenchmarkTrafficTest, GeneratesAndCompletesFlows) {
   EXPECT_GT(app.fct().query().count(), 0u);
   // Query FCT at 1 Gbps with 2 KB payloads: well under a millisecond each.
   EXPECT_LT(app.fct().query().Mean(), 5'000.0);  // microseconds
+}
+
+// At one seed every protocol runs the same benchmark traffic. Arrivals,
+// sizes and endpoints come from the app's own stream, so TFC's probe jitter,
+// drawn from the network's stream, cannot redraw them.
+TEST(BenchmarkTrafficTest, EveryProtocolStartsTheSameFlows) {
+  auto flows_of = [](Protocol protocol) {
+    Scenario s;
+    s.topology = Topology::kTestbed;
+    s.workload = Workload::kBenchmark;
+    s.suite.protocol = protocol;
+    s.seed = 131;
+    s.benchmark.query_interarrival = Milliseconds(2);
+    s.benchmark.background_interarrival = Milliseconds(4);
+    s.benchmark.stop_time = Milliseconds(100);
+    s.horizon = s.benchmark.stop_time + Seconds(30.0);
+    ScenarioRun run(s);
+    run.Start();
+    run.Run();
+    BenchmarkTrafficApp& app = *run.benchmark();
+    // Started and completed flows, queries, then background flows per size bin.
+    std::vector<uint64_t> counts = {app.flows_started(), app.flows_completed(),
+                                    app.fct().query().count()};
+    for (int bin = 0; bin < kNumSizeBins; ++bin) {
+      counts.push_back(app.fct().background(bin).count());
+    }
+    return counts;
+  };
+  const std::vector<uint64_t> tfc = flows_of(Protocol::kTfc);
+  EXPECT_GT(tfc[0], 100u);
+  EXPECT_EQ(tfc, flows_of(Protocol::kDctcp));
 }
 
 TEST(BenchmarkTrafficTest, QueryFaninTargetsOneAggregator) {

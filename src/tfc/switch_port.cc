@@ -317,17 +317,20 @@ void TfcPortAgent::OnFailoverTimer() {
 // Reverse path: the delay arbiter for windows below one MSS (Sec. 4.6).
 // ---------------------------------------------------------------------------
 
+Tokens TfcPortAgent::RefillOver(TimeNs dt) const {
+  // Refill at the *target* utilization, not raw line rate: released grants
+  // become full frames with preamble/IFG overhead on the wire, and with
+  // zero headroom the queue would random-walk into the buffer limit.
+  return Tokens(config_.rho0 * link_rate_.bytes_per_ns() * static_cast<double>(dt.count()) *
+                (static_cast<double>(config_.delay_quantum.count()) /
+                 static_cast<double>((config_.delay_quantum + kWireOverheadBytes).count())));
+}
+
 void TfcPortAgent::RefillCounter() {
   const TimeNs now = scheduler_->now();
   const TimeNs dt = now - counter_refill_time_;
   if (dt > 0) {
-    // Refill at the *target* utilization, not raw line rate: released grants
-    // become full frames with preamble/IFG overhead on the wire, and with
-    // zero headroom the queue would random-walk into the buffer limit.
-    const Tokens add =
-        Tokens(config_.rho0 * link_rate_.bytes_per_ns() * static_cast<double>(dt.count()) *
-               (static_cast<double>(config_.delay_quantum.count()) /
-                static_cast<double>((config_.delay_quantum + kWireOverheadBytes).count())));
+    const Tokens add = RefillOver(dt);
     counter_ += add;
     refilled_total_ += add;
     counter_refill_time_ = now;
@@ -419,10 +422,22 @@ void TfcPortAgent::ScheduleRelease() {
   if (release_timer_.pending() || delay_queue_.empty()) {
     return;
   }
-  const Tokens deficit = Tokens::FromBytes(config_.delay_quantum) - counter_;
+  // Sleep until the least whole ns at which the counter, refilled at the
+  // rate RefillCounter will add, affords a quantum: the pass then releases
+  // an ACK instead of waking short and re-arming. Both callers have just
+  // refilled, so the refill runs from now. The quotient is rounded, so
+  // step it onto the exact ns against RefillOver itself.
+  const Tokens quantum = Tokens::FromBytes(config_.delay_quantum);
+  const auto affords_after = [&](TimeNs dt) { return counter_ + RefillOver(dt) >= quantum; };
   TimeNs wait = 0;
-  if (deficit > Tokens(0.0)) {
-    wait = TimeNs(std::ceil(deficit.value() / (config_.rho0 * link_rate_.bytes_per_ns())));
+  if (counter_ < quantum) {
+    wait = TimeNs(std::ceil((quantum - counter_).value() / RefillOver(1).value()));
+    while (!affords_after(wait)) {
+      wait += 1;
+    }
+    while (wait > 1 && affords_after(wait - 1)) {
+      wait -= 1;
+    }
   }
   // Never sleep past the park timeout: the release pass is also the expiry
   // pass, so a deeply indebted counter (full-window debt floor) must not

@@ -94,6 +94,9 @@ class TfcPortAgent : public PortAgent {
   void OnFailoverTimer();
 
   // Delay arbiter internals.
+  // Tokens the counter gains over `dt`: rho0 * c, wire-adjusted (DESIGN.md
+  // §2, decision 2). RefillCounter adds it; ScheduleRelease sleeps by it.
+  Tokens RefillOver(TimeNs dt) const;
   void RefillCounter();
   void ScheduleRelease();
   void ReleaseParkedAcks();

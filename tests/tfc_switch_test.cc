@@ -13,6 +13,7 @@
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -22,13 +23,13 @@ class TfcPortFixture : public ::testing::Test {
  protected:
   void SetUp() override { Build(TfcSwitchConfig()); }
 
-  void Build(const TfcSwitchConfig& config) {
+  void Build(const TfcSwitchConfig& config, BitsPerSec bps = kGbps) {
     net_ = std::make_unique<Network>(3);
     a_ = net_->AddHost("a");
     b_ = net_->AddHost("b");
     sw_ = net_->AddSwitch("sw");
-    net_->Link(a_, sw_, kGbps, Microseconds(5));
-    net_->Link(sw_, b_, kGbps, Microseconds(5));
+    net_->Link(a_, sw_, bps, Microseconds(5));
+    net_->Link(sw_, b_, bps, Microseconds(5));
     net_->BuildRoutes();
     egress_ = Network::FindPort(sw_, b_);
     egress_->set_agent(std::make_unique<TfcPortAgent>(sw_, egress_, config));
@@ -298,6 +299,80 @@ TEST_F(TfcPortFixture, ParkedAcksReleaseAtTargetRate) {
   // 20 quanta at rho0*c(wire-adjusted) ~= 20 * 12.69 us ~= 254 us.
   EXPECT_GT(elapsed_us, 200.0);
   EXPECT_LT(elapsed_us, 320.0);
+}
+
+// The release timer sleeps until the least whole ns whose refill (rho0 * c,
+// wire-adjusted) covers the counter's deficit, so its one pass releases the
+// parked ACK. At each target utilization, line rate and deficit (1 B to more
+// than one quantum), the ACK is still parked, with no pass made, one ns
+// before that instant, and has left after exactly one pass at it.
+TEST_F(TfcPortFixture, ReleaseWakesAtTheFirstNanosecondTheCounterAffords) {
+  for (double rho0 : {0.9, 0.95, 1.0}) {
+    for (uint64_t gbps : {1, 10, 40}) {
+      for (uint32_t deficit : {1u, 2u, 97u, 759u, 1517u, 1518u, 1519u, 3000u}) {
+        SCOPED_TRACE(testing::Message() << "rho0=" << rho0 << " gbps=" << gbps
+                                        << " deficit=" << deficit);
+        TfcSwitchConfig config;
+        config.rho0 = rho0;
+        Build(config, gbps * kGbps);
+        const ProfileSite* passes = net_->profiler().Site("tfc.release_parked");
+        // The counter starts at its cap; a full window debits it to one
+        // quantum less the deficit, and the next sub-MSS grant parks.
+        const uint32_t quantum = config.delay_quantum.ToU32Saturating();
+        const auto cap = static_cast<uint32_t>(config.counter_cap_quanta * quantum);
+        PacketPtr full = MakeRmaAck(5, cap - quantum + deficit);
+        ASSERT_TRUE(agent_->OnReverse(full));
+        PacketPtr ack = MakeRmaAck(6, 200);
+        ASSERT_FALSE(agent_->OnReverse(ack));
+
+        // The refill over n ns, in the agent's arithmetic.
+        const double wire_share = static_cast<double>(quantum) /
+                                  static_cast<double>(quantum + kWireOverheadBytes);
+        const auto refill = [&](int64_t n) {
+          return rho0 * (gbps * kGbps).bytes_per_ns() * static_cast<double>(n) * wire_share;
+        };
+        int64_t wait = 1;
+        while (refill(wait) < deficit) {
+          ++wait;
+        }
+        net_->scheduler().RunUntil(TimeNs(wait - 1));
+        EXPECT_EQ(agent_->delay_queue_length(), 1u);
+        EXPECT_EQ(passes->hits(), 0u);
+        net_->scheduler().RunUntil(TimeNs(wait));
+        EXPECT_EQ(agent_->delay_queue_length(), 0u);
+        EXPECT_EQ(passes->hits(), 1u);
+      }
+    }
+  }
+}
+
+// tfcsim's testbed incast (8 senders, 64 KB blocks, 5 rounds): nearly every
+// release pass releases a parked ACK, so passes exceed parked ACKs by at
+// most 5%.
+TEST(TfcArbiterTest, ReleasePassesTrackParkedAcksOnTestbedIncast) {
+  Scenario s;
+  s.topology = Topology::kTestbed;
+  s.suite.protocol = Protocol::kTfc;
+  s.senders = 8;
+  s.incast.block_bytes = 64 * 1024;
+  s.incast.rounds = 5;
+  ScenarioRun run(s);
+  run.Start();
+  run.Run();
+  ASSERT_EQ(run.incast()->rounds_completed(), 5);
+
+  uint64_t parked = 0;
+  for (const auto& node : run.net().nodes()) {
+    for (const auto& port : node->ports()) {
+      if (const TfcPortAgent* agent = TfcPortAgent::FromPort(port.get())) {
+        parked += agent->delayed_acks();
+      }
+    }
+  }
+  const uint64_t passes = run.net().profiler().Site("tfc.release_parked")->hits();
+  ASSERT_GT(parked, 100u);
+  EXPECT_LE(static_cast<double>(passes), 1.05 * static_cast<double>(parked))
+      << passes << " release passes for " << parked << " parked ACKs";
 }
 
 TEST_F(TfcPortFixture, NonRmaTrafficIgnoredByArbiter) {

@@ -345,7 +345,7 @@ void FaultInjector::WipeAgentNow(Port* port) {
   if (agent == nullptr) {
     return;
   }
-  std::deque<PacketPtr> lost;
+  std::vector<PacketPtr> lost;
   agent->WipeState(&lost);
   ++agent_wipes_;
   for (PacketPtr& pkt : lost) {
@@ -491,11 +491,9 @@ void FaultInjector::OnWire(Port* port, PacketPtr pkt) {
         return;
       }
       if (p.dup_prob > 0 && rng_.Bernoulli(p.dup_prob)) {
-        // The duplicate is a distinct wire packet: fresh uid, same contents.
+        // The duplicate is a distinct wire packet with the same contents.
         PacketPtr copy = net_->AllocatePacket();
-        const uint64_t uid = copy->uid;
         *copy = *pkt;
-        copy->uid = uid;
         ++dups_;
         port->DeliverToPeer(std::move(copy), 0);
       }

@@ -28,7 +28,6 @@
 #define SRC_NET_FAULT_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <utility>

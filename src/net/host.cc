@@ -60,10 +60,7 @@ void Host::Send(PacketPtr pkt) {
     depart = last_departure_;
   }
   last_departure_ = depart;
-  Port* nic_port = nic();
-  sched.ScheduleAt(depart, [nic_port, pkt = std::move(pkt)]() mutable {
-    nic_port->Enqueue(std::move(pkt));
-  });
+  sched.ScheduleAt(depart, PacketEvent<&Port::Enqueue>{nic(), pkt.release()});
 }
 
 void Host::RegisterEndpoint(int flow_id, Endpoint* ep) {

@@ -81,16 +81,10 @@ class Network {
   // Flow-id-indexed endpoint dispatch shared by every host; transports
   // register through Host::RegisterEndpoint.
   EndpointTable& endpoints() { return endpoints_; }
-  uint64_t AllocatePacketUid() { return next_packet_uid_++; }
 
-  // Draws a recycled packet from the pool with a fresh uid; all other
-  // fields are default-initialized. This is the allocation path every
-  // transport send and ACK goes through.
-  PacketPtr AllocatePacket() {
-    PacketPtr pkt = packet_pool_.Allocate();
-    pkt->uid = next_packet_uid_++;
-    return pkt;
-  }
+  // Draws a default-initialized packet from the pool. This is the
+  // allocation path every transport send and ACK goes through.
+  PacketPtr AllocatePacket() { return packet_pool_.Allocate(); }
 
   PacketPool& packet_pool() { return packet_pool_; }
   const PacketPool& packet_pool() const { return packet_pool_; }
@@ -174,7 +168,6 @@ class Network {
   EndpointTable endpoints_;
   std::vector<std::unique_ptr<Node>> nodes_;
   int next_flow_id_ = 1;
-  uint64_t next_packet_uid_ = 1;
   bool audit_enabled_ = false;
   TimeNs audit_period_ = 0;
   uint64_t audit_passes_ = 0;

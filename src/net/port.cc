@@ -57,10 +57,7 @@ void Port::AuditInvariants(Auditor& audit) const {
   audit.CheckLe(queue_bytes_, buffer_limit_hi_bytes_, "occupancy<=buffer");
   audit.CheckLe(max_queue_bytes_, buffer_limit_hi_bytes_, "max occupancy<=buffer");
   Bytes sum = 0;
-  for (const PacketPtr& p : queue_) {
-    sum += Bytes(p->frame_bytes());
-    audit.Check(p->uid != kPoisonUid, "queued packet is live (not freed)");
-  }
+  queue_.AuditInvariants(audit, [&sum](const Packet& p) { sum += Bytes(p.frame_bytes()); });
   audit.CheckEq(queue_bytes_, sum, "queue_bytes==sum(queued frames)");
   // Between events the transmitter is busy whenever the queue is non-empty
   // (TryTransmit runs before every return to the scheduler).
@@ -90,7 +87,7 @@ void Port::Enqueue(PacketPtr pkt) {
     max_queue_bytes_ = queue_bytes_;
   }
   owner_->network()->EmitTrace(FlightEventType::kEnqueue, *pkt, owner_, this);
-  queue_.push_back(std::move(pkt));
+  queue_.Push(std::move(pkt));
   TryTransmit();
 }
 
@@ -100,7 +97,7 @@ void Port::TryTransmit() {
   }
   busy_ = true;
   busy_since_ = scheduler_->now();
-  Packet& pkt = *queue_.front();
+  Packet& pkt = queue_.front();
   const TimeNs ser = SerializationTime(pkt.wire_bytes());
   scheduler_->ScheduleAfter(ser, [this] { OnSerialized(); });
 }
@@ -108,8 +105,7 @@ void Port::TryTransmit() {
 void Port::OnSerialized() {
   ProfileScope prof(&owner_->network()->profiler(), serialize_site_);
   TFC_CHECK(busy_ && !queue_.empty());
-  PacketPtr pkt = std::move(queue_.front());
-  queue_.pop_front();
+  PacketPtr pkt = queue_.Pop();
   queue_bytes_ -= Bytes(pkt->frame_bytes());
   ++tx_packets_;
   tx_bytes_ += Bytes(pkt->frame_bytes());
@@ -131,14 +127,13 @@ void Port::OnSerialized() {
 }
 
 void Port::DeliverToPeer(PacketPtr pkt, TimeNs extra_delay) {
-  // The packet rides inside the event; the peer is the ingress port's
+  // The packet rides inside the event to the peer port, the ingress of its
   // owner. The Network owns nodes and ports for the whole simulation
   // lifetime.
-  Port* ingress = peer_port_;
   scheduler_->ScheduleAfter(prop_delay_ + extra_delay,
-                            [ingress, pkt = std::move(pkt)]() mutable {
-                              ingress->owner()->Receive(std::move(pkt), ingress);
-                            });
+                            PacketEvent<&Port::ReceiveFromPeer>{peer_port_, pkt.release()});
 }
+
+void Port::ReceiveFromPeer(PacketPtr pkt) { owner_->Receive(std::move(pkt), this); }
 
 }  // namespace tfc

@@ -11,10 +11,12 @@
 #ifndef SRC_NET_PORT_H_
 #define SRC_NET_PORT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/net/packet.h"
 #include "src/sim/audit.h"
@@ -53,7 +55,72 @@ class PortAgent {
   // the agent was holding (parked ACKs) are switch memory and are lost with
   // it: the agent appends them to `lost` and the caller (FaultInjector)
   // accounts their destruction. Default: stateless agent, nothing to do.
-  virtual void WipeState(std::deque<PacketPtr>* lost) { (void)lost; }
+  virtual void WipeState(std::vector<PacketPtr>* lost) { (void)lost; }
+};
+
+// A port's transmit queue: an intrusive FIFO of owned packets, linked
+// through Packet::next. Push and Pop never allocate. The queue holds its
+// packets as released PacketPtrs and re-wraps each on Pop; its destructor
+// returns whatever is still queued to the pool.
+class PacketFifo {
+ public:
+  PacketFifo() = default;
+  PacketFifo(const PacketFifo&) = delete;
+  PacketFifo& operator=(const PacketFifo&) = delete;
+  ~PacketFifo() {
+    while (!empty()) {
+      Pop();
+    }
+  }
+
+  bool empty() const { return head_ == nullptr; }
+  size_t size() const { return size_; }
+  Packet& front() const { return *head_; }
+
+  void Push(PacketPtr pkt) {
+    Packet* p = pkt.release();
+    p->next = nullptr;
+    if (tail_ == nullptr) {
+      head_ = p;
+    } else {
+      tail_->next = p;
+    }
+    tail_ = p;
+    ++size_;
+  }
+
+  PacketPtr Pop() {
+    Packet* p = head_;
+    head_ = p->next;
+    if (head_ == nullptr) {
+      tail_ = nullptr;
+    }
+    p->next = nullptr;
+    --size_;
+    return PacketPtr(p);
+  }
+
+  // Runtime-auditor hook: walks at most size() + 1 links (a corrupted link
+  // cannot loop the walk), checks the count and the tail against the walk,
+  // calls `visit` on every queued packet, and checks each one is live.
+  template <typename F>
+  void AuditInvariants(Auditor& audit, F&& visit) const {
+    size_t walked = 0;
+    const Packet* last = nullptr;
+    for (const Packet* p = head_; p != nullptr && walked <= size_; p = p->next) {
+      audit.Check(!IsPoisoned(*p), "queued packet is live (not freed)");
+      visit(*p);
+      last = p;
+      ++walked;
+    }
+    audit.CheckEq(walked, size_, "fifo length==count");
+    audit.Check(last == tail_, "fifo tail is its last packet");
+  }
+
+ private:
+  Packet* head_ = nullptr;
+  Packet* tail_ = nullptr;
+  size_t size_ = 0;
 };
 
 class Port {
@@ -145,6 +212,9 @@ class Port {
  private:
   void TryTransmit();
   void OnSerialized();
+  // The delivery event's handler on the ingress port: hands the packet to
+  // this port's owner.
+  void ReceiveFromPeer(PacketPtr pkt);
   void RegisterMetrics();
 
   Scheduler* scheduler_;
@@ -156,7 +226,7 @@ class Port {
   BitsPerSec bps_ = 0;
   TimeNs prop_delay_ = 0;
 
-  std::deque<PacketPtr> queue_;
+  PacketFifo queue_;
   Bytes queue_bytes_ = 0;
   Bytes buffer_limit_bytes_ = 256 * 1024;
   // Largest limit ever configured; tests shrink the limit mid-run to break
@@ -182,6 +252,24 @@ class Port {
   // Connect time). Keep last: gauges capture `this`.
   ScopedMetrics metrics_;
 };
+
+// The event that carries a packet to a port: a delivery to the peer's
+// ingress (Port::DeliverToPeer) or a host's delayed departure into its NIC
+// (Host::Send). It holds the packet as a raw pointer and re-wraps it in a
+// PacketPtr for `Handler` when it runs, so it is trivially copyable and 16
+// bytes: the event queue moves it with InplaceFunction's inline copy, not
+// an indirect relocate and destroy.
+template <void (Port::*Handler)(PacketPtr)>
+struct PacketEvent {
+  Port* port;
+  Packet* pkt;
+  void operator()() const { (port->*Handler)(PacketPtr(pkt)); }
+};
+
+static_assert(std::is_trivially_copyable_v<PacketEvent<&Port::Enqueue>>,
+              "packet events take InplaceFunction's inline-copy path");
+static_assert(sizeof(PacketEvent<&Port::Enqueue>) <= 16,
+              "packet events fit InplaceFunction's 16-byte inline copy");
 
 }  // namespace tfc
 

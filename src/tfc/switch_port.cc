@@ -522,7 +522,7 @@ void TfcPortAgent::ReleaseParkedAcks() {
 // Fault path: device reboot (src/net/fault.h).
 // ---------------------------------------------------------------------------
 
-void TfcPortAgent::WipeState(std::deque<PacketPtr>* lost) {
+void TfcPortAgent::WipeState(std::vector<PacketPtr>* lost) {
   // Parked ACKs are switch memory; they die with the device. The caller
   // (FaultInjector) traces and accounts their destruction.
   for (ParkedAck& parked : delay_queue_) {
@@ -633,7 +633,7 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   audit.Check(rttb_ > 0, "rtt_b>0");
 
   // Delay arbiter queue: bounded, and every parked packet is a live sub-MSS
-  // RMA ack (a poisoned uid here is a use-after-free of a pooled packet).
+  // RMA ack (poisoned seq/ack here is a use-after-free of a pooled packet).
   // With expiry enabled no entry may outlive two park timeouts: the release
   // timer fires within one timeout of any park and each firing expires every
   // aged-out entry (they are contiguous at the front, FIFO order).
@@ -641,7 +641,7 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   const TimeNs now = scheduler_->now();
   for (const ParkedAck& parked : delay_queue_) {
     const PacketPtr& p = parked.pkt;
-    audit.Check(p->uid != kPoisonUid, "parked packet is live (not freed)");
+    audit.Check(!IsPoisoned(*p), "parked packet is live (not freed)");
     audit.Check(p->is_ack() && p->rma, "parked packet is an RMA ack");
     audit.Check(static_cast<double>(p->window) < quantum, "parked window<quantum");
     audit.CheckLe(parked.parked_at, now, "parked in the past");

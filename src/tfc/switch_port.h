@@ -44,7 +44,7 @@ class TfcPortAgent : public PortAgent {
   // ledger — reverts to construction values; parked ACKs are switch memory
   // and are handed to the caller for destruction. The agent then
   // re-converges from live traffic exactly like a cold start.
-  void WipeState(std::deque<PacketPtr>* lost) override;
+  void WipeState(std::vector<PacketPtr>* lost) override;
 
   // Observation snapshot emitted at the end of every time slot.
   struct SlotInfo {

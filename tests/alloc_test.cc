@@ -1,8 +1,11 @@
-// Heap allocations on the per-packet path. Packets come from the pool,
-// events live in the queue's slab, and endpoint dispatch, routing and
-// in-order reassembly use flat tables, so a steady TFC incast should
-// allocate far less than once per data segment. This binary replaces the
-// global operator new to count calls, which is why it stands alone.
+// Heap allocations on the per-packet path. Packets come from the pool's
+// slab and queue on an intrusive port FIFO, events live in the queue's
+// slab, and endpoint dispatch, routing and in-order reassembly use flat
+// tables, so a steady TFC incast allocates only in two places: block
+// turnover in the TFC delay arbiter's std::deque of parked ACKs (about 90%
+// of the calls) and the incast app's per-flow FCT samples growing. This
+// binary replaces the global operator new to count calls, which is why it
+// stands alone.
 
 #include <gtest/gtest.h>
 
@@ -16,9 +19,10 @@ namespace {
 uint64_t g_allocations = 0;
 }  // namespace
 
-// The array and nothrow forms reach these by default. The deletes stay out
-// of line: inlined next to a `new`, GCC's -Wmismatched-new-delete would
-// pair that `new` with this `free`.
+// The array and nothrow forms reach these by default. The aligned pair is
+// what PacketPool's slab chunks go through. The deletes stay out of line:
+// inlined next to a `new`, GCC's -Wmismatched-new-delete would pair that
+// `new` with this `free`.
 void* operator new(std::size_t size) {
   ++g_allocations;
   if (void* p = std::malloc(size == 0 ? 1 : size)) {
@@ -26,13 +30,26 @@ void* operator new(std::size_t size) {
   }
   throw std::bad_alloc();
 }
+void* operator new(std::size_t size, std::align_val_t align) {
+  ++g_allocations;
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a + (size == 0 ? a : 0))) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace tfc {
 namespace {
 
-TEST(AllocTest, SteadyIncastAllocatesUnderHalfPerDataSegment) {
+TEST(AllocTest, SteadyIncastAllocatesUnderOnePerTwentyDataSegments) {
   Scenario s;
   s.topology = Topology::kTestbed;
   s.suite.protocol = Protocol::kTfc;
@@ -41,7 +58,7 @@ TEST(AllocTest, SteadyIncastAllocatesUnderHalfPerDataSegment) {
   s.incast.rounds = 11;
   ScenarioRun run(s);
   run.Start();
-  // Round 1 grows every pool, queue and table to its working size.
+  // Round 1 grows every pool, slab, queue and table to its working size.
   Scheduler& sched = run.net().scheduler();
   while (run.incast()->rounds_completed() < 1) {
     sched.RunUntil(sched.now() + Microseconds(50));
@@ -55,7 +72,7 @@ TEST(AllocTest, SteadyIncastAllocatesUnderHalfPerDataSegment) {
   const double delivered = static_cast<double>(run.bottleneck()->tx_packets() - segments);
   ASSERT_GT(delivered, 10 * 8 * 180 - 1);  // 180 segments per 256 KB block
   const double per_segment = static_cast<double>(g_allocations - allocations) / delivered;
-  EXPECT_LT(per_segment, 0.5) << (g_allocations - allocations) << " allocations for "
+  EXPECT_LT(per_segment, 0.05) << (g_allocations - allocations) << " allocations for "
                               << delivered << " data segments";
 }
 

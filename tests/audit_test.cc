@@ -139,14 +139,14 @@ TEST(PacketPoolTest, ReleasedPacketIsPoisoned) {
   PacketPtr pkt = pool.Allocate();
   Packet* raw = pkt.get();
   pkt.reset();  // returns to the free list (storage stays owned by the pool)
-  EXPECT_EQ(raw->uid, kPoisonUid);
-  EXPECT_EQ(raw->seq, kPoisonUid);
-  EXPECT_EQ(raw->ack, kPoisonUid);
+  EXPECT_EQ(raw->seq, kPacketPoison);
+  EXPECT_EQ(raw->ack, kPacketPoison);
+  EXPECT_TRUE(IsPoisoned(*raw));
 
   // Recycling scrubs the poison back to defaults.
   PacketPtr again = pool.Allocate();
   EXPECT_EQ(again.get(), raw);
-  EXPECT_NE(again->uid, kPoisonUid);
+  EXPECT_FALSE(IsPoisoned(*again));
 }
 
 using PacketPoolDeathTest = ::testing::Test;

@@ -145,7 +145,7 @@ TEST(EcmpTest, FlowsSpreadAcrossPathsButEachFlowIsStable) {
     m1_before = via_m1->tx_packets();
     m2_before = via_m2->tx_packets();
     for (int rep = 0; rep < 3; ++rep) {
-      PacketPtr pkt = std::make_unique<Packet>();
+      PacketPtr pkt = net.AllocatePacket();
       pkt->flow_id = flow;
       pkt->src = a->id();
       pkt->dst = b->id();

@@ -148,7 +148,7 @@ TEST(SamplerTest, RecordedQueueTracksInstantaneousDepth) {
   recorder.Start(Microseconds(5), /*first_delay=*/0);
   // Enqueue 10 full frames at t=0; they drain at 12.3 us each.
   for (int i = 0; i < 10; ++i) {
-    PacketPtr pkt = std::make_unique<Packet>();
+    PacketPtr pkt = net.AllocatePacket();
     pkt->flow_id = 1;
     pkt->src = a->id();
     pkt->dst = b->id();

@@ -268,8 +268,7 @@ TEST(FaultInjectorTest, AgentWipeDiscardsParkedAcksAndAccountsThem) {
 
   // Exhaust the arbiter counter (cap = 2 quanta), then park three grants.
   for (int i = 0; i < 2; ++i) {
-    PacketPtr ack = std::make_unique<Packet>();
-    ack->uid = net.AllocatePacketUid();
+    PacketPtr ack = net.AllocatePacket();
     ack->flow_id = 5;
     ack->type = PacketType::kAck;
     ack->rma = true;
@@ -277,8 +276,7 @@ TEST(FaultInjectorTest, AgentWipeDiscardsParkedAcksAndAccountsThem) {
     ASSERT_TRUE(agent->OnReverse(ack));
   }
   for (int i = 0; i < 3; ++i) {
-    PacketPtr ack = std::make_unique<Packet>();
-    ack->uid = net.AllocatePacketUid();
+    PacketPtr ack = net.AllocatePacket();
     ack->flow_id = 6 + i;
     ack->type = PacketType::kAck;
     ack->rma = true;

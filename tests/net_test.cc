@@ -11,8 +11,7 @@ namespace tfc {
 namespace {
 
 PacketPtr MakeData(Network& net, int flow, int src, int dst, uint32_t payload) {
-  PacketPtr pkt = std::make_unique<Packet>();
-  pkt->uid = net.AllocatePacketUid();
+  PacketPtr pkt = net.AllocatePacket();
   pkt->flow_id = flow;
   pkt->src = src;
   pkt->dst = dst;

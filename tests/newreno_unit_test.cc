@@ -39,8 +39,7 @@ class ScriptedReceiver : public Endpoint {
 
  private:
   void Reply(const Packet& cause, PacketType type, uint64_t ack_value) {
-    PacketPtr ack = std::make_unique<Packet>();
-    ack->uid = net_->AllocatePacketUid();
+    PacketPtr ack = net_->AllocatePacket();
     ack->flow_id = cause.flow_id;
     ack->src = local_->id();
     ack->dst = cause.src;

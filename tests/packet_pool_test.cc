@@ -1,10 +1,11 @@
 // Packet pool: recycling, full field reset between uses, stats, and the
-// deleter's interaction with pool-less packets.
+// stateless deleter's return of every packet to the pool that carved it.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/net/network.h"
 #include "src/net/packet.h"
@@ -17,16 +18,16 @@ namespace {
 
 // The scrub check below names every Packet field; pinning the size makes
 // a new field impossible to add without revisiting it.
-static_assert(sizeof(Packet) == 72,
+static_assert(sizeof(Packet) == 64,
               "Packet changed size: extend ExpectDefaultPacket and DirtyPacket "
               "to cover the new field, then update this size");
+static_assert(sizeof(PacketPtr) == 8, "PacketPtr is one pointer");
 
 // Every field of a recycled packet must come back at its default: a stale
 // ECN/TFC field leaking from one flow into another would silently skew
 // protocol behaviour.
 void ExpectDefaultPacket(const Packet& p) {
   const Packet d;
-  EXPECT_EQ(p.uid, d.uid);
   EXPECT_EQ(p.flow_id, d.flow_id);
   EXPECT_EQ(p.src, d.src);
   EXPECT_EQ(p.dst, d.dst);
@@ -43,11 +44,11 @@ void ExpectDefaultPacket(const Packet& p) {
   EXPECT_EQ(p.window, d.window);
   EXPECT_EQ(p.ts, d.ts);
   EXPECT_EQ(p.ts_echo, d.ts_echo);
+  EXPECT_EQ(p.next, d.next);
 }
 
 Packet DirtyPacket() {
   Packet p;
-  p.uid = 77;
   p.flow_id = 5;
   p.src = 1;
   p.dst = 2;
@@ -64,6 +65,7 @@ Packet DirtyPacket() {
   p.window = 12345;
   p.ts = 42;
   p.ts_echo = 43;
+  p.next = &p;
   return p;
 }
 
@@ -104,28 +106,42 @@ TEST(PacketPoolTest, StatsTrackHitsMissesAndHighWater) {
   }
 }
 
-TEST(PacketPoolTest, PoollessPacketsStillWork) {
-  // Tests and tools construct loose packets with make_unique; the deleter
-  // must fall back to `delete` when no pool is attached.
-  PacketPtr loose = std::make_unique<Packet>();
-  loose->payload = 100;
-  EXPECT_EQ(loose->frame_bytes(), 100u + kHeaderBytes);
-  loose.reset();  // must not crash or touch any pool
-}
-
-TEST(PacketPoolTest, NetworkAllocatePacketAssignsFreshUids) {
-  Network net(1);
-  PacketPtr a = net.AllocatePacket();
-  PacketPtr b = net.AllocatePacket();
-  EXPECT_NE(a->uid, 0u);
-  EXPECT_EQ(b->uid, a->uid + 1);
-  uint64_t reused_uid;
-  {
-    PacketPtr c = net.AllocatePacket();
-    reused_uid = c->uid;
+// Two pools, each spanning several slab chunks, released in interleaved
+// order: the stateless deleter must send every packet back to the pool
+// that carved it, so both ledgers balance.
+TEST(PacketPoolTest, InterleavedReleasesReturnToTheirOwnPool) {
+  PacketPool a;
+  PacketPool b;
+  const size_t n = 2 * PacketPool::kPacketsPerChunk + 1;
+  std::vector<PacketPtr> from_a;
+  std::vector<PacketPtr> from_b;
+  for (size_t i = 0; i < n; ++i) {
+    from_a.push_back(a.Allocate());
+    from_b.push_back(b.Allocate());
   }
-  PacketPtr d = net.AllocatePacket();  // recycles c's storage
-  EXPECT_EQ(d->uid, reused_uid + 1) << "uids must stay unique across recycling";
+  EXPECT_EQ(a.chunks(), 3u);
+  EXPECT_EQ(b.chunks(), 3u);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(PacketPool::Owner(from_a[i].get()), &a);
+    EXPECT_EQ(PacketPool::Owner(from_b[i].get()), &b);
+  }
+  // Release from both ends of both vectors, alternating pools.
+  for (size_t i = 0; i < n; ++i) {
+    const size_t k = i % 2 == 0 ? i / 2 : n - 1 - i / 2;
+    from_b[k].reset();
+    from_a[k].reset();
+  }
+  for (PacketPool* pool : {&a, &b}) {
+    EXPECT_EQ(pool->outstanding(), 0u);
+    EXPECT_EQ(pool->freed(), n);
+    EXPECT_EQ(pool->free_size(), n);
+    AuditReport report;
+    {
+      Auditor audit(&report);
+      pool->AuditInvariants(audit);
+    }
+    EXPECT_TRUE(report.ok()) << report.ToString();
+  }
 }
 
 // End-to-end: a full simulation run recycles packets heavily (hits greatly

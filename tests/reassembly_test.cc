@@ -30,8 +30,7 @@ class ReassemblyTest : public ::testing::Test {
 
   // Injects a data segment [seq, seq+len) directly into the receiver host.
   void Inject(uint64_t seq, uint32_t len, PacketType type = PacketType::kData) {
-    PacketPtr pkt = std::make_unique<Packet>();
-    pkt->uid = net_->AllocatePacketUid();
+    PacketPtr pkt = net_->AllocatePacket();
     pkt->flow_id = kFlow;
     pkt->src = snd_->id();
     pkt->dst = rcv_->id();
@@ -155,7 +154,7 @@ TEST_F(ReassemblyTest, FinAckedOnlyWhenAllDataArrived) {
 }
 
 TEST_F(ReassemblyTest, EcnCeIsEchoedPerPacket) {
-  PacketPtr pkt = std::make_unique<Packet>();
+  PacketPtr pkt = net_->AllocatePacket();
   pkt->flow_id = kFlow;
   pkt->src = snd_->id();
   pkt->dst = rcv_->id();

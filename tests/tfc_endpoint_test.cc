@@ -263,7 +263,7 @@ TEST(TfcEndpointTest, ReceiverEchoesWindowOnlyOnRma) {
 
   TfcReceiver receiver(&net, receiver_host, 42, /*advertised_window=*/1 << 20);
 
-  PacketPtr data = std::make_unique<Packet>();
+  PacketPtr data = net.AllocatePacket();
   data->flow_id = 42;
   data->src = sender_host->id();
   data->dst = receiver_host->id();
@@ -274,7 +274,7 @@ TEST(TfcEndpointTest, ReceiverEchoesWindowOnlyOnRma) {
   data->window = 5000;  // as stamped by switches
   receiver_host->Receive(std::move(data), nullptr);
 
-  PacketPtr plain = std::make_unique<Packet>();
+  PacketPtr plain = net.AllocatePacket();
   plain->flow_id = 42;
   plain->src = sender_host->id();
   plain->dst = receiver_host->id();
@@ -308,7 +308,7 @@ TEST(TfcEndpointTest, ReceiverCapsEchoedWindowAtAdvertisedWindow) {
   sender_host->RegisterEndpoint(43, &sink);
   TfcReceiver receiver(&net, receiver_host, 43, /*advertised_window=*/4000);
 
-  PacketPtr data = std::make_unique<Packet>();
+  PacketPtr data = net.AllocatePacket();
   data->flow_id = 43;
   data->src = sender_host->id();
   data->dst = receiver_host->id();

@@ -130,7 +130,7 @@ TEST_F(TfcMathTest, LocalQueueWaitIsSubtractedFromRttb) {
   // RM waits 20*1518 B / 0.125 B/ns = 242.88 us in this port's queue, and
   // rtt_b must exclude that wait.
   for (int i = 0; i < 20; ++i) {
-    PacketPtr pkt = std::make_unique<Packet>();
+    PacketPtr pkt = net_->AllocatePacket();
     pkt->flow_id = 99;
     pkt->src = a_->id();
     pkt->dst = b_->id();

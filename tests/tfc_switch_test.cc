@@ -38,7 +38,6 @@ class TfcPortFixture : public ::testing::Test {
 
   Packet MakeData(int flow, uint32_t payload, bool rm) {
     Packet pkt;
-    pkt.uid = net_->AllocatePacketUid();
     pkt.flow_id = flow;
     pkt.src = a_->id();
     pkt.dst = b_->id();
@@ -49,8 +48,7 @@ class TfcPortFixture : public ::testing::Test {
   }
 
   PacketPtr MakeRmaAck(int flow, uint32_t window) {
-    PacketPtr pkt = std::make_unique<Packet>();
-    pkt->uid = net_->AllocatePacketUid();
+    PacketPtr pkt = net_->AllocatePacket();
     pkt->flow_id = flow;
     pkt->src = b_->id();
     pkt->dst = a_->id();
@@ -376,7 +374,7 @@ TEST(TfcArbiterTest, ReleasePassesTrackParkedAcksOnTestbedIncast) {
 }
 
 TEST_F(TfcPortFixture, NonRmaTrafficIgnoredByArbiter) {
-  PacketPtr data = std::make_unique<Packet>();
+  PacketPtr data = net_->AllocatePacket();
   data->flow_id = 1;
   data->src = b_->id();
   data->dst = a_->id();

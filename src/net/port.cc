@@ -97,7 +97,7 @@ void Port::TryTransmit() {
   }
   busy_ = true;
   busy_since_ = scheduler_->now();
-  Packet& pkt = queue_.front();
+  const Packet& pkt = queue_.front();
   const TimeNs ser = SerializationTime(pkt.wire_bytes());
   scheduler_->ScheduleAfter(ser, [this] { OnSerialized(); });
 }

@@ -4,8 +4,8 @@
 // inline capture buffer and no heap allocation. The scheduler creates one
 // of these per event — several per simulated packet — so avoiding the
 // std::function heap allocation is a first-order win on the hot path.
-// Being move-only it also accepts move-only captures (e.g. a PacketPtr
-// moved into a delivery lambda), which std::function cannot hold at all.
+// Being move-only it also accepts move-only captures (a PacketPtr, say),
+// which std::function cannot hold at all.
 //
 // A callable that does not fit in Capacity bytes is a compile error, not a
 // silent fallback to the heap: shrink the capture list or raise Capacity at

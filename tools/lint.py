@@ -4,9 +4,10 @@
 Rules enforced (see docs/correctness.md):
   include-root    quoted #includes must be repo-root-relative, i.e. start
                   with src/ or bench/ (system headers use <...>).
-  new-packet      `new Packet` may appear only in the pool allocator
-                  (src/net/packet_pool.h). All other code must allocate via
-                  PacketPool::Allocate so poisoning / pooling stay airtight.
+  new-packet      `new Packet` may appear nowhere: the pool constructs every
+                  packet in place in its slab (src/net/packet_pool.cc), and
+                  all other code allocates via PacketPool::Allocate so
+                  poisoning / pooling stay airtight.
                   Suppress a sanctioned site with `// lint:allow new-packet`.
   std-function    src/sim and src/net are hot-path layers: callbacks there
                   must use InplaceFunction (no allocation, SBO) rather than
@@ -91,7 +92,6 @@ LINE_COMMENT_RE = re.compile(r"//.*$")
 
 ROOT_PREFIXES = tuple(f"{d}/" for d in SCAN_DIRS)
 HOT_LAYERS = ("src/sim/", "src/net/")
-POOL_FILE = "src/net/packet_pool.h"
 
 # hot-io: stream/printf I/O is banned in the simulation hot layers. The
 # trace renderer and the telemetry exporter are the sanctioned I/O funnels;
@@ -283,7 +283,7 @@ def lint_file(path: Path, rel: str) -> list[str]:
         # "never call new Packet directly" does not trip them — but check
         # the raw line for suppressions first.
         code = LINE_COMMENT_RE.sub("", raw)
-        if NEW_PACKET_RE.search(code) and rel != POOL_FILE and not allow(raw, "new-packet"):
+        if NEW_PACKET_RE.search(code) and not allow(raw, "new-packet"):
             errors.append(
                 f"{rel}:{lineno}: [new-packet] allocate packets via "
                 "PacketPool::Allocate, not bare new Packet"

@@ -245,7 +245,8 @@ leg_sweep() {
 }
 
 # Benchmark outcome gate (perfbench/README.md): the benchmark's own smoke
-# test, then a short end-to-end run of every BENCHMARK.json workload. Each
+# test, then a short end-to-end run of every BENCHMARK.json workload at two
+# recorded seeds. Each
 # repetition's simulated outcome is checked against perfbench/reference.json
 # (exact statistics for recorded seeds) and its invariants, so a core change
 # that alters what a Fig. 15/16-scale run computes fails here. Timings are
@@ -253,15 +254,20 @@ leg_sweep() {
 leg_perfbench() {
   echo "=== [perfbench] smoke test + outcome check per workload ==="
   python3 perfbench/smoke_test.py
-  local workload result
-  for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
-    echo "--- [perfbench] ${workload} ---"
-    result=$(python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 3 --trace 0 | tail -n 1)
-    echo "${result}"
-    python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}" || {
-      echo "perfbench: ${workload} failed its outcome check" >&2; return 1; }
+  # Seeds 0 and 20 are the first and last that reference.json records
+  # (network seeds 0-3 and 1280-1283); websearch360_dctcp's outcome
+  # depends on the seed, so each one checks different traffic.
+  local seed workload result
+  for seed in 0 20; do
+    for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+      echo "--- [perfbench] ${workload} --seed ${seed} ---"
+      result=$(python3 perfbench/run.py --workload "${workload}" --seed "${seed}" --seconds 3 --trace 0 | tail -n 1)
+      echo "${result}"
+      python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}" || {
+        echo "perfbench: ${workload} at seed ${seed} failed its outcome check" >&2; return 1; }
+    done
   done
-  echo "perfbench: every workload correct, 0 failed"
+  echo "perfbench: every workload correct at both seeds, 0 failed"
 }
 
 case "${1:-all}" in

@@ -73,7 +73,7 @@ TEST(AllocTest, SteadyIncastAllocatesUnderOnePerTwentyDataSegments) {
   ASSERT_GT(delivered, 10 * 8 * 180 - 1);  // 180 segments per 256 KB block
   const double per_segment = static_cast<double>(g_allocations - allocations) / delivered;
   EXPECT_LT(per_segment, 0.05) << (g_allocations - allocations) << " allocations for "
-                              << delivered << " data segments";
+                               << delivered << " data segments";
 }
 
 }  // namespace

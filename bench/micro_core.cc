@@ -138,33 +138,6 @@ void BM_SchedulerPacketMix(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerPacketMix);
 
-// Telemetry hot-path primitives: the marginal cost an instrumented
-// component pays per update (registration/name lookup is cold-path only).
-void BM_TelemetryCounterAdd(benchmark::State& state) {
-  MetricRegistry registry;
-  Counter* counter = registry.AddCounter("bench.counter");
-  for (auto _ : state) {
-    counter->Add();
-    benchmark::DoNotOptimize(counter);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TelemetryCounterAdd);
-
-void BM_TelemetryHistogramRecord(benchmark::State& state) {
-  MetricRegistry registry;
-  Histogram* hist = registry.AddHistogram("bench.hist");
-  uint64_t v = 12345;
-  for (auto _ : state) {
-    hist->Record(v);
-    v = v * 6364136223846793005ull + 1442695040888963407ull;  // LCG spread
-    v >>= 34;                                                 // keep values sane
-    benchmark::DoNotOptimize(hist);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_TelemetryHistogramRecord);
-
 void BM_PacketPoolAllocRelease(benchmark::State& state) {
   PacketPool pool;
   for (auto _ : state) {

@@ -102,7 +102,14 @@ want_prefixes = ("port.", "tfc.", "flow.")
 for p in want_prefixes:
     assert any(n.startswith(p) for n in names), f"no {p}* series recorded"
 summary = json.load(open(sys.argv[1] + "/summary.json"))
-assert any("block_fct" in k for k in summary["histograms"]), "no FCT histogram"
+assert "counters" not in summary and "histograms" not in summary, sorted(summary)
+gauges = summary["gauges"]
+assert gauges.get("incast.H1.rounds_completed") == 5, "rounds_completed is not 5"
+assert gauges.get("incast.H1.block_fct_count") == 8 * 5, "not one FCT per block"
+assert gauges.get("incast.H1.block_fct_p99_us", 0) > 0, "no block FCT p99"
+flow_max = max(v for k, v in gauges.items()
+               if k.startswith("incast.flow") and k.endswith(".fct_max_us"))
+assert gauges["incast.H1.block_fct_max_us"] == flow_max, "merged max != worst flow's"
 print(f"telemetry smoke: {len(names)} series OK")
 EOF
 }

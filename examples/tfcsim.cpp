@@ -342,14 +342,27 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
   if (opt.workload_id == Workload::kIncast) {
     const IncastApp& app = *run.incast();
     if (recorder != nullptr) {
-      // Per-flow block FCT summary gauges land in summary.json.
+      // Block FCT summaries land in summary.json as gauges over the
+      // computed numbers: each flow's, then every block merged. The run is
+      // over, so no series records them.
+      const auto add = [&net](std::string name, double v) {
+        net.metrics().AddCallbackGauge(std::move(name), [v] { return v; });
+      };
       for (size_t i = 0; i < app.flows().size(); ++i) {
         SampleSet fcts = app.block_fcts(i);
         const std::string prefix = "incast.flow" + std::to_string(i);
-        net.metrics().AddGauge(prefix + ".fct_mean_us")->Set(fcts.Mean() * 1e6);
-        net.metrics().AddGauge(prefix + ".fct_p99_us")->Set(fcts.Percentile(99) * 1e6);
-        net.metrics().AddGauge(prefix + ".fct_max_us")->Set(fcts.Max() * 1e6);
+        add(prefix + ".fct_mean_us", fcts.Mean() * 1e6);
+        add(prefix + ".fct_p99_us", fcts.Percentile(99) * 1e6);
+        add(prefix + ".fct_max_us", fcts.Max() * 1e6);
       }
+      SampleSet merged = app.MergedBlockFcts();
+      const std::string prefix = "incast." + run.hosts()[0]->name() + ".block_fct_";
+      add(prefix + "count", static_cast<double>(merged.count()));
+      add(prefix + "mean_us", merged.Mean() * 1e6);
+      add(prefix + "p50_us", merged.Percentile(50) * 1e6);
+      add(prefix + "p99_us", merged.Percentile(99) * 1e6);
+      add(prefix + "p999_us", merged.Percentile(99.9) * 1e6);
+      add(prefix + "max_us", merged.Max() * 1e6);
     }
     rep.Printf("rounds=%d/%d goodput=%.1fMbps timeouts=%llu maxTO/block=%.2f "
                 "drops=%llu maxq=%.1fKB\n",

@@ -21,10 +21,6 @@ Network::Network(uint64_t seed) : rng_(seed) {
       }
     }
   });
-  // Counter monotonicity is itself an audited invariant: a counter that
-  // shrinks between passes means a reset (or double accounting) in flight.
-  audit_registry_.Register("sim.metrics",
-                           [this](Auditor& a) { metrics_.AuditInvariants(a); });
   // Simulator-core gauges. All callback gauges over existing members: zero
   // hot-path cost until something actually samples them.
   metrics_.AddCallbackGauge("sim.now_ns",

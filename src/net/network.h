@@ -142,7 +142,7 @@ class Network {
   AuditReport RunAudit() { return audit_registry_.RunAll(); }
 
   // --- telemetry (src/sim/telemetry.h, src/sim/profile.h) ---
-  // Components self-register counters/gauges here at construction; the
+  // Components self-register callback gauges here at construction; the
   // network itself exposes the simulator core (scheduler, packet pool).
   // Attach a TimeSeriesRecorder to this registry to record runs.
   MetricRegistry& metrics() { return metrics_; }
@@ -158,7 +158,7 @@ class Network {
   // into the pool.
   AuditRegistry audit_registry_;
   MetricRegistry metrics_;
-  Profiler profiler_{&metrics_};
+  Profiler profiler_;
   // Declared before the scheduler and nodes so the ring (and its post-
   // mortem registration) outlives the final audit pass in ~Network.
   FlightRecorder flight_;

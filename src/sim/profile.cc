@@ -6,21 +6,7 @@
 namespace tfc {
 
 ProfileSite* Profiler::Site(const std::string& name) {
-  auto it = sites_.find(name);
-  if (it != sites_.end()) {
-    return &it->second;
-  }
-  it = sites_.emplace(name, ProfileSite(name)).first;
-  ProfileSite* site = &it->second;
-  if (metrics_.bound()) {
-    metrics_.AddCallbackGauge("profile." + name + ".hits",
-                              [site] { return static_cast<double>(site->hits()); });
-    metrics_.AddCallbackGauge("profile." + name + ".wall_ns",
-                              [site] { return static_cast<double>(site->wall_ns()); });
-    metrics_.AddCallbackGauge("profile." + name + ".sim_ns",
-                              [site] { return static_cast<double>(site->sim_ns()); });
-  }
-  return site;
+  return &sites_.try_emplace(name, name).first->second;
 }
 
 bool Profiler::ProfileEnabledByDefault() {

@@ -4,10 +4,9 @@
 // per run instead of per benchmark: each instrumented callback site owns a
 // ProfileSite that counts dispatches (always on — one increment through a
 // stable pointer) and, only when profiling is enabled, accumulates
-// wall-clock and simulated time per site. The whole thing exports through
-// the telemetry registry ("profile.<site>.hits" / ".wall_ns" / ".sim_ns"
-// callback gauges) and the run exporter's summary.json "profile" section,
-// so a telemetry run doubles as a coarse profile.
+// wall-clock and simulated time per site. The run exporter writes every
+// site once, in summary.json's "profile" section, so a telemetry run
+// doubles as a coarse profile.
 //
 // Wall-clock sampling costs two std::chrono::steady_clock reads per scope;
 // the enable flag gates exactly those reads, so a disabled profiler adds a
@@ -27,7 +26,6 @@
 #include <string>
 #include <utility>
 
-#include "src/sim/telemetry.h"
 #include "src/sim/time.h"
 
 namespace tfc {
@@ -56,14 +54,11 @@ class ProfileSite {
   TimeNs sim_ns_ = 0;     // simulated time attributed by the component
 };
 
-// Registry of profile sites. When constructed with a MetricRegistry, each
-// site self-exports as "profile.<name>.hits|wall_ns|sim_ns" callback
-// gauges, so the time-series recorder and summary.json see sites with no
-// extra wiring. Not thread-safe (the simulator is single-threaded).
+// Registry of profile sites. Not thread-safe (the simulator is
+// single-threaded).
 class Profiler {
  public:
-  explicit Profiler(MetricRegistry* registry = nullptr)
-      : metrics_(registry), enabled_(ProfileEnabledByDefault()) {}
+  Profiler() : enabled_(ProfileEnabledByDefault()) {}
   Profiler(const Profiler&) = delete;
   Profiler& operator=(const Profiler&) = delete;
 
@@ -91,7 +86,6 @@ class Profiler {
  private:
   // std::map: stable ProfileSite addresses across unrelated inserts.
   std::map<std::string, ProfileSite> sites_;
-  ScopedMetrics metrics_;
   bool enabled_;
 };
 

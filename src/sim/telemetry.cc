@@ -4,6 +4,8 @@
 // runs after (or between) simulation phases, never per event.
 // lint:allow hot-io
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -15,59 +17,24 @@
 #include <system_error>
 #include <type_traits>
 
-#include "src/sim/audit.h"
 #include "src/sim/profile.h"
 #include "src/sim/thread_annotations.h"
 
 namespace tfc {
 
 // ---------------------------------------------------------------------------
-// Histogram
-// ---------------------------------------------------------------------------
-
-uint64_t Histogram::Percentile(double p) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  p = std::clamp(p, 0.0, 100.0);
-  // Nearest-rank over buckets: the first bucket whose cumulative count
-  // reaches ceil(p% of n) holds the percentile sample.
-  const uint64_t target =
-      std::max<uint64_t>(1, static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count_))));
-  uint64_t cum = 0;
-  for (int b = 0; b < kNumBuckets; ++b) {
-    cum += buckets_[static_cast<size_t>(b)];
-    if (cum >= target) {
-      const uint64_t ub = BucketUpperBound(b);
-      const uint64_t largest_in_bucket = ub == 0 ? max_ : ub - 1;
-      return std::min(largest_in_bucket, max_);
-    }
-  }
-  return max_;
-}
-
-// ---------------------------------------------------------------------------
 // MetricRegistry
 // ---------------------------------------------------------------------------
 
-MetricRegistry::Entry::~Entry() { delete hist; }
-
-MetricRegistry::Entry& MetricRegistry::Insert(std::string name, MetricKind kind,
-                                              uint64_t owner, bool replace) {
+void MetricRegistry::Insert(std::string name, GaugeFn fn, uint64_t owner, bool replace) {
   TFC_CHECK_MSG(!name.empty(), "metric names must be non-empty");
   auto [it, inserted] = entries_.try_emplace(std::move(name));
-  if (!inserted) {
-    TFC_CHECK_MSG(replace, "duplicate metric name: " << it->first);
-    // Re-claim: drop the displaced entry (std::map node stability keeps
-    // every other metric pointer valid) and rebuild it fresh.
-    std::string key = it->first;
-    entries_.erase(it);
-    it = entries_.try_emplace(std::move(key)).first;
-  }
-  it->second.kind = kind;
+  // A re-claim overwrites the displaced entry in place; the generation bump
+  // below retires every compiled read of its old callable.
+  TFC_CHECK_MSG(inserted || replace, "duplicate metric name: " << it->first);
+  it->second.fn = std::move(fn);
   it->second.owner = owner;
   ++generation_;
-  return it->second;
 }
 
 void MetricRegistry::Erase(std::map<std::string, Entry>::iterator it) {
@@ -76,25 +43,9 @@ void MetricRegistry::Erase(std::map<std::string, Entry>::iterator it) {
 }
 
 bool MetricRegistry::Compile(Entry& e, CompiledRead* out) {
-  switch (e.kind) {
-    case MetricKind::kCounter:
-      out->fn = [](void* p) {
-        return static_cast<double>(static_cast<Counter*>(p)->value());
-      };
-      out->obj = &e.counter;
-      return true;
-    case MetricKind::kGauge:
-      out->fn = [](void* p) { return static_cast<Gauge*>(p)->value(); };
-      out->obj = &e.gauge;
-      return true;
-    case MetricKind::kCallbackGauge:
-      out->fn = e.fn.raw_invoke();
-      out->obj = e.fn.raw_storage();
-      return out->fn != nullptr;
-    case MetricKind::kHistogram:
-      return false;
-  }
-  return false;
+  out->fn = e.fn.raw_invoke();
+  out->obj = e.fn.raw_storage();
+  return out->fn != nullptr;
 }
 
 bool MetricRegistry::CompileRead(const std::string& name, CompiledRead* out) {
@@ -102,26 +53,8 @@ bool MetricRegistry::CompileRead(const std::string& name, CompiledRead* out) {
   return it != entries_.end() && Compile(it->second, out);
 }
 
-Counter* MetricRegistry::AddCounter(std::string name) {
-  return &Insert(std::move(name), MetricKind::kCounter, /*owner=*/0, /*replace=*/false)
-              .counter;
-}
-
-Gauge* MetricRegistry::AddGauge(std::string name) {
-  return &Insert(std::move(name), MetricKind::kGauge, /*owner=*/0, /*replace=*/false)
-              .gauge;
-}
-
 void MetricRegistry::AddCallbackGauge(std::string name, GaugeFn fn) {
-  Insert(std::move(name), MetricKind::kCallbackGauge, /*owner=*/0, /*replace=*/false)
-      .fn = std::move(fn);
-}
-
-Histogram* MetricRegistry::AddHistogram(std::string name) {
-  Entry& e = Insert(std::move(name), MetricKind::kHistogram, /*owner=*/0,
-                    /*replace=*/false);
-  e.hist = new Histogram();
-  return e.hist;
+  Insert(std::move(name), std::move(fn), /*owner=*/0, /*replace=*/false);
 }
 
 void MetricRegistry::Unregister(const std::string& name) {
@@ -147,60 +80,14 @@ bool MetricRegistry::Read(const std::string& name, double* out) {
   return true;
 }
 
-const Histogram* MetricRegistry::FindHistogram(const std::string& name) const {
-  auto it = entries_.find(name);
-  if (it == entries_.end() || it->second.kind != MetricKind::kHistogram) {
-    return nullptr;
-  }
-  return it->second.hist;
-}
-
-void MetricRegistry::AuditInvariants(Auditor& audit) {
-  for (auto& [name, entry] : entries_) {
-    if (entry.kind != MetricKind::kCounter) {
-      continue;
-    }
-    const bool ok = entry.counter.value() >= entry.last_audited;
-    audit.Check(ok, "counter monotone between audit passes",
-                ok ? std::string{}
-                   : name + " went " + std::to_string(entry.last_audited) +
-                         " -> " + std::to_string(entry.counter.value()));
-    entry.last_audited = entry.counter.value();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // ScopedMetrics
 // ---------------------------------------------------------------------------
 
-Counter* ScopedMetrics::AddCounter(std::string name) {
-  TFC_CHECK(registry_ != nullptr);
-  names_.push_back(name);
-  return &registry_->Insert(std::move(name), MetricKind::kCounter, token_, replace_)
-              .counter;
-}
-
-Gauge* ScopedMetrics::AddGauge(std::string name) {
-  TFC_CHECK(registry_ != nullptr);
-  names_.push_back(name);
-  return &registry_->Insert(std::move(name), MetricKind::kGauge, token_, replace_)
-              .gauge;
-}
-
 void ScopedMetrics::AddCallbackGauge(std::string name, MetricRegistry::GaugeFn fn) {
   TFC_CHECK(registry_ != nullptr);
   names_.push_back(name);
-  registry_->Insert(std::move(name), MetricKind::kCallbackGauge, token_, replace_).fn =
-      std::move(fn);
-}
-
-Histogram* ScopedMetrics::AddHistogram(std::string name) {
-  TFC_CHECK(registry_ != nullptr);
-  names_.push_back(name);
-  MetricRegistry::Entry& e =
-      registry_->Insert(std::move(name), MetricKind::kHistogram, token_, replace_);
-  e.hist = new Histogram();
-  return e.hist;
+  registry_->Insert(std::move(name), std::move(fn), token_, replace_);
 }
 
 void ScopedMetrics::Clear() {
@@ -262,8 +149,7 @@ void TimeSeriesRecorder::RebuildPlan() {
   for (const std::string& name : watches_) {
     MetricRegistry::CompiledRead read;
     // A watched metric that has disappeared (component destroyed mid-run)
-    // silently stops extending its series; distributions export via
-    // summary.json, not as series.
+    // silently stops extending its series.
     if (registry_->CompileRead(name, &read)) {
       AddPlanEntry(name, read);
     }
@@ -832,6 +718,10 @@ const std::string& GitDescribe() {
 
 namespace {
 
+// The run directory's one schema version: manifest.json and summary.json
+// share it (tools/telemetry_schema.py checks both).
+constexpr int kRunSchemaVersion = 3;
+
 bool WriteManifest(const std::string& path, const RunManifest& manifest,
                    std::string* error) {
   std::ofstream f(path, std::ios::trunc);
@@ -846,9 +736,7 @@ bool WriteManifest(const std::string& path, const RunManifest& manifest,
     std::strftime(utc, sizeof utc, "%Y-%m-%dT%H:%M:%SZ", &tm_utc);
   }
   f << "{\n";
-  // v2: series are recorded in the binary metrics.tfcb (v1 wrote them as
-  // JSON lines); everything else is unchanged.
-  f << "  \"schema_version\": 2,\n";
+  f << "  \"schema_version\": " << kRunSchemaVersion << ",\n";
   f << "  \"git_describe\": " << Quoted(GitDescribe()) << ",\n";
   f << "  \"created_unix\": " << static_cast<int64_t>(now) << ",\n";
   f << "  \"created_utc\": " << Quoted(utc) << ",\n";
@@ -875,31 +763,6 @@ bool WriteMetricsTfcb(const std::string& path, const TimeSeriesRecorder* recorde
   return recorder->log().Write(path, error);
 }
 
-void WriteHistogramJson(std::ofstream& f, const Histogram& h, const char* indent) {
-  f << "{\n";
-  f << indent << "  \"count\": " << h.count() << ",\n";
-  f << indent << "  \"sum\": " << h.sum() << ",\n";
-  f << indent << "  \"min\": " << h.min() << ",\n";
-  f << indent << "  \"max\": " << h.max() << ",\n";
-  f << indent << "  \"mean\": " << JsonNumber(h.mean()) << ",\n";
-  f << indent << "  \"p50\": " << h.Percentile(50) << ",\n";
-  f << indent << "  \"p90\": " << h.Percentile(90) << ",\n";
-  f << indent << "  \"p99\": " << h.Percentile(99) << ",\n";
-  f << indent << "  \"p999\": " << h.Percentile(99.9) << ",\n";
-  f << indent << "  \"buckets\": [";
-  bool first = true;
-  for (int b = 0; b < Histogram::kNumBuckets; ++b) {
-    const uint64_t n = h.bucket_count(b);
-    if (n == 0) {
-      continue;  // sparse export: all-zero buckets dominate and carry nothing
-    }
-    f << (first ? "" : ", ") << "[" << Histogram::BucketLowerBound(b) << ", "
-      << Histogram::BucketUpperBound(b) << ", " << n << "]";
-    first = false;
-  }
-  f << "]\n" << indent << "}";
-}
-
 bool WriteSummary(const std::string& path, MetricRegistry& metrics,
                   const Profiler* profiler, std::string* error) {
   std::ofstream f(path, std::ios::trunc);
@@ -907,43 +770,13 @@ bool WriteSummary(const std::string& path, MetricRegistry& metrics,
     *error = "cannot open " + path;
     return false;
   }
-  f << "{\n  \"schema_version\": 2,\n";
-
-  f << "  \"counters\": {";
-  bool first = true;
-  metrics.ForEachName([&](const std::string& name, MetricKind kind) {
-    if (kind != MetricKind::kCounter) {
-      return;
-    }
-    double v = 0.0;
-    metrics.Read(name, &v);
-    f << (first ? "\n" : ",\n") << "    " << Quoted(name) << ": " << JsonNumber(v);
-    first = false;
-  });
-  f << (first ? "}," : "\n  },") << "\n";
+  f << "{\n  \"schema_version\": " << kRunSchemaVersion << ",\n";
 
   f << "  \"gauges\": {";
-  first = true;
-  metrics.ForEachName([&](const std::string& name, MetricKind kind) {
-    if (kind != MetricKind::kGauge && kind != MetricKind::kCallbackGauge) {
-      return;
-    }
-    double v = 0.0;
-    metrics.Read(name, &v);
-    f << (first ? "\n" : ",\n") << "    " << Quoted(name) << ": " << JsonNumber(v);
-    first = false;
-  });
-  f << (first ? "}," : "\n  },") << "\n";
-
-  f << "  \"histograms\": {";
-  first = true;
-  metrics.ForEachName([&](const std::string& name, MetricKind kind) {
-    if (kind != MetricKind::kHistogram) {
-      return;
-    }
-    const Histogram* h = metrics.FindHistogram(name);
-    f << (first ? "\n" : ",\n") << "    " << Quoted(name) << ": ";
-    WriteHistogramJson(f, *h, "    ");
+  bool first = true;
+  metrics.ForEachRead([&](const std::string& name, MetricRegistry::CompiledRead read) {
+    f << (first ? "\n" : ",\n") << "    " << Quoted(name) << ": "
+      << JsonNumber(read.fn(read.obj));
     first = false;
   });
   f << (first ? "}," : "\n  },") << "\n";

@@ -6,14 +6,12 @@
 //
 // Three pieces:
 //
-//   MetricRegistry   named counters, gauges, and log-linear histograms.
-//                    Register once (cold path, name lookup); update on the
-//                    hot path through the returned pointer — a branch-free
-//                    increment, no map access, no formatting. Callback
-//                    gauges invert the flow: components expose an existing
-//                    member (queue_bytes_, token_bytes_) through a pull
-//                    function, so instrumented hot paths pay nothing at all
-//                    until somebody actually samples. A sampling loop reads
+//   MetricRegistry   named pull gauges, the one kind of metric. A
+//                    component exposes state it already keeps (queue_bytes_,
+//                    token_bytes_, rounds_completed_) through a callback
+//                    registered once (cold path, name lookup), so
+//                    instrumented hot paths pay nothing at all until
+//                    somebody actually samples. A sampling loop reads
 //                    through a CompiledRead — one indirect call — never the
 //                    name.
 //
@@ -31,8 +29,8 @@
 //
 //   Run exporter     writes a per-run directory: manifest.json (what ran),
 //                    metrics.tfcb (the recorder's SeriesLog, spilled
-//                    verbatim), summary.json (final snapshot of every
-//                    metric + profiler sites). Formats are documented in
+//                    verbatim), summary.json (final value of every gauge
+//                    + profiler sites). Formats are documented in
 //                    docs/observability.md and validated by
 //                    tools/telemetry_schema.py in CI.
 //
@@ -43,8 +41,6 @@
 #ifndef SRC_SIM_TELEMETRY_H_
 #define SRC_SIM_TELEMETRY_H_
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -60,115 +56,10 @@
 
 namespace tfc {
 
-class Auditor;
-
-// Monotonically increasing event count. Hot-path update is `counter->Add()`
-// — one add through a stable pointer, no branches. The registry's audit
-// hook verifies monotonicity between audit passes.
-class Counter {
- public:
-  void Add(uint64_t delta = 1) { value_ += delta; }
-  uint64_t value() const { return value_; }
-
-  // Test seam for the monotonicity audit: real code never decreases a
-  // counter; the audit test uses this to simulate a buggy component.
-  void ResetForTest() { value_ = 0; }
-
- private:
-  uint64_t value_ = 0;
-};
-
-// Last-written value (instantaneous level: queue depth, cwnd, rho).
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-// Log-linear histogram over non-negative integer samples (latencies in us,
-// sizes in bytes). Octaves above 2^kSubBits are split into kSub linear
-// sub-buckets, so relative resolution is bounded by 1/kSub (6.25%) while
-// the whole uint64 range fits in kNumBuckets fixed slots. Values below kSub
-// are recorded exactly. Hot-path Record is a bit-scan plus two increments.
-class Histogram {
- public:
-  static constexpr int kSubBits = 4;
-  static constexpr int kSub = 1 << kSubBits;  // 16 sub-buckets per octave
-  static constexpr int kNumBuckets = (64 - kSubBits) * kSub + kSub;
-
-  void Record(uint64_t v) {
-    ++buckets_[static_cast<size_t>(BucketIndex(v))];
-    ++count_;
-    sum_ += v;
-    if (v > max_) {
-      max_ = v;
-    }
-    if (v < min_) {
-      min_ = v;
-    }
-  }
-
-  // Bucket index for a value; shared with the tests that pin boundaries.
-  static int BucketIndex(uint64_t v) {
-    const int shift = std::max(0, static_cast<int>(std::bit_width(v)) - 1 - kSubBits);
-    return shift * kSub + static_cast<int>(v >> shift);
-  }
-
-  // Smallest value mapping to bucket `b` (inverse of BucketIndex).
-  static uint64_t BucketLowerBound(int b) {
-    if (b < kSub) {
-      return static_cast<uint64_t>(b);
-    }
-    const int shift = b / kSub - 1;
-    const uint64_t mantissa = static_cast<uint64_t>(b - shift * kSub);
-    return mantissa << shift;
-  }
-
-  // One past the largest value mapping to bucket `b` (0 = unbounded top).
-  static uint64_t BucketUpperBound(int b) {
-    return b + 1 < kNumBuckets ? BucketLowerBound(b + 1) : 0;
-  }
-
-  uint64_t count() const { return count_; }
-  uint64_t sum() const { return sum_; }
-  uint64_t max() const { return count_ > 0 ? max_ : 0; }
-  uint64_t min() const { return count_ > 0 ? min_ : 0; }
-  double mean() const {
-    return count_ > 0 ? static_cast<double>(sum_) / static_cast<double>(count_) : 0.0;
-  }
-  uint64_t bucket_count(int b) const { return buckets_.at(static_cast<size_t>(b)); }
-
-  // Upper estimate of the p-th percentile (p in [0,100]): the smallest
-  // bucket upper bound such that at least p% of samples fall at or below
-  // it, clamped to the observed max. Error is bounded by one sub-bucket
-  // (<= 6.25% relative).
-  uint64_t Percentile(double p) const;
-
-  const std::vector<uint64_t>& buckets() const { return buckets_; }
-
- private:
-  std::vector<uint64_t> buckets_ = std::vector<uint64_t>(kNumBuckets, 0);
-  uint64_t count_ = 0;
-  uint64_t sum_ = 0;
-  uint64_t max_ = 0;
-  uint64_t min_ = ~0ull;
-};
-
-enum class MetricKind : uint8_t {
-  kCounter,
-  kGauge,          // push gauge (Gauge::Set)
-  kCallbackGauge,  // pull gauge (sampled via function)
-  kHistogram,
-};
-
-// Registry of named metrics. Registration and lookup are cold-path (map by
-// name); the returned pointers are stable for the metric's lifetime, so hot
-// paths touch only the metric object. Duplicate names abort (TFC_CHECK):
-// two components claiming the same series is a wiring bug, not a runtime
-// condition. Not thread-safe (the simulator is single-threaded).
+// Registry of named pull gauges. Registration and lookup are cold-path (map
+// by name); a read calls the registered function. Duplicate names abort
+// (TFC_CHECK): two components claiming the same series is a wiring bug, not
+// a runtime condition. Not thread-safe (the simulator is single-threaded).
 class MetricRegistry {
  public:
   using GaugeFn = InplaceFunction<double(), kDefaultInplaceCapacity>;
@@ -177,10 +68,7 @@ class MetricRegistry {
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
-  Counter* AddCounter(std::string name);
-  Gauge* AddGauge(std::string name);
   void AddCallbackGauge(std::string name, GaugeFn fn);
-  Histogram* AddHistogram(std::string name);
 
   // Removes a metric (no-op if absent). Components that can die before the
   // registry (flows, replaced agents) unregister via ScopedMetrics.
@@ -194,38 +82,30 @@ class MetricRegistry {
   bool Has(const std::string& name) const { return entries_.count(name) > 0; }
   size_t size() const { return entries_.size(); }
 
-  // Reads the current numeric value of a counter or gauge (histograms and
-  // absent names return false). Non-const: callback gauges may be stateful.
+  // Reads the current value of a gauge (absent names return false).
+  // Non-const: callback gauges may be stateful.
   bool Read(const std::string& name, double* out);
 
   // A read compiled all the way down: one indirect call through `fn(obj)`
-  // with the kind dispatch resolved at compile-the-plan time instead of per
-  // sample. Valid until generation() changes.
+  // straight into the gauge's stored callable. Valid until generation()
+  // changes.
   struct CompiledRead {
     double (*fn)(void*);
     void* obj;
   };
 
-  // Compiles a counter, gauge or callback gauge to a direct read (cold
-  // path). Absent names, histograms and empty callbacks return false.
+  // Compiles a gauge to a direct read (cold path). Absent names and empty
+  // callbacks return false.
   bool CompileRead(const std::string& name, CompiledRead* out);
 
   // Bumped on every register and unregister. Consumers holding compiled
   // reads (the recorder's sample plan) recompile when this changes.
   uint64_t generation() const { return generation_; }
 
-  // Visits every metric in name order: fn(name, kind). Use Read /
-  // FindHistogram to pull values; name order makes exports deterministic.
-  template <typename Fn>
-  void ForEachName(Fn&& fn) const {
-    for (const auto& [name, entry] : entries_) {
-      fn(name, entry.kind);
-    }
-  }
-
-  // Visits every readable metric (see CompileRead) in name order with its
-  // compiled read: fn(name, read). Plan builders resolve prefix watches in
-  // this one ordered pass.
+  // Visits every readable gauge (see CompileRead) in name order with its
+  // compiled read: fn(name, read). Plan builders resolve prefix watches and
+  // the exporter writes summary.json in this one ordered pass; name order
+  // makes exports deterministic.
   template <typename Fn>
   void ForEachRead(Fn&& fn) {
     for (auto& [name, entry] : entries_) {
@@ -236,40 +116,27 @@ class MetricRegistry {
     }
   }
 
-  const Histogram* FindHistogram(const std::string& name) const;
-
-  // Runtime-auditor hook: every counter must be monotone between audit
-  // passes (a shrinking counter means double-release or reset-in-flight).
-  void AuditInvariants(Auditor& audit);
-
  private:
   friend class ScopedMetrics;
 
   struct Entry {
-    MetricKind kind;
-    Counter counter;           // kCounter
-    Gauge gauge;               // kGauge
-    GaugeFn fn;                // kCallbackGauge
-    Histogram* hist = nullptr;  // kHistogram (owned; ~8 KB, heap-allocated)
-    uint64_t last_audited = 0;  // monotonicity watermark for counters
-    uint64_t owner = 0;         // ScopedMetrics token; 0 = direct registration
-    ~Entry();
-    Entry() : kind(MetricKind::kCounter) {}
-    Entry(Entry&&) = delete;
+    GaugeFn fn;
+    uint64_t owner = 0;  // ScopedMetrics token; 0 = direct registration
   };
 
   // `replace` re-claims an existing name (dropping the previous entry)
   // instead of aborting; only ScopedMetrics exposes it. Insert and Erase
   // bump generation_ so cached plans recompile.
-  Entry& Insert(std::string name, MetricKind kind, uint64_t owner, bool replace);
+  void Insert(std::string name, GaugeFn fn, uint64_t owner, bool replace);
   void Erase(std::map<std::string, Entry>::iterator it);
 
   static bool Compile(Entry& e, CompiledRead* out);
 
   uint64_t NewOwnerToken() { return next_owner_token_++; }
 
-  // std::map: stable node addresses (metric pointers survive unrelated
-  // inserts/erases) and deterministic name-ordered iteration for exports.
+  // std::map: stable node addresses (a compiled read points into its
+  // entry, and survives unrelated inserts/erases) and deterministic
+  // name-ordered iteration for exports.
   std::map<std::string, Entry> entries_;
   uint64_t generation_ = 1;  // starts above the recorder's "no plan" zero
   uint64_t next_owner_token_ = 1;
@@ -301,13 +168,7 @@ class ScopedMetrics {
   // remove them (ownership-token mismatch).
   void set_replace_on_collision(bool v) { replace_ = v; }
 
-  Counter* AddCounter(std::string name);
-  Gauge* AddGauge(std::string name);
   void AddCallbackGauge(std::string name, MetricRegistry::GaugeFn fn);
-  Histogram* AddHistogram(std::string name);
-
-  MetricRegistry* registry() const { return registry_; }
-  bool bound() const { return registry_ != nullptr; }
 
  private:
   void Clear();
@@ -399,7 +260,7 @@ class SeriesLog {
   size_t seen_series_ = 0;
 };
 
-// Samples watched counters/gauges on a fixed cadence into a SeriesLog.
+// Samples watched gauges on a fixed cadence into a SeriesLog.
 // Ticks are daemon events: they fire inside Run()/RunUntil() like any event
 // but do not keep drain-mode Run() alive and are excluded from pending(). A
 // watched metric that disappears (its component unregistered) simply stops
@@ -539,8 +400,8 @@ const std::string& GitDescribe();
 //   dir/manifest.json   schema_version, git describe, timestamps, manifest
 //   dir/metrics.tfcb    the recorder's log, verbatim (header-only when
 //                       recorder is null)
-//   dir/summary.json    final value of every registry metric, histogram
-//                       percentiles, and profiler sites (profiler may be null)
+//   dir/summary.json    final value of every registry gauge, in name order,
+//                       and profiler sites (profiler may be null)
 // Returns false and fills *error on filesystem failure. Formats are stable
 // and validated by tools/telemetry_schema.py.
 bool WriteRunDirectory(const std::string& dir, const RunManifest& manifest,

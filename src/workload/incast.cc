@@ -19,14 +19,10 @@ IncastApp::IncastApp(Network* net, const ProtocolSuite& suite, Host* receiver,
     flow->on_drained = [this, i] { OnFlowDrained(i); };
     flows_.push_back(std::move(flow));
   }
-  // FCT sink: every block completion lands in both the per-flow sample sets
-  // and the registry histogram, so telemetry runs export the incast FCT
-  // distribution without touching the app. Keyed by receiver so several
-  // incast apps on one network do not collide.
+  // Keyed by receiver so several incast apps on one network do not collide.
   metrics_.Reset(&net->metrics());
-  const std::string prefix = "incast." + receiver->name();
-  rounds_counter_ = metrics_.AddCounter(prefix + ".rounds_completed");
-  fct_hist_ = metrics_.AddHistogram(prefix + ".block_fct_us");
+  metrics_.AddCallbackGauge("incast." + receiver->name() + ".rounds_completed",
+                            [this] { return static_cast<double>(rounds_completed_); });
 }
 
 void IncastApp::Start() {
@@ -51,12 +47,10 @@ void IncastApp::OnFlowDrained(size_t flow_index) {
   TFC_CHECK_GT(pending_in_round_, 0);
   const TimeNs fct = net_->scheduler().now() - round_start_;
   block_fcts_[flow_index].Add(ToSeconds(fct));
-  fct_hist_->Record(static_cast<uint64_t>(std::max<int64_t>(fct / kMicrosecond, 0)));
   if (--pending_in_round_ > 0) {
     return;
   }
   ++rounds_completed_;
-  rounds_counter_->Add();
   if (rounds_completed_ >= config_.rounds) {
     finished_ = true;
     finish_time_ = net_->scheduler().now();

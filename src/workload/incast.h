@@ -53,8 +53,8 @@ class IncastApp {
   const std::vector<std::unique_ptr<ReliableSender>>& flows() const { return flows_; }
 
   // Per-flow block completion times (one sample per block, in seconds):
-  // the incast FCT sink. Also exported to the telemetry registry as the
-  // "incast.block_fct_us" histogram plus "incast.rounds_completed".
+  // the incast FCT sink. The registry carries only the
+  // "incast.<recv>.rounds_completed" gauge over rounds_completed_.
   const SampleSet& block_fcts(size_t flow_index) const {
     return block_fcts_.at(flow_index);
   }
@@ -76,8 +76,6 @@ class IncastApp {
   TimeNs finish_time_ = 0;
   TimeNs round_start_ = 0;
   ScopedMetrics metrics_;
-  Counter* rounds_counter_ = nullptr;
-  Histogram* fct_hist_ = nullptr;  // microseconds
 };
 
 }  // namespace tfc

@@ -7,7 +7,7 @@ Usage: telemetry_schema.py RUN_DIR [RUN_DIR ...]
 
 Checks the files the exporter (src/sim/telemetry.cc) writes per run:
 
-  manifest.json   object with schema_version == 2, git_describe,
+  manifest.json   object with schema_version == 3, git_describe,
                   created_unix / created_utc, and a "run" object.
   metrics.tfcb    the recorder's change-only log, spilled verbatim (all
                   little-endian): "TFCB" magic, u32 version (=2),
@@ -23,9 +23,10 @@ Checks the files the exporter (src/sim/telemetry.cc) writes per run:
                   and every sampled series must have a value by then.
                   check_metrics_tfcb also returns the series names, for
                   scripts that import this module.
-  summary.json    schema_version == 2 plus counters / gauges / histograms /
-                  profile sections with the shapes documented in
-                  docs/observability.md.
+  summary.json    exactly three keys: schema_version == 3, a "gauges"
+                  object of name -> number (or null), and a "profile"
+                  object of site -> {hits, sim_ns, wall_ns}, as
+                  docs/observability.md documents.
 
 All three files must exist.
 
@@ -72,7 +73,7 @@ import struct
 import sys
 from pathlib import Path
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 TFCB_MAGIC = b"TFCB"
 TFCB_VERSION = 2
 TFCB_HEADER = struct.Struct("<4sIIIQQ")  # magic, version, series, epochs,
@@ -393,33 +394,6 @@ def check_flight_dir(run_dir: Path, ck: Checker) -> int:
     return events
 
 
-def check_histogram(h, where: str, ck: Checker) -> None:
-    if not ck.expect(isinstance(h, dict), where, "histogram must be an object"):
-        return
-    for key in ("count", "sum", "min", "max", "p50", "p90", "p99", "p999"):
-        ck.expect(is_uint(h.get(key)), where, f"{key} must be a non-negative integer")
-    ck.expect(is_number(h.get("mean")), where, "mean must be a number")
-    buckets = h.get("buckets")
-    if not ck.expect(isinstance(buckets, list), where, "buckets must be a list"):
-        return
-    total = 0
-    for i, b in enumerate(buckets):
-        loc = f"{where} bucket[{i}]"
-        if not ck.expect(isinstance(b, list) and len(b) == 3, loc,
-                         "bucket must be [lower, upper, count]"):
-            continue
-        lo, hi, n = b
-        ck.expect(is_uint(lo) and is_uint(hi) and is_uint(n), loc,
-                  "bucket fields must be non-negative integers")
-        # upper == 0 marks the unbounded top bucket.
-        ck.expect(hi == 0 or hi > lo, loc, f"empty bucket range [{lo}, {hi})")
-        ck.expect(n > 0, loc, "sparse export must omit empty buckets")
-        if is_uint(n):
-            total += n
-    ck.expect(total == h.get("count"), where,
-              f"bucket counts sum to {total}, count says {h.get('count')}")
-
-
 def check_summary(path: Path, ck: Checker) -> None:
     doc = load_json(path, ck)
     if doc is None:
@@ -429,17 +403,15 @@ def check_summary(path: Path, ck: Checker) -> None:
         return
     ck.expect(doc.get("schema_version") == SCHEMA_VERSION, where,
               f"schema_version must be {SCHEMA_VERSION}, got {doc.get('schema_version')!r}")
-    for section in ("counters", "gauges", "histograms", "profile"):
+    keys = sorted(doc)
+    ck.expect(keys == ["gauges", "profile", "schema_version"], where,
+              f"keys must be exactly schema_version, gauges and profile, got {keys}")
+    for section in ("gauges", "profile"):
         ck.expect(isinstance(doc.get(section), dict), where,
                   f'"{section}" must be an object')
-    for name, v in (doc.get("counters") or {}).items():
-        ck.expect(is_uint(v), f"{where} counters[{name!r}]",
-                  "counter must be a non-negative integer")
     for name, v in (doc.get("gauges") or {}).items():
         ck.expect(v is None or is_number(v), f"{where} gauges[{name!r}]",
                   "gauge must be a number or null")
-    for name, h in (doc.get("histograms") or {}).items():
-        check_histogram(h, f"{where} histograms[{name!r}]", ck)
     for name, site in (doc.get("profile") or {}).items():
         loc = f"{where} profile[{name!r}]"
         if ck.expect(isinstance(site, dict), loc, "site must be an object"):

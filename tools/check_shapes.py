@@ -5,6 +5,11 @@
 
 FIGURE names the bench binary that printed STDOUT_FILE:
 
+  fig07_ne                 measured Ne is within 0.05 of Eq. 1's expected
+                           Ne in every row
+  fig08_queue              mean queue TFC << DCTCP ~ K << TCP, with << read
+                           as at least 4x and ~ K as 0.5-1.5x the 32 KB
+                           marking threshold; TFC has 0 drops
   fig12_incast_testbed     TFC has 0 drops and 0 timeouts at every sender
                            count; DCTCP has none up to 50 senders and has
                            timeouts at every count from 60 on
@@ -36,6 +41,13 @@ FIG12_ROW = re.compile(r"^(TFC|DCTCP|TCP)\s+(\d+)\s+[\d.]+\s+[\d.]+\s+[\d.]+\s+(
 FIG15_ROW = re.compile(
     r"^(TFC|TCP) -\s*(\d+)\s*KB\s+(\d+)\s+\d+K\s+([\d.]+)\s+([\d.]+)\s+(\d+)\s+\d+$")
 FIG15_MIN_GBPS = 8.5  # 85% of the 10 Gbps bottleneck
+# Fig. 7: time(s) active_n1 measured_Ne expected_Ne stddev
+FIG07_ROW = re.compile(r"^\s*([\d.]+)\s+\d+\s+([\d.]+)\s+([\d.]+)\s+[\d.]+$")
+FIG07_MAX_GAP = 0.05
+# Fig. 8: proto mean_queue(KB) p-max_queue(KB) sampled_max drops
+FIG08_ROW = re.compile(r"^(TFC|DCTCP|TCP)\s+([\d.]+)\s+[\d.]+\s+[\d.]+\s+(\d+)$")
+FIG08_K_KB = 32.0  # kDctcpMarkingThreshold1G (src/dctcp/dctcp.h): the testbed's K
+FIG08_FACTOR = 4.0  # "<<"
 
 
 class Unparsable(Exception):
@@ -65,6 +77,25 @@ def parse_benchmark(text):
     if missing:
         raise Unparsable(f"no query row for {', '.join(missing)}")
     return blocks
+
+
+def parse_fig07(text):
+    """Returns (time_s, measured_ne, expected_ne) per row."""
+    rows = [(float(m.group(1)), float(m.group(2)), float(m.group(3)))
+            for m in map(FIG07_ROW.match, text.splitlines()) if m]
+    if not rows:
+        raise Unparsable("no Ne rows")
+    return rows
+
+
+def parse_fig08(text):
+    """Returns {protocol: (mean_queue_kb, drops)}."""
+    rows = {m.group(1): (float(m.group(2)), int(m.group(3)))
+            for m in map(FIG08_ROW.match, text.splitlines()) if m}
+    missing = [p for p in PROTOCOLS if p not in rows]
+    if missing:
+        raise Unparsable(f"no rows for {', '.join(missing)}")
+    return rows
 
 
 def parse_fig12(text):
@@ -104,6 +135,29 @@ def ordered(blocks, stat):
     values = [blocks[p][stat] for p in PROTOCOLS]
     detail = " < ".join(f"{p} {v:.1f}us" for p, v in zip(PROTOCOLS, values))
     return values[0] < values[1] < values[2], f"query {stat}: {detail}"
+
+
+def fig07(rows):
+    t, measured, expected = max(rows, key=lambda r: abs(r[1] - r[2]))
+    gap = abs(measured - expected)
+    # The columns print two decimals; the slack absorbs float error only.
+    return [(gap <= FIG07_MAX_GAP + 1e-9,
+             f"measured Ne within {FIG07_MAX_GAP} of expected in all {len(rows)} rows "
+             f"(largest gap {gap:.2f} at {t:.2f} s: {measured:.2f} vs {expected:.2f})")]
+
+
+def fig08(rows):
+    tfc, dctcp, tcp = (rows[p][0] for p in PROTOCOLS)
+    lo, hi = 0.5 * FIG08_K_KB, 1.5 * FIG08_K_KB
+    return [
+        (FIG08_FACTOR * tfc <= dctcp,
+         f"mean queue: TFC {tfc:.1f} KB x {FIG08_FACTOR:g} <= DCTCP {dctcp:.1f} KB"),
+        (lo <= dctcp <= hi,
+         f"mean queue: DCTCP {dctcp:.1f} KB within 0.5-1.5 x K = {lo:.1f}-{hi:.1f} KB"),
+        (tcp >= FIG08_FACTOR * dctcp,
+         f"mean queue: TCP {tcp:.1f} KB >= {FIG08_FACTOR:g} x DCTCP {dctcp:.1f} KB"),
+        (rows["TFC"][1] == 0, f"TFC drops: {rows['TFC'][1]} == 0"),
+    ]
 
 
 def fig12(rows):
@@ -152,6 +206,8 @@ def fig15(rows):
 
 
 CHECKS = {
+    "fig07_ne": (parse_fig07, fig07),
+    "fig08_queue": (parse_fig08, fig08),
     "fig12_incast_testbed": (parse_fig12, fig12),
     "fig13_benchmark_testbed": (parse_benchmark, fig13),
     "fig15_incast_large": (parse_fig15, fig15),

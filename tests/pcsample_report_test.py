@@ -6,8 +6,9 @@ functions (malloc's helpers, for one) sit in gaps between sized exported
 symbols. addr2line names the nearest exported symbol for such an address.
 This test writes a one-sample profile whose sample lies in such a gap of
 this interpreter's own C library and checks that no row of the report names
-the symbol before the gap. Exits 77 (skip) when the C library has no such
-gap or binutils is missing.
+the symbol before the gap. It also checks that the two inlined tables each
+end with the note on where a stalled load's samples land. Exits 77 (skip)
+when the C library has no such gap or binutils is missing.
 
     python3 tests/pcsample_report_test.py tools/pcsample_report.py
 """
@@ -91,6 +92,9 @@ def main():
                 for name in names if re.search(rf"\b{re.escape(name)}\b", row)]
     if len(rows) != 3 or any(not row.endswith(obj) for row in rows):
         problems.append(f"expected one {obj} row per table, got {rows}")
+    notes = [line for line in out.splitlines() if line.startswith("note:")]
+    if notes != [report.STALL_NOTE] * 2:
+        problems.append(f"expected the stall note under the two inlined tables, got {notes}")
     for p in problems:
         print(f"FAIL: sample at {gap:#x} past {sorted(names)}: {p}")
     if not problems:

@@ -15,6 +15,14 @@ to an object file and an ELF address, then attributed three ways:
 An address that lies past every sized `nm` symbol (the internals of a
 stripped library) counts as its object, `[libc.so.6]`, in all three.
 
+A sample records the instruction the CPU was about to retire, so a load
+that stalls on a cache miss charges its samples to the instruction after
+it. In the two inlined tables a hot row can therefore be the cost of the
+line before it: a `PacketPtr` move that "costs" 5% may be a stall on the
+load of a port's owner just above it. Read a hot row together with the
+line before it (objdump -dl on the address tells which); the report says
+so under each of those tables.
+
 Needs nm and addr2line (binutils) on PATH, and line tables (-g, as in the
 RelWithDebInfo builds) for the last two tables.
 """
@@ -30,6 +38,8 @@ import sys
 
 TEXT_TYPES = set("tTwWiI")
 TOP = 25  # rows per table
+STALL_NOTE = ("note: a stalled load charges its samples to the instruction after it; "
+              "read a hot row together with the line before it")
 
 
 def parse_profile(path):
@@ -151,11 +161,13 @@ def attribute(maps, samples):
     return by_symbol, by_func, by_line
 
 
-def print_table(title, counter, total):
+def print_table(title, counter, total, note=None):
     print(f"\n== {title} ==")
     print(f"{'samples':>9} {'%':>6}  name")
     for name, n in counter.most_common(TOP):
         print(f"{n:9d} {100.0 * n / total:6.2f}  {name}")
+    if note:
+        print(note)
 
 
 def main():
@@ -170,8 +182,8 @@ def main():
         return 1
     by_symbol, by_func, by_line = attribute(maps, samples)
     print_table("by symbol (nm)", by_symbol, total)
-    print_table("by inlined function (addr2line -i, innermost)", by_func, total)
-    print_table("by inlined line", by_line, total)
+    print_table("by inlined function (addr2line -i, innermost)", by_func, total, STALL_NOTE)
+    print_table("by inlined line", by_line, total, STALL_NOTE)
     return 0
 
 

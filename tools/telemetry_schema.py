@@ -4,6 +4,7 @@
 Usage: telemetry_schema.py RUN_DIR [RUN_DIR ...]
        telemetry_schema.py --flight DIR [DIR ...]
        telemetry_schema.py --sweep SWEEP_DIR [SWEEP_DIR ...]
+       telemetry_schema.py --compare RUN_A RUN_B [--ignore NAME ...]
 
 Checks the files the exporter (src/sim/telemetry.cc) writes per run:
 
@@ -65,9 +66,19 @@ via `--sweep DIR`:
                   full run directory (a degraded sweep may carry failed
                   rows, but never corrupt completed ones).
 
-Exit status: 0 when every directory validates, 1 otherwise.
+Two run directories are compared via `--compare A B`: both metrics.tfcb
+files are validated and decoded into one change stream per series (the
+(t_ns, value) pairs at which the series takes a new value), and both
+summary.json files are read. Every series, gauge or profile site that
+differs (present on one side only, or with another stream or value) is
+printed as `series NAME`, `gauge NAME` or `profile SITE`. `--ignore NAME`
+(repeatable; fnmatch patterns) leaves matching names out.
+
+Exit status: 0 when every directory validates (with --compare: when the
+two runs do not differ), 1 otherwise.
 """
 
+import fnmatch
 import json
 import struct
 import sys
@@ -496,10 +507,85 @@ def check_sweep_dir(sweep_dir: Path, ck: Checker) -> int:
     return len(runs)
 
 
+def decode_series(path: Path, ck: Checker) -> dict[str, list[tuple[int, bytes]]]:
+    """Decodes a valid metrics.tfcb into name -> change stream: the
+    (t_ns, value) pairs at which the series takes a new value, values as
+    their f64 bytes so NaN compares equal to itself. Empty on error."""
+    names, _ = check_metrics_tfcb(path, ck)
+    if ck.errors:
+        return {}
+    data = path.read_bytes()
+    _, _, series_count, epoch_count, tick_count, change_count = \
+        TFCB_HEADER.unpack_from(data)
+    off = TFCB_HEADER.size
+    for _ in range(series_count):
+        off += 4 + struct.unpack_from("<I", data, off)[0]
+    for _ in range(epoch_count):
+        off += TFCB_EPOCH.size + 4 * TFCB_EPOCH.unpack_from(data, off)[1]
+    ticks = [TFCB_TICK.unpack_from(data, off + i * TFCB_TICK.size)
+             for i in range(tick_count)]
+    off += tick_count * TFCB_TICK.size
+    sids = struct.unpack_from(f"<{change_count}I", data, off)
+    off += 4 * change_count
+    values = [data[off + 8 * i:off + 8 * i + 8] for i in range(change_count)]
+    streams = {name: [] for name in names}
+    c = 0
+    for t_ns, end in ticks:
+        for i in range(c, end):
+            stream = streams[names[sids[i]]]
+            if not stream or stream[-1][1] != values[i]:
+                stream.append((t_ns, values[i]))
+        c = end
+    return streams
+
+
+def compare_run_dirs(a: Path, b: Path, ignore: list[str]) -> int:
+    """Prints every series, gauge and profile site that differs between two
+    run directories; returns 1 if any does (or either fails to load)."""
+    ck = Checker()
+    series = [decode_series(d / "metrics.tfcb", ck) for d in (a, b)]
+    summaries = [load_json(d / "summary.json", ck) for d in (a, b)]
+    if ck.errors:
+        for e in ck.errors:
+            print(e)
+        return 1
+
+    def ignored(name: str) -> bool:
+        return any(fnmatch.fnmatchcase(name, pattern) for pattern in ignore)
+
+    def differing(x: dict, y: dict) -> list[str]:
+        return sorted(n for n in set(x) | set(y)
+                      if not ignored(n) and (n not in x or n not in y or x[n] != y[n]))
+
+    diffs = [("series", n) for n in differing(*series)]
+    for section, kind in (("gauges", "gauge"), ("profile", "profile")):
+        diffs += [(kind, n) for n in differing(*(s.get(section, {}) for s in summaries))]
+    for kind, name in diffs:
+        print(f"{kind} {name}")
+    print(f"telemetry_schema.py: {a} vs {b}: {len(diffs)} name(s) differ",
+          file=sys.stderr)
+    return 1 if diffs else 0
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
+    if argv[1] == "--compare":
+        rest = argv[2:]
+        ignore = []
+        dirs = []
+        while rest:
+            if rest[0] == "--ignore" and len(rest) > 1:
+                ignore.append(rest[1])
+                rest = rest[2:]
+            else:
+                dirs.append(Path(rest[0]))
+                rest = rest[1:]
+        if len(dirs) != 2:
+            print(__doc__.strip(), file=sys.stderr)
+            return 2
+        return compare_run_dirs(dirs[0], dirs[1], ignore)
     ck = Checker()
     args = argv[1:]
     mode = "run"

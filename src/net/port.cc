@@ -5,6 +5,7 @@
 #include "src/net/fault.h"
 #include "src/net/network.h"
 #include "src/net/node.h"
+#include "src/net/trace.h"
 #include "src/sim/check.h"
 
 namespace tfc {
@@ -27,23 +28,24 @@ std::string Port::metric_prefix() const {
 }
 
 void Port::RegisterMetrics() {
-  // All callback gauges over members the port maintains anyway, so the
-  // data path pays nothing until a recorder or exporter samples them.
+  // All callback gauges over what the port maintains anyway, so the data
+  // path pays nothing until a recorder or exporter samples them. Each reads
+  // the state as of the event being dispatched.
   serialize_site_ = owner_->network()->profiler().Site("port.serialize");
   metrics_.Reset(&owner_->network()->metrics());
   const std::string prefix = metric_prefix();
   metrics_.AddCallbackGauge(prefix + ".queue_bytes",
-                            [this] { return static_cast<double>(queue_bytes_); });
+                            [this] { return static_cast<double>(queue_bytes()); });
   metrics_.AddCallbackGauge(prefix + ".queue_packets",
-                            [this] { return static_cast<double>(queue_.size()); });
+                            [this] { return static_cast<double>(queue_packets()); });
   metrics_.AddCallbackGauge(prefix + ".drops",
                             [this] { return static_cast<double>(drops_); });
   metrics_.AddCallbackGauge(prefix + ".tx_bytes",
-                            [this] { return static_cast<double>(tx_bytes_); });
+                            [this] { return static_cast<double>(tx_bytes()); });
   metrics_.AddCallbackGauge(prefix + ".ecn_marks",
                             [this] { return static_cast<double>(ecn_marks_); });
   metrics_.AddCallbackGauge(prefix + ".busy_ns",
-                            [this] { return static_cast<double>(busy_ns_); });
+                            [this] { return static_cast<double>(busy_ns()); });
   metrics_.AddCallbackGauge(prefix + ".max_queue_bytes",
                             [this] { return static_cast<double>(max_queue_bytes_); });
 }
@@ -54,18 +56,36 @@ void Port::AuditInvariants(Auditor& audit) const {
   }
   // Bound by the largest limit ever configured: packets admitted under an
   // earlier, larger limit legitimately remain queued after the limit shrinks.
-  audit.CheckLe(queue_bytes_, buffer_limit_hi_bytes_, "occupancy<=buffer");
+  audit.CheckLe(queue_bytes(), buffer_limit_hi_bytes_, "occupancy<=buffer");
   audit.CheckLe(max_queue_bytes_, buffer_limit_hi_bytes_, "max occupancy<=buffer");
-  Bytes sum = 0;
+  Bytes sum = busy_ ? tx_frame_bytes_ : Bytes(0);
   queue_.AuditInvariants(audit, [&sum](const Packet& p) { sum += Bytes(p.frame_bytes()); });
   audit.CheckEq(queue_bytes_, sum, "queue_bytes==sum(queued frames)");
-  // Between events the transmitter is busy whenever the queue is non-empty
-  // (TryTransmit runs before every return to the scheduler).
-  audit.Check(queue_.empty() || busy_, "transmitter busy while queue non-empty");
+  // Between events the transmitter is busy whenever a packet waits, and
+  // the frame it serializes has a completion still to run.
+  audit.Check(queue_.empty() || (busy_ && tx_completion_.valid() && !FrameDone()),
+              "transmitter busy while queue non-empty");
+}
+
+void Port::set_fault_injector(FaultInjector* injector) {
+  fault_ = injector;
+  if (injector != nullptr && busy_ && tx_delivery_.valid() && !FrameDone()) {
+    // The frame on the wire went straight to its delivery. Take it back and
+    // let its completion hand it to the injector, as if the injector had
+    // been attached when the frame started.
+    scheduler_->Cancel(tx_delivery_);
+    scheduler_->Cancel(tx_completion_);
+    tx_delivery_ = Scheduler::EventId();
+    tx_deliveries_ = 0;
+    ScheduleCompletion(tx_pkt_);
+  }
 }
 
 void Port::Enqueue(PacketPtr pkt) {
   TFC_CHECK_NE(peer_port_, nullptr);
+  if (FrameDone()) {
+    Retire();
+  }
   if (agent_ != nullptr) {
     agent_->OnEgress(*pkt);
   }
@@ -88,50 +108,91 @@ void Port::Enqueue(PacketPtr pkt) {
   }
   owner_->network()->EmitTrace(FlightEventType::kEnqueue, *pkt, owner_, this);
   queue_.Push(std::move(pkt));
-  TryTransmit();
+  if (!busy_) {
+    Transmit();
+  } else if (!tx_completion_.valid()) {
+    ScheduleCompletion(nullptr);  // the frame on the wire now has a successor
+  }
 }
 
-void Port::TryTransmit() {
-  if (busy_ || queue_.empty()) {
-    return;
-  }
+void Port::Retire() {
+  queue_bytes_ -= tx_frame_bytes_;
+  ++tx_packets_;
+  tx_bytes_ += tx_frame_bytes_;
+  busy_ns_ += tx_end_ - busy_since_;
+  busy_ = false;
+}
+
+void Port::Transmit() {
+  ProfileScope prof(&owner_->network()->profiler(), serialize_site_);
+  PacketPtr pkt = queue_.Pop();
+  const TimeNs ser = SerializationTime(pkt->wire_bytes());
   busy_ = true;
   busy_since_ = scheduler_->now();
-  const Packet& pkt = queue_.front();
-  const TimeNs ser = SerializationTime(pkt.wire_bytes());
-  scheduler_->ScheduleAfter(ser, [this] { OnSerialized(); });
+  tx_end_ = busy_since_ + ser;
+  tx_frame_bytes_ = Bytes(pkt->frame_bytes());
+  tx_seq_ = scheduler_->ReserveSeq();
+  tx_pkt_ = pkt.get();
+  tx_deliveries_ = 0;
+  tx_delivery_ = Scheduler::EventId();
+  serialize_site_->AddSim(ser);
+  if (fault_ != nullptr) {
+    ScheduleCompletion(pkt.release());  // the injector sees the frame at its end
+    return;
+  }
+  Network* net = owner_->network();
+  if (queue_.empty()) {
+    if (net->TraceActive()) {
+      // No packet waits, so no completion event will record the transmit.
+      FlightEvent e = MakePacketEvent(tx_end_, FlightEventType::kTransmit, *pkt, owner_, this);
+      e.c = 0;
+      net->flight().Defer(e, busy_since_, tx_seq_);
+    }
+  } else {
+    ScheduleCompletion(nullptr);
+  }
+  DeliverToPeer(std::move(pkt), 0);
 }
 
-void Port::OnSerialized() {
-  ProfileScope prof(&owner_->network()->profiler(), serialize_site_);
-  TFC_CHECK(busy_ && !queue_.empty());
-  PacketPtr pkt = queue_.Pop();
-  queue_bytes_ -= Bytes(pkt->frame_bytes());
-  ++tx_packets_;
-  tx_bytes_ += Bytes(pkt->frame_bytes());
-  const TimeNs ser = scheduler_->now() - busy_since_;
-  busy_ns_ += ser;
-  serialize_site_->AddSim(ser);
-  busy_ = false;
-  owner_->network()->EmitTrace(FlightEventType::kTransmit, *pkt, owner_, this);
+void Port::ScheduleCompletion(Packet* frame) {
+  tx_completion_ = scheduler_->ScheduleKeyed(tx_end_, busy_since_, tx_seq_,
+                                             PacketEvent<&Port::OnSerialized>{this, frame});
+}
 
+void Port::OnSerialized(PacketPtr frame) {
+  TFC_CHECK(busy_);
+  tx_completion_ = Scheduler::EventId();
+  Retire();
+  Network* net = owner_->network();
+  if (net->TraceActive()) {
+    net->flight().Withdraw(tx_seq_);
+    net->EmitTrace(FlightEventType::kTransmit, *tx_pkt_, owner_, this);
+  }
   // The wire: with an injector attached the packet may be lost, duplicated,
   // or delayed here instead of (or in addition to) the normal delivery.
-  if (fault_ != nullptr) {
-    fault_->OnWire(this, std::move(pkt));
-  } else {
-    DeliverToPeer(std::move(pkt), 0);
+  if (frame != nullptr) {
+    if (fault_ != nullptr) {
+      fault_->OnWire(this, std::move(frame));
+    } else {
+      DeliverToPeer(std::move(frame), 0);
+    }
   }
-
-  TryTransmit();
+  if (!queue_.empty()) {
+    Transmit();
+  }
 }
 
 void Port::DeliverToPeer(PacketPtr pkt, TimeNs extra_delay) {
   // The packet rides inside the event to the peer port, the ingress of its
   // owner. The Network owns nodes and ports for the whole simulation
-  // lifetime.
-  scheduler_->ScheduleAfter(prop_delay_ + extra_delay,
-                            PacketEvent<&Port::ReceiveFromPeer>{peer_port_, pkt.release()});
+  // lifetime. The key is the one the frame's completion would have given
+  // it: born at the end of serialization, after every ordinary event born
+  // then, in transmission order.
+  TFC_DCHECK(tx_deliveries_ < 2);
+  const uint64_t seq = kDeliverySeq | (tx_seq_ << 1) | tx_deliveries_++;
+  tx_delivery_ = scheduler_->ScheduleKeyed(
+      tx_end_ + prop_delay_ + extra_delay, tx_end_, seq,
+      PacketEvent<&Port::ReceiveFromPeer>{peer_port_, pkt.release()});
 }
 
 void Port::ReceiveFromPeer(PacketPtr pkt) { owner_->Receive(std::move(pkt), this); }

@@ -7,6 +7,16 @@
 // delay. Packets received *from* the peer are attributed to this Port as
 // their ingress, which is what lets per-port protocol agents (TFC) see both
 // the data direction (egress enqueue) and the matching reverse ACK stream.
+//
+// Lazy serialization (docs/perf.md). When a frame starts serializing, the
+// port schedules its delivery at once, keyed as if the end of serialization
+// had scheduled it (Scheduler::ScheduleKeyed). The frame stays counted in
+// the queue until that end passes in event order; the port then retires it
+// (queue bytes, tx counters, busy time) when a packet next arrives, and
+// every accessor reads the state as of the event being dispatched
+// (Scheduler::Passed). A completion event (OnSerialized) runs only when a
+// packet waits behind the frame, to start the next one, or when a fault
+// injector must see the frame on the wire.
 
 #ifndef SRC_NET_PORT_H_
 #define SRC_NET_PORT_H_
@@ -151,12 +161,15 @@ class Port {
   // serializing is routed through the injector, which may drop, duplicate,
   // or delay it instead of delivering it. Not owned; the injector detaches
   // itself on destruction. Null (the default) costs one branch per packet.
-  void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
+  // A frame already on the wire when an injector attaches still reaches it.
+  void set_fault_injector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return fault_; }
 
-  // Schedules delivery of `pkt` to the peer node after this link's
-  // propagation delay plus `extra_delay` (the fault injector's reordering
-  // lever). Exposed for the injector; everything else goes through Enqueue.
+  // Schedules delivery of `pkt`, the frame that last finished serializing
+  // here (or a copy of it), to the peer node after this link's propagation
+  // delay plus `extra_delay` (the fault injector's reordering lever). The
+  // first and second call for one frame take consecutive places in event
+  // order. Exposed for the injector; everything else goes through Enqueue.
   void DeliverToPeer(PacketPtr pkt, TimeNs extra_delay);
 
   // --- accessors ---
@@ -171,8 +184,8 @@ class Port {
 
   // Queue occupancy in frame bytes (the packet being serialized remains
   // queued, and counted, until its serialization completes).
-  Bytes queue_bytes() const { return queue_bytes_; }
-  size_t queue_packets() const { return queue_.size(); }
+  Bytes queue_bytes() const { return queue_bytes_ - (FrameDone() ? tx_frame_bytes_ : Bytes(0)); }
+  size_t queue_packets() const { return queue_.size() + (busy_ && !FrameDone() ? 1 : 0); }
   Bytes buffer_limit() const { return buffer_limit_bytes_; }
 
   // Runtime-auditor hook: re-derives queue accounting from the queue's
@@ -180,17 +193,17 @@ class Port {
   void AuditInvariants(Auditor& audit) const;
 
   // --- statistics ---
-  uint64_t tx_packets() const { return tx_packets_; }
-  Bytes tx_bytes() const { return tx_bytes_; }  // frame bytes
+  uint64_t tx_packets() const { return tx_packets_ + (FrameDone() ? 1 : 0); }
+  Bytes tx_bytes() const { return tx_bytes_ + (FrameDone() ? tx_frame_bytes_ : Bytes(0)); }  // frame bytes
   uint64_t drops() const { return drops_; }
   Bytes dropped_bytes() const { return dropped_bytes_; }
   Bytes max_queue_bytes() const { return max_queue_bytes_; }
   uint64_t ecn_marks() const { return ecn_marks_; }
-  void ResetMaxQueue() { max_queue_bytes_ = queue_bytes_; }
+  void ResetMaxQueue() { max_queue_bytes_ = queue_bytes(); }
 
   // Cumulative time the transmitter spent serializing (simulated time).
   // busy_ns / elapsed = link utilization; docs/observability.md.
-  TimeNs busy_ns() const { return busy_ns_; }
+  TimeNs busy_ns() const { return busy_ns_ + (FrameDone() ? tx_end_ - busy_since_ : TimeNs(0)); }
 
   // Telemetry name prefix for this port: "port.<node>.p<index>".
   // Registered metrics: .queue_bytes .queue_packets .drops .tx_bytes
@@ -210,8 +223,30 @@ class Port {
   }
 
  private:
-  void TryTransmit();
-  void OnSerialized();
+  // Top bit of a delivery's sequence number. A delivery is born when its
+  // frame finishes serializing and sorts after every ordinary event born
+  // at that instant; below the top bit, tx_seq_ orders deliveries by
+  // transmission and the lowest bit by hand-over (a duplicate the injector
+  // makes goes before its original).
+  static constexpr uint64_t kDeliverySeq = uint64_t{1} << 63;
+
+  // True when the frame on the wire has finished serializing in event
+  // order but is not retired yet.
+  bool FrameDone() const {
+    return busy_ && scheduler_->Passed(tx_end_, busy_since_, tx_seq_);
+  }
+  // Takes the finished frame off the books: queue bytes, tx counters, busy
+  // time.
+  void Retire();
+  // Starts serializing the head of the FIFO; the transmitter must be idle.
+  void Transmit();
+  // Schedules the frame's completion event under the key its start
+  // reserved, carrying `frame` when it has not been handed to a delivery.
+  void ScheduleCompletion(Packet* frame);
+  // The completion event: retires the frame, records its transmit, hands
+  // `frame` (null once its delivery is scheduled) to the wire and starts
+  // the next packet.
+  void OnSerialized(PacketPtr frame);
   // The delivery event's handler on the ingress port: hands the packet to
   // this port's owner.
   void ReceiveFromPeer(PacketPtr pkt);
@@ -226,14 +261,15 @@ class Port {
   BitsPerSec bps_ = 0;
   TimeNs prop_delay_ = 0;
 
-  PacketFifo queue_;
-  Bytes queue_bytes_ = 0;
+  PacketFifo queue_;  // packets waiting behind the frame on the wire
+  Bytes queue_bytes_ = 0;  // waiting packets plus the frame until retired
   Bytes buffer_limit_bytes_ = 256 * 1024;
   // Largest limit ever configured; tests shrink the limit mid-run to break
   // paths, so the auditor bounds occupancy by the historical maximum.
   Bytes buffer_limit_hi_bytes_ = 256 * 1024;
   Bytes ecn_threshold_bytes_ = 0;  // 0 = marking disabled
-  bool busy_ = false;
+  bool busy_ = false;  // a frame is on the wire and not retired
+  uint8_t tx_deliveries_ = 0;  // deliveries scheduled for the frame so far
 
   std::unique_ptr<PortAgent> agent_;
   FaultInjector* fault_ = nullptr;
@@ -245,7 +281,15 @@ class Port {
   Bytes max_queue_bytes_ = 0;
   uint64_t ecn_marks_ = 0;
   TimeNs busy_ns_ = 0;         // cumulative serialization time
-  TimeNs busy_since_ = 0;      // start of the in-progress serialization
+  // The frame on the wire: it started at busy_since_ and ends at tx_end_,
+  // and its completion's key is (tx_end_, busy_since_, tx_seq_).
+  TimeNs busy_since_ = 0;
+  TimeNs tx_end_ = 0;
+  Bytes tx_frame_bytes_ = 0;
+  uint64_t tx_seq_ = 0;
+  Packet* tx_pkt_ = nullptr;  // owned by its delivery or completion event
+  Scheduler::EventId tx_delivery_;    // its delivery, if scheduled at its start
+  Scheduler::EventId tx_completion_;  // the pending completion, if any
   ProfileSite* serialize_site_ = nullptr;  // shared "port.serialize" site
 
   // Callback-gauge registrations into the network's MetricRegistry (made at
@@ -254,11 +298,13 @@ class Port {
 };
 
 // The event that carries a packet to a port: a delivery to the peer's
-// ingress (Port::DeliverToPeer) or a host's delayed departure into its NIC
-// (Host::Send). It holds the packet as a raw pointer and re-wraps it in a
-// PacketPtr for `Handler` when it runs, so it is trivially copyable and 16
-// bytes: the event queue moves it with InplaceFunction's inline copy, not
-// an indirect relocate and destroy.
+// ingress (Port::DeliverToPeer), a host's delayed departure into its NIC
+// (Host::Send), or a frame's completion (Port::OnSerialized, with a null
+// packet unless the frame still has to reach the wire). It holds the
+// packet as a raw pointer and re-wraps it in a PacketPtr for `Handler`
+// when it runs, so it is trivially copyable and 16 bytes: the event queue
+// moves it with InplaceFunction's inline copy, not an indirect relocate
+// and destroy.
 template <void (Port::*Handler)(PacketPtr)>
 struct PacketEvent {
   Port* port;
@@ -268,7 +314,7 @@ struct PacketEvent {
 
 static_assert(std::is_trivially_copyable_v<PacketEvent<&Port::Enqueue>>,
               "packet events take InplaceFunction's inline-copy path");
-static_assert(sizeof(PacketEvent<&Port::Enqueue>) <= 16,
+static_assert(sizeof(PacketEvent<&Port::Enqueue>) == 16,
               "packet events fit InplaceFunction's 16-byte inline copy");
 
 }  // namespace tfc

@@ -10,21 +10,31 @@
 //   - the *ring* is a calendar queue (R. Brown, "Calendar queues", CACM
 //     31(10), 1988): kRingBuckets buckets of kBucketWidth ns each, covering
 //     the span [base, base + kRingSpan) where base is the bucket of the last
-//     pop. Each bucket is a (time, seq)-sorted doubly linked list; a
+//     pop. Each bucket is a key-sorted doubly linked list; a
 //     two-level bitmap finds the first non-empty bucket in O(1). Push appends
 //     at a bucket's tail (walking back at most kWalkCap nodes), Remove
 //     unlinks in O(1), Pop takes the first bucket's head;
-//   - the *far heap* is an indexed 4-ary min-heap over (time, seq). It takes
+//   - the *far heap* is an indexed 4-ary min-heap over the same keys. It takes
 //     every event beyond the ring's span and every insert that would walk
 //     more than kWalkCap nodes inside a bucket. Cancel is an O(log n)
 //     removal over only the events it holds.
 //
-// Pop compares the ring's first head with the far heap's top by (time, seq)
-// and takes the earlier, so nothing ever migrates between tiers: any event
-// may legally live in either, and events fire in exact (time, seq) order
-// whichever tier holds them. Ring events stay inside the ring's span as
-// base advances, because base only moves to the time of a pop and every
-// pending event is at or after it.
+// An event's key is (time, born, seq): its due time, the instant it was
+// scheduled, and a sequence number. For an event scheduled now, born is the
+// clock and seq the next number, so the key order is plain (time, seq),
+// FIFO among equal times. A keyed push may name a birth later than now and
+// a sequence number reserved earlier (Scheduler::ScheduleKeyed): it then
+// fires exactly where an event pushed at that birth with that number would
+// have. Records keep the lead, time - born, saturated to 32 bits: among
+// ordinary events sequence order is birth order, so saturation never
+// changes their order.
+//
+// Pop compares the ring's first head with the far heap's top by key and
+// takes the earlier, so nothing ever migrates between tiers: any event may
+// legally live in either, and events fire in exact key order whichever tier
+// holds them. Ring events stay inside the ring's span as base advances,
+// because base only moves to the time of a pop and every pending event is
+// at or after it.
 //
 // Handles are (record index, generation) pairs: firing or removing an event
 // bumps its record's generation, so a stale handle — including a cancel of
@@ -49,6 +59,35 @@
 #include "src/sim/time.h"
 
 namespace tfc {
+
+// An event's place in the firing order: time, then lead = time - born
+// (larger first, i.e. born earlier), then seq.
+struct EventKey {
+  TimeNs time = 0;
+  uint32_t lead = 0;
+  uint64_t seq = 0;
+};
+
+// Largest lead a record holds; ordinary events saturate here.
+inline constexpr uint32_t kMaxEventLead = 0xffffffffu;
+
+// The lead of an event due at `time` and born at `born` (born <= time),
+// saturated to kMaxEventLead.
+constexpr uint32_t EventLead(TimeNs time, TimeNs born) {
+  const auto lead = static_cast<uint64_t>((time - born).count());
+  return lead < kMaxEventLead ? static_cast<uint32_t>(lead) : kMaxEventLead;
+}
+
+// True when `a` fires before `b`.
+constexpr bool KeyBefore(const EventKey& a, const EventKey& b) {
+  if (a.time != b.time) {
+    return a.time < b.time;
+  }
+  if (a.lead != b.lead) {
+    return a.lead > b.lead;
+  }
+  return a.seq < b.seq;
+}
 
 template <typename Callback>
 class EventQueue {
@@ -114,17 +153,18 @@ class EventQueue {
     return far_.empty() ? ring : std::min(ring, far_[0].time);
   }
 
-  // Inserts an event. `seq` is the FIFO tie-break for equal times and must
-  // be unique and increasing across Push calls. `f` is any callable the
-  // Callback type accepts; it is constructed directly in the callback slab
-  // (no intermediate Callback object, no extra move).
+  // Inserts an event under `key`, which must be unique among pending
+  // events. `f` is any callable the Callback type accepts; it is
+  // constructed directly in the callback slab (no intermediate Callback
+  // object, no extra move).
   template <typename F>
-  Handle Push(TimeNs time, uint64_t seq, F&& f) {
+  Handle Push(const EventKey& key, F&& f) {
     const uint32_t rec = AllocateRecord();
     CbAt(rec).Assign(std::forward<F>(f));
     Node& n = nodes_[rec];
-    n.time = time;
-    n.seq = seq;
+    n.time = key.time;
+    n.seq = key.seq;
+    n.lead = key.lead;
     ++size_;
     if (!RingInsert(rec)) {
       FarInsert(rec);
@@ -151,8 +191,8 @@ class EventQueue {
     return true;
   }
 
-  // Pops the earliest event, returning its callback and writing its time.
-  Callback Pop(TimeNs* time) {
+  // Pops the earliest event, returning its callback and writing its key.
+  Callback Pop(EventKey* key) {
     TFC_DCHECK_GT(size_, 0u);
     uint32_t rec = ring_size_ != 0 ? buckets_[FirstBucket()].head : kNullIndex;
     if (rec != kNullIndex && (far_.empty() || SlotBefore(Slot{nodes_[rec].time, rec}, far_[0]))) {
@@ -163,8 +203,9 @@ class EventQueue {
       rec = far_[0].rec;
       FarErase(0);
     }
-    *time = nodes_[rec].time;
-    base_ = BucketOf(*time);
+    const Node& n = nodes_[rec];
+    *key = EventKey{n.time, n.lead, n.seq};
+    base_ = BucketOf(n.time);
     Callback cb = std::move(CbAt(rec));  // leaves the slab entry empty
     FreeRecord(rec);
     --size_;
@@ -173,7 +214,7 @@ class EventQueue {
 
   // Structural self-check, used by the runtime auditor and the differential
   // fuzz harness. Re-derives independently what the incremental operations
-  // maintain: every ring bucket's links, (time, seq) order and span, bitmap
+  // maintain: every ring bucket's links, key order and span, bitmap
   // agreement with bucket occupancy, the far heap's order and back-index,
   // free-list integrity, and that every record is in exactly one of ring,
   // far heap and free list (live + free == allocated). Returns whether every
@@ -230,7 +271,7 @@ class EventQueue {
                 rec);
           check(BucketOf(n.time) - base_ < kRingBuckets, "ring node within span", "rec ", rec);
           if (prev != kNullIndex) {
-            check(Before(prev, rec), "bucket sorted by (time, seq)", "rec ", rec);
+            check(Before(prev, rec), "bucket sorted by key", "rec ", rec);
           }
           prev = rec;
         }
@@ -285,14 +326,17 @@ class EventQueue {
   // One event. `prev`/`next` are the bucket links while the record is in
   // the ring; in the far heap `prev` is its heap position and `next` is
   // kInFar; on the free list `prev` is the next free record and `next` is
-  // kFree. The generation tells live records from stale handles.
+  // kFree. The generation tells live records from stale handles; `lead`
+  // fills what would otherwise be padding.
   struct Node {
     TimeNs time;
     uint64_t seq;
     uint32_t prev;
     uint32_t next;
     uint32_t gen;
+    uint32_t lead;
   };
+  static_assert(sizeof(Node) == 32, "an event record is half a cache line");
 
   struct Bucket {
     uint32_t head;
@@ -300,7 +344,8 @@ class EventQueue {
   };
 
   // Far-heap slot; the time is copied in so sifting compares stay in the
-  // slot array, and the seq is read from the record only on equal times.
+  // slot array, and the lead and seq are read from the record only on equal
+  // times.
   struct Slot {
     TimeNs time;
     uint32_t rec;
@@ -316,11 +361,19 @@ class EventQueue {
         chunk + size_t{rec & kChunkMask} * sizeof(Callback));
   }
 
-  // (time, seq) order of two records.
+  // Key order of two records.
   bool Before(uint32_t a, uint32_t b) const {
     const Node& x = nodes_[a];
     const Node& y = nodes_[b];
-    return x.time != y.time ? x.time < y.time : x.seq < y.seq;
+    if (x.time != y.time) {
+      return x.time < y.time;
+    }
+    return TieBefore(x, y);
+  }
+
+  // Key order of two records due at the same time.
+  static bool TieBefore(const Node& x, const Node& y) {
+    return x.lead != y.lead ? x.lead > y.lead : x.seq < y.seq;
   }
 
   uint32_t AllocateRecord() {
@@ -381,7 +434,7 @@ class EventQueue {
     return (word << 6) | static_cast<uint32_t>(std::countr_zero(occupied_[word]));
   }
 
-  // Links `rec` into its bucket, keeping the bucket (time, seq)-sorted.
+  // Links `rec` into its bucket, keeping the bucket key-sorted.
   // Returns false, changing nothing, when the event lies outside the span or
   // its place is more than kWalkCap nodes back from the tail.
   bool RingInsert(uint32_t rec) {
@@ -392,10 +445,10 @@ class EventQueue {
     }
     const auto b = static_cast<uint32_t>(abs & kBucketMask);
     Bucket& bucket = buckets_[b];
-    // Walk back past later events; `n.seq` exceeds every queued seq, so an
-    // equal time stops the walk (FIFO among equal times).
+    // Walk back past later events. A keyed push can sort before queued
+    // events of its own time, so ties compare the whole key.
     uint32_t after = bucket.tail;
-    for (uint32_t steps = 0; after != kNullIndex && nodes_[after].time > n.time; ++steps) {
+    for (uint32_t steps = 0; after != kNullIndex && Before(rec, after); ++steps) {
       if (steps == kWalkCap) {
         return false;
       }
@@ -486,7 +539,7 @@ class EventQueue {
   }
 
   bool SlotBefore(const Slot& a, const Slot& b) const {
-    return a.time != b.time ? a.time < b.time : nodes_[a.rec].seq < nodes_[b.rec].seq;
+    return a.time != b.time ? a.time < b.time : TieBefore(nodes_[a.rec], nodes_[b.rec]);
   }
 
   // Bubbles `moving` up from `pos` and writes it (and its back-index) into
@@ -505,7 +558,7 @@ class EventQueue {
     nodes_[moving.rec].prev = pos;
   }
 
-  std::vector<Node> nodes_;  // record -> (time, seq, links, generation)
+  std::vector<Node> nodes_;  // record -> (key, links, generation)
   // record -> callable, in address-stable raw-storage chunks. Alignment:
   // operator new[] returns max_align_t-aligned memory and sizeof(Callback)
   // is a multiple of its alignment.
@@ -520,7 +573,7 @@ class EventQueue {
   uint64_t base_ = 0;                              // absolute bucket of the last pop
   size_t ring_size_ = 0;
 
-  std::vector<Slot> far_;  // 4-ary min-heap over (time, seq)
+  std::vector<Slot> far_;  // 4-ary min-heap over keys
   TierCounts counts_;
 };
 

@@ -1,5 +1,6 @@
 #include "src/sim/flight.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -156,6 +157,9 @@ void FlightRecorder::Arm(size_t capacity) {
   while (rounded < capacity) {
     rounded <<= 1;
   }
+  // Records due before the re-arm went to the old ring; the rest are due
+  // after it and go to the new one.
+  Settle();
   ring_.assign(rounded, FlightEvent{});
   mask_ = rounded - 1;
   recorded_ = 0;
@@ -163,13 +167,59 @@ void FlightRecorder::Arm(size_t capacity) {
 }
 
 void FlightRecorder::Disarm() {
+  Settle();
+  deferred_.clear();
   armed_ = false;
   DisarmPostMortem();
+}
+
+void FlightRecorder::set_scheduler(const Scheduler* scheduler) {
+  if (scheduler == nullptr) {
+    Settle();
+    deferred_.clear();
+  }
+  scheduler_ = scheduler;
+}
+
+bool FlightRecorder::FiresAfter(const Deferred& a, const Deferred& b) {
+  return KeyBefore(EventKey{b.event.time, EventLead(b.event.time, b.born), b.seq},
+                   EventKey{a.event.time, EventLead(a.event.time, a.born), a.seq});
+}
+
+void FlightRecorder::Defer(const FlightEvent& e, TimeNs born, uint64_t seq) {
+  TFC_DCHECK(armed_ && scheduler_ != nullptr);
+  deferred_.push_back(Deferred{born, seq, e});
+  std::push_heap(deferred_.begin(), deferred_.end(), FiresAfter);
+}
+
+void FlightRecorder::Withdraw(uint64_t seq) {
+  const auto it = std::find_if(deferred_.begin(), deferred_.end(),
+                               [seq](const Deferred& d) { return d.seq == seq; });
+  if (it == deferred_.end()) {
+    return;
+  }
+  *it = deferred_.back();
+  deferred_.pop_back();
+  std::make_heap(deferred_.begin(), deferred_.end(), FiresAfter);
+}
+
+void FlightRecorder::SettleDue() const {
+  while (!deferred_.empty()) {
+    const Deferred& first = deferred_.front();
+    if (!scheduler_->Passed(first.event.time, first.born, first.seq)) {
+      return;
+    }
+    std::pop_heap(deferred_.begin(), deferred_.end(), FiresAfter);
+    ring_[static_cast<size_t>(recorded_) & mask_] = deferred_.back().event;
+    ++recorded_;
+    deferred_.pop_back();
+  }
 }
 
 bool FlightRecorder::Dump(const std::string& path,
                           const std::vector<std::string>& node_names,
                           std::string* error) const {
+  Settle();
   std::vector<unsigned char> buf;
   buf.reserve(kTfctHeaderBytes + size() * kTfctRecordBytes);
   for (const char c : kTfctMagic) {

@@ -17,6 +17,15 @@
 // (capacity is rounded up to a power of two), so a long run keeps the most
 // recent `capacity` events.
 //
+// A port whose frame ends serializing without an event of its own builds
+// the frame's transmit record when the frame starts and Defer()s it under
+// the key its completion event would have had. The record enters the ring
+// once event order passes that key: before the first record of any later
+// event and before any read of the ring (ForEach, size, recorded, Dump,
+// post-mortem dumps included), so the ring reads as if the completion had
+// run. A ring armed while frames are already on the wire misses their
+// transmit records; arm it before the run.
+//
 // The ring is the only sink; its readers share the event struct:
 //   - ForEach() visits the live window in place;
 //   - Dump() drains the ring to a `flight.tfct` binary spill, and
@@ -36,6 +45,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/scheduler.h"
 #include "src/sim/time.h"
 
 namespace tfc {
@@ -165,11 +175,19 @@ class FlightRecorder {
   void Disarm();
   bool armed() const { return armed_; }
 
+  // The scheduler whose event order deferred records wait on (the owning
+  // Network's). Null drops every deferred record.
+  void set_scheduler(const Scheduler* scheduler);
+
   size_t capacity() const { return ring_.size(); }
   // Total appends over the recorder's lifetime (monotone across wraps).
-  uint64_t recorded() const { return recorded_; }
+  uint64_t recorded() const {
+    Settle();
+    return recorded_;
+  }
   // Events currently live in the ring.
   size_t size() const {
+    Settle();
     return recorded_ < static_cast<uint64_t>(ring_.size())
                ? static_cast<size_t>(recorded_)
                : ring_.size();
@@ -181,6 +199,7 @@ class FlightRecorder {
     if (!armed_) {
       return;
     }
+    Settle();
     ring_[static_cast<size_t>(recorded_) & mask_] = e;
     ++recorded_;
   }
@@ -189,9 +208,28 @@ class FlightRecorder {
   // so the caller fills the record in place instead of copying 40 bytes
   // through a local. Callers must check armed() first.
   FlightEvent* Append() {
+    Settle();
     FlightEvent* slot = &ring_[static_cast<size_t>(recorded_) & mask_];
     ++recorded_;
     return slot;
+  }
+
+  // Holds `e` back until event order passes the key (e.time, born, seq),
+  // then appends it (see the file comment). Callers check armed() first.
+  void Defer(const FlightEvent& e, TimeNs born, uint64_t seq);
+  // Drops the record deferred under `seq`, if it is still held back: its
+  // completion event runs after all and records the transmit itself.
+  void Withdraw(uint64_t seq);
+
+  // Appends, in key order, every deferred record whose key has passed.
+  // Logically const: the ring then reads as if those records had been
+  // appended when their keys passed.
+  void Settle() const {
+    if (!deferred_.empty() && scheduler_->Passed(deferred_.front().event.time,
+                                                 deferred_.front().born,
+                                                 deferred_.front().seq)) {
+      SettleDue();
+    }
   }
 
   // Visits the live window oldest-first (time order: appends are stamped
@@ -222,9 +260,24 @@ class FlightRecorder {
  private:
   friend void DumpArmedFlightRecorders();
 
-  std::vector<FlightEvent> ring_;
+  // A record held back under the key of a completion event that does not
+  // run.
+  struct Deferred {
+    TimeNs born;
+    uint64_t seq;
+    FlightEvent event;
+  };
+  // Min-heap order for deferred_: std::push_heap keeps the latest key last
+  // popped, so this is "fires after".
+  static bool FiresAfter(const Deferred& a, const Deferred& b);
+  void SettleDue() const;
+
+  // Settle() appends to the ring from const readers, hence mutable.
+  mutable std::vector<FlightEvent> ring_;
   size_t mask_ = 0;
-  uint64_t recorded_ = 0;
+  mutable uint64_t recorded_ = 0;
+  mutable std::vector<Deferred> deferred_;  // heap, earliest key at front
+  const Scheduler* scheduler_ = nullptr;
   bool armed_ = false;
   std::string post_mortem_path_;
   std::vector<std::string> post_mortem_names_;

@@ -6,6 +6,15 @@
 // monotonically increasing sequence number), which makes simulations fully
 // deterministic for a fixed seed.
 //
+// Precisely, events fire in (time, born, seq) order, where born is the
+// instant the event was scheduled. For events scheduled with ScheduleAt
+// that is the FIFO order above. ScheduleKeyed places an event at an
+// explicit key instead: a port schedules a frame's delivery when the frame
+// starts serializing, yet keys it as if it had been scheduled when the
+// frame finished (src/net/port.h). Passed() tells whether a key is behind
+// the event being dispatched, which is how such a port reads the state its
+// skipped completion event would have left.
+//
 // Engineering notes (see docs/perf.md): events live in a two-tier queue
 // (src/sim/event_queue.h). Events due within about 1 ms sit in a calendar
 // ring where push, pop and cancel are O(1); later ones (retransmission
@@ -42,21 +51,45 @@ class Scheduler {
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  TimeNs now() const { return now_; }
+  TimeNs now() const { return cur_.time; }
 
   // Schedules `cb` to run at absolute time `t` (must be >= now()). Takes
   // the callable itself (not a pre-built Callback) so it can be constructed
   // directly in the event queue's callback slab.
   template <typename F>
   EventId ScheduleAt(TimeNs t, F&& cb) {
-    TFC_CHECK_GE(t, now_);
-    return queue_.Push(t, ++next_seq_, std::forward<F>(cb));
+    TFC_CHECK_GE(t, cur_.time);
+    return queue_.Push(EventKey{t, EventLead(t, cur_.time), ++next_seq_}, std::forward<F>(cb));
+  }
+
+  // Takes the sequence number an event scheduled now would take, for a
+  // later ScheduleKeyed or Passed under this instant's birth.
+  uint64_t ReserveSeq() { return ++next_seq_; }
+
+  // Schedules `cb` under the key (t, born, seq): it fires where an event
+  // scheduled at `born` with sequence number `seq` would. `born` may be
+  // later than now; `seq` is a reserved number or one the caller keeps
+  // apart from them (Port sets the top bit). The key must be unique, not
+  // yet passed, and born at most kMaxEventLead - 1 ns before t.
+  template <typename F>
+  EventId ScheduleKeyed(TimeNs t, TimeNs born, uint64_t seq, F&& cb) {
+    TFC_CHECK_GE(t, cur_.time);
+    TFC_CHECK(born <= t && t - born < TimeNs(kMaxEventLead));
+    return queue_.Push(EventKey{t, EventLead(t, born), seq}, std::forward<F>(cb));
+  }
+
+  // True when an event keyed (t, born, seq) would already have run: its key
+  // is at or before the key of the event being dispatched (or, between
+  // events, of the last one dispatched). After RunUntil(t) returns without
+  // Stop(), every key at a time <= t has passed.
+  bool Passed(TimeNs t, TimeNs born, uint64_t seq) const {
+    return !KeyBefore(cur_, EventKey{t, EventLead(t, born), seq});
   }
 
   // Schedules `cb` to run `delay` nanoseconds from now (delay >= 0).
   template <typename F>
   EventId ScheduleAfter(TimeNs delay, F&& cb) {
-    return ScheduleAt(now_ + delay, std::forward<F>(cb));
+    return ScheduleAt(cur_.time + delay, std::forward<F>(cb));
   }
 
   // Schedules a *daemon* event: it fires like any other event inside
@@ -70,7 +103,7 @@ class Scheduler {
   template <typename F>
   EventId ScheduleDaemonAfter(TimeNs delay, F&& cb) {
     ++daemon_pending_;
-    return ScheduleAt(now_ + delay,
+    return ScheduleAt(cur_.time + delay,
                       [this, f = std::forward<F>(cb)]() mutable {
                         --daemon_pending_;
                         f();
@@ -120,12 +153,13 @@ class Scheduler {
 
   // Runs all events with timestamp <= t, then advances the clock to t.
   void RunUntil(TimeNs t) {
-    TFC_CHECK_GE(t, now_);
+    TFC_CHECK_GE(t, cur_.time);
     stopped_ = false;
     while (!stopped_ && PopAndRunOne(t, /*drain_mode=*/false)) {
     }
-    if (!stopped_ && now_ < t) {
-      now_ = t;
+    if (!stopped_) {
+      // The last key at time t: every event due by t has run.
+      cur_ = EventKey{t, 0, UINT64_MAX};
     }
   }
 
@@ -137,7 +171,7 @@ class Scheduler {
   // earliest event is looked up only in a queue that passed its own checks.
   void AuditInvariants(Auditor& audit) const {
     if (queue_.AuditInvariants(audit) && !queue_.empty()) {
-      audit.CheckGe(queue_.top_time(), now_, "no pending event in the past");
+      audit.CheckGe(queue_.top_time(), cur_.time, "no pending event in the past");
     }
   }
 
@@ -145,24 +179,26 @@ class Scheduler {
   // Pops and runs the earliest event if its time is <= limit.
   // Returns false when there is nothing eligible left; in drain mode a
   // queue holding only daemon events counts as drained (their times are
-  // always > now_ here — an eligible daemon would have been popped on an
+  // always > now here — an eligible daemon would have been popped on an
   // earlier iteration).
   bool PopAndRunOne(TimeNs limit, bool drain_mode) {
     if (queue_.empty() || queue_.top_time() > limit ||
         (drain_mode && queue_.size() == daemon_pending_)) {
       return false;
     }
-    TimeNs t;
-    Callback cb = queue_.Pop(&t);
-    TFC_DCHECK_GE(t, now_);
-    now_ = t;
+    EventKey key;
+    Callback cb = queue_.Pop(&key);
+    TFC_DCHECK_GE(key.time, cur_.time);
+    cur_ = key;
     ++executed_;
     cb();
     return true;
   }
 
   Queue queue_;
-  TimeNs now_ = 0;
+  // Key of the event being dispatched, or of the last one; its time is the
+  // clock. The initial key sorts before every event.
+  EventKey cur_;
   uint64_t next_seq_ = 0;
   uint64_t executed_ = 0;
   size_t daemon_pending_ = 0;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/network.h"
@@ -193,6 +196,86 @@ TEST(QueueTest, NonEcnCapablePacketsNeverMarked) {
   for (const auto& p : sink.packets) {
     EXPECT_FALSE(p->ecn_ce);
   }
+}
+
+// What a port's accessors read at one instant.
+struct PortView {
+  uint64_t queue_bytes, queue_packets, tx_packets, tx_bytes, busy_ns;
+  bool operator==(const PortView&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& out, const PortView& v) {
+  return out << "{queue_bytes " << v.queue_bytes << ", queue_packets " << v.queue_packets
+             << ", tx_packets " << v.tx_packets << ", tx_bytes " << v.tx_bytes << ", busy_ns "
+             << v.busy_ns << "}";
+}
+
+// A frame's end of serialization, as every reader and every arrival at that
+// instant sees it. One 1,518-wire-byte frame on a 1 Gbps link ends at
+// t_e = 12,144 ns. An event at t_e that was scheduled before the frame
+// started runs before its end and still sees it queued; one scheduled
+// after the frame started runs after its end and sees it sent. The port
+// may skip the completion event (docs/perf.md, "Lazy serialization"), so
+// this pins what its accessors, its gauges and its drop test read then.
+TEST(PortTest, ReadersAndArrivalsAtTheEndOfSerializationSeeTheCompletionsOrder) {
+  Network net;
+  Host* a = net.AddHost("a");
+  Host* b = net.AddHost("b");
+  net.Link(a, b, kGbps, Microseconds(5));
+  net.BuildRoutes();
+  SinkEndpoint sink(&net.scheduler());
+  b->RegisterEndpoint(1, &sink);
+
+  Port* nic = a->nic();
+  constexpr uint32_t kPayload = 1518 - kHeaderBytes - kWireOverheadBytes;
+  const Bytes frame = kPayload + kHeaderBytes;
+  const TimeNs end = 12'144;
+  ASSERT_EQ(nic->SerializationTime(Bytes(1518)), end);
+  nic->set_buffer_limit(frame);  // room for exactly one frame
+
+  // Reads the accessors, checks each gauge agrees, and returns them.
+  const auto read = [&] {
+    const PortView v{static_cast<uint64_t>(nic->queue_bytes().count()), nic->queue_packets(),
+                 nic->tx_packets(), static_cast<uint64_t>(nic->tx_bytes().count()),
+                 static_cast<uint64_t>(nic->busy_ns().count())};
+    const std::string prefix = nic->metric_prefix();
+    for (const auto& [gauge, want] : {std::pair{".queue_bytes", v.queue_bytes},
+                                      std::pair{".queue_packets", v.queue_packets},
+                                      std::pair{".tx_bytes", v.tx_bytes},
+                                      std::pair{".busy_ns", v.busy_ns}}) {
+      double got = -1;
+      EXPECT_TRUE(net.metrics().Read(prefix + gauge, &got));
+      EXPECT_EQ(got, static_cast<double>(want)) << gauge;
+    }
+    return v;
+  };
+  std::vector<PortView> views;
+  const auto schedule_reader = [&] {
+    net.scheduler().ScheduleAt(end, [&] { views.push_back(read()); });
+  };
+  const auto schedule_arrival = [&] {
+    net.scheduler().ScheduleAt(end, [&] {
+      nic->Enqueue(MakeData(net, 1, a->id(), b->id(), kPayload));
+    });
+  };
+
+  schedule_reader();
+  schedule_arrival();  // finds the frame still queued: no room
+  nic->Enqueue(MakeData(net, 1, a->id(), b->id(), kPayload));
+  schedule_reader();
+  schedule_arrival();  // finds the buffer empty: admitted
+  net.scheduler().Run();
+
+  const uint64_t f = static_cast<uint64_t>(frame.count());
+  const uint64_t e = static_cast<uint64_t>(end.count());
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_EQ(views[0], (PortView{f, 1, 0, 0, 0}));
+  EXPECT_EQ(views[1], (PortView{0, 0, 1, f, e}));
+  EXPECT_EQ(nic->drops(), 1u);
+  EXPECT_EQ(nic->tx_packets(), 2u);
+  ASSERT_EQ(sink.arrival_times.size(), 2u);
+  EXPECT_EQ(sink.arrival_times[0], end + Microseconds(5));
+  EXPECT_EQ(sink.arrival_times[1], 2 * end + Microseconds(5));
 }
 
 TEST(RoutingTest, TestbedShortestPaths) {

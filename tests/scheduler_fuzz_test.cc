@@ -1,19 +1,25 @@
 // Differential scheduler fuzz: long random schedule/cancel/run-until op
-// sequences executed against a trivially-correct reference model (a sorted
-// std::multimap, which keeps equal keys in insertion order), asserting the
-// exact firing order matches event for event. This proves the two-tier event
-// queue (calendar ring + far heap, src/sim/event_queue.h) equivalent to the
-// obvious implementation, including the FIFO tie-break that determinism
-// depends on. The op mix reaches both tiers: delays up to several ring
-// spans, idle jumps that wrap the ring's bucket indices many times, cancels
-// in either tier, a far event and a later ring event at the same time, and
-// same-bucket bursts past the ring's walk cap.
+// sequences executed against a trivially-correct reference model (a std::map
+// keyed by (time, born, seq)), asserting the exact firing order matches
+// event for event. This proves the two-tier event queue (calendar ring + far
+// heap, src/sim/event_queue.h) equivalent to the obvious implementation,
+// including the FIFO tie-break that determinism depends on and the keyed
+// pushes a port makes (Scheduler::ScheduleKeyed): births later than now,
+// with and without the delivery's top bit, and sequence numbers reserved
+// several steps before the push. The op mix reaches both tiers: delays up
+// to several ring spans, idle jumps that wrap the ring's bucket indices many
+// times, cancels in either tier, a far event and a later ring event at the
+// same time, same-bucket bursts past the ring's walk cap, and keyed pushes
+// that sort before queued events of their own time.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
 #include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -50,30 +56,59 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
     Rng rng(seed);
     Scheduler sched;
 
-    // Reference: (time -> op) in FIFO-per-time order. The scheduler fires
-    // callbacks that append their op-id to `executed`; draining the model
-    // appends the same ids to `expected` in model order.
-    std::multimap<TimeNs, int> model;
-    std::map<int, std::pair<TimeNs, Scheduler::EventId>> live;  // op -> handle
+    // Reference: (time, born, seq) -> op. The scheduler fires callbacks
+    // that append their op-id to `executed`; draining the model appends the
+    // same ids to `expected` in model order. `seq` mirrors the scheduler's
+    // counter: ScheduleAt and ReserveSeq each take the next number.
+    using Key = std::tuple<int64_t, int64_t, uint64_t>;
+    std::map<Key, int> model;
+    std::map<int, std::pair<Key, Scheduler::EventId>> live;  // op -> handle
     std::vector<int> executed;
     std::vector<int> expected;
     int next_op = 0;
+    uint64_t seq = 0;
 
+    TimeNs horizon = 0;
+    int keyed_before_peers = 0;  // keyed pushes that sorted before a queued twin
+    auto add = [&](TimeNs at, TimeNs born, uint64_t key_seq, Scheduler::EventId id, int op,
+                   bool keyed) {
+      const Key key{at.count(), born.count(), key_seq};
+      const auto [it, inserted] = model.emplace(key, op);
+      ASSERT_TRUE(inserted) << "duplicate key";
+      const auto next = std::next(it);
+      if (keyed && next != model.end() && std::get<0>(next->first) == at.count()) {
+        ++keyed_before_peers;
+      }
+      live.emplace(op, std::make_pair(key, id));
+    };
     auto schedule = [&](TimeNs at) {
       const int op = next_op++;
       auto id = sched.ScheduleAt(at, [op, &executed] { executed.push_back(op); });
-      model.emplace(at, op);
-      live.emplace(op, std::make_pair(at, id));
+      add(at, horizon, ++seq, id, op, /*keyed=*/false);
+    };
+    auto schedule_keyed = [&](TimeNs at, TimeNs born, uint64_t key_seq) {
+      const int op = next_op++;
+      auto id =
+          sched.ScheduleKeyed(at, born, key_seq, [op, &executed] { executed.push_back(op); });
+      add(at, born, key_seq, id, op, /*keyed=*/true);
+    };
+    auto reserve = [&] {
+      const uint64_t got = sched.ReserveSeq();
+      EXPECT_EQ(got, ++seq);
+      return got;
     };
     auto drain_model_until = [&](TimeNs t) {
-      while (!model.empty() && model.begin()->first <= t) {
+      while (!model.empty() && std::get<0>(model.begin()->first) <= t.count()) {
         expected.push_back(model.begin()->second);
         live.erase(model.begin()->second);
         model.erase(model.begin());
       }
     };
+    constexpr uint64_t kTop = uint64_t{1} << 63;
+    // (born, seq) reserved now and scheduled a few steps later, the way a
+    // port reserves its completion's key when a frame starts.
+    std::deque<std::pair<TimeNs, uint64_t>> reserved;
 
-    TimeNs horizon = 0;
     // Runs to `t` and checks the firing order, pending count, clock and
     // structure against the model.
     auto run_until = [&](TimeNs t, int step) {
@@ -109,10 +144,28 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
 
     for (int step = 0; step < kOpsPerSeed; ++step) {
       const double dice = rng.Uniform();
-      if (dice < 0.45 || live.empty()) {
+      if (dice < 0.30 || live.empty()) {
         // Schedule at a random near-future time (often colliding, to stress
         // the FIFO tie-break).
         schedule(horizon + rng.UniformInt(0, 500));
+      } else if (dice < 0.38) {
+        // Keyed, born in (now, at] under a fresh number, half of them with
+        // the top bit: a delivery scheduled when its frame starts.
+        const TimeNs at = horizon + rng.UniformInt(1, 500);
+        const TimeNs born = horizon + rng.UniformInt(1, (at - horizon).count());
+        schedule_keyed(at, born, reserve() | (rng.Bernoulli(0.5) ? kTop : 0));
+      } else if (dice < 0.45) {
+        // Reserve a key now, or schedule the oldest reservation due after
+        // the clock: a completion scheduled when a packet queues.
+        if (reserved.empty() || rng.Bernoulli(0.4)) {
+          reserved.emplace_back(horizon, reserve());
+        } else {
+          const auto [born, key_seq] = reserved.front();
+          reserved.pop_front();
+          const TimeNs at =
+              std::max(horizon + TimeNs(1), born + TimeNs(rng.UniformInt(0, 500)));
+          schedule_keyed(at, born, key_seq);
+        }
       } else if (dice < 0.60) {
         // Delay log-uniform over [0, 4 ring spans]: mostly ring, some far.
         const double hi = std::log(static_cast<double>(4 * kSpan.count()) + 1.0);
@@ -151,13 +204,7 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
         EXPECT_TRUE(sched.Cancel(it->second.second));
         // Double-cancel must be a no-op.
         EXPECT_FALSE(sched.Cancel(it->second.second));
-        auto range = model.equal_range(it->second.first);
-        for (auto m = range.first; m != range.second; ++m) {
-          if (m->second == it->first) {
-            model.erase(m);
-            break;
-          }
-        }
+        model.erase(it->second.first);
         live.erase(it);
       } else {
         // Run forward a random amount — now and then an idle jump past the
@@ -190,6 +237,7 @@ TEST(SchedulerFuzzTest, FiringOrderMatchesReferenceModel) {
     EXPECT_GT(c.far_cancels, 0u) << "seed " << seed;
     EXPECT_GT(burst_overflows, 0) << "seed " << seed;
     EXPECT_GT(ring_twins, 0) << "seed " << seed;
+    EXPECT_GT(keyed_before_peers, 0) << "seed " << seed;
     EXPECT_GT(horizon, 50 * kSpan) << "seed " << seed;  // bucket indices wrapped
   }
 }

@@ -107,6 +107,65 @@ TEST(SchedulerTest, EventsScheduledDuringRunExecute) {
   EXPECT_EQ(sched.now(), 99);
 }
 
+// A keyed event fires where an event scheduled at its birth with its
+// sequence number would: a birth later than now sorts after every event of
+// its time born earlier, a reserved number among those born with it, and a
+// number with the top bit set after all of those.
+TEST(SchedulerTest, KeyedEventsFireInBirthOrder) {
+  Scheduler sched;
+  std::vector<int> order;
+  const auto mark = [&order](int id) { return [&order, id] { order.push_back(id); }; };
+  const uint64_t early = sched.ReserveSeq();  // reserved at t=0
+  const uint64_t top = uint64_t{1} << 63;
+  sched.ScheduleKeyed(100, 50, early | top, mark(5));  // born 50, after all born 50
+  sched.ScheduleKeyed(100, 50, early, mark(3));        // born 50, reserved before 1-2
+  sched.ScheduleAt(100, mark(1));                      // born 0
+  sched.ScheduleAt(50, [&] { sched.ScheduleAt(100, mark(4)); });  // born 50
+  sched.ScheduleKeyed(100, 0, sched.ReserveSeq(), mark(2));       // born 0, after 1
+  sched.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+// Passed() compares a key with the key of the event being dispatched; once
+// RunUntil(t) returns without Stop(), every key due by t has passed.
+TEST(SchedulerTest, PassedComparesWithTheRunningEventsKey) {
+  Scheduler sched;
+  const uint64_t top = uint64_t{1} << 63;
+  EXPECT_FALSE(sched.Passed(0, 0, 1));  // nothing has run yet
+  uint64_t seq = 0;
+  int checked = 0;
+  sched.ScheduleAt(20, [&] {
+    seq = sched.ReserveSeq() + 1;  // the number the next event takes
+    sched.ScheduleAt(100, [&] {
+      // This event's key is (100, born 20, seq).
+      EXPECT_TRUE(sched.Passed(100, 20, seq));       // equal
+      EXPECT_TRUE(sched.Passed(100, 20, seq - 1));   // same birth, earlier number
+      EXPECT_FALSE(sched.Passed(100, 20, seq + 1));  // same birth, later number
+      EXPECT_TRUE(sched.Passed(100, 10, top));       // born earlier
+      EXPECT_FALSE(sched.Passed(100, 30, 0));        // born later
+      EXPECT_TRUE(sched.Passed(99, 99, top));        // earlier time
+      EXPECT_FALSE(sched.Passed(101, 0, 0));         // later time
+      ++checked;
+    });
+  });
+  sched.ScheduleAt(150, [&] { sched.Stop(); });
+  sched.RunUntil(200);
+  EXPECT_EQ(checked, 1);
+  // Stopped at 150: later keys of that instant have not passed.
+  EXPECT_TRUE(sched.Passed(150, 0, 0));
+  EXPECT_FALSE(sched.Passed(150, 150, top));
+  EXPECT_FALSE(sched.Passed(200, 0, 0));
+  sched.RunUntil(200);
+  EXPECT_TRUE(sched.Passed(200, 0, 1));
+  EXPECT_TRUE(sched.Passed(200, 200, top | sched.ReserveSeq()));
+  EXPECT_TRUE(sched.Passed(150, 150, top));
+  EXPECT_FALSE(sched.Passed(201, 200, 0));
+  // A RunUntil that does not move the clock still passes its instant.
+  sched.ScheduleAt(200, [] {});
+  sched.RunUntil(200);
+  EXPECT_TRUE(sched.Passed(200, 200, top));
+}
+
 TEST(TimerTest, FiresOnceAfterDelay) {
   Scheduler sched;
   int fires = 0;

@@ -57,13 +57,6 @@ void MetricRegistry::AddCallbackGauge(std::string name, GaugeFn fn) {
   Insert(std::move(name), std::move(fn), /*owner=*/0, /*replace=*/false);
 }
 
-void MetricRegistry::Unregister(const std::string& name) {
-  auto it = entries_.find(name);
-  if (it != entries_.end()) {
-    Erase(it);
-  }
-}
-
 void MetricRegistry::UnregisterOwned(const std::string& name, uint64_t token) {
   auto it = entries_.find(name);
   if (it != entries_.end() && it->second.owner == token) {

@@ -70,13 +70,11 @@ class MetricRegistry {
 
   void AddCallbackGauge(std::string name, GaugeFn fn);
 
-  // Removes a metric (no-op if absent). Components that can die before the
-  // registry (flows, replaced agents) unregister via ScopedMetrics.
-  void Unregister(const std::string& name);
-
   // Removes a metric only if it is still owned by `token` (see
   // ScopedMetrics): after a replace-on-collision, the displaced owner's
-  // cleanup must not take the new owner's entry with it.
+  // cleanup must not take the new owner's entry with it. Components that
+  // can die before the registry (flows, replaced agents) unregister this
+  // way, through ScopedMetrics; nothing else removes a metric.
   void UnregisterOwned(const std::string& name, uint64_t token);
 
   bool Has(const std::string& name) const { return entries_.count(name) > 0; }

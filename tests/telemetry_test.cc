@@ -30,7 +30,8 @@ TEST(MetricRegistryTest, CountersGaugesAndCallbacksReadBack) {
   MetricRegistry registry;
   uint64_t c = 0;
   double g = 0.0;
-  registry.AddCallbackGauge("c", [&c] { return static_cast<double>(c); });
+  ScopedMetrics c_owner(&registry);
+  c_owner.AddCallbackGauge("c", [&c] { return static_cast<double>(c); });
   registry.AddCallbackGauge("g", [&g] { return g; });
   double source = 7.5;
   registry.AddCallbackGauge("cb", [&source] { return source; });
@@ -53,7 +54,7 @@ TEST(MetricRegistryTest, CountersGaugesAndCallbacksReadBack) {
   EXPECT_FALSE(registry.Read("missing", &v));
   EXPECT_EQ(registry.size(), 3u);
   EXPECT_TRUE(registry.Has("c"));
-  registry.Unregister("c");
+  c_owner.Reset(nullptr);
   EXPECT_FALSE(registry.Has("c"));
 }
 
@@ -110,7 +111,8 @@ TEST(MetricRegistryTest, CompiledReadsAndGenerationTracking) {
   MetricRegistry registry;
   const uint64_t gen0 = registry.generation();
   uint64_t c = 0;
-  registry.AddCallbackGauge("c", [&c] { return static_cast<double>(c); });
+  ScopedMetrics c_owner(&registry);
+  c_owner.AddCallbackGauge("c", [&c] { return static_cast<double>(c); });
   registry.AddCallbackGauge("h", nullptr);
   registry.AddCallbackGauge("b", [] { return 5.0; });
   EXPECT_GT(registry.generation(), gen0);  // registration bumps
@@ -129,10 +131,10 @@ TEST(MetricRegistryTest, CompiledReadsAndGenerationTracking) {
   });
   EXPECT_EQ(seen, (std::vector<std::string>{"b=5", "c=42"}));
 
-  // Unregister and re-claim both bump the generation, which is what tells
-  // holders of compiled reads to recompile.
+  // Unregistering (the owner's Reset) and re-claiming both bump the
+  // generation, which is what tells holders of compiled reads to recompile.
   const uint64_t gen1 = registry.generation();
-  registry.Unregister("c");
+  c_owner.Reset(nullptr);
   EXPECT_GT(registry.generation(), gen1);
   EXPECT_FALSE(registry.CompileRead("c", &read));
   ScopedMetrics owner(&registry);

@@ -345,24 +345,26 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
       // Block FCT summaries land in summary.json as gauges over the
       // computed numbers: each flow's, then every block merged. The run is
       // over, so no series records them.
+      // The samples are whole ns; each number is converted to µs once.
       const auto add = [&net](std::string name, double v) {
         net.metrics().AddCallbackGauge(std::move(name), [v] { return v; });
       };
+      const auto add_us = [&add](std::string name, double ns) { add(std::move(name), ns / 1e3); };
       for (size_t i = 0; i < app.flows().size(); ++i) {
-        SampleSet fcts = app.block_fcts(i);
+        SampleSet fcts = app.block_fcts_ns(i);
         const std::string prefix = "incast.flow" + std::to_string(i);
-        add(prefix + ".fct_mean_us", fcts.Mean() * 1e6);
-        add(prefix + ".fct_p99_us", fcts.Percentile(99) * 1e6);
-        add(prefix + ".fct_max_us", fcts.Max() * 1e6);
+        add_us(prefix + ".fct_mean_us", fcts.Mean());
+        add_us(prefix + ".fct_p99_us", fcts.Percentile(99));
+        add_us(prefix + ".fct_max_us", fcts.Max());
       }
-      SampleSet merged = app.MergedBlockFcts();
+      SampleSet merged = app.MergedBlockFctsNs();
       const std::string prefix = "incast." + run.hosts()[0]->name() + ".block_fct_";
       add(prefix + "count", static_cast<double>(merged.count()));
-      add(prefix + "mean_us", merged.Mean() * 1e6);
-      add(prefix + "p50_us", merged.Percentile(50) * 1e6);
-      add(prefix + "p99_us", merged.Percentile(99) * 1e6);
-      add(prefix + "p999_us", merged.Percentile(99.9) * 1e6);
-      add(prefix + "max_us", merged.Max() * 1e6);
+      add_us(prefix + "mean_us", merged.Mean());
+      add_us(prefix + "p50_us", merged.Percentile(50));
+      add_us(prefix + "p99_us", merged.Percentile(99));
+      add_us(prefix + "p999_us", merged.Percentile(99.9));
+      add_us(prefix + "max_us", merged.Max());
     }
     rep.Printf("rounds=%d/%d goodput=%.1fMbps timeouts=%llu maxTO/block=%.2f "
                 "drops=%llu maxq=%.1fKB\n",

@@ -11,7 +11,7 @@ IncastApp::IncastApp(Network* net, const ProtocolSuite& suite, Host* receiver,
     : net_(net), config_(config) {
   TFC_CHECK(!senders.empty());
   TFC_CHECK_GT(config.rounds, 0);
-  block_fcts_.resize(senders.size());
+  block_fcts_ns_.resize(senders.size());
   for (size_t i = 0; i < senders.size(); ++i) {
     Host* s = senders[i];
     TFC_CHECK_NE(s, receiver);
@@ -46,7 +46,7 @@ void IncastApp::BeginRound() {
 void IncastApp::OnFlowDrained(size_t flow_index) {
   TFC_CHECK_GT(pending_in_round_, 0);
   const TimeNs fct = net_->scheduler().now() - round_start_;
-  block_fcts_[flow_index].Add(ToSeconds(fct));
+  block_fcts_ns_[flow_index].Add(static_cast<double>(fct.count()));
   if (--pending_in_round_ > 0) {
     return;
   }
@@ -94,14 +94,23 @@ double IncastApp::max_timeouts_per_block() const {
   return worst;
 }
 
-SampleSet IncastApp::MergedBlockFcts() const {
+SampleSet IncastApp::MergedBlockFctsNs() const {
   SampleSet merged;
-  for (const SampleSet& per_flow : block_fcts_) {
-    for (double s : per_flow.samples()) {
-      merged.Add(s);
+  for (const SampleSet& per_flow : block_fcts_ns_) {
+    for (double ns : per_flow.samples()) {
+      merged.Add(ns);
     }
   }
   return merged;
+}
+
+SampleSet IncastApp::MergedBlockFcts() const {
+  const SampleSet merged = MergedBlockFctsNs();
+  SampleSet seconds;
+  for (double ns : merged.samples()) {
+    seconds.Add(ToSeconds(TimeNs(static_cast<int64_t>(ns))));
+  }
+  return seconds;
 }
 
 }  // namespace tfc

@@ -52,13 +52,15 @@ class IncastApp {
 
   const std::vector<std::unique_ptr<ReliableSender>>& flows() const { return flows_; }
 
-  // Per-flow block completion times (one sample per block, in seconds):
+  // Per-flow block completion times (one sample per block, in whole ns):
   // the incast FCT sink. The registry carries only the
   // "incast.<recv>.rounds_completed" gauge over rounds_completed_.
-  const SampleSet& block_fcts(size_t flow_index) const {
-    return block_fcts_.at(flow_index);
+  const SampleSet& block_fcts_ns(size_t flow_index) const {
+    return block_fcts_ns_.at(flow_index);
   }
-  // All flows' block FCT samples merged (for percentile queries).
+  // All flows' block FCT samples merged (for percentile queries), in ns.
+  SampleSet MergedBlockFctsNs() const;
+  // The same samples, each converted to seconds by ToSeconds.
   SampleSet MergedBlockFcts() const;
 
  private:
@@ -68,7 +70,7 @@ class IncastApp {
   Network* net_;
   IncastConfig config_;
   std::vector<std::unique_ptr<ReliableSender>> flows_;
-  std::vector<SampleSet> block_fcts_;  // seconds, one SampleSet per flow
+  std::vector<SampleSet> block_fcts_ns_;  // one SampleSet per flow
   int pending_in_round_ = 0;
   int rounds_completed_ = 0;
   bool finished_ = false;

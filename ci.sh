@@ -3,7 +3,7 @@
 #
 #   ./ci.sh            full matrix: release, figures, asan-ubsan, hardened,
 #                      tsan, lint, astlint, tidy, telemetry, trace, chaos,
-#                      sweep, perfbench
+#                      sweep, perfbench, outcomes
 #   ./ci.sh release    one leg by name
 #
 # Every leg must pass for the gate to be green. The sanitizer and hardened
@@ -277,6 +277,16 @@ leg_perfbench() {
   echo "perfbench: every workload correct at both seeds, 0 failed"
 }
 
+# Every simulated outcome perfbench/reference.json records: 84 full-scale
+# and 4 tiny network seeds per workload, 264 driver runs, one process per
+# core, each checked by run.py's own check_outcome. It reads perfbench/
+# and writes nothing there. A speed-only change to the simulator proves
+# all of them with this one leg; the perfbench leg checks two seeds.
+leg_outcomes() {
+  echo "=== [outcomes] every recorded perfbench outcome ==="
+  python3 tools/check_outcomes.py
+}
+
 case "${1:-all}" in
   release)    leg_release ;;
   figures)    leg_figures ;;
@@ -291,6 +301,7 @@ case "${1:-all}" in
   chaos)      leg_chaos ;;
   sweep)      leg_sweep ;;
   perfbench)  leg_perfbench ;;
+  outcomes)   leg_outcomes ;;
   all)
     leg_release
     leg_figures
@@ -305,10 +316,11 @@ case "${1:-all}" in
     leg_chaos
     leg_sweep
     leg_perfbench
+    leg_outcomes
     echo "=== ci.sh: all legs green ==="
     ;;
   *)
-    echo "usage: $0 [release|figures|asan-ubsan|hardened|tsan|lint|astlint|tidy|telemetry|trace|chaos|sweep|perfbench|all]" >&2
+    echo "usage: $0 [release|figures|asan-ubsan|hardened|tsan|lint|astlint|tidy|telemetry|trace|chaos|sweep|perfbench|outcomes|all]" >&2
     exit 2
     ;;
 esac

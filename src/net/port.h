@@ -183,7 +183,8 @@ class Port {
   Scheduler* scheduler() const { return scheduler_; }
 
   // Queue occupancy in frame bytes (the packet being serialized remains
-  // queued, and counted, until its serialization completes).
+  // queued, and counted, until its serialization completes in event order,
+  // whether or not an event runs there).
   Bytes queue_bytes() const { return queue_bytes_ - (FrameDone() ? tx_frame_bytes_ : Bytes(0)); }
   size_t queue_packets() const { return queue_.size() + (busy_ && !FrameDone() ? 1 : 0); }
   Bytes buffer_limit() const { return buffer_limit_bytes_; }
@@ -193,8 +194,11 @@ class Port {
   void AuditInvariants(Auditor& audit) const;
 
   // --- statistics ---
+  // Each reads the port as of the event being dispatched, like the queue
+  // accessors above.
   uint64_t tx_packets() const { return tx_packets_ + (FrameDone() ? 1 : 0); }
-  Bytes tx_bytes() const { return tx_bytes_ + (FrameDone() ? tx_frame_bytes_ : Bytes(0)); }  // frame bytes
+  // Frame bytes.
+  Bytes tx_bytes() const { return tx_bytes_ + (FrameDone() ? tx_frame_bytes_ : Bytes(0)); }
   uint64_t drops() const { return drops_; }
   Bytes dropped_bytes() const { return dropped_bytes_; }
   Bytes max_queue_bytes() const { return max_queue_bytes_; }

@@ -203,9 +203,8 @@ class EventQueue {
       rec = far_[0].rec;
       FarErase(0);
     }
-    const Node& n = nodes_[rec];
-    *key = EventKey{n.time, n.lead, n.seq};
-    base_ = BucketOf(n.time);
+    *key = KeyOf(rec);
+    base_ = BucketOf(key->time);
     Callback cb = std::move(CbAt(rec));  // leaves the slab entry empty
     FreeRecord(rec);
     --size_;
@@ -361,20 +360,13 @@ class EventQueue {
         chunk + size_t{rec & kChunkMask} * sizeof(Callback));
   }
 
-  // Key order of two records.
-  bool Before(uint32_t a, uint32_t b) const {
-    const Node& x = nodes_[a];
-    const Node& y = nodes_[b];
-    if (x.time != y.time) {
-      return x.time < y.time;
-    }
-    return TieBefore(x, y);
+  EventKey KeyOf(uint32_t rec) const {
+    const Node& n = nodes_[rec];
+    return EventKey{n.time, n.lead, n.seq};
   }
 
-  // Key order of two records due at the same time.
-  static bool TieBefore(const Node& x, const Node& y) {
-    return x.lead != y.lead ? x.lead > y.lead : x.seq < y.seq;
-  }
+  // Key order of two records.
+  bool Before(uint32_t a, uint32_t b) const { return KeyBefore(KeyOf(a), KeyOf(b)); }
 
   uint32_t AllocateRecord() {
     if (free_head_ != kNullIndex) {
@@ -539,7 +531,7 @@ class EventQueue {
   }
 
   bool SlotBefore(const Slot& a, const Slot& b) const {
-    return a.time != b.time ? a.time < b.time : TieBefore(nodes_[a.rec], nodes_[b.rec]);
+    return a.time != b.time ? a.time < b.time : Before(a.rec, b.rec);
   }
 
   // Bubbles `moving` up from `pos` and writes it (and its back-index) into

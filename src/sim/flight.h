@@ -221,17 +221,6 @@ class FlightRecorder {
   // completion event runs after all and records the transmit itself.
   void Withdraw(uint64_t seq);
 
-  // Appends, in key order, every deferred record whose key has passed.
-  // Logically const: the ring then reads as if those records had been
-  // appended when their keys passed.
-  void Settle() const {
-    if (!deferred_.empty() && scheduler_->Passed(deferred_.front().event.time,
-                                                 deferred_.front().born,
-                                                 deferred_.front().seq)) {
-      SettleDue();
-    }
-  }
-
   // Visits the live window oldest-first (time order: appends are stamped
   // with the monotone scheduler clock).
   template <typename Fn>
@@ -267,9 +256,21 @@ class FlightRecorder {
     uint64_t seq;
     FlightEvent event;
   };
-  // Min-heap order for deferred_: std::push_heap keeps the latest key last
-  // popped, so this is "fires after".
+  // deferred_'s heap order: the std heap functions keep the greatest
+  // element first, so ordering by "fires after" keeps the earliest key
+  // there.
   static bool FiresAfter(const Deferred& a, const Deferred& b);
+
+  // Appends, in key order, every deferred record whose key has passed.
+  // Logically const: the ring then reads as if those records had been
+  // appended when their keys passed.
+  void Settle() const {
+    if (!deferred_.empty() && scheduler_->Passed(deferred_.front().event.time,
+                                                 deferred_.front().born,
+                                                 deferred_.front().seq)) {
+      SettleDue();
+    }
+  }
   void SettleDue() const;
 
   // Settle() appends to the ring from const readers, hence mutable.

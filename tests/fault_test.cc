@@ -192,6 +192,24 @@ TEST(FaultInjectorTest, StatefulFilterCanDropFirstNMatches) {
   EXPECT_EQ(rig.arrived(), 7u);
 }
 
+// A port with no injector hands a frame straight to its delivery when the
+// frame starts serializing. An injector attached while that frame is on
+// the wire must still see it at the end of its serialization, with or
+// without a packet queued behind it: here the link goes down 500 ns into
+// the first 1,424 ns frame, and every frame of the burst dies on it.
+TEST(FaultInjectorTest, LinkDownMidFrameCatchesTheFrameAlreadyOnTheWire) {
+  for (int burst : {1, 2}) {
+    WireRig rig;
+    FaultInjector inject(&rig.net, 19);
+    rig.SendBurst(burst);
+    rig.net.scheduler().ScheduleAt(500, [&] { inject.SetLinkDown(rig.wire, true); });
+    rig.net.scheduler().Run();
+    EXPECT_EQ(rig.arrived(), 0u) << burst;
+    EXPECT_EQ(inject.link_drops(), static_cast<uint64_t>(burst)) << burst;
+    EXPECT_EQ(rig.wire->tx_packets(), static_cast<uint64_t>(burst)) << burst;
+  }
+}
+
 TEST(FaultInjectorTest, LinkDownDestroysWirePacketsAndAccumulatesDowntime) {
   WireRig rig;
   FaultInjector inject(&rig.net, 18);

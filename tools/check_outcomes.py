@@ -7,13 +7,12 @@ process per core, and applies run.py's own check_outcome to each result:
 the outcome must equal the recorded one exactly and pass its invariants.
 Timings are not looked at. Nothing under perfbench/ is written.
 
-    python3 tools/check_outcomes.py [--jobs N] [--workload NAME ...]
+    python3 tools/check_outcomes.py
 
 Prints one line per failing run and a summary; exits 1 if any run failed.
 A speed-only change to the simulator must leave all of them passing.
 """
 
-import argparse
 import concurrent.futures
 import os
 import sys
@@ -32,28 +31,23 @@ def check_one(binary, scale, workload, net_seed, reference):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                        help="driver processes at once (default: one per core)")
-    parser.add_argument("--workload", action="append", choices=run.WORKLOADS,
-                        help="check only this workload (repeatable)")
-    args = parser.parse_args()
+    if len(sys.argv) > 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
     try:
         binary = run.build()
     except (run.BenchError, OSError) as e:
         print(f"check_outcomes: {e}", file=sys.stderr)
         return 1
     reference = run.load_reference()
-    cases = [(scale, workload, int(seed))
-             for scale, workloads in sorted(reference.items())
-             for workload, seeds in sorted(workloads.items())
-             if args.workload is None or workload in args.workload
-             for seed in seeds]
-    cases.sort(key=lambda c: (c[0], c[1], c[2]))
+    cases = sorted((scale, workload, int(seed))
+                   for scale, workloads in reference.items()
+                   for workload, seeds in workloads.items()
+                   for seed in seeds)
     failed = 0
     # Worker processes, not threads: run.drive names its run directory
     # after the calling process.
-    with concurrent.futures.ProcessPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         futures = {pool.submit(check_one, binary, *case, reference): case for case in cases}
         for future in concurrent.futures.as_completed(futures):
             scale, workload, seed = futures[future]

@@ -85,7 +85,6 @@ class PacketFifo {
 
   bool empty() const { return head_ == nullptr; }
   size_t size() const { return size_; }
-  const Packet& front() const { return *head_; }
 
   void Push(PacketPtr pkt) {
     Packet* p = pkt.release();

@@ -152,9 +152,12 @@ def check_manifest(path: Path, ck: Checker) -> None:
     ck.expect(isinstance(doc.get("run"), dict), where, '"run" must be an object')
 
 
-def check_metrics_tfcb(path: Path, ck: Checker) -> tuple[list[str], int]:
+def check_metrics_tfcb(path: Path, ck: Checker, streams=None) -> tuple[list[str], int]:
     """Validates the spilled log; returns its series names (in series-id
-    order) and the number of samples it stands for (([], 0) on error)."""
+    order) and the number of samples it stands for (([], 0) on error).
+    Given `streams`, also fills it with name -> change stream: the
+    (t_ns, value) pairs at which the series takes a new value, values as
+    their f64 bytes so NaN compares equal to itself."""
     where = str(path)
     if not path.exists():
         ck.error(where, "missing")
@@ -238,6 +241,7 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> tuple[list[str], int]:
 
     # Replay: each change belongs to a series its tick samples, and each
     # sampled series has a value by the first tick of its epoch.
+    values = off + tick_count * TFCB_TICK.size + 4 * change_count
     has_value = [False] * series_count
     samples = 0
     c = 0
@@ -246,11 +250,17 @@ def check_metrics_tfcb(path: Path, ck: Checker) -> tuple[list[str], int]:
         members = set(sids)
         samples += (end - first) * len(sids)
         for i in range(first, end):
-            for sid in change_sids[c:ticks[i][1]]:
+            for k in range(c, ticks[i][1]):
+                sid = change_sids[k]
                 if not ck.expect(sid in members, where,
                                  f"tick {i} stores series {sid}, which it does not sample"):
                     return [], 0
                 has_value[sid] = True
+                if streams is not None:
+                    value = data[values + 8 * k:values + 8 * k + 8]
+                    stream = streams.setdefault(names[sid], [])
+                    if not stream or stream[-1][1] != value:
+                        stream.append((ticks[i][0], value))
             c = ticks[i][1]
             if i == first:
                 missing = [names[s] for s in sids if not has_value[s]]
@@ -507,48 +517,21 @@ def check_sweep_dir(sweep_dir: Path, ck: Checker) -> int:
     return len(runs)
 
 
-def decode_series(path: Path, ck: Checker) -> dict[str, list[tuple[int, bytes]]]:
-    """Decodes a valid metrics.tfcb into name -> change stream: the
-    (t_ns, value) pairs at which the series takes a new value, values as
-    their f64 bytes so NaN compares equal to itself. Empty on error."""
-    names, _ = check_metrics_tfcb(path, ck)
-    if ck.errors:
-        return {}
-    data = path.read_bytes()
-    _, _, series_count, epoch_count, tick_count, change_count = \
-        TFCB_HEADER.unpack_from(data)
-    off = TFCB_HEADER.size
-    for _ in range(series_count):
-        off += 4 + struct.unpack_from("<I", data, off)[0]
-    for _ in range(epoch_count):
-        off += TFCB_EPOCH.size + 4 * TFCB_EPOCH.unpack_from(data, off)[1]
-    ticks = [TFCB_TICK.unpack_from(data, off + i * TFCB_TICK.size)
-             for i in range(tick_count)]
-    off += tick_count * TFCB_TICK.size
-    sids = struct.unpack_from(f"<{change_count}I", data, off)
-    off += 4 * change_count
-    values = [data[off + 8 * i:off + 8 * i + 8] for i in range(change_count)]
-    streams = {name: [] for name in names}
-    c = 0
-    for t_ns, end in ticks:
-        for i in range(c, end):
-            stream = streams[names[sids[i]]]
-            if not stream or stream[-1][1] != values[i]:
-                stream.append((t_ns, values[i]))
-        c = end
-    return streams
-
-
 def compare_run_dirs(a: Path, b: Path, ignore: list[str]) -> int:
     """Prints every series, gauge and profile site that differs between two
     run directories; returns 1 if any does (or either fails to load)."""
     ck = Checker()
-    series = [decode_series(d / "metrics.tfcb", ck) for d in (a, b)]
-    summaries = [load_json(d / "summary.json", ck) for d in (a, b)]
+    series = []
+    for d in (a, b):
+        streams = {}
+        names, _ = check_metrics_tfcb(d / "metrics.tfcb", ck, streams)
+        series.append({name: streams.get(name, []) for name in names})
+        check_summary(d / "summary.json", ck)
     if ck.errors:
         for e in ck.errors:
             print(e)
         return 1
+    summaries = [load_json(d / "summary.json", ck) for d in (a, b)]
 
     def ignored(name: str) -> bool:
         return any(fnmatch.fnmatchcase(name, pattern) for pattern in ignore)

@@ -144,9 +144,9 @@ void Port::Transmit() {
   if (queue_.empty()) {
     if (net->TraceActive()) {
       // No packet waits, so no completion event will record the transmit.
-      FlightEvent e = MakePacketEvent(tx_end_, FlightEventType::kTransmit, *pkt, owner_, this);
-      e.c = 0;
-      net->flight().Defer(e, busy_since_, tx_seq_);
+      FlightEvent* e = net->flight().Defer(tx_end_, busy_since_, tx_seq_);
+      *e = MakePacketEvent(tx_end_, FlightEventType::kTransmit, *pkt, owner_, this);
+      e->c = 0;
     }
   } else {
     ScheduleCompletion(nullptr);

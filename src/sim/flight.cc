@@ -181,37 +181,33 @@ void FlightRecorder::set_scheduler(const Scheduler* scheduler) {
   scheduler_ = scheduler;
 }
 
-bool FlightRecorder::FiresAfter(const Deferred& a, const Deferred& b) {
-  return KeyBefore(EventKey{b.event.time, EventLead(b.event.time, b.born), b.seq},
-                   EventKey{a.event.time, EventLead(a.event.time, a.born), a.seq});
-}
-
-void FlightRecorder::Defer(const FlightEvent& e, TimeNs born, uint64_t seq) {
+FlightEvent* FlightRecorder::Defer(TimeNs time, TimeNs born, uint64_t seq) {
   TFC_DCHECK(armed_ && scheduler_ != nullptr);
-  deferred_.push_back(Deferred{born, seq, e});
-  std::push_heap(deferred_.begin(), deferred_.end(), FiresAfter);
-}
-
-void FlightRecorder::Withdraw(uint64_t seq) {
-  const auto it = std::find_if(deferred_.begin(), deferred_.end(),
-                               [seq](const Deferred& d) { return d.seq == seq; });
-  if (it == deferred_.end()) {
-    return;
-  }
-  *it = deferred_.back();
-  deferred_.pop_back();
-  std::make_heap(deferred_.begin(), deferred_.end(), FiresAfter);
-}
-
-void FlightRecorder::SettleDue() const {
-  while (!deferred_.empty()) {
-    const Deferred& first = deferred_.front();
-    if (!scheduler_->Passed(first.event.time, first.born, first.seq)) {
-      return;
+  // std::push_heap's sift-up, with the new record placed once, where it
+  // ends up: the caller's fill is then not copied back out while its
+  // stores are still in flight.
+  const EventKey key{time, EventLead(time, born), seq};
+  size_t hole = deferred_.size();
+  deferred_.emplace_back();
+  while (hole > 0) {
+    const size_t parent = (hole - 1) / 2;
+    if (!KeyBefore(key, deferred_[parent].key)) {
+      break;
     }
-    std::pop_heap(deferred_.begin(), deferred_.end(), FiresAfter);
-    ring_[static_cast<size_t>(recorded_) & mask_] = deferred_.back().event;
-    ++recorded_;
+    deferred_[hole] = deferred_[parent];
+    hole = parent;
+  }
+  deferred_[hole].key = key;
+  return &deferred_[hole].event;
+}
+
+void FlightRecorder::SettleDue(uint64_t drop) const {
+  while (!deferred_.empty() && scheduler_->Passed(deferred_.front().key)) {
+    if (deferred_.front().key.seq != drop) {
+      ring_[static_cast<size_t>(recorded_) & mask_] = deferred_.front().event;
+      ++recorded_;
+    }
+    std::pop_heap(deferred_.begin(), deferred_.end(), FiresAfter{});
     deferred_.pop_back();
   }
 }

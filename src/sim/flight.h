@@ -214,12 +214,16 @@ class FlightRecorder {
     return slot;
   }
 
-  // Holds `e` back until event order passes the key (e.time, born, seq),
-  // then appends it (see the file comment). Callers check armed() first.
-  void Defer(const FlightEvent& e, TimeNs born, uint64_t seq);
-  // Drops the record deferred under `seq`, if it is still held back: its
-  // completion event runs after all and records the transmit itself.
-  void Withdraw(uint64_t seq);
+  // Claims a record held back until event order passes the key (time,
+  // born, seq), then appended (see the file comment). Like Append(), the
+  // caller fills the returned slot in place, with `time` as its stamp,
+  // before the next call into the recorder. Callers check armed() first.
+  FlightEvent* Defer(TimeNs time, TimeNs born, uint64_t seq);
+  // Called by the completion event that runs after all under a deferred
+  // record's key (its seq is `seq`): drops that record, if one was
+  // deferred, so the event records the transmit itself. Records deferred
+  // under earlier keys enter the ring first.
+  void Withdraw(uint64_t seq) { SettleDue(seq); }
 
   // Visits the live window oldest-first (time order: appends are stamped
   // with the monotone scheduler clock).
@@ -252,26 +256,29 @@ class FlightRecorder {
   // A record held back under the key of a completion event that does not
   // run.
   struct Deferred {
-    TimeNs born;
-    uint64_t seq;
+    EventKey key;
     FlightEvent event;
   };
   // deferred_'s heap order: the std heap functions keep the greatest
   // element first, so ordering by "fires after" keeps the earliest key
   // there.
-  static bool FiresAfter(const Deferred& a, const Deferred& b);
+  struct FiresAfter {
+    bool operator()(const Deferred& a, const Deferred& b) const {
+      return KeyBefore(b.key, a.key);
+    }
+  };
 
   // Appends, in key order, every deferred record whose key has passed.
   // Logically const: the ring then reads as if those records had been
   // appended when their keys passed.
   void Settle() const {
-    if (!deferred_.empty() && scheduler_->Passed(deferred_.front().event.time,
-                                                 deferred_.front().born,
-                                                 deferred_.front().seq)) {
-      SettleDue();
+    if (!deferred_.empty() && scheduler_->Passed(deferred_.front().key)) {
+      SettleDue(0);
     }
   }
-  void SettleDue() const;
+  // Settle()'s loop; the record deferred under `drop` is discarded instead
+  // (0, which no reserved seq is, discards nothing).
+  void SettleDue(uint64_t drop) const;
 
   // Settle() appends to the ring from const readers, hence mutable.
   mutable std::vector<FlightEvent> ring_;

@@ -83,8 +83,9 @@ class Scheduler {
   // events, of the last one dispatched). After RunUntil(t) returns without
   // Stop(), every key at a time <= t has passed.
   bool Passed(TimeNs t, TimeNs born, uint64_t seq) const {
-    return !KeyBefore(cur_, EventKey{t, EventLead(t, born), seq});
+    return Passed(EventKey{t, EventLead(t, born), seq});
   }
+  bool Passed(const EventKey& key) const { return !KeyBefore(cur_, key); }
 
   // Schedules `cb` to run `delay` nanoseconds from now (delay >= 0).
   template <typename F>

@@ -97,6 +97,50 @@ TEST(FlightRecorderTest, RearmingClearsTheRing) {
   EXPECT_EQ(rec.recorded(), 0u);
 }
 
+// A deferred record enters the ring where an event under its key would
+// have recorded it: after the records of events keyed before it, before
+// those keyed after it, and not before its key passes. Withdraw, called by
+// the event that runs under a deferred record's key after all, drops only
+// that record; records deferred under earlier keys still enter first.
+TEST(FlightRecorderTest, DeferredRecordsEnterInEventOrder) {
+  Scheduler sched;
+  FlightRecorder rec;
+  rec.set_scheduler(&sched);
+  rec.Arm(64);
+  const auto record_at = [&](int64_t t, int32_t a) {
+    sched.ScheduleAt(t, [&rec, t, a] { rec.Record(Ev(t, FlightEventType::kTokenGrant, 0, a)); });
+  };
+  const auto defer = [&rec](int64_t t, uint64_t seq, int32_t a) {
+    *rec.Defer(t, 10, seq) = Ev(t, FlightEventType::kTransmit, 0, a);
+  };
+  record_at(20, 1);  // born 0: before everything born at 10
+  sched.ScheduleAt(10, [&] {
+    const uint64_t s30 = sched.ReserveSeq();
+    const uint64_t s20 = sched.ReserveSeq();
+    const uint64_t withdrawn = sched.ReserveSeq();
+    defer(30, s30, 3);
+    defer(20, s20, 2);
+    defer(30, withdrawn, 99);
+    record_at(20, 4);  // born 10, numbered after s20
+    record_at(30, 6);
+    sched.ScheduleKeyed(30, 10, withdrawn, [&rec, withdrawn] {
+      rec.Withdraw(withdrawn);
+      rec.Record(Ev(30, FlightEventType::kTransmit, 0, 5));
+    });
+  });
+  const auto seen = [&rec] {
+    std::vector<int32_t> a;
+    rec.ForEach([&a](const FlightEvent& e) { a.push_back(e.a); });
+    return a;
+  };
+  sched.RunUntil(25);
+  EXPECT_EQ(seen(), (std::vector<int32_t>{1, 2, 4}));
+  EXPECT_EQ(rec.size(), 3u);
+  sched.Run();
+  EXPECT_EQ(seen(), (std::vector<int32_t>{1, 2, 4, 3, 5, 6}));
+  EXPECT_EQ(rec.recorded(), 6u);
+}
+
 TEST(FlightRecorderTest, DumpLoadRoundTripPreservesEverything) {
   FlightRecorder rec;
   rec.Arm(64);

@@ -164,11 +164,12 @@ class Port {
   void set_fault_injector(FaultInjector* injector);
   FaultInjector* fault_injector() const { return fault_; }
 
-  // Schedules delivery of `pkt`, the frame that last finished serializing
-  // here (or a copy of it), to the peer node after this link's propagation
-  // delay plus `extra_delay` (the fault injector's reordering lever). The
-  // first and second call for one frame take consecutive places in event
-  // order. Exposed for the injector; everything else goes through Enqueue.
+  // Schedules delivery of `pkt`, the frame on the wire here (or a copy of
+  // it), to the peer node at the end of its serialization plus this link's
+  // propagation delay plus `extra_delay` (the fault injector's reordering
+  // lever). The first and second call for one frame take consecutive places
+  // in event order. Exposed for the injector; everything else goes through
+  // Enqueue.
   void DeliverToPeer(PacketPtr pkt, TimeNs extra_delay);
 
   // --- accessors ---

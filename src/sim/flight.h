@@ -193,8 +193,9 @@ class FlightRecorder {
                : ring_.size();
   }
 
-  // Hot path: one predictable branch when disarmed; when armed, one masked
-  // store and one increment. No allocation, no lookups, no I/O.
+  // Hot path: one predictable branch when disarmed; when armed, the settle
+  // check (deferred records due by now go first), one masked store and one
+  // increment. No allocation, no lookups, no I/O.
   void Record(const FlightEvent& e) {
     if (!armed_) {
       return;

@@ -72,11 +72,6 @@ void Network::AuditTick() {
   scheduler_.ScheduleDaemonAfter(audit_period_, [this] { AuditTick(); });
 }
 
-void Network::EmitFlight(FlightEvent event) {
-  event.time = scheduler_.now();
-  flight_.Record(event);
-}
-
 std::string_view Network::NodeName(int id) const {
   return id >= 0 && id < num_nodes()
              ? std::string_view(nodes_[static_cast<size_t>(id)]->name())

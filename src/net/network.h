@@ -101,16 +101,26 @@ class Network {
   // Fills the fixed-width record straight into the claimed ring slot
   // (inline MakePacketEvent, no intermediate copy). Inline so the
   // bench-gated armed cost stays call-free.
-  void EmitTrace(FlightEventType type, const Packet& pkt, const Node* node,
-                 const Port* port) {
+  [[gnu::always_inline]] void EmitTrace(FlightEventType type, const Packet& pkt,
+                                        const Node* node, const Port* port) {
     if (!flight_.armed()) {
       return;
     }
-    *flight_.Append() = MakePacketEvent(scheduler_.now(), type, pkt, node, port);
+    const TimeNs now = scheduler_.now();
+    *flight_.Append(now) = MakePacketEvent(now, type, pkt, node, port);
   }
   // Records a pre-built control-plane event, stamping the current sim time.
-  // Call sites gate on TraceActive() before building the event.
-  void EmitFlight(FlightEvent event);
+  // Call sites gate on TraceActive() before building the event. Inline so
+  // the event is built straight into the claimed slot.
+  void EmitFlight(const FlightEvent& event) {
+    if (!flight_.armed()) {
+      return;
+    }
+    const TimeNs now = scheduler_.now();
+    FlightEvent* slot = flight_.Append(now);
+    *slot = event;
+    slot->time = now;
+  }
 
   // Resolves an interned node id to its name; empty for unknown ids.
   std::string_view NodeName(int id) const;

@@ -168,7 +168,8 @@ void FlightRecorder::Arm(size_t capacity) {
 
 void FlightRecorder::Disarm() {
   Settle();
-  deferred_.clear();
+  deferred_count_ = 0;
+  due_ = kNothingDue;
   armed_ = false;
   DisarmPostMortem();
 }
@@ -176,40 +177,66 @@ void FlightRecorder::Disarm() {
 void FlightRecorder::set_scheduler(const Scheduler* scheduler) {
   if (scheduler == nullptr) {
     Settle();
-    deferred_.clear();
+    deferred_count_ = 0;
+    due_ = kNothingDue;
   }
-  scheduler_ = scheduler;
+  clock_ = scheduler != nullptr ? &scheduler->current_key() : &kNoScheduler;
 }
 
 FlightEvent* FlightRecorder::Defer(TimeNs time, TimeNs born, uint64_t seq) {
-  TFC_DCHECK(armed_ && scheduler_ != nullptr);
-  // std::push_heap's sift-up, with the new record placed once, where it
-  // ends up: the caller's fill is then not copied back out while its
-  // stores are still in flight.
-  const EventKey key{time, EventLead(time, born), seq};
-  size_t hole = deferred_.size();
-  deferred_.emplace_back();
-  while (hole > 0) {
-    const size_t parent = (hole - 1) / 2;
-    if (!KeyBefore(key, deferred_[parent].key)) {
+  TFC_DCHECK(armed_ && clock_ != &kNoScheduler);
+  if (deferred_count_ == deferred_.size()) {
+    GrowDeferred();
+  }
+  // Walk back from the newest record to the new key's place. The record is
+  // placed once, where it ends up, so the caller's fill is not copied out
+  // again while its stores are in flight.
+  Deferred* const slots = deferred_.data();
+  const size_t mask = deferred_.size() - 1;
+  const size_t head = deferred_head_;
+  size_t i = deferred_count_++;
+  for (; i > 0; --i) {
+    const Deferred& prev = slots[(head + i - 1) & mask];
+    if (prev.key.time < time || (prev.key.time == time && prev.key.seq < seq)) {
       break;
     }
-    deferred_[hole] = deferred_[parent];
-    hole = parent;
+    slots[(head + i) & mask] = prev;
   }
-  deferred_[hole].key = key;
-  return &deferred_[hole].event;
+  Deferred& slot = slots[(head + i) & mask];
+  slot.key = EventKey{time, EventLead(time, born), seq};
+  if (i == 0) {
+    due_ = time;
+  }
+  return &slot.event;
+}
+
+void FlightRecorder::GrowDeferred() {
+  std::vector<Deferred> grown(std::max(kDeferredSlots, 2 * deferred_.size()));
+  for (size_t i = 0; i < deferred_count_; ++i) {
+    grown[i] = deferred_[(deferred_head_ + i) & (deferred_.size() - 1)];
+  }
+  deferred_.swap(grown);
+  deferred_head_ = 0;
 }
 
 void FlightRecorder::SettleDue(uint64_t drop) const {
-  while (!deferred_.empty() && scheduler_->Passed(deferred_.front().key)) {
-    if (deferred_.front().key.seq != drop) {
-      ring_[static_cast<size_t>(recorded_) & mask_] = deferred_.front().event;
-      ++recorded_;
+  const Deferred* const slots = deferred_.data();
+  const size_t mask = deferred_.size() - 1;
+  const EventKey now = *clock_;
+  size_t head = deferred_head_;
+  size_t count = deferred_count_;
+  uint64_t recorded = recorded_;
+  for (; count > 0 && !KeyBefore(now, slots[head].key); --count) {
+    if (slots[head].key.seq != drop) {
+      ring_[static_cast<size_t>(recorded) & mask_] = slots[head].event;
+      ++recorded;
     }
-    std::pop_heap(deferred_.begin(), deferred_.end(), FiresAfter{});
-    deferred_.pop_back();
+    head = (head + 1) & mask;
   }
+  deferred_head_ = head;
+  deferred_count_ = count;
+  recorded_ = recorded;
+  due_ = count > 0 ? slots[head].key.time : kNothingDue;
 }
 
 bool FlightRecorder::Dump(const std::string& path,

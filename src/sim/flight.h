@@ -193,32 +193,35 @@ class FlightRecorder {
                : ring_.size();
   }
 
-  // Hot path: one predictable branch when disarmed; when armed, the settle
-  // check (deferred records due by now go first), one masked store and one
-  // increment. No allocation, no lookups, no I/O.
+  // Hot path: one predictable branch when disarmed; when armed, one time
+  // compare (a deferred record may be due: settle it first, out of line),
+  // one masked store and one increment. No allocation, no lookups, no I/O.
   void Record(const FlightEvent& e) {
     if (!armed_) {
       return;
     }
-    Settle();
-    ring_[static_cast<size_t>(recorded_) & mask_] = e;
-    ++recorded_;
+    *Append(clock_->time) = e;
   }
 
   // Armed-only variant for the per-packet fast path: claims the next slot
   // so the caller fills the record in place instead of copying 40 bytes
-  // through a local. Callers must check armed() first.
-  FlightEvent* Append() {
-    Settle();
+  // through a local. `now` is the scheduler's clock, which the caller
+  // stamps the record with anyway. Callers must check armed() first.
+  FlightEvent* Append(TimeNs now) {
+    if (due_ <= now) {
+      SettleDue(0);
+    }
     FlightEvent* slot = &ring_[static_cast<size_t>(recorded_) & mask_];
     ++recorded_;
     return slot;
   }
 
   // Claims a record held back until event order passes the key (time,
-  // born, seq), then appended (see the file comment). Like Append(), the
-  // caller fills the returned slot in place, with `time` as its stamp,
-  // before the next call into the recorder. Callers check armed() first.
+  // born, seq), then appended (see the file comment). `seq` must have been
+  // reserved at `born` (Scheduler::ReserveSeq), so deferred keys order by
+  // (time, seq) alone. Like Append(), the caller fills the returned slot
+  // in place, with `time` as its stamp, before the next call into the
+  // recorder. Callers check armed() first.
   FlightEvent* Defer(TimeNs time, TimeNs born, uint64_t seq);
   // Called by the completion event that runs after all under a deferred
   // record's key (its seq is `seq`): drops that record, if one was
@@ -254,39 +257,51 @@ class FlightRecorder {
  private:
   friend void DumpArmedFlightRecorders();
 
+  static constexpr TimeNs kNothingDue{std::numeric_limits<int64_t>::max()};
+  static constexpr EventKey kNoScheduler{};
+  // Initial capacity of deferred_: more ports than that rarely have a
+  // frame on the wire at once.
+  static constexpr size_t kDeferredSlots = 64;
+
   // A record held back under the key of a completion event that does not
   // run.
   struct Deferred {
     EventKey key;
     FlightEvent event;
   };
-  // deferred_'s heap order: the std heap functions keep the greatest
-  // element first, so ordering by "fires after" keeps the earliest key
-  // there.
-  struct FiresAfter {
-    bool operator()(const Deferred& a, const Deferred& b) const {
-      return KeyBefore(b.key, a.key);
-    }
-  };
 
   // Appends, in key order, every deferred record whose key has passed.
   // Logically const: the ring then reads as if those records had been
   // appended when their keys passed.
   void Settle() const {
-    if (!deferred_.empty() && scheduler_->Passed(deferred_.front().key)) {
+    if (due_ <= clock_->time) {
       SettleDue(0);
     }
   }
-  // Settle()'s loop; the record deferred under `drop` is discarded instead
-  // (0, which no reserved seq is, discards nothing).
+  // Settle()'s loop, kept out of line so the armed append stays small; the
+  // record deferred under `drop` is discarded instead (0, which no
+  // reserved seq is, discards nothing).
   void SettleDue(uint64_t drop) const;
+  // Doubles deferred_'s capacity, keeping its records in key order.
+  void GrowDeferred();
 
   // Settle() appends to the ring from const readers, hence mutable.
   mutable std::vector<FlightEvent> ring_;
   size_t mask_ = 0;
   mutable uint64_t recorded_ = 0;
-  mutable std::vector<Deferred> deferred_;  // heap, earliest key at front
-  const Scheduler* scheduler_ = nullptr;
+  // Deferred records in key order, in a ring of power-of-two size: keys
+  // arrive nearly in order, so Defer inserts by a short walk back from the
+  // newest and a settle takes the oldest from the front. About one waits
+  // per port with a frame on the wire.
+  mutable std::vector<Deferred> deferred_;
+  mutable size_t deferred_head_ = 0;
+  mutable size_t deferred_count_ = 0;
+  // Time of the earliest deferred key, the largest time when none waits:
+  // the only field the append reads to know that nothing is due.
+  mutable TimeNs due_ = kNothingDue;
+  // Key of the event the scheduler is dispatching (kNoScheduler without
+  // one).
+  const EventKey* clock_ = &kNoScheduler;
   bool armed_ = false;
   std::string post_mortem_path_;
   std::vector<std::string> post_mortem_names_;

@@ -83,9 +83,12 @@ class Scheduler {
   // events, of the last one dispatched). After RunUntil(t) returns without
   // Stop(), every key at a time <= t has passed.
   bool Passed(TimeNs t, TimeNs born, uint64_t seq) const {
-    return Passed(EventKey{t, EventLead(t, born), seq});
+    return !KeyBefore(cur_, EventKey{t, EventLead(t, born), seq});
   }
-  bool Passed(const EventKey& key) const { return !KeyBefore(cur_, key); }
+
+  // The key Passed() compares with. It lives as long as the scheduler, so
+  // a reader that checks keys on every call may keep a pointer to it.
+  const EventKey& current_key() const { return cur_; }
 
   // Schedules `cb` to run `delay` nanoseconds from now (delay >= 0).
   template <typename F>

@@ -58,11 +58,13 @@ Rules enforced (see docs/correctness.md):
                   std::map / unordered_map, no string-keyed lookups, no
                   stream I/O; cold helpers like RebuildPlan and
                   SeriesLog::Write do that work), the flight-recorder
-                  ring append (FlightRecorder::Record in src/sim/flight.h —
-                  a masked store, so additionally no allocation or container
+                  ring append (FlightRecorder::Record and Append in
+                  src/sim/flight.h, and the settle of deferred records,
+                  FlightRecorder::SettleDue in src/sim/flight.cc — masked
+                  stores, so additionally no allocation or container
                   growth), and the trace emission path (Network::EmitTrace
-                  in src/net/network.h — a gate branch plus an inline record
-                  fill). Suppress with
+                  and EmitFlight in src/net/network.h — a gate branch plus
+                  an inline record fill). Suppress with
                   `// lint:allow recorder-hot`.
 
 Every rule here has this file as its only owner; tools/astlint.py carries
@@ -202,8 +204,15 @@ RECORDER_HOT_SCOPES = [
         "the ring append is a masked store; do setup work in Arm()",
     ),
     (
+        "src/sim/flight.cc",
+        re.compile(r"\bFlightRecorder::SettleDue\s*\("),
+        RECORDER_HOT_APPEND_BAN_RE,
+        "a settle moves due deferred records to the ring; Defer grows the "
+        "array, rarely",
+    ),
+    (
         "src/net/network.h",
-        re.compile(r"\bvoid\s+EmitTrace\s*\("),
+        re.compile(r"\bvoid\s+(?:EmitTrace|EmitFlight)\s*\("),
         RECORDER_HOT_APPEND_BAN_RE,
         "the emission gate is one branch and the armed fill is direct "
         "stores; batch-format offline instead",

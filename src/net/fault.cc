@@ -146,6 +146,10 @@ bool FaultSpec::Parse(const std::string& text, FaultSpec* out, std::string* erro
     *error = "fault-spec: 'reorder' needs 'reorder_delay' > 0";
     return false;
   }
+  if (spec.profile.reorder_max_delay > Port::kMaxDelay) {
+    *error = "fault-spec: 'reorder_delay' must be at most 2s";
+    return false;
+  }
   *out = spec;
   return true;
 }
@@ -211,6 +215,7 @@ FaultInjector::PortState& FaultInjector::State(Port* port) {
 }
 
 void FaultInjector::Attach(Port* port, const FaultProfile& profile) {
+  TFC_CHECK_LE(profile.reorder_max_delay, Port::kMaxDelay);
   PortState& st = State(port);
   st.profile = profile;
   st.attached = true;

@@ -78,7 +78,8 @@ struct FaultProfile {
 //   drop=0.01,ge=0.02/0.3/0.5,reorder=0.005,reorder_delay=20us,
 //   flap=5ms/500us,wipe=10ms,host_down=4ms+1ms,start=1ms,stop=50ms,seed=7
 //
-// Keys: drop, dup, reorder (probabilities), reorder_delay (duration),
+// Keys: drop, dup, reorder (probabilities), reorder_delay (duration, at
+// most 2s: Port::kMaxDelay),
 // ge=ENTER/EXIT/DROPBAD, flap=MEANUP/MEANDOWN (one random inter-switch
 // link flaps with exponential dwell times), wipe=PERIOD (round-robin agent
 // wipes across switch ports), host_down=AT+FOR (one random host crashes at

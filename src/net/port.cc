@@ -16,6 +16,8 @@ Port::Port(Scheduler* scheduler, Node* owner, int index)
 void Port::Connect(Port* peer_port, BitsPerSec bps, TimeNs prop_delay) {
   TFC_CHECK_EQ(peer_port_, nullptr);
   TFC_CHECK_GT(bps.count(), 0u);
+  TFC_CHECK_GE(prop_delay, TimeNs(0));
+  TFC_CHECK_LE(prop_delay, kMaxDelay);
   peer_port_ = peer_port;
   peer_node_ = peer_port->owner();
   bps_ = bps;

@@ -134,12 +134,20 @@ class PacketFifo {
 
 class Port {
  public:
+  // Largest link propagation delay, and largest extra delay a fault
+  // injector adds to a delivery. A delivery is keyed with its lead, the
+  // time from the end of serialization to its arrival, which must stay
+  // below kMaxEventLead (about 4.29 s); two of these fit.
+  static constexpr TimeNs kMaxDelay = 2 * kSecond;
+  static_assert(2 * kMaxDelay < TimeNs(kMaxEventLead));
+
   Port(Scheduler* scheduler, Node* owner, int index);
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
   // Wires this port to `peer_port`'s owner over a link with the given rate
-  // and one-way propagation delay. Called once by Network::Link.
+  // and one-way propagation delay (at most kMaxDelay). Called once by
+  // Network::Link.
   void Connect(Port* peer_port, BitsPerSec bps, TimeNs prop_delay);
 
   // Enqueues for transmission; drops (tail) if the buffer is full. Runs the

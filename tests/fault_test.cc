@@ -576,6 +576,9 @@ TEST(FaultSpecTest, RejectsMalformedInput) {
       {"reorder_delay=nan", "reorder_delay"},
       {"reorder_delay=inf", "reorder_delay"},
       {"reorder_delay=9223372036854775808", "reorder_delay"},
+      // A delivery's lead must fit an event key: at most Port::kMaxDelay.
+      {"reorder=1,reorder_delay=5s", "reorder_delay"},
+      {"reorder_delay=2000000001", "reorder_delay"},
       {"flap=nan/1ms", "flap"},
       {"flap=1ms/infus", "flap"},
       {"flap=1e300s/1ms", "flap"},

@@ -278,6 +278,18 @@ TEST(PortTest, ReadersAndArrivalsAtTheEndOfSerializationSeeTheCompletionsOrder) 
   EXPECT_EQ(sink.arrival_times[1], 2 * end + Microseconds(5));
 }
 
+// A delivery's key holds the time from the end of serialization to its
+// arrival, so a link's propagation delay is bounded where the link is
+// made, not where the first delivery would overflow the key.
+TEST(PortTest, RejectsALinkDelayPastTheBound) {
+  Network net;
+  Host* a = net.AddHost("a");
+  Host* b = net.AddHost("b");
+  net.Link(a, b, kGbps, Port::kMaxDelay);  // the bound itself is fine
+  Host* c = net.AddHost("c");
+  EXPECT_DEATH(net.Link(a, c, kGbps, Port::kMaxDelay + 1), "prop_delay <= kMaxDelay");
+}
+
 TEST(RoutingTest, TestbedShortestPaths) {
   Network net;
   TestbedTopology topo = BuildTestbed(net);

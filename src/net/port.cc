@@ -189,7 +189,11 @@ void Port::DeliverToPeer(PacketPtr pkt, TimeNs extra_delay) {
   // owner. The Network owns nodes and ports for the whole simulation
   // lifetime. The key is the one the frame's completion would have given
   // it: born at the end of serialization, after every ordinary event born
-  // then, in transmission order.
+  // then, in transmission order. That includes the next frame's
+  // completion when the completion that ends this frame starts it: if
+  // the two fall on one instant, that completion runs first, where the
+  // per-hop port ran the delivery first (docs/correctness.md, "Event
+  // order").
   TFC_DCHECK(tx_deliveries_ < 2);
   const uint64_t seq = kDeliverySeq | (tx_seq_ << 1) | tx_deliveries_++;
   tx_delivery_ = scheduler_->ScheduleKeyed(

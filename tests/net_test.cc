@@ -278,6 +278,53 @@ TEST(PortTest, ReadersAndArrivalsAtTheEndOfSerializationSeeTheCompletionsOrder) 
   EXPECT_EQ(sink.arrival_times[1], 2 * end + Microseconds(5));
 }
 
+// The tie docs/correctness.md ("Event order") documents as not exact, in
+// the form the port itself makes: three 1,518-wire-byte frames queue at
+// once on a 1 Gbps link whose propagation delay equals their
+// serialization time, 12,144 ns. The completion that ends frame 1 starts
+// frame 2, whose completion is then due at 24,288 ns, the instant frame
+// 1 reaches the peer. A per-hop completion event scheduled frame 1's
+// delivery before it started frame 2, so the delivery ran first; here
+// frame 2's completion runs first, because every ordinary event born at
+// an instant sorts before the deliveries born then.
+TEST(PortTest, NextFramesCompletionAtThePredecessorsDeliveryInstantRunsFirst) {
+  Network net;
+  Host* a = net.AddHost("a");
+  Host* b = net.AddHost("b");
+  const TimeNs ser = 12'144;
+  net.Link(a, b, kGbps, ser);
+  net.BuildRoutes();
+  SinkEndpoint sink(&net.scheduler());
+  b->RegisterEndpoint(1, &sink);
+  net.flight().Arm(64);
+
+  Port* nic = a->nic();
+  constexpr uint32_t kPayload = 1518 - kHeaderBytes - kWireOverheadBytes;
+  ASSERT_EQ(nic->SerializationTime(Bytes(1518)), ser);
+  for (uint64_t seq = 1; seq <= 3; ++seq) {
+    PacketPtr pkt = MakeData(net, 1, a->id(), b->id(), kPayload);
+    pkt->seq = seq;
+    nic->Enqueue(std::move(pkt));
+  }
+  net.scheduler().Run();
+
+  // The records at 24,288 ns, in ring (event) order.
+  std::vector<std::pair<FlightEventType, uint64_t>> at;
+  net.flight().ForEach([&](const FlightEvent& e) {
+    if (e.time == 2 * ser) {
+      at.emplace_back(e.type, e.seq);
+    }
+  });
+  const std::vector<std::pair<FlightEventType, uint64_t>> want = {
+      {FlightEventType::kTransmit, 2},  // frame 2's completion
+      {FlightEventType::kDeliver, 1},   // then frame 1's delivery
+  };
+  EXPECT_EQ(at, want);
+  ASSERT_EQ(sink.arrival_times.size(), 3u);
+  EXPECT_EQ(sink.arrival_times[0], 2 * ser);
+  EXPECT_EQ(sink.arrival_times[2], 4 * ser);
+}
+
 // A delivery's key holds the time from the end of serialization to its
 // arrival, so a link's propagation delay is bounded where the link is
 // made, not where the first delivery would overflow the key.

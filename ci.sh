@@ -252,36 +252,35 @@ leg_sweep() {
 }
 
 # Benchmark outcome gate (perfbench/README.md): the benchmark's own smoke
-# test, then a short end-to-end run of every BENCHMARK.json workload at two
-# recorded seeds. Each
+# test, then a short end-to-end run of every BENCHMARK.json workload at one
+# recorded seed. Each
 # repetition's simulated outcome is checked against perfbench/reference.json
 # (exact statistics for recorded seeds) and its invariants, so a core change
 # that alters what a Fig. 15/16-scale run computes fails here. Timings are
 # not gated.
 leg_perfbench() {
-  echo "=== [perfbench] smoke test + outcome check per workload ==="
+  echo "=== [perfbench] smoke test + one timed run per workload ==="
   python3 perfbench/smoke_test.py
-  # Seeds 0 and 20 are the first and last that reference.json records
-  # (network seeds 0-3 and 1280-1283); websearch360_dctcp's outcome
-  # depends on the seed, so each one checks different traffic.
-  local seed workload result
-  for seed in 0 20; do
-    for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
-      echo "--- [perfbench] ${workload} --seed ${seed} ---"
-      result=$(python3 perfbench/run.py --workload "${workload}" --seed "${seed}" --seconds 3 --trace 0 | tail -n 1)
-      echo "${result}"
-      python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}" || {
-        echo "perfbench: ${workload} at seed ${seed} failed its outcome check" >&2; return 1; }
-    done
+  # One short run.py run per workload at seed 0: run.py's own timing and
+  # reporting path end to end. The outcomes leg checks every recorded
+  # outcome, this seed's included.
+  local workload result
+  for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    echo "--- [perfbench] ${workload} --seed 0 ---"
+    result=$(python3 perfbench/run.py --workload "${workload}" --seed 0 --seconds 3 --trace 0 | tail -n 1)
+    echo "${result}"
+    python3 -c 'import json, sys; r = json.loads(sys.argv[1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "${result}" || {
+      echo "perfbench: ${workload} at seed 0 failed its outcome check" >&2; return 1; }
   done
-  echo "perfbench: every workload correct at both seeds, 0 failed"
+  echo "perfbench: every workload correct, 0 failed"
 }
 
 # Every simulated outcome perfbench/reference.json records: 84 full-scale
 # and 4 tiny network seeds per workload, 264 driver runs, one process per
 # core, each checked by run.py's own check_outcome. It reads perfbench/
 # and writes nothing there. A speed-only change to the simulator proves
-# all of them with this one leg; the perfbench leg checks two seeds.
+# all of them with this one leg; the perfbench leg only runs run.py itself
+# once per workload.
 leg_outcomes() {
   echo "=== [outcomes] every recorded perfbench outcome ==="
   python3 tools/check_outcomes.py

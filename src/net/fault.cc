@@ -356,7 +356,8 @@ void FaultInjector::WipeAgentNow(Port* port) {
   for (PacketPtr& pkt : lost) {
     ++wiped_parked_acks_;
     ++drops_;
-    net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port);
+    net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port,
+                    port->queue_bytes());
     pkt.reset();
   }
 }
@@ -446,7 +447,7 @@ void FaultInjector::ApplySpec(const FaultSpec& spec) {
 
 void FaultInjector::Destroy(Port* port, PacketPtr pkt) {
   ++drops_;
-  net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port);
+  net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port, port->queue_bytes());
   pkt.reset();
 }
 

@@ -22,17 +22,17 @@ void Host::Receive(PacketPtr pkt, Port* ingress) {
   if (down_) {
     // Crashed host: the NIC is dead, the packet is lost on arrival.
     ++down_drops_;
-    network_->EmitTrace(FlightEventType::kFaultDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kFaultDrop, *pkt, this, nullptr, 0);  // lint:allow packet-drop
     return;
   }
-  network_->EmitTrace(FlightEventType::kDeliver, *pkt, this, nullptr);
+  network_->EmitTrace(FlightEventType::kDeliver, *pkt, this, nullptr, 0);
   Endpoint* ep = network_->endpoints().Find(pkt->flow_id, id_);
   if (ep == nullptr) {
     // Packet for a finished/unknown flow (e.g. a retransmitted FIN's ACK
     // arriving after teardown): account and trace the drop so post-teardown
     // traffic is observable, then destroy it.
     ++unroutable_;
-    network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr, 0);  // lint:allow packet-drop
     return;
   }
   ep->OnReceive(std::move(pkt));
@@ -42,7 +42,7 @@ void Host::Send(PacketPtr pkt) {
   TFC_CHECK(!ports_.empty());
   if (down_) {
     ++down_drops_;
-    network_->EmitTrace(FlightEventType::kFaultDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kFaultDrop, *pkt, this, nullptr, 0);  // lint:allow packet-drop
     return;
   }
   Scheduler& sched = network_->scheduler();

@@ -7,7 +7,6 @@
 namespace tfc {
 
 Network::Network(uint64_t seed) : rng_(seed) {
-  flight_.set_scheduler(&scheduler_);
   // Built-in audits: the simulator core and net-layer structures. Every
   // component above this layer (TFC port agents, transports) registers its
   // own invariants on top via audit().
@@ -49,9 +48,6 @@ Network::~Network() {
     ++audit_passes_;
     TFC_CHECK_MSG(report.ok(), "teardown " << report.ToString());
   }
-  // The ring outlives the scheduler: settle it while the event order is
-  // still there to ask.
-  flight_.set_scheduler(nullptr);
 }
 
 void Network::EnableAudit(TimeNs period) {

@@ -99,15 +99,16 @@ class Network {
   // its event construction on this.
   bool TraceActive() const { return flight_.armed(); }
   // Fills the fixed-width record straight into the claimed ring slot
-  // (inline MakePacketEvent, no intermediate copy). Inline so the
-  // bench-gated armed cost stays call-free.
+  // (inline MakePacketEvent, no intermediate copy). `queue` is the port's
+  // queue bytes after the event, as its caller holds them (0 for a
+  // node-level event). Inline so the bench-gated armed cost stays
+  // call-free.
   [[gnu::always_inline]] void EmitTrace(FlightEventType type, const Packet& pkt,
-                                        const Node* node, const Port* port) {
+                                        const Node* node, const Port* port, Bytes queue) {
     if (!flight_.armed()) {
       return;
     }
-    const TimeNs now = scheduler_.now();
-    *flight_.Append(now) = MakePacketEvent(now, type, pkt, node, port);
+    *flight_.Append() = MakePacketEvent(scheduler_.now(), type, pkt, node, port, queue);
   }
   // Records a pre-built control-plane event, stamping the current sim time.
   // Call sites gate on TraceActive() before building the event. Inline so
@@ -116,10 +117,9 @@ class Network {
     if (!flight_.armed()) {
       return;
     }
-    const TimeNs now = scheduler_.now();
-    FlightEvent* slot = flight_.Append(now);
+    FlightEvent* slot = flight_.Append();
     *slot = event;
-    slot->time = now;
+    slot->time = scheduler_.now();
   }
 
   // Resolves an interned node id to its name; empty for unknown ids.

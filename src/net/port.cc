@@ -95,7 +95,7 @@ void Port::Enqueue(PacketPtr pkt) {
   if (queue_bytes_ + frame > buffer_limit_bytes_) {
     ++drops_;
     dropped_bytes_ += frame;
-    owner_->network()->EmitTrace(FlightEventType::kDrop, *pkt, owner_, this);
+    owner_->network()->EmitTrace(FlightEventType::kDrop, *pkt, owner_, this, queue_bytes_);
     return;  // tail drop
   }
   // DCTCP-style instantaneous marking: mark when the queue the packet joins
@@ -108,7 +108,7 @@ void Port::Enqueue(PacketPtr pkt) {
   if (queue_bytes_ > max_queue_bytes_) {
     max_queue_bytes_ = queue_bytes_;
   }
-  owner_->network()->EmitTrace(FlightEventType::kEnqueue, *pkt, owner_, this);
+  owner_->network()->EmitTrace(FlightEventType::kEnqueue, *pkt, owner_, this, queue_bytes_);
   queue_.Push(std::move(pkt));
   if (!busy_) {
     Transmit();
@@ -138,19 +138,13 @@ void Port::Transmit() {
   tx_deliveries_ = 0;
   tx_delivery_ = Scheduler::EventId();
   serialize_site_->AddSim(ser);
+  owner_->network()->EmitTrace(FlightEventType::kTransmit, *pkt, owner_, this,
+                               queue_bytes_ - tx_frame_bytes_);
   if (fault_ != nullptr) {
     ScheduleCompletion(pkt.release());  // the injector sees the frame at its end
     return;
   }
-  Network* net = owner_->network();
-  if (queue_.empty()) {
-    if (net->TraceActive()) {
-      // No packet waits, so no completion event will record the transmit.
-      FlightEvent* e = net->flight().Defer(tx_end_, busy_since_, tx_seq_);
-      *e = MakePacketEvent(tx_end_, FlightEventType::kTransmit, *pkt, owner_, this);
-      e->c = 0;
-    }
-  } else {
+  if (!queue_.empty()) {
     ScheduleCompletion(nullptr);
   }
   DeliverToPeer(std::move(pkt), 0);
@@ -165,11 +159,6 @@ void Port::OnSerialized(PacketPtr frame) {
   TFC_CHECK(busy_);
   tx_completion_ = Scheduler::EventId();
   Retire();
-  Network* net = owner_->network();
-  if (net->TraceActive()) {
-    net->flight().Withdraw(tx_seq_);
-    net->EmitTrace(FlightEventType::kTransmit, *tx_pkt_, owner_, this);
-  }
   // The wire: with an injector attached the packet may be lost, duplicated,
   // or delayed here instead of (or in addition to) the normal delivery.
   if (frame != nullptr) {

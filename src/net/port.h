@@ -250,14 +250,14 @@ class Port {
   // Takes the finished frame off the books: queue bytes, tx counters, busy
   // time.
   void Retire();
-  // Starts serializing the head of the FIFO; the transmitter must be idle.
+  // Starts serializing the head of the FIFO and records its transmit; the
+  // transmitter must be idle.
   void Transmit();
   // Schedules the frame's completion event under the key its start
   // reserved, carrying `frame` when it has not been handed to a delivery.
   void ScheduleCompletion(Packet* frame);
-  // The completion event: retires the frame, records its transmit, hands
-  // `frame` (null once its delivery is scheduled) to the wire and starts
-  // the next packet.
+  // The completion event: retires the frame, hands `frame` (null once its
+  // delivery is scheduled) to the wire and starts the next packet.
   void OnSerialized(PacketPtr frame);
   // The delivery event's handler on the ingress port: hands the packet to
   // this port's owner.

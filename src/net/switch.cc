@@ -40,7 +40,7 @@ void Switch::Forward(PacketPtr pkt) {
   const auto dest = static_cast<size_t>(static_cast<uint32_t>(pkt->dst));
   if (dest >= routes_.size() || routes_[dest].count == 0) {
     ++unroutable_;
-    network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr);  // lint:allow packet-drop
+    network_->EmitTrace(FlightEventType::kDrop, *pkt, this, nullptr, 0);  // lint:allow packet-drop
     return;
   }
   const Route& route = routes_[dest];

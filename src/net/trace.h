@@ -9,8 +9,9 @@
 //   3.021840 + s[NF2]:p2 DATA f=7 seq=14600 len=1460 rm q=3036
 //   ^time(s)  ^event     ^packet                        ^queue after
 //
-// Packet events: '+' enqueue, '-' transmit, 'd' drop, 'r' deliver-to-host,
-// 'x' fault-drop. TFC control-plane events render with a '*' marker and the
+// Packet events: '+' enqueue, '-' transmit (left the queue and started
+// serializing, as ns-2's dequeue), 'd' drop, 'r' deliver-to-host, 'x'
+// fault-drop. TFC control-plane events render with a '*' marker and the
 // event mnemonic:
 //
 //   0.000103 * S:p0 slot_end E=1 token=27500 w=27500 rtt_m=82688 f=1
@@ -36,20 +37,22 @@
 namespace tfc {
 
 // Packs a live packet event into the fixed-width record: a=payload length,
-// b=advertised window (saturated), c=queue bytes after the event (0 when
-// portless), flags=rm/rma/ce bits, ptype=PacketType. Inline: an armed ring
-// pays this per packet event, so the fill must compile down to direct
-// stores (the run_bench.sh armed-ring gate holds the all-in cost to 1.15x).
+// b=advertised window (saturated), c=`queue`, the port's queue bytes after
+// the event as the caller holds them (0 when portless; for a transmit, the
+// bytes still waiting behind the frame), flags=rm/rma/ce bits,
+// ptype=PacketType. Inline: an armed ring pays this per packet event, so
+// the fill must compile down to direct stores (the run_bench.sh armed-ring
+// gate holds the all-in cost to 1.15x).
 inline FlightEvent MakePacketEvent(TimeNs time, FlightEventType type,
                                    const Packet& pkt, const Node* node,
-                                   const Port* port) {
+                                   const Port* port, Bytes queue) {
   FlightEvent e;
   e.time = time;
   e.type = type;
   e.seq = pkt.seq;
   e.a = FlightI32(pkt.payload);
   e.b = FlightI32(pkt.window);
-  e.c = port != nullptr ? FlightI32(port->queue_bytes().count()) : 0;
+  e.c = FlightI32(queue.count());
   e.flow = pkt.flow_id;
   e.node = static_cast<int16_t>(node->id());
   e.port = port != nullptr ? static_cast<int16_t>(port->index())

@@ -1,6 +1,5 @@
 #include "src/sim/flight.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <vector>
@@ -157,9 +156,6 @@ void FlightRecorder::Arm(size_t capacity) {
   while (rounded < capacity) {
     rounded <<= 1;
   }
-  // Records due before the re-arm went to the old ring; the rest are due
-  // after it and go to the new one.
-  Settle();
   ring_.assign(rounded, FlightEvent{});
   mask_ = rounded - 1;
   recorded_ = 0;
@@ -167,82 +163,13 @@ void FlightRecorder::Arm(size_t capacity) {
 }
 
 void FlightRecorder::Disarm() {
-  Settle();
-  deferred_count_ = 0;
-  due_ = kNothingDue;
   armed_ = false;
   DisarmPostMortem();
-}
-
-void FlightRecorder::set_scheduler(const Scheduler* scheduler) {
-  if (scheduler == nullptr) {
-    Settle();
-    deferred_count_ = 0;
-    due_ = kNothingDue;
-  }
-  clock_ = scheduler != nullptr ? &scheduler->current_key() : &kNoScheduler;
-}
-
-FlightEvent* FlightRecorder::Defer(TimeNs time, TimeNs born, uint64_t seq) {
-  TFC_DCHECK(armed_ && clock_ != &kNoScheduler);
-  if (deferred_count_ == deferred_.size()) {
-    GrowDeferred();
-  }
-  // Walk back from the newest record to the new key's place. The record is
-  // placed once, where it ends up, so the caller's fill is not copied out
-  // again while its stores are in flight.
-  Deferred* const slots = deferred_.data();
-  const size_t mask = deferred_.size() - 1;
-  const size_t head = deferred_head_;
-  size_t i = deferred_count_++;
-  for (; i > 0; --i) {
-    const Deferred& prev = slots[(head + i - 1) & mask];
-    if (prev.key.time < time || (prev.key.time == time && prev.key.seq < seq)) {
-      break;
-    }
-    slots[(head + i) & mask] = prev;
-  }
-  Deferred& slot = slots[(head + i) & mask];
-  slot.key = EventKey{time, EventLead(time, born), seq};
-  if (i == 0) {
-    due_ = time;
-  }
-  return &slot.event;
-}
-
-void FlightRecorder::GrowDeferred() {
-  std::vector<Deferred> grown(std::max(kDeferredSlots, 2 * deferred_.size()));
-  for (size_t i = 0; i < deferred_count_; ++i) {
-    grown[i] = deferred_[(deferred_head_ + i) & (deferred_.size() - 1)];
-  }
-  deferred_.swap(grown);
-  deferred_head_ = 0;
-}
-
-void FlightRecorder::SettleDue(uint64_t drop) const {
-  const Deferred* const slots = deferred_.data();
-  const size_t mask = deferred_.size() - 1;
-  const EventKey now = *clock_;
-  size_t head = deferred_head_;
-  size_t count = deferred_count_;
-  uint64_t recorded = recorded_;
-  for (; count > 0 && !KeyBefore(now, slots[head].key); --count) {
-    if (slots[head].key.seq != drop) {
-      ring_[static_cast<size_t>(recorded) & mask_] = slots[head].event;
-      ++recorded;
-    }
-    head = (head + 1) & mask;
-  }
-  deferred_head_ = head;
-  deferred_count_ = count;
-  recorded_ = recorded;
-  due_ = count > 0 ? slots[head].key.time : kNothingDue;
 }
 
 bool FlightRecorder::Dump(const std::string& path,
                           const std::vector<std::string>& node_names,
                           std::string* error) const {
-  Settle();
   std::vector<unsigned char> buf;
   buf.reserve(kTfctHeaderBytes + size() * kTfctRecordBytes);
   for (const char c : kTfctMagic) {

@@ -17,14 +17,9 @@
 // (capacity is rounded up to a power of two), so a long run keeps the most
 // recent `capacity` events.
 //
-// A port whose frame ends serializing without an event of its own builds
-// the frame's transmit record when the frame starts and Defer()s it under
-// the key its completion event would have had. The record enters the ring
-// once event order passes that key: before the first record of any later
-// event and before any read of the ring (ForEach, size, recorded, Dump,
-// post-mortem dumps included), so the ring reads as if the completion had
-// run. A ring armed while frames are already on the wire misses their
-// transmit records; arm it before the run.
+// Each record is made by the event it describes, so the ring holds records
+// in simulator event order. A ring armed mid-run records exactly what a
+// ring armed from the start records after that instant.
 //
 // The ring is the only sink; its readers share the event struct:
 //   - ForEach() visits the live window in place;
@@ -45,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/sim/scheduler.h"
 #include "src/sim/time.h"
 
 namespace tfc {
@@ -53,7 +47,7 @@ namespace tfc {
 enum class FlightEventType : uint8_t {
   // Packet data-path events (ns-2 style; rendered as + - d r x).
   kEnqueue = 0,    // packet entered a port's transmit queue
-  kTransmit = 1,   // packet finished serializing onto the link
+  kTransmit = 1,   // packet left the queue and started serializing
   kDrop = 2,       // packet tail-dropped at a full buffer
   kDeliver = 3,    // packet handed to a host endpoint
   kFaultDrop = 4,  // packet destroyed by an injected fault
@@ -100,7 +94,8 @@ inline constexpr uint8_t kFlightCe = 4;   // ECN congestion-experienced
 // One fixed-width record. All ids are pre-interned integers: Node::id()
 // (dense index into Network::nodes()), Port::index(), flow id. The a/b/c
 // payload fields are event-specific (see the enum); for packet events
-// a=payload length, b=advertised window, c=queue bytes after the event.
+// a=payload length, b=advertised window, c=queue bytes after the event
+// (for a transmit: the bytes still waiting behind the frame).
 struct FlightEvent {
   TimeNs time = 0;    // sim time stamp
   uint64_t seq = 0;   // packet sequence number / event-specific count
@@ -175,59 +170,33 @@ class FlightRecorder {
   void Disarm();
   bool armed() const { return armed_; }
 
-  // The scheduler whose event order deferred records wait on (the owning
-  // Network's). Null drops every deferred record.
-  void set_scheduler(const Scheduler* scheduler);
-
   size_t capacity() const { return ring_.size(); }
   // Total appends over the recorder's lifetime (monotone across wraps).
-  uint64_t recorded() const {
-    Settle();
-    return recorded_;
-  }
+  uint64_t recorded() const { return recorded_; }
   // Events currently live in the ring.
   size_t size() const {
-    Settle();
     return recorded_ < static_cast<uint64_t>(ring_.size())
                ? static_cast<size_t>(recorded_)
                : ring_.size();
   }
 
-  // Hot path: one predictable branch when disarmed; when armed, one time
-  // compare (a deferred record may be due: settle it first, out of line),
-  // one masked store and one increment. No allocation, no lookups, no I/O.
+  // Hot path: one predictable branch when disarmed; when armed, one masked
+  // store and one increment. No allocation, no lookups, no I/O.
   void Record(const FlightEvent& e) {
     if (!armed_) {
       return;
     }
-    *Append(clock_->time) = e;
+    *Append() = e;
   }
 
   // Armed-only variant for the per-packet fast path: claims the next slot
   // so the caller fills the record in place instead of copying 40 bytes
-  // through a local. `now` is the scheduler's clock, which the caller
-  // stamps the record with anyway. Callers must check armed() first.
-  FlightEvent* Append(TimeNs now) {
-    if (due_ <= now) {
-      SettleDue(0);
-    }
+  // through a local. Callers must check armed() first.
+  FlightEvent* Append() {
     FlightEvent* slot = &ring_[static_cast<size_t>(recorded_) & mask_];
     ++recorded_;
     return slot;
   }
-
-  // Claims a record held back until event order passes the key (time,
-  // born, seq), then appended (see the file comment). `seq` must have been
-  // reserved at `born` (Scheduler::ReserveSeq), so deferred keys order by
-  // (time, seq) alone. Like Append(), the caller fills the returned slot
-  // in place, with `time` as its stamp, before the next call into the
-  // recorder. Callers check armed() first.
-  FlightEvent* Defer(TimeNs time, TimeNs born, uint64_t seq);
-  // Called by the completion event that runs after all under a deferred
-  // record's key (its seq is `seq`): drops that record, if one was
-  // deferred, so the event records the transmit itself. Records deferred
-  // under earlier keys enter the ring first.
-  void Withdraw(uint64_t seq) { SettleDue(seq); }
 
   // Visits the live window oldest-first (time order: appends are stamped
   // with the monotone scheduler clock).
@@ -257,51 +226,9 @@ class FlightRecorder {
  private:
   friend void DumpArmedFlightRecorders();
 
-  static constexpr TimeNs kNothingDue{std::numeric_limits<int64_t>::max()};
-  static constexpr EventKey kNoScheduler{};
-  // Initial capacity of deferred_: more ports than that rarely have a
-  // frame on the wire at once.
-  static constexpr size_t kDeferredSlots = 64;
-
-  // A record held back under the key of a completion event that does not
-  // run.
-  struct Deferred {
-    EventKey key;
-    FlightEvent event;
-  };
-
-  // Appends, in key order, every deferred record whose key has passed.
-  // Logically const: the ring then reads as if those records had been
-  // appended when their keys passed.
-  void Settle() const {
-    if (due_ <= clock_->time) {
-      SettleDue(0);
-    }
-  }
-  // Settle()'s loop, kept out of line so the armed append stays small; the
-  // record deferred under `drop` is discarded instead (0, which no
-  // reserved seq is, discards nothing).
-  void SettleDue(uint64_t drop) const;
-  // Doubles deferred_'s capacity, keeping its records in key order.
-  void GrowDeferred();
-
-  // Settle() appends to the ring from const readers, hence mutable.
-  mutable std::vector<FlightEvent> ring_;
+  std::vector<FlightEvent> ring_;
   size_t mask_ = 0;
-  mutable uint64_t recorded_ = 0;
-  // Deferred records in key order, in a ring of power-of-two size: keys
-  // arrive nearly in order, so Defer inserts by a short walk back from the
-  // newest and a settle takes the oldest from the front. About one waits
-  // per port with a frame on the wire.
-  mutable std::vector<Deferred> deferred_;
-  mutable size_t deferred_head_ = 0;
-  mutable size_t deferred_count_ = 0;
-  // Time of the earliest deferred key, the largest time when none waits:
-  // the only field the append reads to know that nothing is due.
-  mutable TimeNs due_ = kNothingDue;
-  // Key of the event the scheduler is dispatching (kNoScheduler without
-  // one).
-  const EventKey* clock_ = &kNoScheduler;
+  uint64_t recorded_ = 0;
   bool armed_ = false;
   std::string post_mortem_path_;
   std::vector<std::string> post_mortem_names_;

@@ -86,10 +86,6 @@ class Scheduler {
     return !KeyBefore(cur_, EventKey{t, EventLead(t, born), seq});
   }
 
-  // The key Passed() compares with. It lives as long as the scheduler, so
-  // a reader that checks keys on every call may keep a pointer to it.
-  const EventKey& current_key() const { return cur_; }
-
   // Schedules `cb` to run `delay` nanoseconds from now (delay >= 0).
   template <typename F>
   EventId ScheduleAfter(TimeNs delay, F&& cb) {

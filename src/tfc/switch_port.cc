@@ -454,7 +454,7 @@ void TfcPortAgent::DropParkedAck(PacketPtr pkt) {
   ++arbiter_expired_;
   Network* net = switch_->network();
   net->EmitTrace(  // lint:allow packet-drop (arbiter_expired_)
-      FlightEventType::kDrop, *pkt, switch_, port_);
+      FlightEventType::kDrop, *pkt, switch_, port_, port_->queue_bytes());
   if (net->TraceActive()) {
     FlightEvent e = ControlFlightEvent(FlightEventType::kArbiterExpire,
                                        switch_->id(), port_->index(),

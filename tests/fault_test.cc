@@ -196,10 +196,13 @@ TEST(FaultInjectorTest, StatefulFilterCanDropFirstNMatches) {
 // frame starts serializing. An injector attached while that frame is on
 // the wire must still see it at the end of its serialization, with or
 // without a packet queued behind it: here the link goes down 500 ns into
-// the first 1,424 ns frame, and every frame of the burst dies on it.
+// the first 1,424 ns frame, and every frame of the burst dies on it. The
+// ring records each frame's transmit once, when it starts, and its fault
+// drop once.
 TEST(FaultInjectorTest, LinkDownMidFrameCatchesTheFrameAlreadyOnTheWire) {
   for (int burst : {1, 2}) {
     WireRig rig;
+    rig.net.flight().Arm(64);
     FaultInjector inject(&rig.net, 19);
     rig.SendBurst(burst);
     rig.net.scheduler().ScheduleAt(500, [&] { inject.SetLinkDown(rig.wire, true); });
@@ -207,6 +210,19 @@ TEST(FaultInjectorTest, LinkDownMidFrameCatchesTheFrameAlreadyOnTheWire) {
     EXPECT_EQ(rig.arrived(), 0u) << burst;
     EXPECT_EQ(inject.link_drops(), static_cast<uint64_t>(burst)) << burst;
     EXPECT_EQ(rig.wire->tx_packets(), static_cast<uint64_t>(burst)) << burst;
+
+    std::vector<TimeNs> starts;
+    rig.net.flight().ForEach([&](const FlightEvent& e) {
+      if (e.type == FlightEventType::kTransmit) {
+        starts.push_back(e.time);
+      }
+    });
+    std::vector<TimeNs> want;
+    for (int i = 0; i < burst; ++i) {
+      want.push_back(i * TimeNs(1'424));
+    }
+    EXPECT_EQ(starts, want) << burst;
+    EXPECT_EQ(rig.Recorded(FlightEventType::kFaultDrop), static_cast<uint64_t>(burst)) << burst;
   }
 }
 

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -95,50 +96,6 @@ TEST(FlightRecorderTest, RearmingClearsTheRing) {
   EXPECT_FALSE(rec.armed());
   rec.Record(Ev(2, FlightEventType::kTokenGrant, 0));
   EXPECT_EQ(rec.recorded(), 0u);
-}
-
-// A deferred record enters the ring where an event under its key would
-// have recorded it: after the records of events keyed before it, before
-// those keyed after it, and not before its key passes. Withdraw, called by
-// the event that runs under a deferred record's key after all, drops only
-// that record; records deferred under earlier keys still enter first.
-TEST(FlightRecorderTest, DeferredRecordsEnterInEventOrder) {
-  Scheduler sched;
-  FlightRecorder rec;
-  rec.set_scheduler(&sched);
-  rec.Arm(64);
-  const auto record_at = [&](int64_t t, int32_t a) {
-    sched.ScheduleAt(t, [&rec, t, a] { rec.Record(Ev(t, FlightEventType::kTokenGrant, 0, a)); });
-  };
-  const auto defer = [&rec](int64_t t, uint64_t seq, int32_t a) {
-    *rec.Defer(t, 10, seq) = Ev(t, FlightEventType::kTransmit, 0, a);
-  };
-  record_at(20, 1);  // born 0: before everything born at 10
-  sched.ScheduleAt(10, [&] {
-    const uint64_t s30 = sched.ReserveSeq();
-    const uint64_t s20 = sched.ReserveSeq();
-    const uint64_t withdrawn = sched.ReserveSeq();
-    defer(30, s30, 3);
-    defer(20, s20, 2);
-    defer(30, withdrawn, 99);
-    record_at(20, 4);  // born 10, numbered after s20
-    record_at(30, 6);
-    sched.ScheduleKeyed(30, 10, withdrawn, [&rec, withdrawn] {
-      rec.Withdraw(withdrawn);
-      rec.Record(Ev(30, FlightEventType::kTransmit, 0, 5));
-    });
-  });
-  const auto seen = [&rec] {
-    std::vector<int32_t> a;
-    rec.ForEach([&a](const FlightEvent& e) { a.push_back(e.a); });
-    return a;
-  };
-  sched.RunUntil(25);
-  EXPECT_EQ(seen(), (std::vector<int32_t>{1, 2, 4}));
-  EXPECT_EQ(rec.size(), 3u);
-  sched.Run();
-  EXPECT_EQ(seen(), (std::vector<int32_t>{1, 2, 4, 3, 5, 6}));
-  EXPECT_EQ(rec.recorded(), 6u);
 }
 
 TEST(FlightRecorderTest, DumpLoadRoundTripPreservesEverything) {
@@ -311,14 +268,37 @@ TEST(FlightPostMortemTest, WatchdogStallAbortsAndDumpsWhenArmed) {
 struct TfcRunResult {
   uint64_t executed = 0;
   uint64_t delivered = 0;
+  // At the mark: the ring's recorded() and the frames on the wire.
+  uint64_t recorded_at_mark = 0;
+  uint64_t frames_on_wire_at_mark = 0;
   FlightDump dump;  // only filled when armed
 };
 
-TfcRunResult RunTfcIncast(uint64_t seed, bool armed) {
+constexpr TimeNs kNeverArmed = -1;
+// The instant of the mark event, mid-transfer in RunTfcIncast.
+constexpr TimeNs kMark = Microseconds(700);
+
+// A 4-to-1 TFC incast on the testbed, with the ring armed at `arm_at`:
+// before the run at 0, never at kNeverArmed, and by the mark event at
+// kMark. Every run schedules that event first, so it has the same key in
+// each; it reads the ring and the wire before it arms anything.
+TfcRunResult RunTfcIncast(uint64_t seed, TimeNs arm_at) {
   Network net(seed);
-  if (armed) {
+  if (arm_at == 0) {
     net.flight().Arm(1 << 14);
   }
+  TfcRunResult result;
+  net.scheduler().ScheduleAt(kMark, [&net, &result, arm_at] {
+    result.recorded_at_mark = net.flight().recorded();
+    for (const auto& node : net.nodes()) {
+      for (const auto& port : node->ports()) {
+        result.frames_on_wire_at_mark += port->queue_packets() > 0 ? 1 : 0;
+      }
+    }
+    if (arm_at == kMark) {
+      net.flight().Arm(1 << 14);
+    }
+  });
   TestbedTopology topo = BuildTestbed(net);
   InstallTfcSwitches(net);
   std::vector<std::unique_ptr<TfcSender>> flows;
@@ -331,12 +311,11 @@ TfcRunResult RunTfcIncast(uint64_t seed, bool armed) {
     flows.push_back(std::move(f));
   }
   net.scheduler().Run();
-  TfcRunResult result;
   result.executed = net.scheduler().executed();
   for (const auto& f : flows) {
     result.delivered += f->delivered_bytes();
   }
-  if (armed) {
+  if (net.flight().armed()) {
     net.flight().ForEach(
         [&](const FlightEvent& e) { result.dump.events.push_back(e); });
     result.dump.recorded_total = net.flight().recorded();
@@ -345,15 +324,39 @@ TfcRunResult RunTfcIncast(uint64_t seed, bool armed) {
 }
 
 TEST(FlightCausalityTest, ArmingTheRecorderIsPurelyPassive) {
-  const TfcRunResult off = RunTfcIncast(7, /*armed=*/false);
-  const TfcRunResult on = RunTfcIncast(7, /*armed=*/true);
+  const TfcRunResult off = RunTfcIncast(7, kNeverArmed);
+  const TfcRunResult on = RunTfcIncast(7, 0);
   EXPECT_EQ(off.executed, on.executed);
   EXPECT_EQ(off.delivered, on.delivered);
   EXPECT_GT(on.dump.recorded_total, 0u);
 }
 
+// Each record is made by the event it describes, so a ring armed mid-run
+// holds exactly the records a ring armed from the start took after that
+// instant, frames already on the wire included.
+TEST(FlightCausalityTest, ArmingMidRunRecordsTheSuffixOfAFullRing) {
+  const TfcRunResult full = RunTfcIncast(5, 0);
+  const TfcRunResult late = RunTfcIncast(5, kMark);
+  EXPECT_EQ(full.executed, late.executed);
+  ASSERT_EQ(full.dump.events.size(), full.dump.recorded_total) << "the ring wrapped";
+  ASSERT_GT(full.recorded_at_mark, 0u);
+  ASSERT_LT(full.recorded_at_mark, full.dump.recorded_total) << "the run ended before the mark";
+  EXPECT_GT(late.frames_on_wire_at_mark, 0u) << "the mark must fall while frames serialize";
+
+  const std::vector<FlightEvent>& want = full.dump.events;
+  const std::vector<FlightEvent>& got = late.dump.events;
+  ASSERT_EQ(got.size(), want.size() - full.recorded_at_mark);
+  for (size_t i = 0; i < got.size(); ++i) {
+    const FlightEvent& w = want[full.recorded_at_mark + i];
+    ASSERT_EQ(std::memcmp(&got[i], &w, sizeof(FlightEvent)), 0)
+        << "record " << i << " after the mark: type " << static_cast<int>(got[i].type)
+        << " at " << got[i].time << " ns, want type " << static_cast<int>(w.type) << " at "
+        << w.time << " ns";
+  }
+}
+
 TEST(FlightCausalityTest, ArmedTfcRunHasCausallyOrderedControlPlane) {
-  const TfcRunResult r = RunTfcIncast(3, /*armed=*/true);
+  const TfcRunResult r = RunTfcIncast(3, 0);
   const std::vector<FlightEvent>& events = r.dump.events;
   ASSERT_FALSE(events.empty());
 

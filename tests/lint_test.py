@@ -82,14 +82,6 @@ class RecorderHotTest(unittest.TestCase):
         )
         self.assertEqual(rules_fired("src/sim/flight.h", code), ["recorder-hot"])
 
-    def test_growth_in_deferred_settle_fires(self):
-        code = (
-            "void FlightRecorder::SettleDue(uint64_t drop) const {\n"
-            "  deferred_.reserve(64);\n"
-            "}\n"
-        )
-        self.assertEqual(rules_fired("src/sim/flight.cc", code), ["recorder-hot"])
-
     def test_allocation_in_control_event_gate_fires(self):
         code = "void EmitFlight(const FlightEvent& e) {\n  auto* p = new FlightEvent(e);\n}\n"
         self.assertEqual(rules_fired("src/net/network.h", code),

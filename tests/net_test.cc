@@ -286,7 +286,9 @@ TEST(PortTest, ReadersAndArrivalsAtTheEndOfSerializationSeeTheCompletionsOrder) 
 // 1 reaches the peer. A per-hop completion event scheduled frame 1's
 // delivery before it started frame 2, so the delivery ran first; here
 // frame 2's completion runs first, because every ordinary event born at
-// an instant sorts before the deliveries born then.
+// an instant sorts before the deliveries born then. The ring shows it as
+// frame 3's transmit, which that completion starts, before frame 1's
+// delivery.
 TEST(PortTest, NextFramesCompletionAtThePredecessorsDeliveryInstantRunsFirst) {
   Network net;
   Host* a = net.AddHost("a");
@@ -316,7 +318,7 @@ TEST(PortTest, NextFramesCompletionAtThePredecessorsDeliveryInstantRunsFirst) {
     }
   });
   const std::vector<std::pair<FlightEventType, uint64_t>> want = {
-      {FlightEventType::kTransmit, 2},  // frame 2's completion
+      {FlightEventType::kTransmit, 3},  // frame 2's completion starts frame 3
       {FlightEventType::kDeliver, 1},   // then frame 1's delivery
   };
   EXPECT_EQ(at, want);

@@ -59,13 +59,11 @@ Rules enforced (see docs/correctness.md):
                   stream I/O; cold helpers like RebuildPlan and
                   SeriesLog::Write do that work), the flight-recorder
                   ring append (FlightRecorder::Record and Append in
-                  src/sim/flight.h, and the settle of deferred records,
-                  FlightRecorder::SettleDue in src/sim/flight.cc — masked
-                  stores, so additionally no allocation or container
-                  growth), and the trace emission path (Network::EmitTrace
-                  and EmitFlight in src/net/network.h — a gate branch plus
-                  an inline record fill). Suppress with
-                  `// lint:allow recorder-hot`.
+                  src/sim/flight.h — one masked store, so additionally no
+                  allocation or container growth), and the trace emission
+                  path (Network::EmitTrace and EmitFlight in
+                  src/net/network.h — a gate branch plus an inline record
+                  fill). Suppress with `// lint:allow recorder-hot`.
 
 Every rule here has this file as its only owner; tools/astlint.py carries
 only the det-* determinism rules, which need a real AST.
@@ -202,13 +200,6 @@ RECORDER_HOT_SCOPES = [
         re.compile(r"\b(?:void\s+Record|FlightEvent\*\s+Append)\s*\("),
         RECORDER_HOT_APPEND_BAN_RE,
         "the ring append is a masked store; do setup work in Arm()",
-    ),
-    (
-        "src/sim/flight.cc",
-        re.compile(r"\bFlightRecorder::SettleDue\s*\("),
-        RECORDER_HOT_APPEND_BAN_RE,
-        "a settle moves due deferred records to the ring; Defer grows the "
-        "array, rarely",
     ),
     (
         "src/net/network.h",

@@ -43,6 +43,12 @@ a run directory, or standalone via `--flight DIR`:
                         u8 ptype, u8 flags, u8 weight}. Timestamps must be
                         non-decreasing (the ring preserves record order),
                         types in range, and event_count <= recorded_total.
+                        In a dump that did not wrap (event_count ==
+                        recorded_total) of a ring armed before the first
+                        packet, each port is a FIFO: the k-th transmit
+                        ('-') at a (node, port) carries the packet of its
+                        k-th enqueue ('+') (flow, seq, payload, window,
+                        type, flags, weight) and is stamped no earlier.
   trace.txt             text export (`tfcsim --export-trace`): one line per
                         dumped event, so exactly event_count lines, each
                         led by a time in seconds no smaller than the
@@ -78,6 +84,7 @@ Exit status: 0 when every directory validates (with --compare: when the
 two runs do not differ), 1 otherwise.
 """
 
+import collections
 import fnmatch
 import json
 import struct
@@ -99,6 +106,8 @@ TFCT_HEADER = struct.Struct("<4sIIIQQ")  # magic, version, record_bytes,
                                          # node_count, recorded_total, events
 TFCT_RECORD = struct.Struct("<qQiiiihhBBBB")
 TFCT_EVENT_TYPE_COUNT = 23  # kFlightEventTypeCount (src/sim/flight.h)
+TFCT_ENQUEUE = 0   # FlightEventType::kEnqueue, rendered '+'
+TFCT_TRANSMIT = 1  # FlightEventType::kTransmit, rendered '-'
 
 
 class Checker:
@@ -312,8 +321,13 @@ def check_flight_tfct(path: Path, ck: Checker) -> int:
                      f"{event_count * TFCT_RECORD.size}"):
         return 0
     prev_time = None
+    # A wrapped ring lost its oldest enqueues. After the first FIFO
+    # violation the rest of the check stops: every later transmit at that
+    # port would repeat it.
+    fifo = event_count == recorded_total
+    queues = {}  # (node, port) -> deque of (time_ns, packet) not yet sent
     for i in range(event_count):
-        time_ns, _seq, _a, _b, _c, flow, node, port, etype, _pt, _fl, _w = \
+        time_ns, seq, a, b, _c, flow, node, port, etype, ptype, flags, weight = \
             TFCT_RECORD.unpack_from(data, off)
         off += TFCT_RECORD.size
         loc = f"{where} event[{i}]"
@@ -327,7 +341,31 @@ def check_flight_tfct(path: Path, ck: Checker) -> int:
         ck.expect(flow >= -1, loc, f"bad flow id {flow}")
         ck.expect(node >= -1, loc, f"bad node id {node}")
         ck.expect(port >= -1, loc, f"bad port index {port}")
+        if fifo and etype in (TFCT_ENQUEUE, TFCT_TRANSMIT):
+            queue = queues.setdefault((node, port), collections.deque())
+            packet = (flow, seq, a, b, ptype, flags, weight)
+            if etype == TFCT_ENQUEUE:
+                queue.append((time_ns, packet))
+                continue
+            if not queue:
+                ck.error(loc, f"transmit at node {node} port {port} of "
+                         f"{packet_name(packet)} with nothing enqueued there")
+                fifo = False
+                continue
+            enqueued_at, head = queue.popleft()
+            fifo = ck.expect(
+                packet == head and time_ns >= enqueued_at, loc,
+                f"transmit at node {node} port {port} of {packet_name(packet)} "
+                f"at {time_ns} ns, but the queue's head is "
+                f"{packet_name(head)}, enqueued at {enqueued_at} ns")
     return event_count
+
+
+def packet_name(packet: tuple) -> str:
+    """A flight record's packet fields, as check_flight_tfct compares them."""
+    flow, seq, payload, window, ptype, flags, weight = packet
+    return (f"flow {flow} seq {seq} (len {payload}, window {window}, "
+            f"type {ptype}, flags {flags}, weight {weight})")
 
 
 def check_perfetto_json(path: Path, ck: Checker) -> int:

@@ -447,7 +447,8 @@ void FaultInjector::ApplySpec(const FaultSpec& spec) {
 
 void FaultInjector::Destroy(Port* port, PacketPtr pkt) {
   ++drops_;
-  net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port, port->queue_bytes());
+  net_->EmitTrace(FlightEventType::kFaultDrop, *pkt, port->owner(), port,
+                  port->queue_bytes() - Bytes(pkt->frame_bytes()));
   pkt.reset();
 }
 

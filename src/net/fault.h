@@ -1,7 +1,7 @@
 // Deterministic, seeded fault injection.
 //
-// A FaultInjector sits on the wire of selected ports (Port::OnSerialized
-// routes every serialized packet through OnWire when an injector is
+// A FaultInjector sits on the wire of selected ports (Port::Transmit hands
+// each frame to OnWire when the frame starts serializing, if an injector is
 // attached) and can drop, duplicate, or delay packets under a per-port
 // stochastic profile, take links down (outages and flapping), wipe a switch
 // port agent's protocol state (the paper-testbed analog of a NetFPGA
@@ -121,8 +121,9 @@ class FaultInjector {
   void ClearFilter(Port* port);
 
   // --- link failures ---
-  // Takes one direction of a link down: packets finishing serialization on
-  // `port` are destroyed until the link comes back up. SetDuplexDown also
+  // Takes one direction of a link down: frames that start serializing on
+  // `port` are destroyed until the link comes back up. A frame already
+  // serializing when the link goes down still arrives. SetDuplexDown also
   // downs the peer's direction.
   void SetLinkDown(Port* port, bool down);
   void SetDuplexDown(Port* port, bool down);
@@ -152,7 +153,10 @@ class FaultInjector {
   // (topology, spec, seed) triple replays identically.
   void ApplySpec(const FaultSpec& spec);
 
-  // Wire hook, called by Port::OnSerialized for every serialized packet.
+  // Wire hook, called by Port::Transmit once per frame, when the frame
+  // starts serializing: decides there whether the frame is lost (link down,
+  // filter, Gilbert-Elliott or i.i.d. drop), duplicated or delayed, and
+  // hands what survives to Port::DeliverToPeer.
   void OnWire(Port* port, PacketPtr pkt);
 
   // --- statistics (also exported as fault.* metrics) ---
@@ -195,8 +199,9 @@ class FaultInjector {
 
   // Finds-or-creates the state for `port` and points the port at us.
   PortState& State(Port* port);
-  // Destroys a wire packet: trace event + total-drop accounting. Callers
-  // bump the per-reason counter themselves.
+  // Destroys the frame `port` has just started serializing: trace event
+  // (stamped like the frame's transmit, with the bytes waiting behind it) +
+  // total-drop accounting. Callers bump the per-reason counter themselves.
   void Destroy(Port* port, PacketPtr pkt);
   void FlapStep(Port* port, TimeNs mean_up, TimeNs mean_down, TimeNs stop, bool to_down);
   void WipeTick(std::vector<Port*> targets, size_t next, TimeNs period, TimeNs stop);

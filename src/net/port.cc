@@ -69,20 +69,6 @@ void Port::AuditInvariants(Auditor& audit) const {
               "transmitter busy while queue non-empty");
 }
 
-void Port::set_fault_injector(FaultInjector* injector) {
-  fault_ = injector;
-  if (injector != nullptr && busy_ && tx_delivery_.valid() && !FrameDone()) {
-    // The frame on the wire went straight to its delivery. Take it back and
-    // let its completion hand it to the injector, as if the injector had
-    // been attached when the frame started.
-    scheduler_->Cancel(tx_delivery_);
-    scheduler_->Cancel(tx_completion_);
-    tx_delivery_ = Scheduler::EventId();
-    tx_deliveries_ = 0;
-    ScheduleCompletion(tx_pkt_);
-  }
-}
-
 void Port::Enqueue(PacketPtr pkt) {
   TFC_CHECK_NE(peer_port_, nullptr);
   if (FrameDone()) {
@@ -113,7 +99,7 @@ void Port::Enqueue(PacketPtr pkt) {
   if (!busy_) {
     Transmit();
   } else if (!tx_completion_.valid()) {
-    ScheduleCompletion(nullptr);  // the frame on the wire now has a successor
+    ScheduleCompletion();  // the frame on the wire now has a successor
   }
 }
 
@@ -134,43 +120,32 @@ void Port::Transmit() {
   tx_end_ = busy_since_ + ser;
   tx_frame_bytes_ = Bytes(pkt->frame_bytes());
   tx_seq_ = scheduler_->ReserveSeq();
-  tx_pkt_ = pkt.get();
   tx_deliveries_ = 0;
-  tx_delivery_ = Scheduler::EventId();
   serialize_site_->AddSim(ser);
   owner_->network()->EmitTrace(FlightEventType::kTransmit, *pkt, owner_, this,
                                queue_bytes_ - tx_frame_bytes_);
+  // The wire: an attached injector decides the frame's fate now, once, and
+  // may lose, duplicate or delay it instead of delivering it.
   if (fault_ != nullptr) {
-    ScheduleCompletion(pkt.release());  // the injector sees the frame at its end
-    return;
+    fault_->OnWire(this, std::move(pkt));
+  } else {
+    DeliverToPeer(std::move(pkt), 0);
   }
   if (!queue_.empty()) {
-    ScheduleCompletion(nullptr);
+    ScheduleCompletion();
   }
-  DeliverToPeer(std::move(pkt), 0);
 }
 
-void Port::ScheduleCompletion(Packet* frame) {
-  tx_completion_ = scheduler_->ScheduleKeyed(tx_end_, busy_since_, tx_seq_,
-                                             PacketEvent<&Port::OnSerialized>{this, frame});
+void Port::ScheduleCompletion() {
+  tx_completion_ =
+      scheduler_->ScheduleKeyed(tx_end_, busy_since_, tx_seq_, [this] { OnSerialized(); });
 }
 
-void Port::OnSerialized(PacketPtr frame) {
+void Port::OnSerialized() {
   TFC_CHECK(busy_);
   tx_completion_ = Scheduler::EventId();
   Retire();
-  // The wire: with an injector attached the packet may be lost, duplicated,
-  // or delayed here instead of (or in addition to) the normal delivery.
-  if (frame != nullptr) {
-    if (fault_ != nullptr) {
-      fault_->OnWire(this, std::move(frame));
-    } else {
-      DeliverToPeer(std::move(frame), 0);
-    }
-  }
-  if (!queue_.empty()) {
-    Transmit();
-  }
+  Transmit();
 }
 
 void Port::DeliverToPeer(PacketPtr pkt, TimeNs extra_delay) {
@@ -185,9 +160,8 @@ void Port::DeliverToPeer(PacketPtr pkt, TimeNs extra_delay) {
   // order").
   TFC_DCHECK(tx_deliveries_ < 2);
   const uint64_t seq = kDeliverySeq | (tx_seq_ << 1) | tx_deliveries_++;
-  tx_delivery_ = scheduler_->ScheduleKeyed(
-      tx_end_ + prop_delay_ + extra_delay, tx_end_, seq,
-      PacketEvent<&Port::ReceiveFromPeer>{peer_port_, pkt.release()});
+  scheduler_->ScheduleKeyed(tx_end_ + prop_delay_ + extra_delay, tx_end_, seq,
+                            PacketEvent<&Port::ReceiveFromPeer>{peer_port_, pkt.release()});
 }
 
 void Port::ReceiveFromPeer(PacketPtr pkt) { owner_->Receive(std::move(pkt), this); }

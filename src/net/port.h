@@ -15,8 +15,9 @@
 // (queue bytes, tx counters, busy time) when a packet next arrives, and
 // every accessor reads the state as of the event being dispatched
 // (Scheduler::Passed). A completion event (OnSerialized) runs only when a
-// packet waits behind the frame, to start the next one, or when a fault
-// injector must see the frame on the wire.
+// packet waits behind the frame, to start the next one. An attached fault
+// injector takes the frame at its start in place of the delivery, so a
+// port with one runs this same path.
 
 #ifndef SRC_NET_PORT_H_
 #define SRC_NET_PORT_H_
@@ -164,12 +165,12 @@ class Port {
   void set_ecn_threshold(Bytes bytes) { ecn_threshold_bytes_ = bytes; }
   void set_agent(std::unique_ptr<PortAgent> agent) { agent_ = std::move(agent); }
 
-  // Fault injection (src/net/fault.h): when set, every packet that finishes
-  // serializing is routed through the injector, which may drop, duplicate,
-  // or delay it instead of delivering it. Not owned; the injector detaches
+  // Fault injection (src/net/fault.h): when set, every frame that starts
+  // serializing is handed to the injector, which may drop, duplicate, or
+  // delay it instead of delivering it. Not owned; the injector detaches
   // itself on destruction. Null (the default) costs one branch per packet.
-  // A frame already on the wire when an injector attaches still reaches it.
-  void set_fault_injector(FaultInjector* injector);
+  // A frame already on the wire when an injector attaches is not touched.
+  void set_fault_injector(FaultInjector* injector) { fault_ = injector; }
   FaultInjector* fault_injector() const { return fault_; }
 
   // Schedules delivery of `pkt`, the frame on the wire here (or a copy of
@@ -250,15 +251,14 @@ class Port {
   // Takes the finished frame off the books: queue bytes, tx counters, busy
   // time.
   void Retire();
-  // Starts serializing the head of the FIFO and records its transmit; the
-  // transmitter must be idle.
+  // Starts serializing the head of the FIFO, records its transmit and
+  // hands it to the wire; the transmitter must be idle.
   void Transmit();
   // Schedules the frame's completion event under the key its start
-  // reserved, carrying `frame` when it has not been handed to a delivery.
-  void ScheduleCompletion(Packet* frame);
-  // The completion event: retires the frame, hands `frame` (null once its
-  // delivery is scheduled) to the wire and starts the next packet.
-  void OnSerialized(PacketPtr frame);
+  // reserved; a packet must wait behind the frame.
+  void ScheduleCompletion();
+  // The completion event: retires the frame and starts the next packet.
+  void OnSerialized();
   // The delivery event's handler on the ingress port: hands the packet to
   // this port's owner.
   void ReceiveFromPeer(PacketPtr pkt);
@@ -299,8 +299,6 @@ class Port {
   TimeNs tx_end_ = 0;
   Bytes tx_frame_bytes_ = 0;
   uint64_t tx_seq_ = 0;
-  Packet* tx_pkt_ = nullptr;  // owned by its delivery or completion event
-  Scheduler::EventId tx_delivery_;    // its delivery, if scheduled at its start
   Scheduler::EventId tx_completion_;  // the pending completion, if any
   ProfileSite* serialize_site_ = nullptr;  // shared "port.serialize" site
 
@@ -310,13 +308,11 @@ class Port {
 };
 
 // The event that carries a packet to a port: a delivery to the peer's
-// ingress (Port::DeliverToPeer), a host's delayed departure into its NIC
-// (Host::Send), or a frame's completion (Port::OnSerialized, with a null
-// packet unless the frame still has to reach the wire). It holds the
-// packet as a raw pointer and re-wraps it in a PacketPtr for `Handler`
-// when it runs, so it is trivially copyable and 16 bytes: the event queue
-// moves it with InplaceFunction's inline copy, not an indirect relocate
-// and destroy.
+// ingress (Port::DeliverToPeer) or a host's delayed departure into its NIC
+// (Host::Send). It holds the packet as a raw pointer and re-wraps it in a
+// PacketPtr for `Handler` when it runs, so it is trivially copyable and 16
+// bytes: the event queue moves it with InplaceFunction's inline copy, not
+// an indirect relocate and destroy.
 template <void (Port::*Handler)(PacketPtr)>
 struct PacketEvent {
   Port* port;

@@ -91,7 +91,7 @@ class Profiler {
 
 // RAII wall-clock scope around one callback dispatch:
 //
-//   void Port::OnSerialized() {
+//   void Port::Transmit() {
 //     ProfileScope prof(profiler_, serialize_site_);
 //     ...
 //   }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "src/tfc/switch_port.h"
 #include "src/topo/topologies.h"
 #include "src/workload/persistent_flow.h"
+#include "src/workload/scenario.h"
 
 namespace tfc {
 namespace {
@@ -61,13 +63,80 @@ struct WireRig {
   }
 };
 
+// One run of `s` with the flight ring armed and, when `idle`, a
+// zero-probability profile attached to every port before the workload
+// starts.
+struct ArmedRun {
+  uint64_t executed = 0;
+  uint64_t inspected = 0;  // frames the injector saw
+  uint64_t transmits = 0;  // `-` records
+  std::vector<FlightEvent> ring;
+};
+
+ArmedRun RunArmed(const Scenario& s, bool idle) {
+  ScenarioRun run(s);
+  Network& net = run.net();
+  net.flight().Arm(1 << 19);
+  std::unique_ptr<FaultInjector> inject;
+  if (idle) {
+    inject = std::make_unique<FaultInjector>(&net, 17);
+    for (const auto& node : net.nodes()) {
+      for (const auto& port : node->ports()) {
+        inject->Attach(port.get(), FaultProfile());
+      }
+    }
+  }
+  run.Start();
+  run.Run();
+  ArmedRun r;
+  r.executed = net.scheduler().executed();
+  r.inspected = inject != nullptr ? inject->inspected() : 0;
+  EXPECT_EQ(net.flight().size(), net.flight().recorded()) << "the ring wrapped";
+  net.flight().ForEach([&r](const FlightEvent& e) {
+    r.ring.push_back(e);
+    r.transmits += e.type == FlightEventType::kTransmit ? 1 : 0;
+  });
+  return r;
+}
+
+// An injector that can do nothing changes nothing: with a zero-probability
+// profile on every port, a run executes the events and records the flight
+// ring, byte for byte, of the same run without an injector. The inputs are
+// micro_core's IncastTestbed() scenario and a 50 ms DCTCP benchmark run on
+// the testbed.
 TEST(FaultInjectorTest, NoProfileIsTransparent) {
-  WireRig rig;
-  FaultInjector inject(&rig.net, 1);
-  rig.SendBurst(50);
-  rig.net.scheduler().Run();
-  EXPECT_EQ(rig.arrived(), 50u);
-  EXPECT_EQ(inject.drops(), 0u);
+  Scenario incast;
+  incast.topology = Topology::kTestbed;
+  incast.seed = 3;
+  incast.senders = 8;
+  incast.incast.block_bytes = 64 * 1024;
+  incast.incast.rounds = 20;
+  incast.horizon = Seconds(2);
+
+  Scenario bench;
+  bench.topology = Topology::kTestbed;
+  bench.workload = Workload::kBenchmark;
+  bench.suite.protocol = Protocol::kDctcp;
+  bench.seed = 9;
+  bench.benchmark.stop_time = Milliseconds(50);
+  bench.horizon = Milliseconds(50) + Seconds(30);
+
+  for (const Scenario* s : {&incast, &bench}) {
+    SCOPED_TRACE(s == &incast ? "incast" : "benchmark");
+    const ArmedRun plain = RunArmed(*s, /*idle=*/false);
+    const ArmedRun idle = RunArmed(*s, /*idle=*/true);
+    ASSERT_GT(plain.transmits, 0u);
+    EXPECT_EQ(idle.inspected, plain.transmits) << "every frame passes the hook once";
+    EXPECT_EQ(idle.executed, plain.executed);
+    ASSERT_EQ(idle.ring.size(), plain.ring.size());
+    for (size_t i = 0; i < plain.ring.size(); ++i) {
+      const FlightEvent& got = idle.ring[i];
+      const FlightEvent& want = plain.ring[i];
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(FlightEvent)), 0)
+          << "record " << i << ": type " << static_cast<int>(got.type) << " at " << got.time
+          << " ns, want type " << static_cast<int>(want.type) << " at " << want.time << " ns";
+    }
+  }
 }
 
 TEST(FaultInjectorTest, IidDropLosesRoughlyTheConfiguredFraction) {
@@ -192,37 +261,47 @@ TEST(FaultInjectorTest, StatefulFilterCanDropFirstNMatches) {
   EXPECT_EQ(rig.arrived(), 7u);
 }
 
-// A port with no injector hands a frame straight to its delivery when the
-// frame starts serializing. An injector attached while that frame is on
-// the wire must still see it at the end of its serialization, with or
-// without a packet queued behind it: here the link goes down 500 ns into
-// the first 1,424 ns frame, and every frame of the burst dies on it. The
-// ring records each frame's transmit once, when it starts, and its fault
-// drop once.
-TEST(FaultInjectorTest, LinkDownMidFrameCatchesTheFrameAlreadyOnTheWire) {
-  for (int burst : {1, 2}) {
+// The injector acts on a frame once, when the frame starts serializing.
+// Here the link goes down, which also attaches the injector, 500 ns into
+// the first 1,424 ns frame: that frame is not touched and arrives, and a
+// frame that starts while the link is down is lost as it starts, its `x`
+// stamped with the time and queue bytes of its `-`.
+TEST(FaultInjectorTest, LinkDownMidFrameSparesTheFrameAlreadyOnTheWire) {
+  for (uint64_t burst : {1u, 2u}) {
+    SCOPED_TRACE(burst);
     WireRig rig;
     rig.net.flight().Arm(64);
     FaultInjector inject(&rig.net, 19);
-    rig.SendBurst(burst);
+    rig.SendBurst(static_cast<int>(burst));
     rig.net.scheduler().ScheduleAt(500, [&] { inject.SetLinkDown(rig.wire, true); });
     rig.net.scheduler().Run();
-    EXPECT_EQ(rig.arrived(), 0u) << burst;
-    EXPECT_EQ(inject.link_drops(), static_cast<uint64_t>(burst)) << burst;
-    EXPECT_EQ(rig.wire->tx_packets(), static_cast<uint64_t>(burst)) << burst;
+    EXPECT_EQ(rig.arrived(), 1u);
+    EXPECT_EQ(inject.link_drops(), burst - 1);
+    EXPECT_EQ(rig.wire->tx_packets(), burst);
 
-    std::vector<TimeNs> starts;
+    std::vector<FlightEvent> sent;
+    std::vector<FlightEvent> lost;
+    std::vector<FlightEvent> arrived;
     rig.net.flight().ForEach([&](const FlightEvent& e) {
       if (e.type == FlightEventType::kTransmit) {
-        starts.push_back(e.time);
+        sent.push_back(e);
+      } else if (e.type == FlightEventType::kFaultDrop) {
+        lost.push_back(e);
+      } else if (e.type == FlightEventType::kDeliver) {
+        arrived.push_back(e);
       }
     });
-    std::vector<TimeNs> want;
-    for (int i = 0; i < burst; ++i) {
-      want.push_back(i * TimeNs(1'424));
+    ASSERT_EQ(sent.size(), burst);
+    EXPECT_EQ(sent[0].time, 0);
+    ASSERT_EQ(arrived.size(), 1u);
+    EXPECT_EQ(arrived[0].seq, sent[0].seq) << "the frame whose - is at 0 ns arrives";
+    ASSERT_EQ(lost.size(), burst - 1);
+    if (burst == 2) {
+      EXPECT_EQ(sent[1].time, 1'424);
+      EXPECT_EQ(lost[0].time, 1'424);
+      EXPECT_EQ(lost[0].seq, sent[1].seq);
+      EXPECT_EQ(lost[0].c, sent[1].c);
     }
-    EXPECT_EQ(starts, want) << burst;
-    EXPECT_EQ(rig.Recorded(FlightEventType::kFaultDrop), static_cast<uint64_t>(burst)) << burst;
   }
 }
 

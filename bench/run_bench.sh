@@ -69,20 +69,22 @@ for name, e in sorted(data.items()):
     ips_s = f"{ips:12.3e} items/s" if ips is not None else " " * 20
     print(f"  {name:45s} {ips_s}  {e['ns_per_op']:12.1f} ns/op")
 
-# Telemetry recording overhead: events/sec of the incast macro-bench with a
-# 100us record-everything recorder attached vs. telemetry merely compiled in.
-def ips(prefix):
-    for name, e in data.items():
-        if name.startswith(prefix) and e.get("items_per_sec"):
-            return e["items_per_sec"]
-    return None
+# Each gate divides a twin's wall time per run (ns_per_op) by the plain
+# incast's, BM_IncastTestbedEventsPerSec: the twins simulate the same
+# network, so time per run is the cost their comments describe.
+def ns(name):
+    e = data.get(name)
+    return e["ns_per_op"] if e else None
 
-off = ips("BM_IncastTestbedEventsPerSec")
-on = ips("BM_IncastTestbedTelemetryOn")
-if off and on:
-    ratio = off / on
+plain = ns("BM_IncastTestbedEventsPerSec")
+
+# Telemetry recording overhead: the incast macro-bench with a 100us
+# record-everything recorder attached vs. telemetry merely compiled in.
+on = ns("BM_IncastTestbedTelemetryOn")
+if plain and on:
+    ratio = on / plain
     print(f"\n  telemetry recorder overhead: {ratio:.2f}x slower with a"
-          f" 100us full-registry recorder ({off:.3e} -> {on:.3e} events/s)")
+          f" 100us full-registry recorder ({plain / 1e6:.2f} -> {on / 1e6:.2f} ms/run)")
     # Gate: the compiled-sample-plan recorder holds recording overhead to
     # <=1.5x of the telemetry-off baseline (it was ~10x with per-tick
     # string-map lookups; measured ~1.3x after the compiled-plan rework —
@@ -98,28 +100,28 @@ if off and on:
 # crept onto the Record/EmitTrace path (the lint.py recorder-hot rule bans
 # the constructs; this gate catches what the regexes miss). Trace-off needs
 # no separate twin: disarmed, the gate is the same single branch the plain
-# bench (BM_IncastTestbedEventsPerSec) already pays.
-trace = ips("BM_IncastTestbedTraceOn")
-if off and trace:
-    ratio = off / trace
+# bench already pays.
+trace = ns("BM_IncastTestbedTraceOn")
+if plain and trace:
+    ratio = trace / plain
     print(f"  armed flight-ring overhead: {ratio:.2f}x"
-          f" ({off:.3e} -> {trace:.3e} events/s)")
+          f" ({plain / 1e6:.2f} -> {trace / 1e6:.2f} ms/run)")
     if ratio > 1.15:
         failed.append("armed flight recorder is >15% slower than the plain "
                       "path")
 
 # Guard: an attached-but-idle fault injector must stay close to the plain
 # data path (docs/robustness.md). The idle twin runs the plain run's events,
-# so the ratio is the OnWire hook's own cost per frame: a std::map find of
-# the port's state plus the profile checks. The 1.25x gate leaves room for
-# run-to-run jitter while still catching a real hook regression. The
+# so the ratio is the OnWire hook's own cost per frame: two vector indexings
+# to the port's state plus the profile checks. The 1.25x gate leaves room
+# for run-to-run jitter while still catching a real hook regression. The
 # *unattached* cost (one null check per frame) is inside the plain bench
 # itself; nothing here compares it with an earlier run.
-fault = ips("BM_IncastTestbedFaultIdle")
-if off and fault:
-    ratio = off / fault
+fault = ns("BM_IncastTestbedFaultIdle")
+if plain and fault:
+    ratio = fault / plain
     print(f"  idle fault-injector overhead: {ratio:.2f}x"
-          f" ({off:.3e} -> {fault:.3e} events/s)")
+          f" ({plain / 1e6:.2f} -> {fault / 1e6:.2f} ms/run)")
     if ratio > 1.25:
         failed.append("idle fault layer is >25% slower than the plain path")
 

@@ -4,8 +4,9 @@
 
 namespace tfc {
 
-DctcpSender::DctcpSender(Network* network, Host* local, Host* remote, const DctcpConfig& config)
-    : TcpSender(network, local, remote, config.tcp), config_(config) {
+DctcpSender::DctcpSender(Network* network, Host* local, Host* remote,
+                         const TransportConfig& config)
+    : TcpSender(network, local, remote, config) {
   metrics_.AddCallbackGauge(metric_prefix() + ".alpha", [this] { return alpha_; });
 }
 
@@ -30,7 +31,7 @@ void DctcpSender::OnAckedData(const Packet& ack, Bytes newly_acked) {
         acked_window_ > 0
             ? static_cast<double>(marked_window_.count()) / static_cast<double>(acked_window_.count())
             : 0.0;
-    alpha_ = (1.0 - config_.g) * alpha_ + config_.g * f;
+    alpha_ = (1.0 - kDctcpG) * alpha_ + kDctcpG * f;
     acked_window_ = 0;
     marked_window_ = 0;
     alpha_update_seq_ = acked_bytes() + static_cast<uint64_t>(inflight_bytes().count());

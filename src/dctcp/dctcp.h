@@ -15,10 +15,7 @@
 
 namespace tfc {
 
-struct DctcpConfig {
-  TcpConfig tcp;
-  double g = 1.0 / 16.0;  // paper's recommended EWMA gain
-};
+inline constexpr double kDctcpG = 1.0 / 16.0;  // paper's recommended EWMA gain
 
 // Recommended marking threshold at 1 Gbps (paper Sec. 6.1.1: K = 32 KB).
 inline constexpr uint64_t kDctcpMarkingThreshold1G = 32 * 1024;
@@ -27,7 +24,7 @@ inline constexpr uint64_t kDctcpMarkingThreshold10G = 100 * 1024;
 
 class DctcpSender : public TcpSender {
  public:
-  DctcpSender(Network* network, Host* local, Host* remote, const DctcpConfig& config);
+  DctcpSender(Network* network, Host* local, Host* remote, const TransportConfig& config);
 
   double alpha() const { return alpha_; }
 
@@ -36,7 +33,6 @@ class DctcpSender : public TcpSender {
   void OnAckedData(const Packet& ack, Bytes newly_acked) override;
 
  private:
-  DctcpConfig config_;
   double alpha_ = 1.0;  // start conservative, as the Linux implementation does
   Bytes acked_window_ = 0;
   Bytes marked_window_ = 0;

@@ -159,10 +159,11 @@ FaultInjector::FaultInjector(Network* net, uint64_t seed) : net_(net), rng_(seed
 }
 
 FaultInjector::~FaultInjector() {
-  for (auto& [key, state] : states_) {
-    (void)key;
-    if (state.port->fault_injector() == this) {
-      state.port->set_fault_injector(nullptr);
+  for (std::vector<PortState>& ports : states_) {
+    for (PortState& st : ports) {
+      if (st.port != nullptr && st.port->fault_injector() == this) {
+        st.port->set_fault_injector(nullptr);
+      }
     }
   }
   Scheduler& sched = net_->scheduler();
@@ -201,17 +202,32 @@ void FaultInjector::RegisterMetrics() {
                             [this] { return static_cast<double>(link_down_ns()); });
 }
 
-FaultInjector::PortKey FaultInjector::KeyOf(const Port* port) {
-  return PortKey(port->owner()->id(), port->index());
-}
-
 FaultInjector::PortState& FaultInjector::State(Port* port) {
-  auto [it, inserted] = states_.try_emplace(KeyOf(port));
-  if (inserted) {
-    it->second.port = port;
+  const auto node = static_cast<size_t>(port->owner()->id());
+  const auto index = static_cast<size_t>(port->index());
+  if (node >= states_.size()) {
+    states_.resize(node + 1);
+  }
+  std::vector<PortState>& ports = states_[node];
+  if (index >= ports.size()) {
+    ports.resize(index + 1);
+  }
+  PortState& st = ports[index];
+  if (st.port == nullptr) {
+    st.port = port;
     port->set_fault_injector(this);
   }
-  return it->second;
+  return st;
+}
+
+const FaultInjector::PortState* FaultInjector::Find(const Port* port) const {
+  const auto node = static_cast<size_t>(port->owner()->id());
+  const auto index = static_cast<size_t>(port->index());
+  if (node >= states_.size() || index >= states_[node].size()) {
+    return nullptr;
+  }
+  const PortState& st = states_[node][index];
+  return st.port != nullptr ? &st : nullptr;
 }
 
 void FaultInjector::Attach(Port* port, const FaultProfile& profile) {
@@ -222,25 +238,13 @@ void FaultInjector::Attach(Port* port, const FaultProfile& profile) {
   st.ge_bad = false;
 }
 
-void FaultInjector::Detach(Port* port) {
-  auto it = states_.find(KeyOf(port));
-  if (it == states_.end()) {
-    return;
-  }
-  states_.erase(it);
-  if (port->fault_injector() == this) {
-    port->set_fault_injector(nullptr);
-  }
-}
-
 void FaultInjector::DropMatching(Port* port, PacketFilter filter) {
   State(port).filter = std::move(filter);
 }
 
 void FaultInjector::ClearFilter(Port* port) {
-  auto it = states_.find(KeyOf(port));
-  if (it != states_.end()) {
-    it->second.filter = PacketFilter();
+  if (Find(port) != nullptr) {
+    State(port).filter = PacketFilter();
   }
 }
 
@@ -272,18 +276,17 @@ void FaultInjector::SetDuplexDown(Port* port, bool down) {
 }
 
 bool FaultInjector::link_down(Port* port) const {
-  auto it = states_.find(KeyOf(port));
-  return it != states_.end() && it->second.down;
+  const PortState* st = Find(port);
+  return st != nullptr && st->down;
 }
 
 TimeNs FaultInjector::link_down_ns() const {
   const TimeNs now = net_->scheduler().now();
   TimeNs total = 0;
-  // TimeNs additions commute exactly, but the sorted key still matters:
-  // a pointer-keyed walk would touch entries in ASLR-dependent order.
-  for (const auto& [key, st] : states_) {
-    (void)key;
-    total += st.down_accum + (st.down ? now - st.down_since : 0);
+  for (const std::vector<PortState>& ports : states_) {
+    for (const PortState& st : ports) {
+      total += st.down_accum + (st.down ? now - st.down_since : 0);
+    }
   }
   return total;
 }
@@ -360,10 +363,6 @@ void FaultInjector::WipeAgentNow(Port* port) {
                     port->queue_bytes());
     pkt.reset();
   }
-}
-
-void FaultInjector::ScheduleAgentWipe(Port* port, TimeNs at) {
-  ScheduleDaemon(at, [this, port] { WipeAgentNow(port); });
 }
 
 void FaultInjector::SetHostDown(Host* host, bool down) {
@@ -454,12 +453,10 @@ void FaultInjector::Destroy(Port* port, PacketPtr pkt) {
 
 void FaultInjector::OnWire(Port* port, PacketPtr pkt) {
   ++inspected_;
-  auto it = states_.find(KeyOf(port));
-  if (it == states_.end()) {
-    port->DeliverToPeer(std::move(pkt), 0);
-    return;
-  }
-  PortState& st = it->second;
+  // A port reaches the injector only through State(), which made its entry.
+  PortState& st = states_[static_cast<size_t>(port->owner()->id())]
+                         [static_cast<size_t>(port->index())];
+  TFC_DCHECK_EQ(st.port, port);
   if (st.down) {
     ++link_drops_;
     Destroy(port, std::move(pkt));

@@ -12,8 +12,12 @@
 //
 // Every destroyed packet emits a FlightEventType::kFaultDrop trace event and
 // bumps a `fault.*` metric — loss injected here is always observable,
-// never silent (tools/lint.py's packet-drop rule enforces that the only
-// other loss site in the stack is the tail-drop in Port::Enqueue).
+// never silent. tools/lint.py's packet-drop rule lets only this file and
+// src/net/port.cc (the tail drop in Port::Enqueue) emit drop traces; every
+// other loss site counts its drops and carries `lint:allow packet-drop`:
+// a down host's sends and arrivals and a packet for a flow the host no
+// longer has (src/net/host.cc), a switch with no route (src/net/switch.cc)
+// and the TFC arbiter's expired grants (src/tfc/switch_port.cc).
 //
 // The companion LivenessWatchdog is the detector side: it samples progress
 // functions (typically telemetry counters) on a fixed cadence and flags any
@@ -28,7 +32,6 @@
 #define SRC_NET_FAULT_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,7 +114,6 @@ class FaultInjector {
 
   // --- stochastic impairments ---
   void Attach(Port* port, const FaultProfile& profile);
-  void Detach(Port* port);
 
   // Deterministic targeted loss: destroy every wire packet on `port` for
   // which `filter` returns true (tests use this to kill a specific probe or
@@ -139,7 +141,6 @@ class FaultInjector {
   // reverts to construction-time state and any packets it was holding are
   // destroyed (accounted as fault drops). No-op on agentless ports.
   void WipeAgentNow(Port* port);
-  void ScheduleAgentWipe(Port* port, TimeNs at);
 
   // Crashes / restarts a host (Host::set_down): while down the host drops
   // everything it would send or receive.
@@ -178,7 +179,7 @@ class FaultInjector {
 
  private:
   struct PortState {
-    Port* port = nullptr;  // back-pointer for detach-on-destruction
+    Port* port = nullptr;  // set by State(); detached on destruction
     FaultProfile profile;
     bool attached = false;  // profile in force (filters/down work regardless)
     bool ge_bad = false;
@@ -188,17 +189,10 @@ class FaultInjector {
     PacketFilter filter;
   };
 
-  // Deterministic port identity: (owner node id, port index). Keying the
-  // state map by this instead of the Port* keeps lookup O(log n) while
-  // making iteration order a pure function of the topology — a pointer key
-  // would order (and, in an unordered map, bucket) entries by heap address,
-  // which varies run-to-run under ASLR and would leak into anything that
-  // walks the map (det-pointer-key / det-unordered-iter, tools/astlint.py).
-  using PortKey = std::pair<int, int>;
-  static PortKey KeyOf(const Port* port);
-
   // Finds-or-creates the state for `port` and points the port at us.
   PortState& State(Port* port);
+  // The state for `port`, or null if the injector never touched it.
+  const PortState* Find(const Port* port) const;
   // Destroys the frame `port` has just started serializing: trace event
   // (stamped like the frame's transmit, with the bytes waiting behind it) +
   // total-drop accounting. Callers bump the per-reason counter themselves.
@@ -211,7 +205,11 @@ class FaultInjector {
 
   Network* net_;
   Rng rng_;
-  std::map<PortKey, PortState> states_;
+  // Port states indexed by owner node id, then port index: a lookup is two
+  // vector indexings, and walks (the destructor, link_down_ns) go in an
+  // order fixed by the topology, never by heap address. An entry whose
+  // `port` is null stands for a port the injector never touched.
+  std::vector<std::vector<PortState>> states_;
   std::vector<Scheduler::EventId> timeline_;  // cancelled on destruction
 
   uint64_t inspected_ = 0;

@@ -327,17 +327,27 @@ bool ExportFlightTrace(const std::string& dir, std::string* error) {
     }
     out << "\n]}\n";
   };
-  // Per-flow text timeline: each section lists the events whose flow id is
-  // the section's.
+  // Per-flow text timeline: one section per flow id, ascending, each
+  // listing that flow's events in ring order (hence the stable sort).
   const auto write_flows = [&](std::ostream& out) {
-    for (const auto& [flow, span] : flows) {
-      (void)span;
-      out << "=== flow " << flow << " ===\n";
-      for (const FlightEvent& e : dump.events) {
-        if (e.flow == flow) {
-          WriteFlightEventLine(out, e, dump.NodeName(e.node));
-        }
+    std::vector<size_t> order;
+    order.reserve(dump.events.size());
+    for (size_t i = 0; i < dump.events.size(); ++i) {
+      if (dump.events[i].flow >= 0) {
+        order.push_back(i);
       }
+    }
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+      return dump.events[a].flow < dump.events[b].flow;
+    });
+    int section = -1;
+    for (const size_t i : order) {
+      const FlightEvent& e = dump.events[i];
+      if (e.flow != section) {
+        section = e.flow;
+        out << "=== flow " << section << " ===\n";
+      }
+      WriteFlightEventLine(out, e, dump.NodeName(e.node));
     }
   };
   const auto write_trace = [&](std::ostream& out) {

@@ -10,8 +10,7 @@
 //
 // Wall-clock sampling costs two std::chrono::steady_clock reads per scope;
 // the enable flag gates exactly those reads, so a disabled profiler adds a
-// predictable branch and nothing else to the hot path (regression-tested by
-// bench/micro_core.cc against BENCH_core.json).
+// predictable branch and nothing else to the hot path.
 //
 // Confined, not shared: a Profiler belongs to one Network, sites register
 // against that instance (never a process-wide table), so concurrent

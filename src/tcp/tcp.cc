@@ -4,11 +4,11 @@
 
 namespace tfc {
 
-TcpSender::TcpSender(Network* network, Host* local, Host* remote, const TcpConfig& config)
-    : ReliableSender(network, local, remote, config.transport),
-      config_(config),
-      cwnd_(config.initial_cwnd_segments * mss()),
-      ssthresh_(static_cast<double>(config.transport.receive_window)) {
+TcpSender::TcpSender(Network* network, Host* local, Host* remote,
+                     const TransportConfig& config)
+    : ReliableSender(network, local, remote, config),
+      cwnd_(kInitialCwndSegments * mss()),
+      ssthresh_(static_cast<double>(config.receive_window)) {
   InitializeReceiver();
   metrics_.AddCallbackGauge(metric_prefix() + ".cwnd_bytes", [this] { return cwnd_; });
   metrics_.AddCallbackGauge(metric_prefix() + ".ssthresh_bytes",

@@ -11,15 +11,12 @@
 
 namespace tfc {
 
-struct TcpConfig {
-  TransportConfig transport;
-  double initial_cwnd_segments = 3.0;  // Linux 2.6.38-era IW
-  double min_cwnd_segments = 1.0;
-};
+inline constexpr double kInitialCwndSegments = 3.0;  // Linux 2.6.38-era IW
+inline constexpr double kMinCwndSegments = 1.0;
 
 class TcpSender : public ReliableSender {
  public:
-  TcpSender(Network* network, Host* local, Host* remote, const TcpConfig& config);
+  TcpSender(Network* network, Host* local, Host* remote, const TransportConfig& config);
 
   double cwnd_bytes() const { return cwnd_; }
   double ssthresh_bytes() const { return ssthresh_; }
@@ -36,12 +33,11 @@ class TcpSender : public ReliableSender {
   // Additive/multiplicative pieces exposed so DCTCP can reuse them.
   void GrowWindow(Bytes newly_acked);
   double mss() const { return static_cast<double>(transport_config().mss); }
-  double min_cwnd() const { return config_.min_cwnd_segments * mss(); }
+  double min_cwnd() const { return kMinCwndSegments * mss(); }
   void set_cwnd(double cwnd) { cwnd_ = std::max(cwnd, min_cwnd()); }
   void set_ssthresh(double v) { ssthresh_ = v; }
 
  private:
-  TcpConfig config_;
   double cwnd_;
   double ssthresh_;
 };

@@ -89,18 +89,13 @@ void TfcSender::ArmProbeRetry() {
   // A lost probe (or its RMA) must not wedge the acquisition phase until the
   // RTO safety net: retry on a capped exponential backoff, jittered so that
   // senders whose probes died together do not retry in lockstep.
-  if (config_.probe_retry_base <= 0) {
-    return;  // disabled: RTO-only recovery
-  }
-  TimeNs delay = config_.probe_retry_base;
-  for (int i = 0; i < probe_attempts_ && delay < config_.probe_retry_cap; ++i) {
+  TimeNs delay = kProbeRetryBase;
+  for (int i = 0; i < probe_attempts_ && delay < kProbeRetryCap; ++i) {
     delay *= 2;
   }
-  delay = std::min(delay, config_.probe_retry_cap);
-  if (config_.probe_retry_jitter > 0) {
-    delay += static_cast<TimeNs>(static_cast<double>(delay) * config_.probe_retry_jitter *
-                                 network()->rng().Uniform());
-  }
+  delay = std::min(delay, kProbeRetryCap);
+  delay += static_cast<TimeNs>(static_cast<double>(delay) * kProbeRetryJitter *
+                               network()->rng().Uniform());
   probe_timer_.RestartAfter(delay);
 }
 
@@ -129,7 +124,7 @@ void TfcSender::OnEstablished() {
 void TfcSender::OnWrite() {
   const TimeNs now = network()->scheduler().now();
   if (config_.resume_probe && state() == State::kEstablished && inflight_bytes() == 0 &&
-      have_window_ && now - last_activity_ > config_.resume_idle_threshold) {
+      have_window_ && now - last_activity_ > kResumeIdleThreshold) {
     // Resuming after a long silence: the cached window is stale (other flows
     // have absorbed the bandwidth), so re-acquire before bursting.
     have_window_ = false;
@@ -183,14 +178,6 @@ void TfcSender::OnRetransmitTimeout() {
   // Restart the round: the RM (or its RMA) may have been lost, and without a
   // new RM the switch would stop counting this flow.
   pending_rm_ = true;
-}
-
-bool TfcSender::OnIdleTimeout() {
-  if (awaiting_probe_rma_) {
-    SendProbe();
-    return true;
-  }
-  return false;
 }
 
 }  // namespace tfc

@@ -48,7 +48,6 @@ class TfcSender : public ReliableSender {
   void OnWrite() override;
   void OnAckHeader(const Packet& ack) override;
   void OnRetransmitTimeout() override;
-  bool OnIdleTimeout() override;
   void DecorateData(Packet& pkt, bool retransmission) override;
   std::unique_ptr<ReliableReceiver> MakeReceiver() override;
 

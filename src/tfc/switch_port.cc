@@ -14,14 +14,13 @@ TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& con
       config_(config),
       scheduler_(port->scheduler()),
       link_rate_(port->bps()),
-      rttb_(config.initial_rttb),
+      rttb_(kInitialRttb),
       failover_timer_(scheduler_, [this] { OnFailoverTimer(); }),
       token_(bdp()),
-      counter_(config.counter_cap_quanta *
-               Tokens::FromBytes(config.delay_quantum)),
+      counter_(kCounterCapQuanta * Tokens::FromBytes(config.delay_quantum)),
       release_timer_(scheduler_, [this] { ReleaseParkedAcks(); }),
       counter_initial_(counter_),
-      token_bound_hi_(config.token_boost_cap * bdp()),
+      token_bound_hi_(kTokenBoostCap * bdp()),
       metrics_(&owner->network()->metrics()),
       audit_registration_(&owner->network()->audit(),
                           "tfc.port:" + owner->name() + "." +
@@ -31,6 +30,8 @@ TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& con
   TFC_CHECK_MSG(config.rho0 > 0.0 && config.rho0 <= 1.0, "rho0=" << config.rho0);
   TFC_CHECK_MSG(config.history_weight >= 0.0 && config.history_weight < 1.0,
                 "history_weight=" << config.history_weight);
+  TFC_CHECK_MSG(config.delay_park_timeout > 0,
+                "delay_park_timeout=" << config.delay_park_timeout);
   // The control-path signals behind the paper's Figs. 6-8, exposed as
   // pull gauges (sampled by the telemetry recorder, free otherwise).
   release_site_ = owner->network()->profiler().Site("tfc.release_parked");
@@ -83,17 +84,6 @@ void TfcPortAgent::OnEgress(Packet& pkt) {
     return;
   }
 
-  // Strawman flow counting (D3-style): track connection handshakes. A
-  // retransmitted SYN is indistinguishable from a new flow, so the counter
-  // accumulates error — the failure mode the paper's Sec. 4.2 describes.
-  if (config_.flow_count_mode == FlowCountMode::kSynFin) {
-    if (pkt.type == PacketType::kSyn) {
-      ++synfin_count_;
-    } else if (pkt.type == PacketType::kFin && synfin_count_ > 1) {
-      --synfin_count_;
-    }
-  }
-
   if (pkt.type == PacketType::kFin) {
     // The flow is closing: any of its RMA ACKs still parked in the delay
     // arbiter grant a window nobody will use — destroy them now instead of
@@ -124,8 +114,8 @@ void TfcPortAgent::OnEgress(Packet& pkt) {
 
 void TfcPortAgent::StampWindow(Packet& pkt) const {
   // Until the first slot completes *and* rtt_b has actually been measured,
-  // this port has no trustworthy allocation: the configured initial rtt_b
-  // may overestimate the real RTT by an order of magnitude (e.g. 160 us
+  // this port has no trustworthy allocation: the initial rtt_b
+  // (kInitialRttb) may overestimate the real RTT by an order of magnitude (e.g. 160 us
   // initial vs ~10 us at 40 Gbps), and windows computed from it would burst
   // several BDPs into the buffer. Hand out just under one frame instead —
   // staying below the delay-arbiter quantum also means a crowd of flows
@@ -154,9 +144,9 @@ void TfcPortAgent::AdoptDelimiter(const Packet& pkt) {
     // (shorter-RTT) delimiter's minimum over would permanently undersize
     // the token value relative to the new delimiter's slots. Seed the new
     // minimum from the last measured slot RTT — the right magnitude for
-    // this port (unlike the configured initial) and an overestimate that
+    // this port (unlike kInitialRttb) and an overestimate that
     // the new delimiter's own samples min-correct within a round or two.
-    const TimeNs seed = rttm_last_ > 0 ? rttm_last_ : config_.initial_rttb;
+    const TimeNs seed = rttm_last_ > 0 ? rttm_last_ : kInitialRttb;
     rttb_ = seed;
   }
   delimiter_flow_ = pkt.flow_id;
@@ -214,16 +204,16 @@ void TfcPortAgent::EndSlot(const Packet& pkt) {
   // enters the token dimension through the explicit FromBytes boundary.
   const Tokens capacity = link_rate_ * rtt_m;
   Ratio rho = Tokens::FromBytes(slot_bytes) / capacity;
-  rho = std::max<double>(rho, config_.rho_floor);
+  rho = std::max<double>(rho, kRhoFloor);
 
   // Token adjustment (Eq. 7) with engineering clamps, then EWMA (Eq. 8).
   // The upper clamp is floored at one quantum: after a delimiter handover
-  // re-seeds rtt_b from an anomalously short slot, token_boost_cap * bdp can
+  // re-seeds rtt_b from an anomalously short slot, kTokenBoostCap * bdp can
   // drop below one frame, which would invert the clamp bounds (UB) and
   // allocate less than the arbiter's release unit.
   const Tokens bdp_now = bdp();
   const Tokens quantum = Tokens::FromBytes(config_.delay_quantum);
-  const Tokens bound_hi = std::max(config_.token_boost_cap * bdp_now, quantum);
+  const Tokens bound_hi = std::max(kTokenBoostCap * bdp_now, quantum);
   Tokens target = config_.enable_token_adjustment
                       ? Tokens(bdp_now.value() * config_.rho0 / rho.value())
                       : bdp_now;
@@ -234,13 +224,10 @@ void TfcPortAgent::EndSlot(const Packet& pkt) {
   token_bound_hi_ = bound_hi;
 
   // W[n+1] = T[n] / E[n]  (Eq. 5).
-  const int effective = config_.flow_count_mode == FlowCountMode::kSynFin
-                            ? std::max(1, synfin_count_)
-                            : E_;
   const bool was_cold = !have_window_;  // converging from cold start / wipe
-  window_ = token_ / static_cast<double>(effective);
+  window_ = token_ / static_cast<double>(E_);
   have_window_ = true;
-  last_E_ = effective;
+  last_E_ = E_;
   rttm_last_ = rtt_m;
   ++slots_completed_;
 
@@ -257,7 +244,7 @@ void TfcPortAgent::EndSlot(const Packet& pkt) {
   if (Network* net = switch_->network(); net->TraceActive()) {
     FlightEvent end = ControlFlightEvent(FlightEventType::kSlotEnd, switch_->id(),
                                          port_->index(), delimiter_flow_);
-    end.seq = static_cast<uint64_t>(effective);
+    end.seq = static_cast<uint64_t>(last_E_);
     end.a = FlightI32(token_.value());
     end.b = FlightI32(window_.value());
     end.c = FlightI32(rtt_m.count());
@@ -279,7 +266,7 @@ void TfcPortAgent::EndSlot(const Packet& pkt) {
 }
 
 void TfcPortAgent::ArmFailover() {
-  TimeNs base = rttm_last_ > 0 ? rttm_last_ : config_.initial_rttb;
+  TimeNs base = rttm_last_ > 0 ? rttm_last_ : kInitialRttb;
   // In the sub-MSS regime a flow's round is paced by the delay arbiter, not
   // its RTT: one grant per flow per E-grant cycle at ~rho0*c. Deposing the
   // delimiter on an RTT timescale would churn it every round (and each
@@ -290,7 +277,7 @@ void TfcPortAgent::ArmFailover() {
                                  static_cast<double>(config_.delay_quantum.count()) /
                                  (config_.rho0 * link_rate_.bytes_per_ns())));
   }
-  const int k = std::min(miss_k_, config_.max_miss_exponent);
+  const int k = std::min(miss_k_, kMaxMissExponent);
   failover_timer_.RestartAfter(base * (int64_t{1} << (k + 1)));
 }
 
@@ -308,7 +295,7 @@ void TfcPortAgent::OnFailoverTimer() {
     e.a = miss_k_;
     net->EmitFlight(e);
   }
-  if (miss_k_ <= config_.max_miss_exponent) {
+  if (miss_k_ <= kMaxMissExponent) {
     ArmFailover();
   }
 }
@@ -342,7 +329,7 @@ void TfcPortAgent::RefillCounter() {
       net->EmitFlight(e);
     }
   }
-  const Tokens cap = config_.counter_cap_quanta * Tokens::FromBytes(config_.delay_quantum);
+  const Tokens cap = kCounterCapQuanta * Tokens::FromBytes(config_.delay_quantum);
   if (counter_ > cap) {
     overflow_total_ += counter_ - cap;
     counter_ = cap;
@@ -365,7 +352,7 @@ bool TfcPortAgent::OnReverse(PacketPtr& pkt) {
     // windows cannot starve small flows indefinitely.
     counter_ -= w;
     debited_total_ += w;
-    const Tokens floor = -config_.token_boost_cap * bdp();
+    const Tokens floor = -kTokenBoostCap * bdp();
     counter_floor_lo_ = std::min(counter_floor_lo_, floor);
     if (counter_ < floor) {
       forgiven_total_ += floor - counter_;
@@ -442,10 +429,7 @@ void TfcPortAgent::ScheduleRelease() {
   // Never sleep past the park timeout: the release pass is also the expiry
   // pass, so a deeply indebted counter (full-window debt floor) must not
   // delay aging out undeliverable grants.
-  if (config_.delay_park_timeout > 0 && wait > config_.delay_park_timeout) {
-    wait = config_.delay_park_timeout;
-  }
-  release_timer_.RestartAfter(wait);
+  release_timer_.RestartAfter(std::min(wait, config_.delay_park_timeout));
 }
 
 void TfcPortAgent::DropParkedAck(PacketPtr pkt) {
@@ -466,9 +450,6 @@ void TfcPortAgent::DropParkedAck(PacketPtr pkt) {
 }
 
 void TfcPortAgent::ExpireAgedParkedAcks(TimeNs now) {
-  if (config_.delay_park_timeout <= 0) {
-    return;
-  }
   // Parking order is arrival order, so aged-out entries sit at the front.
   while (!delay_queue_.empty() &&
          now - delay_queue_.front().parked_at >= config_.delay_park_timeout) {
@@ -538,11 +519,10 @@ void TfcPortAgent::WipeState(std::vector<PacketPtr>* lost) {
   delimiter_closed_ = false;
   want_new_delimiter_ = true;
   slot_start_ = scheduler_->now();
-  rttb_ = config_.initial_rttb;
+  rttb_ = kInitialRttb;
   rttb_measured_ = false;
   rttm_last_ = 0;
   E_ = 1;
-  synfin_count_ = 0;
   arrived_wire_bytes_ = 0;
   slot_start_queue_bytes_ = 0;
   miss_k_ = 0;
@@ -556,7 +536,7 @@ void TfcPortAgent::WipeState(std::vector<PacketPtr>* lost) {
   // Arbiter counter and its conservation ledger restart from zero history.
   // counter_refill_time_ must move to now, or the first post-reboot refill
   // would credit the entire pre-reboot interval.
-  counter_ = config_.counter_cap_quanta * Tokens::FromBytes(config_.delay_quantum);
+  counter_ = kCounterCapQuanta * Tokens::FromBytes(config_.delay_quantum);
   counter_initial_ = counter_;
   counter_refill_time_ = scheduler_->now();
   refilled_total_ = Tokens(0.0);
@@ -567,7 +547,7 @@ void TfcPortAgent::WipeState(std::vector<PacketPtr>* lost) {
   granted_mss_ = Tokens(0.0);
 
   last_rho_ = 0.0;
-  token_bound_hi_ = std::max(config_.token_boost_cap * bdp(),
+  token_bound_hi_ = std::max(kTokenBoostCap * bdp(),
                              Tokens::FromBytes(config_.delay_quantum));
 
   // slots_completed_ / delayed_acks_ / failover counts are simulation-side
@@ -588,7 +568,7 @@ void TfcPortAgent::WipeState(std::vector<PacketPtr>* lost) {
 
 void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   const double quantum = static_cast<double>(config_.delay_quantum.count());
-  const double cap = config_.counter_cap_quanta * quantum;
+  const double cap = kCounterCapQuanta * quantum;
 
   // Token conservation (Sec. 4.6): the arbiter counter must equal its
   // byte-exact ledger — initial credit plus refills, minus cap overflow and
@@ -623,20 +603,19 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
   if (have_window_) {
     audit.CheckLe(token_.value(), token_bound_hi_.value() * (1.0 + 1e-9), "token<=boost cap");
     audit.CheckGe(token_.value(), quantum * (1.0 - 1e-9), "token>=one quantum");
-    audit.CheckGe(last_rho_.value(), config_.rho_floor, "rho>=floor");
+    audit.CheckGe(last_rho_.value(), kRhoFloor, "rho>=floor");
     audit.CheckLe(window_.value(), token_.value() * (1.0 + 1e-9), "window<=token");
   }
   audit.CheckGe(E_, 1, "effective flows>=1");
-  audit.CheckGe(synfin_count_, 0, "synfin count>=0");
 
   // RTT estimator (Sec. 4.4).
   audit.Check(rttb_ > 0, "rtt_b>0");
 
   // Delay arbiter queue: bounded, and every parked packet is a live sub-MSS
   // RMA ack (poisoned seq/ack here is a use-after-free of a pooled packet).
-  // With expiry enabled no entry may outlive two park timeouts: the release
-  // timer fires within one timeout of any park and each firing expires every
-  // aged-out entry (they are contiguous at the front, FIFO order).
+  // No entry may outlive two park timeouts: the release timer fires within
+  // one timeout of any park and each firing expires every aged-out entry
+  // (they are contiguous at the front, FIFO order).
   audit.CheckLe(delay_queue_.size(), config_.delay_queue_limit, "parked<=limit");
   const TimeNs now = scheduler_->now();
   for (const ParkedAck& parked : delay_queue_) {
@@ -645,10 +624,8 @@ void TfcPortAgent::AuditInvariants(Auditor& audit) const {
     audit.Check(p->is_ack() && p->rma, "parked packet is an RMA ack");
     audit.Check(static_cast<double>(p->window) < quantum, "parked window<quantum");
     audit.CheckLe(parked.parked_at, now, "parked in the past");
-    if (config_.delay_park_timeout > 0) {
-      audit.CheckLe(now - parked.parked_at, 2 * config_.delay_park_timeout,
-                    "parked age<=2x park timeout");
-    }
+    audit.CheckLe(now - parked.parked_at, 2 * config_.delay_park_timeout,
+                  "parked age<=2x park timeout");
   }
   // A non-empty park queue must have a release scheduled, or it would
   // starve (ScheduleRelease runs after every park and every drain).

@@ -124,7 +124,6 @@ class TfcPortAgent : public PortAgent {
   bool rttb_measured_ = false;
   TimeNs rttm_last_ = 0;
   int E_ = 1;
-  int synfin_count_ = 0;  // only maintained in FlowCountMode::kSynFin
   Bytes arrived_wire_bytes_ = 0;
   Bytes slot_start_queue_bytes_ = 0;
   int miss_k_ = 0;

@@ -14,7 +14,7 @@ ReliableSender::ReliableSender(Network* network, Host* local, Host* remote,
       remote_(remote),
       config_(config),
       flow_id_(network->AllocateFlowId()),
-      rto_(config.rto_initial),
+      rto_(kRtoInitial),
       rto_timer_(&network->scheduler(), [this] { HandleTimeout(); }) {
   TFC_CHECK_NE(local_, remote_);
   local_->RegisterEndpoint(flow_id_, this);
@@ -183,7 +183,7 @@ void ReliableSender::SampleRtt(TimeNs sample) {
     rttvar_ = (3 * rttvar_ + err) / 4;
     srtt_ = (7 * srtt_ + sample) / 8;
   }
-  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, config_.rto_max);
+  rto_ = std::clamp(srtt_ + 4 * rttvar_, config_.rto_min, kRtoMax);
 }
 
 void ReliableSender::HandleAck(PacketPtr pkt) {
@@ -265,7 +265,7 @@ void ReliableSender::HandleAck(PacketPtr pkt) {
   // Potential duplicate ACK (no forward progress while data is in flight).
   if (inflight_bytes() > 0 && pkt->ack == snd_una_) {
     ++dupacks_;
-    if (!in_recovery_ && dupacks_ >= config_.dupack_threshold) {
+    if (!in_recovery_ && dupacks_ >= kDupackThreshold) {
       in_recovery_ = true;
       recover_ = snd_next_;
       OnEnterRecovery(inflight_bytes());
@@ -277,7 +277,7 @@ void ReliableSender::HandleAck(PacketPtr pkt) {
   }
 }
 
-void ReliableSender::BackOffRto() { rto_ = std::min(rto_ * 2, config_.rto_max); }
+void ReliableSender::BackOffRto() { rto_ = std::min(rto_ * 2, kRtoMax); }
 
 void ReliableSender::HandleTimeout() {
   ProfileScope prof(&network_->profiler(), rto_site_);
@@ -298,11 +298,7 @@ void ReliableSender::HandleTimeout() {
     }
     case State::kEstablished: {
       if (inflight_bytes() == 0) {
-        if (OnIdleTimeout()) {
-          BackOffRto();
-          RestartRtoTimer();
-        }
-        return;
+        return;  // nothing to retransmit (TFC's probe has its own retry timer)
       }
       ++stats_.timeouts;
       OnRetransmitTimeout();

@@ -38,12 +38,13 @@ namespace tfc {
 
 class Network;
 
+inline constexpr TimeNs kRtoMax = Seconds(60);
+inline constexpr TimeNs kRtoInitial = Milliseconds(200);
+inline constexpr uint32_t kDupackThreshold = 3;
+
 struct TransportConfig {
   uint32_t mss = kMssBytes;            // max payload per segment
   TimeNs rto_min = Milliseconds(200);  // Linux default; DC deployments tune this
-  TimeNs rto_max = Seconds(60);
-  TimeNs rto_initial = Milliseconds(200);
-  uint32_t dupack_threshold = 3;
   Bytes receive_window = 4 * 1024 * 1024;     // advertised window (payload bytes)
 };
 
@@ -143,11 +144,6 @@ class ReliableSender : public Endpoint {
     (void)pkt;
     (void)retransmission;
   }
-
-  // Handles an RTO when established but with nothing in flight (TFC uses
-  // this to retry its window-acquisition probe). Return true if the timer
-  // should be re-armed.
-  virtual bool OnIdleTimeout() { return false; }
 
   // Whether outgoing data should be ECN-capable (DCTCP).
   virtual bool EcnCapable() const { return false; }

@@ -32,8 +32,8 @@ inline const char* ProtocolName(Protocol p) {
 
 struct ProtocolSuite {
   Protocol protocol = Protocol::kTfc;
-  TcpConfig tcp;
-  DctcpConfig dctcp;
+  TransportConfig tcp;
+  TransportConfig dctcp;
   TfcHostConfig tfc;
   TfcSwitchConfig tfc_switch;
 

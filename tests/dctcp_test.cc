@@ -34,7 +34,7 @@ struct Dumbbell {
 TEST(DctcpTest, QueueStabilizesNearMarkingThreshold) {
   Dumbbell d(kDctcpMarkingThreshold1G);
   PersistentFlow flow(
-      std::make_unique<DctcpSender>(&d.net, d.a, d.b, DctcpConfig()));
+      std::make_unique<DctcpSender>(&d.net, d.a, d.b, TransportConfig()));
   flow.Start();
 
   Port* bottleneck = Network::FindPort(d.s, d.b);
@@ -60,7 +60,7 @@ TEST(DctcpTest, QueueStabilizesNearMarkingThreshold) {
 
 TEST(DctcpTest, AlphaConvergesBelowOneUnderMildCongestion) {
   Dumbbell d(kDctcpMarkingThreshold1G);
-  auto sender = std::make_unique<DctcpSender>(&d.net, d.a, d.b, DctcpConfig());
+  auto sender = std::make_unique<DctcpSender>(&d.net, d.a, d.b, TransportConfig());
   DctcpSender* raw = sender.get();
   PersistentFlow flow(std::move(sender));
   flow.Start();
@@ -75,7 +75,7 @@ TEST(DctcpTest, AlphaConvergesBelowOneUnderMildCongestion) {
 TEST(DctcpTest, AchievesFullThroughputDespiteMarking) {
   Dumbbell d(kDctcpMarkingThreshold1G);
   PersistentFlow flow(
-      std::make_unique<DctcpSender>(&d.net, d.a, d.b, DctcpConfig()));
+      std::make_unique<DctcpSender>(&d.net, d.a, d.b, TransportConfig()));
   flow.Start();
   d.net.scheduler().RunUntil(Seconds(1.0));
   const uint64_t before = flow.delivered_bytes();
@@ -86,7 +86,7 @@ TEST(DctcpTest, AchievesFullThroughputDespiteMarking) {
 
 TEST(DctcpTest, NoMarkingBehavesLikeTcp) {
   Dumbbell d(/*ecn_threshold=*/0);
-  auto sender = std::make_unique<DctcpSender>(&d.net, d.a, d.b, DctcpConfig());
+  auto sender = std::make_unique<DctcpSender>(&d.net, d.a, d.b, TransportConfig());
   DctcpSender* raw = sender.get();
   PersistentFlow flow(std::move(sender));
   flow.Start();
@@ -101,7 +101,7 @@ TEST(DctcpTest, ManyFlowsStillBoundQueueBelowDropTailLevels) {
   std::vector<std::unique_ptr<PersistentFlow>> flows;
   for (int i = 0; i < 5; ++i) {
     flows.push_back(std::make_unique<PersistentFlow>(
-        std::make_unique<DctcpSender>(&d.net, d.a, d.b, DctcpConfig())));
+        std::make_unique<DctcpSender>(&d.net, d.a, d.b, TransportConfig())));
     flows.back()->Start();
   }
   Port* bottleneck = Network::FindPort(d.s, d.b);

@@ -31,8 +31,8 @@ TEST(SpeedMismatchTest, FastToSlowQueuesAtTheSlowPort) {
   net.Link(s, b, kGbps, Microseconds(5));
   net.BuildRoutes();
 
-  TcpConfig cfg;
-  cfg.transport.receive_window = 64 * 1024;  // caps inflight
+  TransportConfig cfg;
+  cfg.receive_window = 64 * 1024;  // caps inflight
   TcpSender flow(&net, a, b, cfg);
   flow.Write(10'000'000);
   flow.Close();
@@ -54,7 +54,7 @@ TEST(SpeedMismatchTest, SlowToFastNeverQueues) {
   net.Link(a, s, kGbps, Microseconds(5));
   net.Link(s, b, 10 * kGbps, Microseconds(5));
   net.BuildRoutes();
-  TcpSender flow(&net, a, b, TcpConfig());
+  TcpSender flow(&net, a, b, TransportConfig());
   flow.Write(5'000'000);
   flow.Close();
   flow.Start();
@@ -65,8 +65,8 @@ TEST(SpeedMismatchTest, SlowToFastNeverQueues) {
 TEST(FlowControlTest, ReceiveWindowBoundsInflight) {
   Network net(93);
   StarTopology topo = BuildStar(net, 2, LinkOptions(), kGbps, Microseconds(200));
-  TcpConfig cfg;
-  cfg.transport.receive_window = 8 * 1460;  // 8 segments on a long-RTT path
+  TransportConfig cfg;
+  cfg.receive_window = 8 * 1460;  // 8 segments on a long-RTT path
   TcpSender flow(&net, topo.hosts[1], topo.hosts[0], cfg);
   flow.Write(50'000'000);
   flow.Start();
@@ -83,8 +83,8 @@ TEST(FlowControlTest, ThroughputIsWindowOverRtt) {
   // ~window/RTT — a golden check on the whole timing machinery.
   Network net(94);
   StarTopology topo = BuildStar(net, 2, LinkOptions(), kGbps, Microseconds(500));
-  TcpConfig cfg;
-  cfg.transport.receive_window = 16 * 1460;
+  TransportConfig cfg;
+  cfg.receive_window = 16 * 1460;
   TcpSender flow(&net, topo.hosts[1], topo.hosts[0], cfg);
   flow.Write(100'000'000);
   flow.Start();
@@ -99,7 +99,7 @@ TEST(FlowControlTest, ThroughputIsWindowOverRtt) {
 TEST(WriteApiTest, WriteBeforeStartIsBuffered) {
   Network net(95);
   StarTopology topo = BuildStar(net, 2);
-  TcpSender flow(&net, topo.hosts[1], topo.hosts[0], TcpConfig());
+  TcpSender flow(&net, topo.hosts[1], topo.hosts[0], TransportConfig());
   flow.Write(123'456);
   flow.Close();
   flow.Start();  // everything already queued
@@ -111,7 +111,7 @@ TEST(WriteApiTest, WriteBeforeStartIsBuffered) {
 TEST(WriteApiTest, ZeroByteWriteIsANoop) {
   Network net(96);
   StarTopology topo = BuildStar(net, 2);
-  TcpSender flow(&net, topo.hosts[1], topo.hosts[0], TcpConfig());
+  TcpSender flow(&net, topo.hosts[1], topo.hosts[0], TransportConfig());
   flow.Write(0);
   flow.Write(1000);
   flow.Write(0);

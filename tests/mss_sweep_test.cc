@@ -29,8 +29,8 @@ TEST_P(MssSweep, TransferCompletesAndSaturates) {
   const MssCase param = GetParam();
   ProtocolSuite suite;
   suite.protocol = param.protocol;
-  suite.tcp.transport.mss = param.mss;
-  suite.dctcp.tcp.transport.mss = param.mss;
+  suite.tcp.mss = param.mss;
+  suite.dctcp.mss = param.mss;
   suite.tfc.transport.mss = param.mss;
   // TFC's switch-side quantum must match the frame size in use, exactly as
   // an operator would configure a jumbo-frame fabric.

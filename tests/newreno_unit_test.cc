@@ -63,8 +63,8 @@ class NewRenoTest : public ::testing::Test {
     net_->Link(a_, b_, kGbps, Microseconds(5));
     net_->BuildRoutes();
 
-    TcpConfig cfg;
-    cfg.transport.rto_min = Milliseconds(10);
+    TransportConfig cfg;
+    cfg.rto_min = Milliseconds(10);
     sender_ = std::make_unique<TcpSender>(net_.get(), a_, b_, cfg);
     // Swap the real receiver for the scripted one.
     fake_ = std::make_unique<ScriptedReceiver>(net_.get(), b_);

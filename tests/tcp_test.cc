@@ -29,13 +29,13 @@ struct Dumbbell {
 
 TEST(TcpTest, InitialWindowIsThreeSegments) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   EXPECT_DOUBLE_EQ(flow.cwnd_bytes(), 3.0 * kMssBytes);
 }
 
 TEST(TcpTest, SlowStartDoublesWindowPerRtt) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(50'000'000);
   flow.Start();
   // After a few RTTs of slow start with no loss, cwnd must have grown far
@@ -70,8 +70,8 @@ TEST(TcpTest, LossHalvesWindowViaFastRetransmit) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 64 * 1518;
   TwoToOne d(opts);
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
+  TransportConfig cfg;
+  cfg.rto_min = Milliseconds(10);
   TcpSender f1(&d.net, d.a1, d.b, cfg);
   TcpSender f2(&d.net, d.a2, d.b, cfg);
   f1.Write(80'000'000);
@@ -91,8 +91,8 @@ TEST(TcpTest, LongFlowsFillDropTailBuffer) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 256 * 1024;
   TwoToOne d(opts);
-  PersistentFlow f1(std::make_unique<TcpSender>(&d.net, d.a1, d.b, TcpConfig()));
-  PersistentFlow f2(std::make_unique<TcpSender>(&d.net, d.a2, d.b, TcpConfig()));
+  PersistentFlow f1(std::make_unique<TcpSender>(&d.net, d.a1, d.b, TransportConfig()));
+  PersistentFlow f2(std::make_unique<TcpSender>(&d.net, d.a2, d.b, TransportConfig()));
   f1.Start();
   f2.Start();
   d.net.scheduler().RunUntil(Seconds(2.0));
@@ -104,8 +104,8 @@ TEST(TcpTest, LongFlowsFillDropTailBuffer) {
 
 TEST(TcpTest, TimeoutCollapsesWindowToOneSegment) {
   Dumbbell d;
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
+  TransportConfig cfg;
+  cfg.rto_min = Milliseconds(10);
   TcpSender flow(&d.net, d.a, d.b, cfg);
   flow.Write(100'000);
   flow.Start();
@@ -122,7 +122,7 @@ TEST(TcpTest, TimeoutCollapsesWindowToOneSegment) {
 
 TEST(TcpTest, CongestionAvoidanceGrowsLinearly) {
   Dumbbell d;
-  TcpConfig cfg;
+  TransportConfig cfg;
   TcpSender flow(&d.net, d.a, d.b, cfg);
   flow.Write(100'000'000);
   flow.Start();

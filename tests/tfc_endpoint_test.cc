@@ -167,6 +167,9 @@ TEST(TfcEndpointTest, ProbeRetriedWhenUnansweredAndFlowRecovers) {
   ASSERT_EQ(flow.state(), ReliableSender::State::kEstablished);
   EXPECT_FALSE(flow.window_acquired());
   EXPECT_GT(flow.probes_sent(), 1u);  // retried at least once
+  // The retry timer sends every re-probe: a second of lost probes never
+  // waits for the RTO.
+  EXPECT_EQ(flow.probes_sent(), 1 + flow.probe_retries());
 
   egress->set_buffer_limit(original_limit);  // heal the path
   net.scheduler().RunUntil(Seconds(5));
@@ -212,38 +215,6 @@ TEST(TfcEndpointTest, LostProbesAndRmaRecoverByBackoffWellBeforeRto) {
   net.scheduler().RunUntil(Seconds(1));
   EXPECT_EQ(flow.delivered_bytes(), 4u * kMssBytes);
   EXPECT_EQ(flow.state(), ReliableSender::State::kClosed);
-}
-
-TEST(TfcEndpointTest, ProbeRetryDisabledFallsBackToRto) {
-  // base = 0 turns the retry timer off: a lost probe then waits for the RTO
-  // (the pre-hardening behaviour, kept reachable for comparison).
-  Network net(5);
-  Host* a = net.AddHost("a");
-  Host* b = net.AddHost("b");
-  Switch* sw = net.AddSwitch("sw");
-  net.Link(a, sw, kGbps, Microseconds(5));
-  net.Link(sw, b, kGbps, Microseconds(5));
-  net.BuildRoutes();
-  InstallTfcSwitches(net);
-  FaultInjector inject(&net, 2);
-  inject.DropMatching(a->nic(), [budget = 1](const Packet& pkt) mutable {
-    const bool probe = pkt.type == PacketType::kData && pkt.payload == 0 && pkt.rm;
-    return probe && budget-- > 0;
-  });
-
-  TfcHostConfig config;
-  config.probe_retry_base = 0;
-  TfcSender flow(&net, a, b, config);
-  flow.Write(kMssBytes);
-  flow.Start();
-
-  net.scheduler().RunUntil(Milliseconds(150));  // inside the RTO window
-  EXPECT_FALSE(flow.window_acquired());
-  EXPECT_EQ(flow.probe_retries(), 0u);
-
-  net.scheduler().RunUntil(Seconds(1));  // the RTO path still recovers
-  EXPECT_TRUE(flow.window_acquired());
-  EXPECT_EQ(flow.delivered_bytes(), static_cast<uint64_t>(kMssBytes));
 }
 
 TEST(TfcEndpointTest, ReceiverEchoesWindowOnlyOnRma) {

@@ -133,112 +133,5 @@ TEST(TfcAblationTest, WithoutDelayFunctionConcurrencyCausesDrops) {
   EXPECT_GT(run(false), 0u);
 }
 
-// --- SYN/FIN flow counting (the strawman of paper Sec. 4.2) ---
-
-TEST(SynFinCountingTest, CountsHandshakesAtTheSwitch) {
-  Network net(80);
-  Host* a = net.AddHost("a");
-  Host* b = net.AddHost("b");
-  Switch* sw = net.AddSwitch("sw");
-  net.Link(a, sw, kGbps, Microseconds(5));
-  net.Link(sw, b, kGbps, Microseconds(5));
-  net.BuildRoutes();
-  TfcSwitchConfig config;
-  config.flow_count_mode = FlowCountMode::kSynFin;
-  InstallTfcSwitches(net, config);
-  TfcPortAgent* agent = TfcPortAgent::FromPort(Network::FindPort(sw, b));
-
-  // Two short flows overlap, then finish.
-  TfcSender f1(&net, a, b, TfcHostConfig());
-  TfcSender f2(&net, a, b, TfcHostConfig());
-  for (TfcSender* f : {&f1, &f2}) {
-    f->Write(100'000);
-    f->Close();
-    f->Start();
-  }
-  net.scheduler().RunUntil(Milliseconds(1));
-  EXPECT_EQ(agent->last_effective_flows(), 2);
-  net.scheduler().Run();
-  EXPECT_EQ(f1.delivered_bytes(), 100'000u);
-  EXPECT_EQ(f2.delivered_bytes(), 100'000u);
-}
-
-TEST(SynFinCountingTest, RetransmittedSynAccumulatesPermanentError) {
-  // Drop the first SYN: its retransmission is counted again, so the port
-  // believes two flows exist forever and halves the single flow's window —
-  // the cumulative-error argument for round-mark counting.
-  Network net(80);
-  Host* a = net.AddHost("a");
-  Host* b = net.AddHost("b");
-  Switch* sw = net.AddSwitch("sw");
-  net.Link(a, sw, kGbps, Microseconds(5));
-  net.Link(sw, b, kGbps, Microseconds(5));
-  net.BuildRoutes();
-  TfcSwitchConfig config;
-  config.flow_count_mode = FlowCountMode::kSynFin;
-  InstallTfcSwitches(net, config);
-  Port* egress = Network::FindPort(sw, b);
-  TfcPortAgent* agent = TfcPortAgent::FromPort(egress);
-  const Bytes limit = egress->buffer_limit();
-
-  // Count the SYN at the switch, then lose it before delivery: shrink the
-  // buffer for the receiver-facing... the SYN is already past. Instead we
-  // emulate the paper's scenario directly: the SYN is counted by *this*
-  // switch and dropped at the *next* hop, so the sender retransmits.
-  // Here, with one switch, drop the SYNACK path instead by blocking the
-  // reverse direction briefly — the sender retransmits the SYN, and the
-  // switch counts it twice.
-  Port* reverse = Network::FindPort(sw, a);
-  const Bytes rlimit = reverse->buffer_limit();
-  reverse->set_buffer_limit(10);  // SYNACK dropped
-  TfcHostConfig host;
-  host.transport.rto_min = Milliseconds(10);
-  PersistentFlow flow(std::make_unique<TfcSender>(&net, a, b, host));
-  flow.Start();
-  net.scheduler().RunUntil(Milliseconds(100));  // SYN retransmitted >= once
-  reverse->set_buffer_limit(rlimit);
-  egress->set_buffer_limit(limit);
-  net.scheduler().RunUntil(Milliseconds(300));
-
-  // The single flow is under-allocated forever: counted flows >= 2.
-  EXPECT_GE(agent->last_effective_flows(), 2);
-  const uint64_t d0 = flow.delivered_bytes();
-  net.scheduler().RunUntil(Milliseconds(500));
-  const double bps = static_cast<double>(flow.delivered_bytes() - d0) * 8.0 / 0.2;
-  EXPECT_LT(bps, 0.75e9);  // well under the ~0.92 Gbps it should get
-  // (the rho0/rho boost partially masks the error, bounded by its cap)
-}
-
-TEST(SynFinCountingTest, SilentFlowsKeepConsumingAllocation) {
-  // Round-mark counting hands a silent flow's share to the active ones;
-  // SYN/FIN counting cannot (the connection is open, so it stays counted).
-  auto active_share = [](FlowCountMode mode) {
-    Network net(81);
-    StarTopology topo = BuildStar(net, 6, LinkOptions(), kGbps, Microseconds(20));
-    TfcSwitchConfig config;
-    config.flow_count_mode = mode;
-    InstallTfcSwitches(net, config);
-    std::vector<std::unique_ptr<PersistentFlow>> flows;
-    for (int i = 1; i <= 5; ++i) {
-      flows.push_back(std::make_unique<PersistentFlow>(std::make_unique<TfcSender>(
-          &net, topo.hosts[static_cast<size_t>(i)], topo.hosts[0], TfcHostConfig())));
-      flows.back()->Start();
-    }
-    net.scheduler().RunUntil(Milliseconds(50));
-    for (int i = 1; i <= 4; ++i) {
-      flows[static_cast<size_t>(i)]->SetActive(false);  // 4 of 5 go silent
-    }
-    net.scheduler().RunUntil(Milliseconds(150));
-    const uint64_t d0 = flows[0]->delivered_bytes();
-    net.scheduler().RunUntil(Milliseconds(350));
-    return static_cast<double>(flows[0]->delivered_bytes() - d0) * 8.0 / 0.2;
-  };
-
-  const double with_marks = active_share(FlowCountMode::kRoundMarks);
-  const double with_synfin = active_share(FlowCountMode::kSynFin);
-  EXPECT_GT(with_marks, 0.80e9);             // sole active flow takes the link
-  EXPECT_LT(with_synfin, with_marks * 0.5);  // stuck near 1/5 of the link
-}
-
 }  // namespace
 }  // namespace tfc

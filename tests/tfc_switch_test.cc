@@ -317,7 +317,7 @@ TEST_F(TfcPortFixture, ReleaseWakesAtTheFirstNanosecondTheCounterAffords) {
         // The counter starts at its cap; a full window debits it to one
         // quantum less the deficit, and the next sub-MSS grant parks.
         const uint32_t quantum = config.delay_quantum.ToU32Saturating();
-        const auto cap = static_cast<uint32_t>(config.counter_cap_quanta * quantum);
+        const auto cap = static_cast<uint32_t>(kCounterCapQuanta * quantum);
         PacketPtr full = MakeRmaAck(5, cap - quantum + deficit);
         ASSERT_TRUE(agent_->OnReverse(full));
         PacketPtr ack = MakeRmaAck(6, 200);
@@ -485,27 +485,21 @@ TEST_F(TfcPortFixture, AgedParkedAckExpiresInsteadOfWaitingOutDeepDebt) {
   EXPECT_EQ(value, 1.0);
 }
 
-TEST_F(TfcPortFixture, ZeroParkTimeoutDisablesExpiry) {
-  TfcSwitchConfig config;
-  config.delay_park_timeout = 0;
-  Build(config);
-  for (int i = 0; i < 2; ++i) {
-    PacketPtr ack = MakeRmaAck(5, 200);
-    ASSERT_TRUE(agent_->OnReverse(ack));
+// Parked grants always age out: an agent is not built with a park timeout
+// of zero or less.
+TEST(TfcPortDeathTest, NonPositiveParkTimeoutIsRejected) {
+  for (TimeNs timeout : {TimeNs(0), -Microseconds(1)}) {
+    Network net(3);
+    Host* a = net.AddHost("a");
+    Switch* sw = net.AddSwitch("sw");
+    net.Link(a, sw, kGbps, Microseconds(5));
+    TfcSwitchConfig config;
+    config.delay_park_timeout = timeout;
+    EXPECT_DEATH(InstallTfcSwitches(net, config), "delay_park_timeout=");
   }
-  PacketPtr big = MakeRmaAck(5, 100'000);
-  ASSERT_TRUE(agent_->OnReverse(big));
-  PacketPtr parked = MakeRmaAck(6, 200);
-  ASSERT_FALSE(agent_->OnReverse(parked));
-
-  net_->scheduler().Run();
-  // With expiry disabled the grant waits out the debt and is released.
-  EXPECT_EQ(agent_->arbiter_expired(), 0u);
-  EXPECT_EQ(agent_->delay_queue_length(), 0u);
-  EXPECT_EQ(agent_->delayed_acks(), 1u);
 }
 
-TEST(TfcDelimiterFailoverTest, ForcedRmLossFailsOverWithinBackoffBound) {
+TEST(TfcDelimiterFailoverTest,ForcedRmLossFailsOverWithinBackoffBound) {
   // End to end: two flows share an egress; the delimiter's RM packets are
   // then force-dropped on its sender's wire. The agent must depose the
   // silent delimiter within the 2^k * rtt_last backoff and adopt the

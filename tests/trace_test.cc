@@ -98,7 +98,7 @@ std::string ReadFile(const std::string& path) {
 TEST(TraceTest, CountsBalanceOnLosslessRun) {
   TracedDumbbell d;
 
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(500'000);
   flow.Close();
   flow.Start();
@@ -124,8 +124,8 @@ TEST(TraceTest, DropsAreTraced) {
   d.net.Link(a2, d.s, kGbps, Microseconds(5), opts);
   d.net.BuildRoutes();
 
-  TcpSender f1(&d.net, d.a, d.b, TcpConfig());
-  TcpSender f2(&d.net, a2, d.b, TcpConfig());
+  TcpSender f1(&d.net, d.a, d.b, TransportConfig());
+  TcpSender f2(&d.net, a2, d.b, TransportConfig());
   f1.Write(2'000'000);
   f2.Write(2'000'000);
   f1.Start();
@@ -148,7 +148,7 @@ TEST(TraceTest, DropsAreTraced) {
 TEST(TraceTest, TextFormatContainsTheEssentials) {
   TracedDumbbell d;
 
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(kMssBytes);
   flow.Close();
   flow.Start();
@@ -209,6 +209,20 @@ TEST(TraceTest, FlowFilterSelectsOneFlow) {
   EXPECT_GT(lines_by_flow[f2.flow_id()], 0u);
   EXPECT_EQ(lines_by_flow[f1.flow_id()] + lines_by_flow[f2.flow_id()], flow_events);
   EXPECT_GT(control_lines, 0u);
+
+  // Byte for byte: one section per flow id, ascending, each holding that
+  // flow's events in ring order.
+  std::map<int, std::string> sections;
+  d.net.flight().ForEach([&](const FlightEvent& e) {
+    if (e.flow >= 0) {
+      sections[e.flow] += RenderLine(d.net, e);
+    }
+  });
+  std::string expected;
+  for (const auto& [flow, text] : sections) {
+    expected += "=== flow " + std::to_string(flow) + " ===\n" + text;
+  }
+  EXPECT_EQ(ReadFile(dir + "/flows.txt"), expected);
 }
 
 // Direct rendering tests: render a crafted event and pin the exact line, so
@@ -341,8 +355,8 @@ TEST(TraceTest, DropAccountingUnderFullBuffer) {
   d.net.Link(a2, d.s, kGbps, Microseconds(5), opts);
   d.net.BuildRoutes();
 
-  TcpSender f1(&d.net, d.a, d.b, TcpConfig());
-  TcpSender f2(&d.net, a2, d.b, TcpConfig());
+  TcpSender f1(&d.net, d.a, d.b, TransportConfig());
+  TcpSender f2(&d.net, a2, d.b, TransportConfig());
   f1.Write(1'000'000);
   f2.Write(1'000'000);
   f1.Start();
@@ -371,7 +385,7 @@ TEST(TraceTest, DisarmedRingRecordsNothing) {
   TracedDumbbell d;
   d.net.flight().Disarm();
   EXPECT_FALSE(d.net.TraceActive());
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(100'000);
   flow.Close();
   flow.Start();

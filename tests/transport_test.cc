@@ -32,7 +32,7 @@ struct Dumbbell {
 
 TEST(TransportTest, TransfersExactByteCount) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   bool completed = false;
   flow.on_complete = [&] { completed = true; };
   flow.Write(1'000'000);
@@ -49,7 +49,7 @@ TEST(TransportTest, TransfersExactByteCount) {
 
 TEST(TransportTest, ZeroByteFlowCompletesViaHandshakeOnly) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   bool completed = false;
   flow.on_complete = [&] { completed = true; };
   flow.Close();
@@ -61,7 +61,7 @@ TEST(TransportTest, ZeroByteFlowCompletesViaHandshakeOnly) {
 
 TEST(TransportTest, LargeTransferApproachesLineRate) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   const uint64_t bytes = 20'000'000;
   flow.Write(bytes);
   flow.Close();
@@ -76,7 +76,7 @@ TEST(TransportTest, LargeTransferApproachesLineRate) {
 
 TEST(TransportTest, PersistentConnectionFiresDrainedPerRound) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   int drains = 0;
   flow.on_drained = [&] {
     if (++drains < 5) {
@@ -105,8 +105,8 @@ TEST(TransportTest, RecoversFromLossAndStillDeliversEverything) {
   net.Link(s, b, kGbps, Microseconds(5), opts);
   net.BuildRoutes();
 
-  TcpSender f1(&net, a1, b, TcpConfig());
-  TcpSender f2(&net, a2, b, TcpConfig());
+  TcpSender f1(&net, a1, b, TransportConfig());
+  TcpSender f2(&net, a2, b, TransportConfig());
   for (TcpSender* f : {&f1, &f2}) {
     f->Write(5'000'000);
     f->Close();
@@ -126,7 +126,7 @@ TEST(TransportTest, ByteConservationAcrossTheBottleneck) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 16 * 1518;
   Dumbbell d(opts);
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(3'000'000);
   flow.Close();
   flow.Start();
@@ -146,9 +146,9 @@ TEST(TransportTest, RtoFiresWhenPathIsDead) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 10;  // nothing fits: all data dropped at switch
   Dumbbell d(opts);
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig(cfg));
+  TransportConfig cfg;
+  cfg.rto_min = Milliseconds(10);
+  TcpSender flow(&d.net, d.a, d.b, cfg);
   flow.Write(10'000);
   flow.Start();
   d.net.scheduler().RunUntil(Seconds(3.0));
@@ -160,7 +160,7 @@ TEST(TransportTest, RtoFiresWhenPathIsDead) {
 
 TEST(TransportTest, RttEstimateTracksPathRtt) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(1'000'000);
   flow.Close();
   flow.Start();
@@ -174,8 +174,8 @@ TEST(TransportTest, RttEstimateTracksPathRtt) {
 
 TEST(TransportTest, TwoFlowsShareBottleneckAndBothFinish) {
   Dumbbell d;
-  TcpSender f1(&d.net, d.a, d.b, TcpConfig());
-  TcpSender f2(&d.net, d.a, d.b, TcpConfig());
+  TcpSender f1(&d.net, d.a, d.b, TransportConfig());
+  TcpSender f2(&d.net, d.a, d.b, TransportConfig());
   f1.Write(5'000'000);
   f1.Close();
   f2.Write(5'000'000);
@@ -191,8 +191,8 @@ TEST(TransportTest, SynRetransmittedWhenLost) {
   LinkOptions opts;
   opts.switch_buffer_bytes = 10;  // drops the SYN too
   Dumbbell d(opts);
-  TcpConfig cfg;
-  cfg.transport.rto_min = Milliseconds(10);
+  TransportConfig cfg;
+  cfg.rto_min = Milliseconds(10);
   TcpSender flow(&d.net, d.a, d.b, cfg);
   flow.Start();
   d.net.scheduler().RunUntil(Milliseconds(700));
@@ -202,7 +202,7 @@ TEST(TransportTest, SynRetransmittedWhenLost) {
 
 TEST(TransportTest, DeliveredBytesReachLineRateInSomeWindow) {
   Dumbbell d;
-  TcpSender flow(&d.net, d.a, d.b, TcpConfig());
+  TcpSender flow(&d.net, d.a, d.b, TransportConfig());
   flow.Write(10'000'000);
   flow.Close();
   flow.Start();

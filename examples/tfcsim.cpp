@@ -200,6 +200,37 @@ Scenario MakeScenario(const Options& opt, Protocol protocol) {
   return s;
 }
 
+// Every input but the seed that changes what a run writes: the scenario,
+// the telemetry cadence, the daemons whose ticks count in
+// sim.events_executed (the resolved watchdog, a forced audit trip,
+// TFC_AUDIT) and the ring size, which decides what flight.tfct holds.
+// manifest.json's run object and sweep.json's sweep object record them, and
+// a sweep run's resume key is built from the same list, so a run directory
+// names everything its key covers. --jobs and --run-timeout only change how
+// a run is supervised.
+RunManifest RunInputs(const Options& o, const std::string& protocol) {
+  RunManifest m;
+  m.Set("tool", "tfcsim");
+  m.Set("workload", o.workload);
+  m.Set("protocol", protocol);
+  m.Set("topology", o.topology);
+  m.SetInt("senders", o.senders);
+  m.SetInt("flows", o.flows);
+  m.SetInt("block_kb", static_cast<int64_t>(o.block_kb));
+  m.SetInt("rounds", o.rounds);
+  m.SetDouble("duration_s", o.duration_s);
+  m.SetInt("gbps", static_cast<int64_t>(o.gbps));
+  if (!o.fault_spec.empty()) {
+    m.Set("fault_spec", o.fault_spec);
+  }
+  m.SetInt("telemetry_interval_us", static_cast<int64_t>(o.telemetry_interval_us));
+  m.SetDouble("watchdog_s", o.watchdog_s);
+  m.SetInt("force_audit_trip_us", static_cast<int64_t>(o.force_audit_trip_us));
+  m.SetInt("trace_ring", static_cast<int64_t>(o.trace_ring));
+  m.SetBool("audit", AuditEnabledByDefault());
+  return m;
+}
+
 struct PortTotals {
   uint64_t drops = 0;
   Bytes max_queue = 0;
@@ -435,23 +466,8 @@ int RunOne(const Options& opt, Protocol protocol, const std::string& run_dir,
 
   if (recorder != nullptr) {
     recorder->Stop();
-    RunManifest manifest;
-    manifest.Set("tool", "tfcsim");
-    manifest.Set("workload", opt.workload);
-    manifest.Set("protocol", ProtocolName(protocol));
-    manifest.Set("topology", opt.topology);
-    manifest.SetInt("senders", opt.senders);
-    manifest.SetInt("flows", opt.flows);
-    manifest.SetInt("block_kb", static_cast<int64_t>(opt.block_kb));
-    manifest.SetInt("rounds", opt.rounds);
-    manifest.SetDouble("duration_s", opt.duration_s);
-    manifest.SetInt("gbps", static_cast<int64_t>(opt.gbps));
+    RunManifest manifest = RunInputs(opt, ProtocolName(protocol));
     manifest.SetInt("seed", static_cast<int64_t>(opt.seed));
-    if (!opt.fault_spec.empty()) {
-      manifest.Set("fault_spec", opt.fault_spec);
-    }
-    manifest.SetInt("telemetry_interval_us",
-                    static_cast<int64_t>(opt.telemetry_interval_us));
     manifest.SetDouble("sim_end_s", ToSeconds(net.scheduler().now()));
     std::string error;
     if (!WriteRunDirectory(run_dir, manifest, net.metrics(), recorder.get(),
@@ -638,34 +654,6 @@ int main(int argc, char** argv) {
   // reports print in submission order.
   const int workers = opt.jobs > 0 ? opt.jobs : tfc::RunSupervisor::DefaultWorkers();
 
-  // Cache-key fingerprint: every input that changes what a run writes.
-  // The watchdog, a forced audit trip and TFC_AUDIT schedule daemon ticks,
-  // which count in sim.events_executed, and the ring size decides what
-  // flight.tfct holds. The key takes the resolved watchdog (the sweep
-  // default and --watchdog=5 share a key) and this job's own trip (0 for
-  // the runs --trip-run spares, so resuming a force-tripped sweep reuses
-  // its clean runs). Doubles are rendered exactly, as manifest.json writes
-  // them. --jobs and --run-timeout only change how a run is supervised.
-  const auto fingerprint = [](const Options& o, tfc::Protocol p) {
-    std::string fp;
-    fp += "workload=" + o.workload;
-    fp += "|protocol=" + std::string(tfc::ProtocolName(p));
-    fp += "|topology=" + o.topology;
-    fp += "|senders=" + std::to_string(o.senders);
-    fp += "|flows=" + std::to_string(o.flows);
-    fp += "|block_kb=" + std::to_string(o.block_kb);
-    fp += "|rounds=" + std::to_string(o.rounds);
-    fp += "|duration_s=" + tfc::JsonNumber(o.duration_s);
-    fp += "|gbps=" + std::to_string(o.gbps);
-    fp += "|fault_spec=" + o.fault_spec;
-    fp += "|telemetry_interval_us=" + std::to_string(o.telemetry_interval_us);
-    fp += "|watchdog_s=" + tfc::JsonNumber(o.watchdog_s);
-    fp += "|force_audit_trip_us=" + std::to_string(o.force_audit_trip_us);
-    fp += "|trace_ring=" + std::to_string(o.trace_ring);
-    fp += "|audit=" + std::to_string(tfc::AuditEnabledByDefault());
-    return fp;
-  };
-
   tfc::SupervisorOptions sup;
   sup.workers = workers;
   sup.timeout_s = opt.run_timeout_s;
@@ -691,7 +679,15 @@ int main(int argc, char** argv) {
       std::string cache_key;
       if (!opt.telemetry_dir.empty()) {
         run_dir = opt.telemetry_dir + "/" + name;
-        cache_key = tfc::SweepCacheKey(fingerprint(job_opt, p), job_opt.seed);
+        // The resume key: this job's inputs as its manifest.json records
+        // them, with its own trip (0 for the runs --trip-run spares, so a
+        // resumed force-tripped sweep reuses its clean runs).
+        const tfc::RunManifest inputs = RunInputs(job_opt, tfc::ProtocolName(p));
+        std::string fingerprint;
+        for (const auto& [key, json] : inputs.entries()) {
+          fingerprint += (fingerprint.empty() ? "" : "|") + key + "=" + json;
+        }
+        cache_key = tfc::SweepCacheKey(fingerprint, job_opt.seed);
       }
       seeds.push_back(job_opt.seed);
       supervisor.Add(std::move(name), run_dir, std::move(cache_key),
@@ -725,19 +721,15 @@ int main(int argc, char** argv) {
   // The merged manifest is written even when runs failed — a degraded sweep
   // still ships a queryable sweep.json naming every failure.
   if (!opt.telemetry_dir.empty()) {
-    tfc::RunManifest sweep_manifest;
-    sweep_manifest.Set("tool", "tfcsim");
-    sweep_manifest.Set("workload", opt.workload);
-    sweep_manifest.Set("protocol", opt.protocol);
-    sweep_manifest.Set("topology", opt.topology);
+    tfc::RunManifest sweep_manifest = RunInputs(opt, opt.protocol);
     sweep_manifest.SetInt("base_seed", static_cast<int64_t>(opt.seed));
+    if (opt.trip_run >= 0) {
+      sweep_manifest.SetInt("trip_run", opt.trip_run);
+    }
     sweep_manifest.SetInt("sweep", opt.sweep);
     sweep_manifest.SetInt("jobs", workers);
     sweep_manifest.SetDouble("run_timeout_s", opt.run_timeout_s);
     sweep_manifest.SetBool("resume", opt.resume);
-    if (!opt.fault_spec.empty()) {
-      sweep_manifest.Set("fault_spec", opt.fault_spec);
-    }
     std::string error;
     if (!tfc::WriteSweepManifest(opt.telemetry_dir + "/sweep.json",
                                  sweep_manifest, results, &error)) {

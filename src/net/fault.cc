@@ -174,9 +174,6 @@ FaultInjector::~FaultInjector() {
 
 void FaultInjector::RegisterMetrics() {
   metrics_.Reset(&net_->metrics());
-  // A replacement injector (tests rebuild them mid-run) takes over the
-  // fault.* names rather than aborting on the collision.
-  metrics_.set_replace_on_collision(true);
   metrics_.AddCallbackGauge("fault.drops",
                             [this] { return static_cast<double>(drops_); });
   metrics_.AddCallbackGauge("fault.random_drops",
@@ -531,20 +528,6 @@ void LivenessWatchdog::Watch(std::string name, ProgressFn progress, DoneFn done)
   e.last_value = e.progress();
   e.last_change = scheduler_->now();
   entries_.push_back(std::move(e));
-}
-
-void LivenessWatchdog::WatchMetric(MetricRegistry* registry, const std::string& metric_name,
-                                   DoneFn done) {
-  // Init-capture: a by-copy capture of the const& parameter would produce a
-  // *const* string member, whose move is the throwing copy constructor —
-  // which InplaceFunction rejects.
-  Watch(metric_name,
-        [registry, name = std::string(metric_name)]() {
-          double v = 0.0;
-          registry->Read(name, &v);
-          return v;
-        },
-        std::move(done));
 }
 
 void LivenessWatchdog::Start() {

@@ -248,9 +248,6 @@ class LivenessWatchdog {
 
   void Watch(std::string name, ProgressFn progress, DoneFn done);
 
-  // Convenience: watch a registry metric by name as the progress value.
-  void WatchMetric(MetricRegistry* registry, const std::string& metric_name, DoneFn done);
-
   void Start();
   void Stop();
   bool running() const { return running_; }
@@ -260,7 +257,6 @@ class LivenessWatchdog {
   // flight.tfct spills first (src/sim/flight.h). Off by default: tests
   // assert on flagged() instead.
   void set_abort_on_stall(bool abort) { abort_on_stall_ = abort; }
-  bool abort_on_stall() const { return abort_on_stall_; }
 
   // Entities stuck right now (not done, no progress for stall_after).
   // Non-const: evaluates the progress/done callables.

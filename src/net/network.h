@@ -144,7 +144,6 @@ class Network {
   // on any violation. Called automatically from the constructor when
   // AuditEnabledByDefault() (TFC_AUDIT preset/env). Idempotent.
   void EnableAudit(TimeNs period = Milliseconds(5));
-  bool audit_enabled() const { return audit_enabled_; }
   uint64_t audit_passes() const { return audit_passes_; }
 
   // Runs one audit pass now and returns the report (does not abort; tests

@@ -80,7 +80,6 @@ void Port::Enqueue(PacketPtr pkt) {
   const Bytes frame = pkt->frame_bytes();
   if (queue_bytes_ + frame > buffer_limit_bytes_) {
     ++drops_;
-    dropped_bytes_ += frame;
     owner_->network()->EmitTrace(FlightEventType::kDrop, *pkt, owner_, this, queue_bytes_);
     return;  // tail drop
   }

@@ -209,7 +209,6 @@ class Port {
   // Frame bytes.
   Bytes tx_bytes() const { return tx_bytes_ + (FrameDone() ? tx_frame_bytes_ : Bytes(0)); }
   uint64_t drops() const { return drops_; }
-  Bytes dropped_bytes() const { return dropped_bytes_; }
   Bytes max_queue_bytes() const { return max_queue_bytes_; }
   uint64_t ecn_marks() const { return ecn_marks_; }
   void ResetMaxQueue() { max_queue_bytes_ = queue_bytes(); }
@@ -289,7 +288,6 @@ class Port {
   uint64_t tx_packets_ = 0;
   Bytes tx_bytes_ = 0;
   uint64_t drops_ = 0;
-  Bytes dropped_bytes_ = 0;
   Bytes max_queue_bytes_ = 0;
   uint64_t ecn_marks_ = 0;
   TimeNs busy_ns_ = 0;         // cumulative serialization time

@@ -4,7 +4,8 @@
 #include <fstream>
 #include <iomanip>
 #include <map>
-#include <sstream>
+#include <set>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -44,64 +45,63 @@ void WriteNodeRef(std::ostream& out, std::string_view name, const FlightEvent& e
   }
 }
 
-// The per-type payload fields, rendered identically in the text timeline
-// ("key=value") and the Perfetto args (JSON). Packet events carry their own
-// dedicated rendering below.
-std::vector<std::pair<const char*, int64_t>> ControlFields(const FlightEvent& e) {
-  std::vector<std::pair<const char*, int64_t>> kv;
+// Calls fn(key, value) for each per-type payload field, rendered the same
+// in the text timeline ("key=value") and the Perfetto args (JSON). Packet
+// events carry their own rendering below.
+template <typename Fn>
+void ForEachControlField(const FlightEvent& e, Fn&& fn) {
   switch (e.type) {
     case FlightEventType::kSlotBegin:
-      kv.emplace_back("E", static_cast<int64_t>(e.seq));
+      fn("E", static_cast<int64_t>(e.seq));
       break;
     case FlightEventType::kSlotEnd:
-      kv.emplace_back("E", static_cast<int64_t>(e.seq));
-      kv.emplace_back("token", e.a);
-      kv.emplace_back("w", e.b);
-      kv.emplace_back("rtt_m", e.c);
+      fn("E", static_cast<int64_t>(e.seq));
+      fn("token", e.a);
+      fn("w", e.b);
+      fn("rtt_m", e.c);
       break;
     case FlightEventType::kDelimiterFailover:
-      kv.emplace_back("miss", e.a);
+      fn("miss", e.a);
       break;
     case FlightEventType::kTokenRefill:
-      kv.emplace_back("add", e.a);
-      kv.emplace_back("ctr", e.b);
+      fn("add", e.a);
+      fn("ctr", e.b);
       break;
     case FlightEventType::kTokenGrant:
-      kv.emplace_back("w", e.a);
-      kv.emplace_back("ctr", e.b);
+      fn("w", e.a);
+      fn("ctr", e.b);
       break;
     case FlightEventType::kArbiterPark:
-      kv.emplace_back("w", e.a);
-      kv.emplace_back("parked", e.c);
+      fn("w", e.a);
+      fn("parked", e.c);
       break;
     case FlightEventType::kArbiterRelease:
-      kv.emplace_back("w", e.a);
-      kv.emplace_back("ctr", e.b);
+      fn("w", e.a);
+      fn("ctr", e.b);
       break;
     case FlightEventType::kArbiterExpire:
-      kv.emplace_back("parked", e.c);
+      fn("parked", e.c);
       break;
     case FlightEventType::kProbeSend:
-      kv.emplace_back("seq", static_cast<int64_t>(e.seq));
-      kv.emplace_back("attempt", e.a);
+      fn("seq", static_cast<int64_t>(e.seq));
+      fn("attempt", e.a);
       break;
     case FlightEventType::kProbeRetry:
-      kv.emplace_back("attempt", e.a);
+      fn("attempt", e.a);
       break;
     case FlightEventType::kRmaReceive:
-      kv.emplace_back("w", e.a);
-      kv.emplace_back("cwnd", e.b);
+      fn("w", e.a);
+      fn("cwnd", e.b);
       break;
     case FlightEventType::kAgentWipe:
-      kv.emplace_back("n", e.a);
+      fn("n", e.a);
       break;
     case FlightEventType::kAgentConverge:
-      kv.emplace_back("slots", e.a);
+      fn("slots", e.a);
       break;
     default:
       break;  // adopt + link/host transitions carry no payload
   }
-  return kv;
 }
 
 }  // namespace
@@ -128,9 +128,9 @@ void WriteFlightEventLine(std::ostream& out, const FlightEvent& event,
     }
   } else {
     out << ' ' << FlightEventName(event.type);
-    for (const auto& [key, value] : ControlFields(event)) {
+    ForEachControlField(event, [&out](const char* key, int64_t value) {
       out << ' ' << key << '=' << value;
-    }
+    });
     if (event.flow >= 0) {
       out << " f=" << event.flow;
     }
@@ -140,32 +140,81 @@ void WriteFlightEventLine(std::ostream& out, const FlightEvent& event,
 
 namespace {
 
-// One pending trace-event JSON object, keyed by its nanosecond timestamp so
-// the emitted `ts` sequence is monotone (ISSUE 8: Perfetto export must have
-// monotone timestamps and paired spans). Equal-time entries keep insertion
-// order via stable_sort.
-struct JsonEntry {
-  int64_t time = 0;  // lint:allow units (sort key over FlightEvent times)
-  std::string json;
-};
+int Tid(const FlightEvent& e) { return e.port >= 0 ? e.port + 1 : 0; }
 
-std::string TsField(int64_t time) {
-  return "\"ts\":" + JsonNumber(static_cast<double>(time) / 1000.0);
+// Writes `t` in microseconds, the unit of Perfetto's `ts` and `dur`, as
+// JsonNumber(ns / 1000.0) renders it: whole numbers plainly, others with
+// the at most three decimals a whole number of nanoseconds needs.
+void WriteMicros(std::ostream& out, TimeNs t) {
+  out << t.count() / 1000;
+  if (int64_t frac = t.count() % 1000; frac != 0) {
+    out << '.';
+    for (int64_t unit = 100; frac != 0; frac %= unit, unit /= 10) {
+      out << frac / unit;
+    }
+  }
 }
 
-std::string ArgsJson(const std::vector<std::pair<const char*, int64_t>>& kv) {
-  std::string out = "{";
-  for (size_t i = 0; i < kv.size(); ++i) {
-    if (i > 0) {
-      out += ',';
-    }
-    out += '"';
-    out += kv[i].first;
-    out += "\":";
-    out += std::to_string(kv[i].second);
+// Streams the members of an `args` object as "key":value pairs.
+struct JsonArgs {
+  std::ostream& out;
+  const char* comma = "";
+  void operator()(const char* key, int64_t value) {
+    out << comma << '"' << key << "\":" << value;
+    comma = ",";
   }
-  out += '}';
-  return out;
+};
+
+// A TFC slot as a complete ("X") event on its port track: it starts at
+// `begin` and carries the closing `end`'s fields.
+void WriteSlot(std::ostream& out, const FlightEvent& begin, const FlightEvent& end) {
+  out << "{\"ph\":\"X\",\"name\":\"slot\",\"cat\":\"tfc\",\"pid\":" << begin.node
+      << ",\"tid\":" << Tid(begin) << ",\"ts\":";
+  WriteMicros(out, begin.time);
+  out << ",\"dur\":";
+  WriteMicros(out, end.time - begin.time);
+  out << ",\"args\":{";
+  ForEachControlField(end, JsonArgs{out});
+  out << "}}";
+}
+
+// Any other event as an instant ("i") on its track.
+void WriteInstant(std::ostream& out, const FlightEvent& e) {
+  const bool packet = IsPacketFlightEvent(e.type);
+  out << "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"" << FlightEventName(e.type);
+  if (packet) {
+    out << ' ' << PacketTypeName(static_cast<PacketType>(e.ptype));
+  }
+  out << "\",\"cat\":\"" << (packet ? "packet" : "tfc") << "\",\"pid\":" << e.node
+      << ",\"tid\":" << Tid(e) << ",\"ts\":";
+  WriteMicros(out, e.time);
+  out << ",\"args\":{";
+  JsonArgs arg{out};
+  if (packet) {
+    arg("flow", e.flow);
+    arg("seq", static_cast<int64_t>(e.seq));
+    arg("len", e.a);
+    if ((e.flags & kFlightRma) != 0) {
+      arg("w", e.b);
+    }
+    if (e.port >= 0) {
+      arg("q", e.c);
+    }
+  } else {
+    ForEachControlField(e, arg);
+    if (e.flow >= 0) {
+      arg("flow", e.flow);
+    }
+  }
+  out << "}}";
+}
+
+// One end ('b' or 'e') of a flow's async span.
+void WriteFlowMark(std::ostream& out, char ph, int flow, int node, TimeNs t) {
+  out << "{\"ph\":\"" << ph << "\",\"cat\":\"flow\",\"id\":" << flow << ",\"name\":\"flow "
+      << flow << "\",\"pid\":" << node << ",\"tid\":0,\"ts\":";
+  WriteMicros(out, t);
+  out << ",\"args\":{}}";
 }
 
 // Writes `path` through `fill`; false with *error when the file cannot be
@@ -202,128 +251,68 @@ bool ExportFlightTrace(const std::string& dir, std::string* error) {
   if (!LoadFlightDump(dir + "/flight.tfct", &dump, error)) {
     return false;
   }
+  const std::vector<FlightEvent>& events = dump.events;
 
-  std::vector<JsonEntry> entries;
-  entries.reserve(dump.events.size() + 16);
-
-  // Track discovery: every (node) becomes a Perfetto process, every
-  // (node, port) a thread (tid = port + 1; tid 0 is the node-level track).
-  std::map<int, std::map<int, bool>> tracks;  // node -> port -> seen
-  // Open slot per (node, port): slot spans pair kSlotBegin with the next
-  // kSlotEnd on the same port track. Unpaired begins are dropped rather
-  // than emitted unbalanced.
-  std::map<std::pair<int, int>, FlightEvent> open_slots;
-  // Flow span extent: first/last event time + anchor node per flow id.
-  struct FlowSpan {
-    int64_t first_time = 0;  // lint:allow units (span extent, FlightEvent times)
-    int64_t last_time = 0;   // lint:allow units
-    int node = 0;
-  };
-  std::map<int, FlowSpan> flows;
-
-  for (const FlightEvent& e : dump.events) {
-    const int node = e.node;
-    const int tid = e.port >= 0 ? e.port + 1 : 0;
-    tracks[node][tid] = true;
+  // Index pass. Every node is a Perfetto process and every (node, port) a
+  // thread (tid = port + 1; tid 0 is the node-level track). A slot_begin
+  // pairs with the next slot_end on its (node, port); a second begin before
+  // that end replaces the first, and a begin never closed is dropped rather
+  // than emitted unbalanced. A flow spans its first to its last event.
+  std::map<int, std::set<int>> tracks;               // node -> tids
+  std::map<std::pair<int, int>, size_t> open_slots;  // (node, port) -> begin
+  std::unordered_map<size_t, size_t> slot_pair;      // begin <-> end index
+  std::unordered_map<int, std::pair<size_t, size_t>> flows;  // first, last index
+  for (size_t i = 0; i < events.size(); ++i) {
+    const FlightEvent& e = events[i];
+    tracks[e.node].insert(Tid(e));
     if (e.flow >= 0) {
-      auto [it, inserted] = flows.try_emplace(e.flow);
-      if (inserted) {
-        it->second.first_time = e.time.count();
-        it->second.node = node;
-      }
-      it->second.last_time = e.time.count();
+      flows.try_emplace(e.flow, i, i).first->second.second = i;
     }
-
     if (e.type == FlightEventType::kSlotBegin) {
-      open_slots[{node, e.port}] = e;
-      continue;
-    }
-    if (e.type == FlightEventType::kSlotEnd) {
-      auto open = open_slots.find({node, e.port});
+      open_slots[{e.node, e.port}] = i;
+    } else if (e.type == FlightEventType::kSlotEnd) {
+      const auto open = open_slots.find({e.node, e.port});
       if (open != open_slots.end()) {
-        const int64_t begin = open->second.time.count();
-        const int64_t duration = e.time.count() - begin;
-        std::string json = "{\"ph\":\"X\",\"name\":\"slot\",\"cat\":\"tfc\",";
-        json += "\"pid\":" + std::to_string(node) + ",\"tid\":" + std::to_string(tid) +
-                ',' + TsField(begin) +
-                ",\"dur\":" + JsonNumber(static_cast<double>(duration) / 1000.0) +
-                ",\"args\":" + ArgsJson(ControlFields(e)) + '}';
-        entries.push_back({begin, std::move(json)});
+        slot_pair[open->second] = i;
+        slot_pair[i] = open->second;
         open_slots.erase(open);
-        continue;
-      }
-      // A slot end with no recorded begin (ring wrapped past it): fall
-      // through and emit it as an instant so the information isn't lost.
-    }
-
-    std::vector<std::pair<const char*, int64_t>> args;
-    std::string name;
-    std::string cat;
-    if (IsPacketFlightEvent(e.type)) {
-      name = std::string(FlightEventName(e.type)) + ' ' +
-             PacketTypeName(static_cast<PacketType>(e.ptype));
-      cat = "packet";
-      args.emplace_back("flow", e.flow);
-      args.emplace_back("seq", static_cast<int64_t>(e.seq));
-      args.emplace_back("len", e.a);
-      if ((e.flags & kFlightRma) != 0) {
-        args.emplace_back("w", e.b);
-      }
-      if (e.port >= 0) {
-        args.emplace_back("q", e.c);
-      }
-    } else {
-      name = FlightEventName(e.type);
-      cat = "tfc";
-      args = ControlFields(e);
-      if (e.flow >= 0) {
-        args.emplace_back("flow", e.flow);
       }
     }
-    std::string json = "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"" + JsonEscape(name) +
-                       "\",\"cat\":\"" + cat + "\",\"pid\":" + std::to_string(node) +
-                       ",\"tid\":" + std::to_string(tid) + ',' +
-                       TsField(e.time.count()) + ",\"args\":" + ArgsJson(args) + '}';
-    entries.push_back({e.time.count(), std::move(json)});
   }
 
-  // Async span per flow: "b"/"e" pairs keyed by (cat="flow", id).
-  for (const auto& [flow, span] : flows) {
-    const std::string common = "\"cat\":\"flow\",\"id\":" + std::to_string(flow) +
-                               ",\"name\":\"flow " + std::to_string(flow) +
-                               "\",\"pid\":" + std::to_string(span.node) +
-                               ",\"tid\":0,";
-    entries.push_back(
-        {span.first_time,
-         "{\"ph\":\"b\"," + common + TsField(span.first_time) + ",\"args\":{}}"});
-    entries.push_back(
-        {span.last_time,
-         "{\"ph\":\"e\"," + common + TsField(span.last_time) + ",\"args\":{}}"});
-  }
-
-  std::stable_sort(entries.begin(), entries.end(),
-                   [](const JsonEntry& a, const JsonEntry& b) { return a.time < b.time; });
-
+  // Write pass: metadata, then every object in ring order, so `ts` never
+  // goes back. A slot's X sits at its begin, a flow's b just before its
+  // first event and its e just after its last. A slot_end with no begin
+  // (the ring wrapped past it) stays an instant.
   const auto write_json = [&](std::ostream& out) {
     out << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-    bool first = true;
-    // Metadata first: process (node) and thread (port) names.
+    const char* sep = "";
+    const auto next = [&]() -> std::ostream& { return out << std::exchange(sep, ",\n"); };
     for (const auto& [node, tids] : tracks) {
-      out << (first ? "" : ",\n")
-          << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << node
-          << ",\"args\":{\"name\":\"" << JsonEscape(DisplayName(dump, node)) << "\"}}";
-      first = false;
-      for (const auto& [tid, seen] : tids) {
-        (void)seen;
-        out << ",\n{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << node
-            << ",\"tid\":" << tid << ",\"args\":{\"name\":\""
-            << (tid == 0 ? std::string("node") : "p" + std::to_string(tid - 1))
-            << "\"}}";
+      next() << "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" << node
+             << ",\"args\":{\"name\":\"" << JsonEscape(DisplayName(dump, node)) << "\"}}";
+      for (const int tid : tids) {
+        next() << "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" << node << ",\"tid\":" << tid
+               << ",\"args\":{\"name\":\""
+               << (tid == 0 ? std::string("node") : "p" + std::to_string(tid - 1)) << "\"}}";
       }
     }
-    for (const JsonEntry& entry : entries) {
-      out << (first ? "" : ",\n") << entry.json;
-      first = false;
+    for (size_t i = 0; i < events.size(); ++i) {
+      const FlightEvent& e = events[i];
+      const auto* span = e.flow >= 0 ? &flows.at(e.flow) : nullptr;
+      if (span != nullptr && span->first == i) {
+        WriteFlowMark(next(), 'b', e.flow, e.node, e.time);
+      }
+      if (e.type == FlightEventType::kSlotBegin) {
+        if (const auto end = slot_pair.find(i); end != slot_pair.end()) {
+          WriteSlot(next(), e, events[end->second]);
+        }
+      } else if (e.type != FlightEventType::kSlotEnd || slot_pair.count(i) == 0) {
+        WriteInstant(next(), e);
+      }
+      if (span != nullptr && span->second == i) {
+        WriteFlowMark(next(), 'e', e.flow, events[span->first].node, e.time);
+      }
     }
     out << "\n]}\n";
   };

@@ -80,7 +80,9 @@ void WriteFlightEventLine(std::ostream& out, const FlightEvent& event,
 //                            slot is a complete ("X") event on its port
 //                            track, each flow is an async ("b"/"e") span,
 //                            everything else an instant event; timestamps
-//                            are microseconds, emitted in monotone order
+//                            are microseconds, written in ring order (an X
+//                            at its slot_begin, a flow's b and e beside its
+//                            first and last events), so they never go back
 //   DIR/flows.txt            per-flow text timeline: one section per flow
 //                            id, listing the lines of that flow's events
 // Returns false and fills *error if the dump is missing or malformed.

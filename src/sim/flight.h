@@ -221,7 +221,6 @@ class FlightRecorder {
   // unregisters on Disarm/destruction.
   void ArmPostMortem(std::string path, std::vector<std::string> node_names);
   void DisarmPostMortem();
-  const std::string& post_mortem_path() const { return post_mortem_path_; }
 
  private:
   friend void DumpArmedFlightRecorders();

@@ -79,22 +79,6 @@ class SampleSet {
     return PercentileSorted(p);
   }
 
-  // Batch percentile query: one sort, then one interpolation per requested
-  // p. Results are in the same order as `ps`.
-  std::vector<double> Percentiles(const std::vector<double>& ps) {
-    std::vector<double> out;
-    out.reserve(ps.size());
-    if (samples_.empty()) {
-      out.assign(ps.size(), 0.0);
-      return out;
-    }
-    Sort();
-    for (double p : ps) {
-      out.push_back(PercentileSorted(p));
-    }
-    return out;
-  }
-
   double Min() {
     Sort();
     return samples_.empty() ? 0.0 : samples_.front();

@@ -26,42 +26,29 @@ namespace tfc {
 // MetricRegistry
 // ---------------------------------------------------------------------------
 
-void MetricRegistry::Insert(std::string name, GaugeFn fn, uint64_t owner, bool replace) {
+void MetricRegistry::AddCallbackGauge(std::string name, GaugeFn fn) {
   TFC_CHECK_MSG(!name.empty(), "metric names must be non-empty");
   auto [it, inserted] = entries_.try_emplace(std::move(name));
-  // A re-claim overwrites the displaced entry in place; the generation bump
-  // below retires every compiled read of its old callable.
-  TFC_CHECK_MSG(inserted || replace, "duplicate metric name: " << it->first);
-  it->second.fn = std::move(fn);
-  it->second.owner = owner;
+  TFC_CHECK_MSG(inserted, "duplicate metric name: " << it->first);
+  it->second = std::move(fn);
   ++generation_;
 }
 
-void MetricRegistry::Erase(std::map<std::string, Entry>::iterator it) {
-  entries_.erase(it);
-  ++generation_;
+void MetricRegistry::Unregister(const std::string& name) {
+  if (entries_.erase(name) > 0) {
+    ++generation_;
+  }
 }
 
-bool MetricRegistry::Compile(Entry& e, CompiledRead* out) {
-  out->fn = e.fn.raw_invoke();
-  out->obj = e.fn.raw_storage();
+bool MetricRegistry::Compile(GaugeFn& fn, CompiledRead* out) {
+  out->fn = fn.raw_invoke();
+  out->obj = fn.raw_storage();
   return out->fn != nullptr;
 }
 
 bool MetricRegistry::CompileRead(const std::string& name, CompiledRead* out) {
   auto it = entries_.find(name);
   return it != entries_.end() && Compile(it->second, out);
-}
-
-void MetricRegistry::AddCallbackGauge(std::string name, GaugeFn fn) {
-  Insert(std::move(name), std::move(fn), /*owner=*/0, /*replace=*/false);
-}
-
-void MetricRegistry::UnregisterOwned(const std::string& name, uint64_t token) {
-  auto it = entries_.find(name);
-  if (it != entries_.end() && it->second.owner == token) {
-    Erase(it);
-  }
 }
 
 bool MetricRegistry::Read(const std::string& name, double* out) {
@@ -80,13 +67,13 @@ bool MetricRegistry::Read(const std::string& name, double* out) {
 void ScopedMetrics::AddCallbackGauge(std::string name, MetricRegistry::GaugeFn fn) {
   TFC_CHECK(registry_ != nullptr);
   names_.push_back(name);
-  registry_->Insert(std::move(name), std::move(fn), token_, replace_);
+  registry_->AddCallbackGauge(std::move(name), std::move(fn));
 }
 
 void ScopedMetrics::Clear() {
   if (registry_ != nullptr) {
     for (const std::string& name : names_) {
-      registry_->UnregisterOwned(name, token_);
+      registry_->Unregister(name);
     }
   }
   names_.clear();

@@ -70,13 +70,6 @@ class MetricRegistry {
 
   void AddCallbackGauge(std::string name, GaugeFn fn);
 
-  // Removes a metric only if it is still owned by `token` (see
-  // ScopedMetrics): after a replace-on-collision, the displaced owner's
-  // cleanup must not take the new owner's entry with it. Components that
-  // can die before the registry (flows, replaced agents) unregister this
-  // way, through ScopedMetrics; nothing else removes a metric.
-  void UnregisterOwned(const std::string& name, uint64_t token);
-
   bool Has(const std::string& name) const { return entries_.count(name) > 0; }
   size_t size() const { return entries_.size(); }
 
@@ -106,9 +99,9 @@ class MetricRegistry {
   // makes exports deterministic.
   template <typename Fn>
   void ForEachRead(Fn&& fn) {
-    for (auto& [name, entry] : entries_) {
+    for (auto& [name, gauge] : entries_) {
       CompiledRead read;
-      if (Compile(entry, &read)) {
+      if (Compile(gauge, &read)) {
         fn(name, read);
       }
     }
@@ -117,27 +110,19 @@ class MetricRegistry {
  private:
   friend class ScopedMetrics;
 
-  struct Entry {
-    GaugeFn fn;
-    uint64_t owner = 0;  // ScopedMetrics token; 0 = direct registration
-  };
+  // Removes a metric. Components that can die before the registry (flows,
+  // port agents, fault injectors) unregister this way, through
+  // ScopedMetrics; nothing else removes a metric. Both AddCallbackGauge
+  // and Unregister bump generation_ so cached plans recompile.
+  void Unregister(const std::string& name);
 
-  // `replace` re-claims an existing name (dropping the previous entry)
-  // instead of aborting; only ScopedMetrics exposes it. Insert and Erase
-  // bump generation_ so cached plans recompile.
-  void Insert(std::string name, GaugeFn fn, uint64_t owner, bool replace);
-  void Erase(std::map<std::string, Entry>::iterator it);
-
-  static bool Compile(Entry& e, CompiledRead* out);
-
-  uint64_t NewOwnerToken() { return next_owner_token_++; }
+  static bool Compile(GaugeFn& fn, CompiledRead* out);
 
   // std::map: stable node addresses (a compiled read points into its
   // entry, and survives unrelated inserts/erases) and deterministic
   // name-ordered iteration for exports.
-  std::map<std::string, Entry> entries_;
+  std::map<std::string, GaugeFn> entries_;
   uint64_t generation_ = 1;  // starts above the recorder's "no plan" zero
-  uint64_t next_owner_token_ = 1;
 };
 
 // RAII bundle of registrations: everything added through this object is
@@ -156,24 +141,16 @@ class ScopedMetrics {
   void Reset(MetricRegistry* registry) {
     Clear();
     registry_ = registry;
-    token_ = registry_ != nullptr ? registry_->NewOwnerToken() : 0;
   }
 
-  // When set, a name collision re-claims the existing metric instead of
-  // aborting. For components that can be legitimately rebuilt for the same
-  // resource (a port's protocol agent replaced mid-test): the new instance
-  // takes over the names, and the displaced instance's destructor cannot
-  // remove them (ownership-token mismatch).
-  void set_replace_on_collision(bool v) { replace_ = v; }
-
+  // Registers like MetricRegistry::AddCallbackGauge: a name that another
+  // live component holds aborts.
   void AddCallbackGauge(std::string name, MetricRegistry::GaugeFn fn);
 
  private:
   void Clear();
 
   MetricRegistry* registry_ = nullptr;
-  uint64_t token_ = 0;
-  bool replace_ = false;
   std::vector<std::string> names_;
 };
 

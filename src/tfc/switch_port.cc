@@ -36,9 +36,6 @@ TfcPortAgent::TfcPortAgent(Switch* owner, Port* port, const TfcSwitchConfig& con
   // pull gauges (sampled by the telemetry recorder, free otherwise).
   release_site_ = owner->network()->profiler().Site("tfc.release_parked");
   failover_site_ = owner->network()->profiler().Site("tfc.failover");
-  // An agent built for a port that already has one (tests wrap or replace
-  // the installed agent) takes over the port's metric names.
-  metrics_.set_replace_on_collision(true);
   const std::string prefix =
       "tfc." + owner->name() + ".p" + std::to_string(port->index());
   metrics_.AddCallbackGauge(prefix + ".token_bytes", [this] { return token_.value(); });

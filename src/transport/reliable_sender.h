@@ -81,7 +81,6 @@ class ReliableSender : public Endpoint {
   Host* local() const { return local_; }
   Host* remote() const { return remote_; }
   Bytes inflight_bytes() const { return Bytes(static_cast<int64_t>(snd_next_ - snd_una_)); }
-  uint64_t write_goal() const { return write_goal_; }
   // Sequence-space positions, not sizes: seq space stays raw uint64.
   uint64_t acked_bytes() const { return snd_una_; }  // lint:allow units
   bool drained() const { return snd_una_ == write_goal_; }

@@ -582,22 +582,6 @@ TEST(LivenessWatchdogTest, RecoveredEntryLeavesStalledButStaysOnRecord) {
   EXPECT_EQ(dog.flagged().size(), 1u);  // the record is sticky
 }
 
-TEST(LivenessWatchdogTest, WatchMetricTracksARegistryGauge) {
-  Network net(1);
-  uint64_t counter = 0;
-  MetricRegistry& metrics = net.metrics();
-  ScopedMetrics scoped(&metrics);
-  scoped.AddCallbackGauge("test.progress",
-                          [&counter] { return static_cast<double>(counter); });
-
-  LivenessWatchdog dog(&net.scheduler(), Milliseconds(1), Milliseconds(4));
-  dog.WatchMetric(&metrics, "test.progress", [] { return false; });
-  dog.Start();
-  net.scheduler().RunUntil(Milliseconds(10));
-  ASSERT_EQ(dog.flagged().size(), 1u);
-  EXPECT_EQ(dog.flagged()[0], "test.progress");
-}
-
 TEST(LivenessWatchdogTest, StopHaltsTicking) {
   Network net(1);
   LivenessWatchdog dog(&net.scheduler(), Milliseconds(1), Milliseconds(2));

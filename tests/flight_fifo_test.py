@@ -2,11 +2,13 @@
 """tools/telemetry_schema.py must hold each port of a flight dump to FIFO.
 
 Records a small armed tfcsim run, checks that its run directory validates,
-then writes a copy of its flight.tfct with the first enqueue ('+') record
-removed and both header counts lowered to match. The copy is well formed
-in every other respect, so it must fail on exactly the FIFO check: its
-port's first transmit ('-') no longer carries the packet at the head of
-its queue.
+exports it with `tfcsim --export-trace` and checks that it still validates:
+one trace.txt line per event, monotone Perfetto timestamps and balanced
+flow spans. Then writes a copy of its flight.tfct with the first enqueue
+('+') record removed and both header counts lowered to match. The copy is
+well formed in every other respect, so it must fail on exactly the FIFO
+check: its port's first transmit ('-') no longer carries the packet at the
+head of its queue.
 
     python3 tests/flight_fifo_test.py TFCSIM tools/telemetry_schema.py WORKDIR
 """
@@ -61,6 +63,14 @@ def main(argv):
         print(good.stdout + good.stderr)
         print("FAIL: the armed run's directory does not validate")
         return 1
+    subprocess.run([tfcsim, f"--export-trace={run}"], check=True,
+                   stdout=subprocess.DEVNULL)
+    exported = validate(schema_path, run)
+    written = all((run / f).exists() for f in ("trace.txt", "trace.perfetto.json"))
+    if exported.returncode != 0 or not written:
+        print(exported.stdout + exported.stderr)
+        print("FAIL: the exported run's directory does not validate")
+        return 1
 
     cut = work / "cut"
     cut.mkdir()
@@ -72,7 +82,8 @@ def main(argv):
         print("FAIL: a dump missing one enqueue passed the FIFO check")
         return 1
     print(bad.stdout.strip())
-    print("OK: the intact dump validates and the cut one fails the FIFO check")
+    print("OK: the intact dump and its export validate and the cut one fails "
+          "the FIFO check")
     return 0
 
 

@@ -63,6 +63,15 @@ TEST(MetricRegistryDeathTest, DuplicateNameAborts) {
   registry.AddCallbackGauge("dup", [] { return 0.0; });
   EXPECT_DEATH(registry.AddCallbackGauge("dup", [] { return 1.0; }),
                "duplicate metric name: dup");
+  // A name has one owner: a scoped registration cannot take it over either,
+  // whether a direct or another scoped registration holds it.
+  ScopedMetrics first(&registry);
+  first.AddCallbackGauge("scoped", [] { return 2.0; });
+  ScopedMetrics second(&registry);
+  EXPECT_DEATH(second.AddCallbackGauge("dup", [] { return 3.0; }),
+               "duplicate metric name: dup");
+  EXPECT_DEATH(second.AddCallbackGauge("scoped", [] { return 3.0; }),
+               "duplicate metric name: scoped");
 }
 
 TEST(ScopedMetricsTest, UnregistersOnDestructionAndReset) {
@@ -78,33 +87,6 @@ TEST(ScopedMetricsTest, UnregistersOnDestructionAndReset) {
     EXPECT_EQ(registry.size(), 1u);
   }
   EXPECT_EQ(registry.size(), 0u);
-}
-
-TEST(ScopedMetricsTest, ReplaceOnCollisionHandsOverOwnership) {
-  MetricRegistry registry;
-  ScopedMetrics first(&registry);
-  double v1 = 5.0;
-  first.AddCallbackGauge("shared", [&v1] { return v1; });
-
-  ScopedMetrics second(&registry);
-  second.set_replace_on_collision(true);
-  double v2 = 0.0;
-  second.AddCallbackGauge("shared", [&v2] { return v2; });
-  double v = -1;
-  ASSERT_TRUE(registry.Read("shared", &v));
-  EXPECT_DOUBLE_EQ(v, 0.0);  // the new owner's gauge, not the displaced one's 5
-  v2 += 1;
-  ASSERT_TRUE(registry.Read("shared", &v));
-  EXPECT_DOUBLE_EQ(v, 1.0);
-
-  // The displaced owner's cleanup must not remove the new owner's entry.
-  first.Reset(nullptr);
-  EXPECT_TRUE(registry.Has("shared"));
-  ASSERT_TRUE(registry.Read("shared", &v));
-  EXPECT_DOUBLE_EQ(v, 1.0);
-
-  second.Reset(nullptr);
-  EXPECT_FALSE(registry.Has("shared"));
 }
 
 TEST(MetricRegistryTest, CompiledReadsAndGenerationTracking) {
@@ -131,18 +113,17 @@ TEST(MetricRegistryTest, CompiledReadsAndGenerationTracking) {
   });
   EXPECT_EQ(seen, (std::vector<std::string>{"b=5", "c=42"}));
 
-  // Unregistering (the owner's Reset) and re-claiming both bump the
+  // Unregistering (the owner's Reset) and registering both bump the
   // generation, which is what tells holders of compiled reads to recompile.
   const uint64_t gen1 = registry.generation();
   c_owner.Reset(nullptr);
   EXPECT_GT(registry.generation(), gen1);
   EXPECT_FALSE(registry.CompileRead("c", &read));
   ScopedMetrics owner(&registry);
-  owner.set_replace_on_collision(true);
   const uint64_t gen2 = registry.generation();
-  owner.AddCallbackGauge("b", [] { return 7.0; });
+  owner.AddCallbackGauge("d", [] { return 7.0; });
   EXPECT_GT(registry.generation(), gen2);
-  ASSERT_TRUE(registry.CompileRead("b", &read));
+  ASSERT_TRUE(registry.CompileRead("d", &read));
   EXPECT_DOUBLE_EQ(read.fn(read.obj), 7.0);
 }
 

@@ -62,7 +62,9 @@ struct Rig {
   Rig() : topo(BuildStar(net, 3, LinkOptions(), kGbps, Microseconds(20))) {
     InstallTfcSwitches(net);
     Port* egress = Network::FindPort(topo.sw, topo.hosts[0]);
-    // Steal the installed agent and wrap it.
+    // Replace the installed agent with a wrapped one. The installed agent
+    // goes first: a metric name has one owner at a time.
+    egress->set_agent(nullptr);
     auto inner = std::make_unique<TfcPortAgent>(topo.sw, egress, TfcSwitchConfig());
     auto wrapper = std::make_unique<SpyAgent>(std::move(inner));
     spy = wrapper.get();

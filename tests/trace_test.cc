@@ -4,11 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "src/net/network.h"
 #include "src/net/trace.h"
@@ -223,6 +225,98 @@ TEST(TraceTest, FlowFilterSelectsOneFlow) {
     expected += "=== flow " + std::to_string(flow) + " ===\n" + text;
   }
   EXPECT_EQ(ReadFile(dir + "/flows.txt"), expected);
+}
+
+// The Perfetto export's pairing rules on a ring filled by hand: a slot_begin
+// pairs with the next slot_end on its (node, port), a second begin before
+// that end replaces the first, a begin that never closes and an end with no
+// begin are not paired, and a flow spans its first to its last event.
+TEST(TraceTest, PerfettoExportPairsSlotsAndSpansFlows) {
+  const auto slot = [](FlightEventType type, int64_t t, int port, uint64_t epoch) {
+    FlightEvent e = ControlFlightEvent(type, 1, port, -1);
+    e.time = TimeNs(t);
+    e.seq = epoch;
+    return e;
+  };
+  const auto packet = [](FlightEventType type, int64_t t, int node, int port, int flow) {
+    FlightEvent e;
+    e.time = TimeNs(t);
+    e.type = type;
+    e.node = static_cast<int16_t>(node);
+    e.port = static_cast<int16_t>(port);
+    e.flow = flow;
+    e.a = 1460;
+    return e;
+  };
+  FlightEvent unpaired_end = slot(FlightEventType::kSlotEnd, 1000, 0, 1);
+  unpaired_end.a = 10;
+  FlightEvent end = slot(FlightEventType::kSlotEnd, 4000, 1, 3);
+  end.a = 1000;
+  end.b = 2000;
+  end.c = 3000;
+  FlightRecorder ring;
+  ring.Arm(FlightRecorder::kMinCapacity);
+  for (const FlightEvent& e : {
+           unpaired_end,                                          // port 0: no begin
+           packet(FlightEventType::kEnqueue, 1500, 0, 0, 7),      // flow 7 starts
+           slot(FlightEventType::kSlotBegin, 2000, 1, 2),         // port 1: replaced
+           slot(FlightEventType::kSlotBegin, 2500, 1, 3),         // port 1: pairs
+           packet(FlightEventType::kEnqueue, 3000, 1, 1, 8),      // flow 8 starts
+           end,                                                   // port 1: closes
+           slot(FlightEventType::kSlotBegin, 4500, 2, 4),         // port 2: never closes
+           packet(FlightEventType::kDeliver, 5000, 1, -1, 7),     // flow 7 ends
+           packet(FlightEventType::kTransmit, 6000, 0, 0, 8),     // flow 8 ends
+       }) {
+    ring.Record(e);
+  }
+  const std::string dir = testing::TempDir() + "/tfc_trace_slot_pairing";
+  std::filesystem::create_directories(dir);
+  std::string error;
+  ASSERT_TRUE(ring.Dump(dir + "/flight.tfct", {"h0", "s1"}, &error)) << error;
+  ASSERT_TRUE(ExportFlightTrace(dir, &error)) << error;
+
+  // One object a line; keep every non-metadata one, without its comma.
+  std::istringstream json(ReadFile(dir + "/trace.perfetto.json"));
+  std::vector<std::string> objects;
+  std::string line;
+  while (std::getline(json, line)) {
+    if (line.rfind("{\"ph\":", 0) == 0 && line.rfind("{\"ph\":\"M\"", 0) != 0) {
+      objects.push_back(line.back() == ',' ? line.substr(0, line.size() - 1) : line);
+    }
+  }
+  const auto count = [&](const std::string& needle) {
+    return std::count_if(objects.begin(), objects.end(), [&](const std::string& o) {
+      return o.find(needle) != std::string::npos;
+    });
+  };
+  const auto has = [&](const std::string& object) {
+    return std::find(objects.begin(), objects.end(), object) != objects.end();
+  };
+  EXPECT_EQ(count("\"ph\":\"X\""), 1);
+  EXPECT_TRUE(has("{\"ph\":\"X\",\"name\":\"slot\",\"cat\":\"tfc\",\"pid\":1,\"tid\":2,"
+                  "\"ts\":2.5,\"dur\":1.5,\"args\":{\"E\":3,\"token\":1000,\"w\":2000,"
+                  "\"rtt_m\":3000}}"));
+  EXPECT_EQ(count("\"name\":\"slot_end\""), 1);
+  EXPECT_TRUE(has("{\"ph\":\"i\",\"s\":\"t\",\"name\":\"slot_end\",\"cat\":\"tfc\",\"pid\":1,"
+                  "\"tid\":1,\"ts\":1,\"args\":{\"E\":1,\"token\":10,\"w\":0,\"rtt_m\":0}}"));
+  EXPECT_EQ(count("\"name\":\"slot_begin\""), 0);
+  // Both ends of a flow's span sit on its first event's node.
+  EXPECT_TRUE(has("{\"ph\":\"b\",\"cat\":\"flow\",\"id\":7,\"name\":\"flow 7\",\"pid\":0,"
+                  "\"tid\":0,\"ts\":1.5,\"args\":{}}"));
+  EXPECT_TRUE(has("{\"ph\":\"e\",\"cat\":\"flow\",\"id\":7,\"name\":\"flow 7\",\"pid\":0,"
+                  "\"tid\":0,\"ts\":5,\"args\":{}}"));
+  EXPECT_TRUE(has("{\"ph\":\"b\",\"cat\":\"flow\",\"id\":8,\"name\":\"flow 8\",\"pid\":1,"
+                  "\"tid\":0,\"ts\":3,\"args\":{}}"));
+  EXPECT_TRUE(has("{\"ph\":\"e\",\"cat\":\"flow\",\"id\":8,\"name\":\"flow 8\",\"pid\":1,"
+                  "\"tid\":0,\"ts\":6,\"args\":{}}"));
+  // Four packet instants, the X, the unpaired end and two spans of two ends.
+  EXPECT_EQ(objects.size(), 10u);
+  double last_ts = 0;
+  for (const std::string& o : objects) {
+    const double ts = std::stod(o.substr(o.find("\"ts\":") + 5));
+    EXPECT_GE(ts, last_ts) << o;
+    last_ts = ts;
+  }
 }
 
 // Direct rendering tests: render a crafted event and pin the exact line, so

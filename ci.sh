@@ -118,7 +118,8 @@ EOF
 # (1) arming the ring must not perturb the simulation — the telemetry spill
 #     and summary of an armed run are byte-identical to a trace-off run;
 # (2) a forced audit trip post-mortem-dumps the ring to flight.tfct, and two
-#     identical runs produce byte-identical dumps;
+#     identical runs produce byte-identical dumps, also from a ring that
+#     wrapped;
 # (3) --export-trace round-trips the dump into Perfetto JSON + a per-flow
 #     timeline, and every artifact validates against the documented schema.
 # CI uploads build/trace-smoke as the workflow's post-mortem artifact.
@@ -150,13 +151,29 @@ leg_trace() {
   ./build/examples/tfcsim "${common[@]}" --telemetry-dir="${dir}/trip2" \
       --trace-ring=16384 --force-audit-trip=3000 >/dev/null 2>&1 || true
   cmp "${dir}/trip1/flight.tfct" "${dir}/trip2/flight.tfct"
-  echo "trace: post-mortem dumps byte-identical across runs"
+  # The trip comes after 5,264 events: a 1,024-event ring has wrapped, so
+  # the funnel dumps its window in two pieces.
+  rc=0
+  ./build/examples/tfcsim "${common[@]}" --telemetry-dir="${dir}/wrap1" \
+      --trace-ring=1024 --force-audit-trip=3000 >/dev/null 2>&1 || rc=$?
+  [[ "${rc}" -ne 0 ]] || { echo "trace: forced trip did not abort" >&2; return 1; }
+  ./build/examples/tfcsim "${common[@]}" --telemetry-dir="${dir}/wrap2" \
+      --trace-ring=1024 --force-audit-trip=3000 >/dev/null 2>&1 || true
+  cmp "${dir}/wrap1/flight.tfct" "${dir}/wrap2/flight.tfct"
+  python3 - "${dir}/wrap1/flight.tfct" <<'EOF'
+import struct, sys
+recorded, kept = struct.unpack_from("<QQ", open(sys.argv[1], "rb").read(32), 16)
+assert kept == 1024 < recorded, f"the ring kept {kept} of {recorded} events: no wrap"
+EOF
+  echo "trace: post-mortem dumps byte-identical across runs, wrapped or not"
 
   echo "--- [trace] export + schema validation ---"
   ./build/examples/tfcsim --export-trace="${dir}/armed"
   ./build/examples/tfcsim --export-trace="${dir}/trip1"
+  ./build/examples/tfcsim --export-trace="${dir}/wrap1"
   python3 tools/telemetry_schema.py "${dir}/armed"
   python3 tools/telemetry_schema.py --flight "${dir}/trip1"
+  python3 tools/telemetry_schema.py --flight "${dir}/wrap1"
   grep -q '"ph":"X"' "${dir}/armed/trace.perfetto.json"
   grep -q '=== flow ' "${dir}/armed/flows.txt"
   echo "trace: export round-trip validates"

@@ -1,10 +1,14 @@
 #include "src/sim/flight.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "src/sim/check.h"
+#include "src/sim/telemetry.h"
 #include "src/sim/thread_annotations.h"
 
 namespace tfc {
@@ -13,93 +17,37 @@ namespace {
 // ---------------------------------------------------------------------------
 // flight.tfct wire format (little-endian, validated by telemetry_schema.py):
 //
-//   header   "TFCT" magic, u32 version (=1), u32 record_bytes (=40),
-//            u32 node_count, u64 recorded_total, u64 event_count
+//   header   TfctHeader: "TFCT" magic, u32 version (=1), u32 record_size
+//            (=40), u32 node_count, u64 recorded_total, u64 event_count
 //   names    node_count × { u32 len, len bytes }   (node id = table index)
 //   records  event_count × 40-byte FlightEvent, oldest first:
 //            i64 time, u64 seq, i32 a, i32 b, i32 c, i32 flow,
 //            i16 node, i16 port, u8 type, u8 ptype, u8 flags, u8 weight
 //
-// Fields are packed byte-by-byte so the file is identical regardless of host
-// struct layout. Everything in
-// it derives from sim time and interned ids: a deterministic run dumps
-// deterministic bytes.
+// The header and the records are written from memory as they lie, through
+// the spill writer metrics.tfcb uses (src/sim/telemetry.h); the asserts
+// below pin both layouts to the format. Everything in it derives from sim
+// time and interned ids: a deterministic run dumps deterministic bytes.
 // ---------------------------------------------------------------------------
 
-constexpr char kTfctMagic[4] = {'T', 'F', 'C', 'T'};
-constexpr uint32_t kTfctVersion = 1;
-constexpr uint32_t kTfctRecordBytes = 40;
-constexpr size_t kTfctHeaderBytes = 4 + 4 + 4 + 4 + 8 + 8;
-
-void PutU16(std::vector<unsigned char>* out, uint16_t v) {
-  out->push_back(static_cast<unsigned char>(v));
-  out->push_back(static_cast<unsigned char>(v >> 8));
-}
-
-void PutU32(std::vector<unsigned char>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void PutU64(std::vector<unsigned char>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-void PutEvent(std::vector<unsigned char>* out, const FlightEvent& e) {
-  PutU64(out, static_cast<uint64_t>(e.time.count()));
-  PutU64(out, e.seq);
-  PutU32(out, static_cast<uint32_t>(e.a));
-  PutU32(out, static_cast<uint32_t>(e.b));
-  PutU32(out, static_cast<uint32_t>(e.c));
-  PutU32(out, static_cast<uint32_t>(e.flow));
-  PutU16(out, static_cast<uint16_t>(e.node));
-  PutU16(out, static_cast<uint16_t>(e.port));
-  out->push_back(static_cast<unsigned char>(e.type));
-  out->push_back(e.ptype);
-  out->push_back(e.flags);
-  out->push_back(e.weight);
-}
-
-uint16_t GetU16(const unsigned char* p) {
-  return static_cast<uint16_t>(static_cast<uint16_t>(p[0]) |
-                               static_cast<uint16_t>(p[1]) << 8);
-}
-
-uint32_t GetU32(const unsigned char* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-uint64_t GetU64(const unsigned char* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | p[i];
-  }
-  return v;
-}
-
-FlightEvent GetEvent(const unsigned char* p) {
-  FlightEvent e;
-  e.time = TimeNs(static_cast<int64_t>(GetU64(p)));
-  e.seq = GetU64(p + 8);
-  e.a = static_cast<int32_t>(GetU32(p + 16));
-  e.b = static_cast<int32_t>(GetU32(p + 20));
-  e.c = static_cast<int32_t>(GetU32(p + 24));
-  e.flow = static_cast<int32_t>(GetU32(p + 28));
-  e.node = static_cast<int16_t>(GetU16(p + 32));
-  e.port = static_cast<int16_t>(GetU16(p + 34));
-  e.type = static_cast<FlightEventType>(p[36]);
-  e.ptype = p[37];
-  e.flags = p[38];
-  e.weight = p[39];
-  return e;
-}
+struct TfctHeader {
+  char magic[4] = {'T', 'F', 'C', 'T'};
+  uint32_t version = 1;
+  uint32_t record_size = sizeof(FlightEvent);
+  uint32_t node_count = 0;
+  uint64_t recorded_total = 0;
+  uint64_t event_count = 0;
+};
+static_assert(sizeof(TfctHeader) == 32 && offsetof(TfctHeader, node_count) == 12 &&
+              offsetof(TfctHeader, recorded_total) == 16 &&
+              offsetof(TfctHeader, event_count) == 24);
+static_assert(std::is_trivially_copyable_v<FlightEvent> && sizeof(TimeNs) == 8 &&
+              offsetof(FlightEvent, seq) == 8 && offsetof(FlightEvent, a) == 16 &&
+              offsetof(FlightEvent, b) == 20 && offsetof(FlightEvent, c) == 24 &&
+              offsetof(FlightEvent, flow) == 28 && offsetof(FlightEvent, node) == 32 &&
+              offsetof(FlightEvent, port) == 34 && offsetof(FlightEvent, type) == 36 &&
+              offsetof(FlightEvent, ptype) == 37 && offsetof(FlightEvent, flags) == 38 &&
+              offsetof(FlightEvent, weight) == 39);
 
 bool Fail(std::string* error, std::string message) {
   if (error != nullptr) {
@@ -170,29 +118,24 @@ void FlightRecorder::Disarm() {
 bool FlightRecorder::Dump(const std::string& path,
                           const std::vector<std::string>& node_names,
                           std::string* error) const {
-  std::vector<unsigned char> buf;
-  buf.reserve(kTfctHeaderBytes + size() * kTfctRecordBytes);
-  for (const char c : kTfctMagic) {
-    buf.push_back(static_cast<unsigned char>(c));
-  }
-  PutU32(&buf, kTfctVersion);
-  PutU32(&buf, kTfctRecordBytes);
-  PutU32(&buf, static_cast<uint32_t>(node_names.size()));
-  PutU64(&buf, recorded_);
-  PutU64(&buf, static_cast<uint64_t>(size()));
-  for (const std::string& name : node_names) {
-    PutU32(&buf, static_cast<uint32_t>(name.size()));
-    buf.insert(buf.end(), name.begin(), name.end());
-  }
-  ForEach([&buf](const FlightEvent& e) { PutEvent(&buf, e); });
-
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  SpillWriter out(path);
+  if (!out.opened()) {
     return Fail(error, "flight: cannot open '" + path + "' for writing");
   }
-  const size_t written = std::fwrite(buf.data(), 1, buf.size(), f);
-  const bool closed = std::fclose(f) == 0;
-  if (written != buf.size() || !closed) {
+  const size_t n = size();
+  TfctHeader header;
+  header.node_count = static_cast<uint32_t>(node_names.size());
+  header.recorded_total = recorded_;
+  header.event_count = n;
+  out.Write(header);
+  out.WriteNames(node_names);
+  // The live window, oldest first, in at most two pieces: from its start to
+  // the ring's end, then from the ring's front when it wrapped.
+  const size_t start = static_cast<size_t>(recorded_ - n) & mask_;
+  const size_t tail = std::min(n, ring_.size() - start);
+  out.Write(ring_.data() + start, tail * sizeof(FlightEvent));
+  out.Write(ring_.data(), (n - tail) * sizeof(FlightEvent));
+  if (!out.Close()) {
     return Fail(error, "flight: short write to '" + path + "'");
   }
   return true;
@@ -249,57 +192,42 @@ void DumpArmedFlightRecorders() {
 }
 
 bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
+  SpillReader in(path);
+  if (!in.opened()) {
     return Fail(error, "flight: cannot open '" + path + "'");
   }
-  std::vector<unsigned char> buf;
-  unsigned char chunk[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    buf.insert(buf.end(), chunk, chunk + n);
-  }
-  std::fclose(f);
-
-  if (buf.size() < kTfctHeaderBytes) {
+  const TfctHeader want;
+  TfctHeader h;
+  if (!in.Read(&h)) {
     return Fail(error, "flight: '" + path + "' truncated header");
   }
-  if (std::memcmp(buf.data(), kTfctMagic, 4) != 0) {
+  if (std::memcmp(h.magic, want.magic, sizeof h.magic) != 0) {
     return Fail(error, "flight: '" + path + "' bad magic (want TFCT)");
   }
-  const uint32_t version = GetU32(buf.data() + 4);
-  if (version != kTfctVersion) {
+  if (h.version != want.version) {
     return Fail(error, "flight: '" + path + "' unsupported version " +
-                           std::to_string(version));
+                           std::to_string(h.version));
   }
-  const uint32_t record_size = GetU32(buf.data() + 8);
-  if (record_size != kTfctRecordBytes) {
+  if (h.record_size != want.record_size) {
     return Fail(error, "flight: '" + path + "' unexpected record size " +
-                           std::to_string(record_size));
+                           std::to_string(h.record_size));
   }
-  const uint32_t node_count = GetU32(buf.data() + 12);
-  out->recorded_total = GetU64(buf.data() + 16);
-  const uint64_t event_count = GetU64(buf.data() + 24);
+  out->recorded_total = h.recorded_total;
 
   // Counts are checked against the bytes left before anything is sized by
   // them: a corrupt count must fail, not allocate.
-  size_t off = kTfctHeaderBytes;
   out->nodes.clear();
-  for (uint32_t i = 0; i < node_count; ++i) {
-    if (off + 4 > buf.size()) {
+  for (uint32_t i = 0; i < h.node_count; ++i) {
+    std::string name;
+    if (!in.ReadName(&name)) {
       return Fail(error, "flight: '" + path + "' truncated name table");
     }
-    const uint32_t len = GetU32(buf.data() + off);
-    off += 4;
-    if (off + len > buf.size()) {
-      return Fail(error, "flight: '" + path + "' truncated node name");
-    }
-    out->nodes.emplace_back(reinterpret_cast<const char*>(buf.data() + off), len);
-    off += len;
+    out->nodes.push_back(std::move(name));
   }
 
-  if (event_count > (buf.size() - off) / kTfctRecordBytes ||
-      off + event_count * kTfctRecordBytes != buf.size()) {
+  const uint64_t event_count = h.event_count;
+  if (event_count > in.left() / sizeof(FlightEvent) ||
+      event_count * sizeof(FlightEvent) != in.left()) {
     return Fail(error, "flight: '" + path + "' record section size mismatch");
   }
   // The writer's invariants (tools/telemetry_schema.py checks the same): the
@@ -310,11 +238,13 @@ bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error
                            " events but only " + std::to_string(out->recorded_total) +
                            " were recorded");
   }
-  out->events.clear();
-  out->events.reserve(static_cast<size_t>(event_count));
+  out->events.resize(static_cast<size_t>(event_count));
+  if (!in.Read(out->events.data(), out->events.size() * sizeof(FlightEvent))) {
+    return Fail(error, "flight: '" + path + "' read failed");
+  }
   int64_t prev_time = 0;  // lint:allow units (FlightEvent time counts)
-  for (uint64_t i = 0; i < event_count; ++i) {
-    const FlightEvent e = GetEvent(buf.data() + off);
+  for (size_t i = 0; i < out->events.size(); ++i) {
+    const FlightEvent& e = out->events[i];
     const auto reject = [&](const std::string& why) {
       return Fail(error, "flight: '" + path + "' event " + std::to_string(i) + ' ' + why);
     };
@@ -330,8 +260,6 @@ bool LoadFlightDump(const std::string& path, FlightDump* out, std::string* error
                     std::to_string(e.node) + ", port " + std::to_string(e.port));
     }
     prev_time = e.time.count();
-    out->events.push_back(e);
-    off += kTfctRecordBytes;
   }
   return true;
 }

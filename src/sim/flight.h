@@ -209,8 +209,10 @@ class FlightRecorder {
   }
 
   // Drains the live window to a `flight.tfct` binary spill (header, node
-  // name table, oldest-first records — see docs/observability.md). Cold
-  // path; deterministic bytes for a deterministic run (sim time only).
+  // name table, oldest-first records — see docs/observability.md), written
+  // from the ring as it lies in at most two pieces: no copy, and no
+  // allocation of its own. Cold path; deterministic bytes for a
+  // deterministic run (sim time only).
   bool Dump(const std::string& path, const std::vector<std::string>& node_names,
             std::string* error) const;
 
@@ -248,7 +250,8 @@ struct FlightDump {
   }
 };
 
-// Decodes a flight.tfct spill. Returns false and fills *error on a missing
+// Reads a flight.tfct spill, its records straight into out->events, and
+// validates them in place. Returns false and fills *error on a missing
 // file, bad magic/version, truncation, or a dump the writer cannot produce:
 // more events than recorded_total, a negative or decreasing time, or a
 // flow, node or port id below -1.

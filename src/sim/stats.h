@@ -79,10 +79,6 @@ class SampleSet {
     return PercentileSorted(p);
   }
 
-  double Min() {
-    Sort();
-    return samples_.empty() ? 0.0 : samples_.front();
-  }
   double Max() {
     Sort();
     return samples_.empty() ? 0.0 : samples_.back();

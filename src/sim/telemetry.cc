@@ -13,7 +13,6 @@
 #include <ctime>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <system_error>
 #include <type_traits>
 
@@ -359,104 +358,119 @@ std::string Quoted(const std::string& s) { return "\"" + JsonEscape(s) + "\""; }
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Binary spill (metrics.tfcb)
+// Binary spills (metrics.tfcb, flight.tfct)
 // ---------------------------------------------------------------------------
+
+SpillWriter::SpillWriter(const std::string& path) : f_(std::fopen(path.c_str(), "wb")) {}
+
+void SpillWriter::Write(const void* data, size_t n) {
+  if (n > 0 && f_ != nullptr && std::fwrite(data, 1, n, f_) != n) {
+    ok_ = false;
+  }
+}
+
+void SpillWriter::WriteNames(const std::vector<std::string>& names) {
+  for (const std::string& name : names) {
+    Write(static_cast<uint32_t>(name.size()));
+    Write(name.data(), name.size());
+  }
+}
+
+bool SpillWriter::Close() {
+  if (f_ == nullptr) {
+    return false;
+  }
+  ok_ = std::fclose(f_) == 0 && ok_;
+  f_ = nullptr;
+  return ok_;
+}
+
+SpillReader::SpillReader(const std::string& path) : f_(std::fopen(path.c_str(), "rb")) {
+  if (f_ != nullptr && std::fseek(f_, 0, SEEK_END) == 0) {
+    const long end = std::ftell(f_);
+    if (end > 0 && std::fseek(f_, 0, SEEK_SET) == 0) {
+      left_ = static_cast<uint64_t>(end);
+    }
+  }
+}
+
+SpillReader::~SpillReader() {
+  if (f_ != nullptr) {
+    std::fclose(f_);
+  }
+}
+
+bool SpillReader::Read(void* dst, size_t n) {
+  if (n > left_) {
+    return false;
+  }
+  if (n > 0 && std::fread(dst, 1, n, f_) != n) {
+    left_ = 0;  // a short read (I/O error, or the file shrank): stop here
+    return false;
+  }
+  left_ -= n;
+  return true;
+}
+
+bool SpillReader::ReadName(std::string* name) {
+  uint32_t len = 0;
+  if (!Read(&len) || len > left_) {
+    return false;
+  }
+  name->resize(len);
+  return Read(name->data(), len);
+}
 
 namespace {
 
-// Fixed little-endian packing, independent of host byte order.
-void PutU32(std::vector<unsigned char>& buf, uint32_t v) {
-  buf.push_back(static_cast<unsigned char>(v));
-  buf.push_back(static_cast<unsigned char>(v >> 8));
-  buf.push_back(static_cast<unsigned char>(v >> 16));
-  buf.push_back(static_cast<unsigned char>(v >> 24));
-}
-
-void PutU64(std::vector<unsigned char>& buf, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<unsigned char>(v >> (8 * i)));
-  }
-}
-
-bool GetU32(const std::string& d, size_t& off, uint32_t* out) {
-  if (off + 4 > d.size()) {
-    return false;
-  }
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(d[off + static_cast<size_t>(i)]);
-  }
-  *out = v;
-  off += 4;
-  return true;
-}
-
-bool GetU64(const std::string& d, size_t& off, uint64_t* out) {
-  if (off + 8 > d.size()) {
-    return false;
-  }
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(d[off + static_cast<size_t>(i)]);
-  }
-  *out = v;
-  off += 8;
-  return true;
-}
-
-// The log's arrays go to disk exactly as they are in memory, so their
-// layout is the file format.
-static_assert(std::endian::native == std::endian::little,
-              "metrics.tfcb spills the log's arrays verbatim; a big-endian host "
-              "needs a byte-swapping Write and Load");
-static_assert(sizeof(SeriesLog::Tick) == 16 &&
-              std::is_trivially_copyable_v<SeriesLog::Tick>);
-
-bool WriteBytes(std::FILE* f, const void* data, size_t n) {
-  return n == 0 || std::fwrite(data, 1, n, f) == n;
-}
+struct TfcbHeader {
+  char magic[4] = {'T', 'F', 'C', 'B'};
+  uint32_t version = 2;
+  uint32_t series_count = 0;
+  uint32_t epoch_count = 0;
+  uint64_t tick_count = 0;
+  uint64_t change_count = 0;
+};
+static_assert(sizeof(TfcbHeader) == kTfcbHeaderBytes && offsetof(TfcbHeader, epoch_count) == 12 &&
+              offsetof(TfcbHeader, tick_count) == 16 &&
+              offsetof(TfcbHeader, change_count) == 24);
 
 }  // namespace
+
+// The tick array is written as it lies: {i64 t_ns, u64 change_end}.
+static_assert(sizeof(SeriesLog::Tick) == 16 && offsetof(SeriesLog::Tick, change_end) == 8 &&
+              std::is_trivially_copyable_v<SeriesLog::Tick>);
 
 bool SeriesLog::Write(const std::string& path, std::string* error) const {
   std::string local_error;
   if (error == nullptr) {
     error = &local_error;
   }
-  std::vector<unsigned char> head;  // header, name table and epoch table
-  for (const char c : kTfcbMagic) {
-    head.push_back(static_cast<unsigned char>(c));
-  }
-  PutU32(head, kTfcbVersion);
-  PutU32(head, static_cast<uint32_t>(names_.size()));
-  PutU32(head, static_cast<uint32_t>(epochs_.size()));
-  PutU64(head, ticks_.size());
-  PutU64(head, changes_);
-  for (const std::string& name : names_) {
-    PutU32(head, static_cast<uint32_t>(name.size()));
-    head.insert(head.end(), name.begin(), name.end());
-  }
-  for (const Epoch& epoch : epochs_) {
-    PutU64(head, epoch.first_tick);
-    PutU32(head, static_cast<uint32_t>(epoch.sids.size()));
-    for (uint32_t sid : epoch.sids) {
-      PutU32(head, sid);
-    }
-  }
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
+  SpillWriter out(path);
+  if (!out.opened()) {
     *error = "cannot open " + path;
     return false;
   }
-  bool ok = WriteBytes(f, head.data(), head.size()) &&
-            WriteBytes(f, ticks_.data(), ticks_.size() * sizeof(Tick)) &&
-            WriteBytes(f, change_sids_.get(), changes_ * sizeof(uint32_t)) &&
-            WriteBytes(f, change_values_.get(), changes_ * sizeof(double));
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok) {
-    *error = "write failed: " + path;
+  TfcbHeader header;
+  header.series_count = static_cast<uint32_t>(names_.size());
+  header.epoch_count = static_cast<uint32_t>(epochs_.size());
+  header.tick_count = ticks_.size();
+  header.change_count = changes_;
+  out.Write(header);
+  out.WriteNames(names_);
+  for (const Epoch& epoch : epochs_) {
+    out.Write(epoch.first_tick);
+    out.Write(static_cast<uint32_t>(epoch.sids.size()));
+    out.Write(epoch.sids.data(), epoch.sids.size() * sizeof(uint32_t));
   }
-  return ok;
+  out.Write(ticks_.data(), ticks_.size() * sizeof(Tick));
+  out.Write(change_sids_.get(), changes_ * sizeof(uint32_t));
+  out.Write(change_values_.get(), changes_ * sizeof(double));
+  if (!out.Close()) {
+    *error = "write failed: " + path;
+    return false;
+  }
+  return true;
 }
 
 bool SeriesLog::Load(const std::string& path, std::string* error) {
@@ -464,51 +478,43 @@ bool SeriesLog::Load(const std::string& path, std::string* error) {
   if (error == nullptr) {
     error = &local_error;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  SpillReader in(path);
+  if (!in.opened()) {
     *error = "cannot open " + path;
     return false;
   }
-  const std::string data((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
   const auto fail = [&path, error](const std::string& why) {
     *error = path + ": " + why;
     return false;
   };
-  if (data.compare(0, sizeof kTfcbMagic, kTfcbMagic, sizeof kTfcbMagic) != 0) {
-    return fail("not a TFCB file (bad magic)");
-  }
-  if (data.size() < kTfcbHeaderBytes) {
+  const TfcbHeader want;
+  TfcbHeader h;
+  if (!in.Read(&h)) {
     return fail("truncated header");
   }
-  size_t off = sizeof kTfcbMagic;
-  uint32_t version = 0;
-  uint32_t series_count = 0;
-  uint32_t epoch_count = 0;
-  uint64_t tick_count = 0;
-  uint64_t change_count = 0;
-  GetU32(data, off, &version);
-  GetU32(data, off, &series_count);
-  GetU32(data, off, &epoch_count);
-  GetU64(data, off, &tick_count);
-  GetU64(data, off, &change_count);
-  if (version != kTfcbVersion) {
-    return fail("unsupported TFCB version " + std::to_string(version));
+  if (std::memcmp(h.magic, want.magic, sizeof h.magic) != 0) {
+    return fail("not a TFCB file (bad magic)");
   }
+  if (h.version != want.version) {
+    return fail("unsupported TFCB version " + std::to_string(h.version));
+  }
+  const uint32_t series_count = h.series_count;
+  const uint32_t epoch_count = h.epoch_count;
+  const uint64_t tick_count = h.tick_count;
+  const uint64_t change_count = h.change_count;
 
   // Every count is checked against the bytes left before anything is sized
   // by it, so a corrupt count fails instead of allocating.
   SeriesLog log;
   for (uint32_t i = 0; i < series_count; ++i) {
-    uint32_t len = 0;
-    if (!GetU32(data, off, &len) || len > data.size() - off) {
+    std::string name;
+    if (!in.ReadName(&name)) {
       return fail("truncated name table");
     }
-    if (len == 0) {
+    if (name.empty()) {
       return fail("series " + std::to_string(i) + " has an empty name");
     }
-    log.names_.push_back(data.substr(off, len));
-    off += len;
+    log.names_.push_back(std::move(name));
   }
   const std::vector<uint32_t> by_name = log.SidsByName();
   for (size_t i = 1; i < by_name.size(); ++i) {
@@ -522,8 +528,7 @@ bool SeriesLog::Load(const std::string& path, std::string* error) {
   for (uint32_t e = 0; e < epoch_count; ++e) {
     uint64_t first = 0;
     uint32_t width = 0;
-    if (!GetU64(data, off, &first) || !GetU32(data, off, &width) ||
-        width > (data.size() - off) / sizeof(uint32_t)) {
+    if (!in.Read(&first) || !in.Read(&width) || width > in.left() / sizeof(uint32_t)) {
       return fail("truncated epoch table");
     }
     if (first >= tick_count ||
@@ -532,8 +537,10 @@ bool SeriesLog::Load(const std::string& path, std::string* error) {
                   " of " + std::to_string(tick_count));
     }
     Epoch epoch{first, std::vector<uint32_t>(width)};
-    for (uint32_t& sid : epoch.sids) {
-      GetU32(data, off, &sid);
+    if (!in.Read(epoch.sids.data(), width * sizeof(uint32_t))) {
+      return fail("truncated epoch table");
+    }
+    for (const uint32_t sid : epoch.sids) {
       if (sid >= series_count || in_epoch[sid] == e + 1) {
         return fail("epoch " + std::to_string(e) + " samples series " + std::to_string(sid) +
                     (sid >= series_count ? " of " + std::to_string(series_count) : " twice"));
@@ -546,7 +553,7 @@ bool SeriesLog::Load(const std::string& path, std::string* error) {
     return fail("ticks without an epoch");
   }
 
-  const size_t rest = data.size() - off;
+  const uint64_t rest = in.left();
   constexpr size_t kChangeBytes = sizeof(uint32_t) + sizeof(double);
   if (tick_count > rest / sizeof(Tick) ||
       change_count != (rest - tick_count * sizeof(Tick)) / kChangeBytes ||
@@ -559,15 +566,11 @@ bool SeriesLog::Load(const std::string& path, std::string* error) {
   log.change_sids_.reset(new uint32_t[change_count]);
   log.change_values_.reset(new double[change_count]);
   log.changes_ = log.change_capacity_ = change_count;
-  const auto take = [&data, &off](void* dst, size_t n) {
-    if (n > 0) {  // an empty vector's data() may be null
-      std::memcpy(dst, data.data() + off, n);
-      off += n;
-    }
-  };
-  take(log.ticks_.data(), tick_count * sizeof(Tick));
-  take(log.change_sids_.get(), change_count * sizeof(uint32_t));
-  take(log.change_values_.get(), change_count * sizeof(double));
+  if (!in.Read(log.ticks_.data(), tick_count * sizeof(Tick)) ||
+      !in.Read(log.change_sids_.get(), change_count * sizeof(uint32_t)) ||
+      !in.Read(log.change_values_.get(), change_count * sizeof(double))) {
+    return fail("read failed");
+  }
 
   // Ticks run forward in time, and their change ranges tile the changes.
   uint64_t begin = 0;

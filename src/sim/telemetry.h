@@ -41,11 +41,14 @@
 #ifndef SRC_SIM_TELEMETRY_H_
 #define SRC_SIM_TELEMETRY_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -329,11 +332,12 @@ class TimeSeriesRecorder {
 
 class Profiler;
 
-// metrics.tfcb v2 — a SeriesLog spilled verbatim. Little-endian; the three
-// log sections are the log's in-memory arrays, written as they are:
+// metrics.tfcb v2 — a SeriesLog spilled verbatim. Little-endian; the
+// header and the three log sections are written from memory as they lie:
 //
-//   header   "TFCB" magic, u32 version (=2), u32 series_count,
-//            u32 epoch_count, u64 tick_count, u64 change_count (32 bytes)
+//   header   TfcbHeader (telemetry.cc): "TFCB" magic, u32 version (=2),
+//            u32 series_count, u32 epoch_count, u64 tick_count,
+//            u64 change_count (32 bytes)
 //   names    series_count entries of {u32 len, bytes}; a name's position
 //            is its series id (first-recorded order, not name order)
 //   epochs   epoch_count entries of {u64 first_tick, u32 width,
@@ -344,9 +348,72 @@ class Profiler;
 //
 // Every series of a tick's epoch has a sample at that tick: its latest
 // stored value. SeriesLog::Load + SeriesLog::Samples read it back.
-inline constexpr char kTfcbMagic[4] = {'T', 'F', 'C', 'B'};
-inline constexpr uint32_t kTfcbVersion = 2;
 inline constexpr size_t kTfcbHeaderBytes = 32;
+
+// The two binary spills, metrics.tfcb and flight.tfct (src/sim/flight.cc),
+// share one writer and one reader. A spill is a header struct, name tables
+// of {u32 len, bytes} entries and arrays, each put to the file as it lies in
+// memory, so the structs' layouts are the formats; static_asserts beside
+// each struct pin them.
+static_assert(std::endian::native == std::endian::little,
+              "spills are written from memory as they lie; a big-endian host "
+              "needs a byte-swapping SpillWriter and SpillReader");
+
+// Writes a spill section by section through stdio's buffer: no staging
+// copy, and no allocation of its own. A failed write is remembered;
+// Close() reports it.
+class SpillWriter {
+ public:
+  explicit SpillWriter(const std::string& path);
+  SpillWriter(const SpillWriter&) = delete;
+  SpillWriter& operator=(const SpillWriter&) = delete;
+  ~SpillWriter() { Close(); }
+
+  bool opened() const { return f_ != nullptr; }
+  void Write(const void* data, size_t n);
+  template <typename T>
+  void Write(const T& v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Write(&v, sizeof v);
+  }
+  // A name table: each name as {u32 len, bytes}.
+  void WriteNames(const std::vector<std::string>& names);
+  // False when the file did not open or a write or the close failed.
+  bool Close();
+
+ private:
+  std::FILE* f_;
+  bool ok_ = true;
+};
+
+// Reads a spill section by section, straight into each destination. It
+// knows the file's size: a caller checks a count against left() before it
+// sizes anything by it, and no read runs past the end.
+class SpillReader {
+ public:
+  explicit SpillReader(const std::string& path);
+  SpillReader(const SpillReader&) = delete;
+  SpillReader& operator=(const SpillReader&) = delete;
+  ~SpillReader();
+
+  bool opened() const { return f_ != nullptr; }
+  // Bytes not read yet.
+  uint64_t left() const { return left_; }
+  // Fills `dst` with the next n bytes. False when fewer are left (nothing
+  // is read) or the read fails (nothing more will be).
+  bool Read(void* dst, size_t n);
+  template <typename T>
+  bool Read(T* v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    return Read(v, sizeof *v);
+  }
+  // One name-table entry; false when its length or bytes run past the end.
+  bool ReadName(std::string* name);
+
+ private:
+  std::FILE* f_;
+  uint64_t left_ = 0;
+};
 
 // Ordered key/value description of what ran (workload, protocol, topology,
 // seeds, flags). Values keep their JSON type; the exporter adds

@@ -32,9 +32,6 @@ class TfcSender : public ReliableSender {
  public:
   TfcSender(Network* network, Host* local, Host* remote, const TfcHostConfig& config);
 
-  // Congestion window assigned by the network, in frame bytes (raw view
-  // for stats/tests).
-  double cwnd_frame_bytes() const { return cwnd_frames_; }  // lint:allow units
   bool window_acquired() const { return have_window_; }
   uint64_t probes_sent() const { return probes_sent_; }
   // Probes re-sent by the capped-exponential-backoff retry timer (a lost

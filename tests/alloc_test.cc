@@ -3,16 +3,20 @@
 // slab, and endpoint dispatch, routing and in-order reassembly use flat
 // tables, so a steady TFC incast allocates only in two places: block
 // turnover in the TFC delay arbiter's std::deque of parked ACKs (about 90%
-// of the calls) and the incast app's per-flow FCT samples growing. This
-// binary replaces the global operator new to count calls, which is why it
-// stands alone.
+// of the calls) and the incast app's per-flow FCT samples growing. A
+// flight-ring dump, which also runs in the abort funnel, allocates nothing.
+// This binary replaces the global operator new to count calls, which is
+// why it stands alone.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <string>
+#include <vector>
 
+#include "src/sim/flight.h"
 #include "src/workload/scenario.h"
 
 namespace {
@@ -74,6 +78,27 @@ TEST(AllocTest, SteadyIncastAllocatesUnderOnePerTwentyDataSegments) {
   const double per_segment = static_cast<double>(g_allocations - allocations) / delivered;
   EXPECT_LT(per_segment, 0.05) << (g_allocations - allocations) << " allocations for "
                                << delivered << " data segments";
+}
+
+// The dump writes the ring from memory, in at most two pieces, so even a
+// wrapped ring (its window starts at slot 904 of 4,096) needs no copy.
+TEST(AllocTest, DumpingAWrappedRingAllocatesNothing) {
+  FlightRecorder rec;
+  rec.Arm(4096);
+  for (int i = 0; i < 5000; ++i) {
+    FlightEvent e = ControlFlightEvent(FlightEventType::kTokenGrant, 0, 0, 1);
+    e.time = i;
+    rec.Record(e);
+  }
+  ASSERT_EQ(rec.size(), 4096u);
+  const std::string path = testing::TempDir() + "/alloc_test_wrapped.tfct";
+  const std::vector<std::string> names = {"S", "h1", "h2"};
+  std::string error;
+  const uint64_t before = g_allocations;
+  const bool dumped = rec.Dump(path, names, &error);
+  const uint64_t during = g_allocations - before;
+  ASSERT_TRUE(dumped) << error;
+  EXPECT_EQ(during, 0u);
 }
 
 }  // namespace

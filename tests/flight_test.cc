@@ -69,6 +69,21 @@ TEST(FlightRecorderDeathTest, ArmAbortsPastTheCapacityBound) {
   EXPECT_FALSE(rec.armed());
 }
 
+// Dumps `rec` and loads the dump back: its events must be ForEach's, in
+// order, byte for byte.
+void ExpectDumpLoadsTheLiveWindow(const FlightRecorder& rec, const std::string& name) {
+  std::vector<FlightEvent> want;
+  rec.ForEach([&](const FlightEvent& e) { want.push_back(e); });
+  const std::string path = TempPath(name);
+  std::string error;
+  ASSERT_TRUE(rec.Dump(path, {"S"}, &error)) << error;
+  FlightDump dump;
+  ASSERT_TRUE(LoadFlightDump(path, &dump, &error)) << error;
+  EXPECT_EQ(dump.recorded_total, rec.recorded());
+  ASSERT_EQ(dump.events.size(), want.size());
+  EXPECT_EQ(std::memcmp(dump.events.data(), want.data(), want.size() * sizeof(FlightEvent)), 0);
+}
+
 TEST(FlightRecorderTest, RingWrapsAndForEachWalksOldestFirst) {
   FlightRecorder rec;
   rec.Arm(64);
@@ -84,6 +99,18 @@ TEST(FlightRecorderTest, RingWrapsAndForEachWalksOldestFirst) {
   for (size_t i = 0; i < seen.size(); ++i) {
     EXPECT_EQ(seen[i], static_cast<int32_t>(136 + i));
   }
+  // The window starts at slot 8: the dump writes slots 8-63, then 0-7.
+  ExpectDumpLoadsTheLiveWindow(rec, "wrapped.tfct");
+
+  // 256 records fill the ring exactly four times: the window starts at
+  // slot 0, and the dump's second piece is empty.
+  FlightRecorder exact;
+  exact.Arm(64);
+  for (int i = 0; i < 256; ++i) {
+    exact.Record(Ev(i, FlightEventType::kTokenRefill, 0, i));
+  }
+  ASSERT_EQ(exact.size(), 64u);
+  ExpectDumpLoadsTheLiveWindow(exact, "exact_multiple.tfct");
 }
 
 TEST(FlightRecorderTest, RearmingClearsTheRing) {
